@@ -7,8 +7,7 @@ cost model, and alternates that search with per-segment linear programs that
 rebalance shard ratios across heterogeneous devices.
 """
 from .cost_model import (ClusterFormatError, ClusterSpec, CostBreakdown,
-                         ShardingRatios, ecost, fit_linear, iteration_time,
-                         single_segment)
+                         ShardingRatios, iteration_time, single_segment)
 from .graph_ir import (Graph, GraphFormatError, SegmentAssignment,
                        assign_segments, graph_from_dict, graph_to_dict,
                        parse_graph, serialize_graph, total_flops)
@@ -34,8 +33,8 @@ __all__ = [
     "LpSolution", "NoCompleteProgramError", "Property", "SearchConfig",
     "SegmentAssignment", "ShardingRatios", "SynthesisResult", "Theory",
     "alternate", "assign_segments", "build_shard_table", "build_theory",
-    "check_equivalence", "derive_theory", "ecost", "enumerate_programs",
-    "fit_linear", "graph_from_dict", "graph_to_dict", "iteration_time",
+    "check_equivalence", "derive_theory", "enumerate_programs",
+    "graph_from_dict", "graph_to_dict", "iteration_time",
     "lp_solve", "optimize_ratios", "parse_graph", "round_shards",
     "run_distributed", "run_single", "serialize_graph", "single_segment",
     "solve_lp", "synthesize", "total_flops",

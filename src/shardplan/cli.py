@@ -30,7 +30,7 @@ from .interpreter import build_shard_table, check_equivalence
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
                           enumerate_programs)
-from .theory import build_theory
+from .theory import ALL_GATHER, build_theory, form_of_dist_id
 
 SCHEMA_VERSION = 1
 
@@ -57,9 +57,9 @@ def _sharded_axes(program) -> list[tuple[str, int]]:
     pairs = set()
     for instr in program.instrs:
         for did in (*instr.operands, instr.output):
-            ref, _, suffix = did.rpartition("@")
-            if suffix.startswith("shard"):
-                pairs.add((ref, int(suffix[len("shard"):])))
+            form = form_of_dist_id(did)
+            if form.kind == ALL_GATHER:
+                pairs.add((form.ref, form.axis))
     return sorted(pairs)
 
 

@@ -13,16 +13,18 @@ largest shard, so their cost is linear in max_j B[j]; GroupedBroadcast is m
 back-to-back broadcasts of the actual shards, which beats padding under
 skewed ratios and pays m latencies under even ones; AllReduce always moves
 the full tensor.
+
+`StagePricer` is the one implementation of this model: `iteration_time`
+and the search's incremental cost bookkeeping price through it, and the
+ratio LP takes its stage rows from it and its collective coefficients from
+`comm_terms`, the affine form that `comm_time` evaluates.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .graph_ir import Graph, SegmentAssignment, node_flops
+from .graph_ir import Graph, SegmentAssignment
 from .theory import Instruction
 
 COLLECTIVE_KINDS = ("all_reduce", "all_gather", "reduce_scatter", "all_to_all", "grouped_broadcast")
@@ -30,6 +32,11 @@ COLLECTIVE_KINDS = ("all_reduce", "all_gather", "reduce_scatter", "all_to_all", 
 
 class ClusterFormatError(ValueError):
     pass
+
+
+def _is_number(x) -> bool:
+    """A JSON number: int or float, but not a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ class ClusterSpec:
             raise ClusterFormatError("'devices' must be a non-empty list")
         devices = []
         for i, d in enumerate(raw_devices):
-            if not isinstance(d, dict) or set(d) != {"flops"} or not isinstance(d["flops"], (int, float)) \
+            if not isinstance(d, dict) or set(d) != {"flops"} or not _is_number(d["flops"]) \
                     or d["flops"] <= 0:
                 raise ClusterFormatError(f"devices[{i}] must be {{\"flops\": positive number}}")
             devices.append(DeviceSpec(flops_per_second=float(d["flops"])))
@@ -87,13 +94,13 @@ class ClusterSpec:
             if not isinstance(entry, dict) or set(entry) != {"latency_s", "bw_Bps"}:
                 raise ClusterFormatError(f"collectives[{kind!r}] must be {{latency_s, bw_Bps}}")
             lat, bw = entry["latency_s"], entry["bw_Bps"]
-            if not isinstance(lat, (int, float)) or lat < 0:
+            if not _is_number(lat) or lat < 0:
                 raise ClusterFormatError(f"collectives[{kind!r}].latency_s must be >= 0")
-            if not isinstance(bw, (int, float)) or bw <= 0:
+            if not _is_number(bw) or bw <= 0:
                 raise ClusterFormatError(f"collectives[{kind!r}].bw_Bps must be > 0")
             collectives[kind] = CollectiveModel(latency_s=float(lat), bytes_per_second=float(bw))
         bpe = doc.get("bytes_per_element")
-        if not isinstance(bpe, int) or bpe <= 0:
+        if not isinstance(bpe, int) or isinstance(bpe, bool) or bpe <= 0:
             raise ClusterFormatError("'bytes_per_element' must be a positive integer")
         return cls(devices=tuple(devices), collectives=collectives, bytes_per_element=bpe)
 
@@ -152,9 +159,6 @@ class ShardingRatios:
         row = tuple(d.flops_per_second / total for d in spec.devices)
         return cls(tuple(row for _ in range(g)))
 
-    def to_lists(self) -> list[list[float]]:
-        return [list(r) for r in self.rows]
-
 
 def single_segment(g: Graph) -> SegmentAssignment:
     return SegmentAssignment(segment_of={t: 1 for t in g.tensor_ids}, count=1)
@@ -185,62 +189,97 @@ def decompose_stages(instrs: tuple[Instruction, ...]) -> list[Stage]:
     return stages
 
 
-def comp_seconds(instr: Instruction, ratio: float, rate: float) -> float:
-    """Seconds device with speed `rate` spends on one computation instruction."""
-    work = instr.flops * ratio if instr.sharded else float(instr.flops)
-    return work / rate
-
-
-def comp_time(stage: Stage, j: int, b_j: float, spec: ClusterSpec) -> float:
-    """Device j's computation seconds for one stage; affine in b_j."""
-    rate = spec.devices[j].flops_per_second
-    total = 0.0
-    for instr in stage.comps:
-        total += comp_seconds(instr, b_j, rate)
-    return total
+def comm_terms(instr: Instruction, spec: ClusterSpec) -> tuple[float, float, float]:
+    """Affine coefficients of one collective: it takes
+    const_s + per_max_s * max_j B_j + per_ratio_s * sum_j B_j seconds."""
+    if not instr.is_comm:
+        raise ValueError(f"{instr.kind} is not a communication instruction")
+    model = spec.collectives[instr.kind]
+    transfer_s = instr.elements * spec.bytes_per_element / model.bytes_per_second
+    if instr.kind == "all_reduce":
+        return model.latency_s + transfer_s, 0.0, 0.0
+    if instr.kind == "grouped_broadcast":
+        # m separate broadcasts of the actual (unpadded) shards.
+        return spec.m * model.latency_s, 0.0, transfer_s
+    return model.latency_s, transfer_s, 0.0
 
 
 def comm_time(instr: Instruction, row: tuple[float, ...], spec: ClusterSpec,
               max_ratio: float | None = None) -> float:
-    """Seconds for one collective on a tensor sharded by `row`."""
-    if not instr.is_comm:
-        raise ValueError(f"{instr.kind} is not a communication instruction")
-    model = spec.collectives[instr.kind]
-    nbytes = instr.elements * spec.bytes_per_element
-    if instr.kind == "grouped_broadcast":
-        # m separate broadcasts of the actual (unpadded) shards.
-        total = 0.0
-        for b in row:
-            total += model.latency_s + nbytes * b / model.bytes_per_second
-        return total
-    if instr.kind == "all_reduce":
-        return model.latency_s + nbytes / model.bytes_per_second
+    """Seconds for one collective on a tensor sharded by `row`; `max_ratio`
+    overrides the largest shard a padded collective moves."""
+    const_s, per_max_s, per_ratio_s = comm_terms(instr, spec)
     x = max(row) if max_ratio is None else max_ratio
-    return model.latency_s + nbytes * x / model.bytes_per_second
+    return const_s + per_max_s * x + per_ratio_s * sum(row)
 
 
-def stage_row_index(stage: Stage, assignment: SegmentAssignment) -> int:
-    """A stage is priced at the ratio row of its first produced tensor's
-    segment (the opening collective's tensor if the stage is pure
-    communication)."""
-    if stage.comps:
-        return assignment.row_index(stage.comps[0].ref)
-    assert stage.comm is not None
-    return assignment.row_index(stage.comm.ref)
+class StagePricer:
+    """The stage model at fixed ratios B: the ratio row each stage is priced
+    at, and what each instruction costs at a row.  B may be None when only
+    stage rows are needed (the ratio LP, which chooses B)."""
 
+    def __init__(self, spec: ClusterSpec, B: ShardingRatios | None,
+                 assignment: SegmentAssignment):
+        self.spec = spec
+        self.B = B
+        self.rates = [d.flops_per_second for d in spec.devices]
+        self.row_of = assignment.row_index      # a tensor's ratio row
+        self.one_row = assignment.count == 1
+        # Per-row price caches keyed by instruction identity: the search asks
+        # about the same theory instructions over and over, and hashing an
+        # Instruction field by field would dominate each lookup.  `_held`
+        # keeps every cached instruction alive, so no id is reused.
+        self._comp: list[dict] = [{} for _ in range(assignment.count)]
+        self._comm: list[dict] = [{} for _ in range(assignment.count)]
+        self._held: list[Instruction] = []
 
-def stage_comm_seconds(stage: Stage, B: ShardingRatios, spec: ClusterSpec,
-                       assignment: SegmentAssignment) -> float:
-    if stage.comm is None:
-        return 0.0
-    row_idx = stage_row_index(stage, assignment)
-    row = B.row(row_idx)
-    comm_idx = assignment.row_index(stage.comm.ref)
-    if stage.comm.kind == "all_to_all" and comm_idx != row_idx:
-        # Segment-boundary reshard: pad to the larger of the two rows' maxima.
-        return comm_time(stage.comm, row, spec,
-                         max_ratio=max(max(row), max(B.row(comm_idx))))
-    return comm_time(stage.comm, row, spec)
+    def stage_row(self, stage: Stage) -> int:
+        """A stage is priced at the ratio row of its first computation's
+        segment (the opening collective's, if the stage only communicates)."""
+        return self.row_of((stage.comps[0] if stage.comps else stage.comm).ref)
+
+    def comp(self, instr: Instruction, row: int) -> tuple[tuple[float, ...], float]:
+        """Per-device seconds of a computation at ratio row `row`, and its
+        flops summed over all devices.  Sharded work scales with each
+        device's ratio; replicated work runs in full on every device."""
+        cached = self._comp[row].get(id(instr))
+        if cached is None:
+            flops = instr.flops
+            dsec = []
+            if instr.sharded:
+                work = 0.0
+                for b, rate in zip(self.B.row(row), self.rates):
+                    dsec.append(flops * b / rate)
+                    work += flops * b
+            else:
+                for rate in self.rates:
+                    dsec.append(flops / rate)
+                work = float(flops) * len(self.rates)
+            cached = self._comp[row][id(instr)] = (tuple(dsec), work)
+            self._held.append(instr)
+        return cached
+
+    def comm(self, instr: Instruction, row: int) -> float:
+        """Seconds of the collective opening a stage priced at ratio row
+        `row`.  A segment-boundary reshard pads to the larger of its own
+        row's and the stage row's largest shard."""
+        cached = self._comm[row].get(id(instr))
+        if cached is None:
+            ratios = self.B.row(row)
+            own = self.row_of(instr.ref)
+            pad = None
+            if instr.kind == "all_to_all" and own != row:
+                pad = max(max(ratios), max(self.B.row(own)))
+            cached = self._comm[row][id(instr)] = comm_time(instr, ratios, self.spec, pad)
+            self._held.append(instr)
+        return cached
+
+    def open_stage(self, instr: Instruction) -> tuple[float, int | None]:
+        """Price of a collective that opens a stage, at its own row until the
+        stage's first computation names the stage row; that row, or None
+        while it is still unknown (it is known at once with a single row)."""
+        row = self.row_of(instr.ref)
+        return self.comm(instr, row), (row if self.one_row else None)
 
 
 @dataclass(frozen=True)
@@ -258,67 +297,16 @@ class CostBreakdown:
 def iteration_time(instrs: tuple[Instruction, ...], B: ShardingRatios, spec: ClusterSpec,
                    assignment: SegmentAssignment) -> CostBreakdown:
     """Exact model time for one iteration of the program."""
+    pricer = StagePricer(spec, B, assignment)
     out: list[StageCost] = []
     total = 0.0
     for stage in decompose_stages(tuple(instrs)):
-        row = B.row(stage_row_index(stage, assignment))
-        comm_s = stage_comm_seconds(stage, B, spec, assignment)
-        comp = [comp_time(stage, j, row[j], spec) for j in range(spec.m)]
+        row = pricer.stage_row(stage)
+        comm_s = 0.0 if stage.comm is None else pricer.comm(stage.comm, row)
+        comp = [0.0] * spec.m
+        for instr in stage.comps:
+            for j, s in enumerate(pricer.comp(instr, row)[0]):
+                comp[j] += s
         out.append(StageCost(comm_s=comm_s, comp_s=tuple(comp)))
-        total += comm_s + (max(comp) if comp else 0.0)
+        total += comm_s + max(comp)
     return CostBreakdown(stages=tuple(out), total_s=total)
-
-
-def ecost(partial, g: Graph, spec: ClusterSpec, B: ShardingRatios,
-          assignment: SegmentAssignment | None = None) -> float:
-    """Admissible estimate of the cost still missing from a partial program.
-
-    Counts (a) flops already accrued in the open trailing stage and (b) the
-    single-device flops of every loss ancestor without a realized property,
-    both charged at the aggregate cluster rate (best-case full sharding);
-    communication is charged as zero.  Complete programs cost nothing more.
-    """
-    if getattr(partial, "complete", False):
-        return 0.0
-    assignment = assignment or single_segment(g)
-    open_work = 0.0
-    stages = decompose_stages(tuple(partial.instrs))
-    if stages:
-        trailing = stages[-1]
-        row = B.row(stage_row_index(trailing, assignment))
-        for instr in trailing.comps:
-            if instr.sharded:
-                for b in row:
-                    open_work += instr.flops * b
-            else:
-                open_work += float(instr.flops) * spec.m
-    remaining = 0.0
-    computed = partial.computed
-    for node in g.nodes:
-        if node.id in g.loss_ancestors and node.id not in computed:
-            remaining += node_flops(g, node)
-    return (open_work + remaining) / spec.total_rate
-
-
-@dataclass(frozen=True)
-class FitResult:
-    latency_s: float
-    bytes_per_second: float
-    residual: float
-
-
-def fit_linear(samples: list[tuple[float, float]]) -> FitResult:
-    """Least-squares affine fit time = latency + bytes/bandwidth over
-    (bytes, seconds) samples."""
-    if len(samples) < 2:
-        raise ValueError("need at least two profile samples")
-    x = np.array([s[0] for s in samples], dtype=float)
-    y = np.array([s[1] for s in samples], dtype=float)
-    if np.unique(x).size < 2:
-        raise ValueError("need at least two distinct transfer sizes")
-    slope, intercept = np.polyfit(x, y, 1)
-    if slope <= 0:
-        raise ValueError(f"non-positive fitted slope {slope!r}; samples are not bandwidth-limited")
-    residual = math.sqrt(float(np.mean((intercept + slope * x - y) ** 2)))
-    return FitResult(latency_s=float(intercept), bytes_per_second=1.0 / float(slope),
-                     residual=residual)

@@ -115,6 +115,11 @@ def node_flops(g: Graph, node: Node) -> int:
     return flops_of(node.op, [g.tensors[i].shape for i in node.inputs])
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; booleans are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_node(raw: dict, index: int, known: dict[str, Node]) -> Node:
     where = f"nodes[{index}]"
     if not isinstance(raw, dict):
@@ -165,7 +170,7 @@ def _parse_node(raw: dict, index: int, known: dict[str, Node]) -> Node:
         in_rank = len(known[inputs[0]].shape)
         if rdims == "all":
             dims = tuple(range(in_rank))
-        elif isinstance(rdims, list) and rdims and all(isinstance(d, int) for d in rdims):
+        elif isinstance(rdims, list) and rdims and all(_is_int(d) for d in rdims):
             if len(set(rdims)) != len(rdims):
                 raise GraphFormatError("Reduce dims repeated", where)
             dims = tuple(sorted(rdims))
@@ -176,7 +181,7 @@ def _parse_node(raw: dict, index: int, known: dict[str, Node]) -> Node:
 
     declared = raw.get("shape")
     if declared is not None:
-        if not isinstance(declared, list) or not all(isinstance(x, int) and x >= 1 for x in declared):
+        if not isinstance(declared, list) or not all(_is_int(x) and x >= 1 for x in declared):
             raise GraphFormatError("'shape' must be a list of positive ints", where)
         declared = tuple(declared)
     if op in SOURCE_OPS:

@@ -4,8 +4,9 @@ For each segment the iteration time restricted to that segment's ratio row
 is a small linear program: ratio variables B_j (nonnegative, summing to one),
 one variable M bounding every B_j (gather-style collectives move the largest
 shard), and one variable T_i per compute stage bounding each device's affine
-compute time.  AllReduce contributes a constant; grouped broadcast is linear
-in the B_j directly.  Rows never interact except through segment-boundary
+compute time.  Each collective enters through `cost_model.comm_terms`:
+AllReduce contributes a constant; grouped broadcast is linear in the B_j
+directly; the padded collectives are linear in M.  Rows never interact except through segment-boundary
 reshards, which are charged here against the segment's own M (the exact
 evaluator uses the max over both rows, so the loop re-checks candidates
 against the true model before accepting them).
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_model import (ClusterSpec, ShardingRatios, decompose_stages,
-                         single_segment, stage_row_index)
+from .cost_model import (ClusterSpec, ShardingRatios, StagePricer, comm_terms,
+                         decompose_stages, single_segment)
 from .graph_ir import Graph, SegmentAssignment
 
 _TOL = 1e-9
@@ -192,20 +193,14 @@ def segment_problems(instrs, spec: ClusterSpec,
     m = spec.m
     probs = [SegmentProblem(row_index=r, m=m) for r in range(assignment.count)]
     rates = [d.flops_per_second for d in spec.devices]
+    pricer = StagePricer(spec, None, assignment)
     for stage in decompose_stages(tuple(instrs)):
-        prob = probs[stage_row_index(stage, assignment)]
-        comm = stage.comm
-        if comm is not None:
-            model = spec.collectives[comm.kind]
-            nbytes = comm.elements * spec.bytes_per_element
-            if comm.kind == "all_reduce":
-                prob.const_s += model.latency_s + nbytes / model.bytes_per_second
-            elif comm.kind == "grouped_broadcast":
-                prob.const_s += m * model.latency_s
-                prob.linear_B += nbytes / model.bytes_per_second
-            else:
-                prob.slope_M += nbytes / model.bytes_per_second
-                prob.const_s += model.latency_s
+        prob = probs[pricer.stage_row(stage)]
+        if stage.comm is not None:
+            const_s, per_max_s, per_ratio_s = comm_terms(stage.comm, spec)
+            prob.const_s += const_s
+            prob.slope_M += per_max_s
+            prob.linear_B += per_ratio_s
         if stage.comps:
             a = np.zeros(m)
             cvec = np.zeros(m)

@@ -29,6 +29,11 @@ from .theory import Theory, build_theory
 _logger = logging.getLogger("shardplan.optimizer_loop")
 
 
+# Ratio rows that agree to this quantum count as the same rows when the loop
+# looks for a fixed point or a revisited (program, ratios) pair.
+RATIO_QUANTUM = 1e-6
+
+
 class BudgetExhaustedError(RuntimeError):
     pass
 
@@ -38,7 +43,6 @@ class LoopConfig:
     max_rounds: int = 8
     max_expansions: int = 200_000
     prune_properties: bool = True
-    ratio_quantum: float = 1e-6
 
 
 @dataclass
@@ -62,8 +66,8 @@ class LoopResult:
     expansions: int = 0
 
 
-def _quantize(B: ShardingRatios, quantum: float) -> tuple:
-    return tuple(tuple(int(round(v / quantum)) for v in row) for row in B.rows)
+def _quantize(B: ShardingRatios) -> tuple:
+    return tuple(tuple(int(round(v / RATIO_QUANTUM)) for v in row) for row in B.rows)
 
 
 def _default_synth(g, theory, spec, B, assignment, cfg: LoopConfig) -> SynthesisResult:
@@ -120,7 +124,7 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
         elif (abs(cost_q - best[0]) <= 1e-12 and not best[3] and not res.exhausted):
             best = (cost_q, res.program, B, True)
 
-        fp = (res.program.fingerprint(), _quantize(B, cfg.ratio_quantum))
+        fp = (res.program.instrs, _quantize(B))
         if fp in seen:
             reason = "fixed_point" if seen[fp] == r - 1 else "oscillation"
             break
@@ -133,7 +137,7 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
             trace.balance_accepted = True
             if cost_b < best[0] - 1e-12:
                 best = (cost_b, res.program, B_new, False)
-            if _quantize(B_new, cfg.ratio_quantum) == _quantize(B, cfg.ratio_quantum):
+            if _quantize(B_new) == _quantize(B):
                 prev_cost = min(cost_q, cost_b)
                 reason = "fixed_point"
                 break

@@ -15,17 +15,16 @@ useful triple still consumes.
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
 import logging
 import math
 from dataclasses import dataclass, field
 
-from .cost_model import (ClusterSpec, ShardingRatios, comm_time, comp_seconds,
-                         iteration_time, single_segment)
+from .cost_model import (ClusterSpec, ShardingRatios, StagePricer,
+                         single_segment)
 from .graph_ir import Graph, SegmentAssignment, node_flops
-from .theory import (ALL_REDUCE, COMMUNICATED, NOT_COMMUNICATED, HoareTriple,
-                     Instruction, Property, Theory, all_reduce, not_communicated)
+from .theory import (COMMUNICATED, Instruction, Property, Theory, all_reduce,
+                     not_communicated)
 
 _logger = logging.getLogger("shardplan.synthesizer")
 
@@ -55,12 +54,6 @@ class DistributedProgram:
     instrs: tuple[Instruction, ...]
     loss: str
 
-    def canonical(self) -> str:
-        return ";".join(i.canonical() for i in self.instrs)
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
-
     def to_json(self) -> dict:
         return {"loss": self.loss, "instrs": [i.to_json() for i in self.instrs]}
 
@@ -70,19 +63,17 @@ class DistributedProgram:
                    loss=doc["loss"])
 
 
+# Frontier nodes within this relative margin of the best complete cost are
+# cut off.  Mathematically tied states can differ by float rounding
+# (accumulation order), and chasing those ulps is exponential; any real cost
+# difference in these models is many orders larger.
+OPTIMALITY_MARGIN = 1e-12
+
+
 @dataclass
 class SearchConfig:
     max_expansions: int = 200_000
     prune_properties: bool = True
-    # Equal scores are common (fully sharded instructions leave the score
-    # unchanged), so ties prefer the deeper node: the search dives to a
-    # completion and the bound then retires the rest of the plateau.
-    tie_break: str = "score_depth_path"
-    # Frontier nodes within this relative margin of the best complete cost
-    # are cut off.  Mathematically tied states can differ by float rounding
-    # (accumulation order), and chasing those ulps is exponential; any real
-    # cost difference in these models is many orders larger.
-    optimality_margin: float = 1e-12
 
 
 @dataclass(slots=True)
@@ -98,12 +89,17 @@ class PartialProgram:
     acc: tuple[float, ...]
     open_work: float          # flops accrued in the open stage, all devices
     remaining: float          # flops of loss ancestors without any property
-    stage_row_idx: int | None
+    stage_row_idx: int | None  # the open stage's ratio row; None until known
     open_comm_instr: Instruction | None
-    pending_key: object       # open-stage comm awaiting its row (multi-segment)
     complete: bool
     score_s: float
     path: tuple[int, ...]     # applied triple indices (deterministic tie-break)
+
+    @property
+    def pending_key(self) -> Instruction | None:
+        """The open stage's collective while its price still waits for the
+        stage's ratio row."""
+        return self.open_comm_instr if self.stage_row_idx is None else None
 
     @property
     def total_s(self) -> float:
@@ -122,7 +118,8 @@ class PartialProgram:
 
 
 class SearchContext:
-    """Theory, cluster and ratio data prepared for fast expansion."""
+    """Theory, cluster and ratio data prepared for fast expansion; every
+    instruction is priced by one `StagePricer`."""
 
     def __init__(self, g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                  assignment: SegmentAssignment | None = None, cfg: SearchConfig | None = None):
@@ -135,12 +132,10 @@ class SearchContext:
         self.theory = theory
         self.spec = spec
         self.B = B
-        self.assignment = assignment
         self.cfg = cfg or SearchConfig()
         self.m = spec.m
-        self.rates = tuple(d.flops_per_second for d in spec.devices)
         self.total_rate = spec.total_rate
-        self.multi_segment = assignment.count > 1
+        self.pricer = StagePricer(spec, B, assignment)
 
         self._ids: dict[Property, int] = {}
         self._props: list[Property] = []
@@ -171,30 +166,6 @@ class SearchContext:
         self.initial_remaining = float(sum(self.flops_map[r] for r in self.ancestors))
         self.initial_props = frozenset(self._intern(p) for p in theory.initial_props)
 
-        # Single-segment fast path: per-instruction costs are constants.
-        self._fast = not self.multi_segment
-        if self._fast:
-            row = B.row(0)
-            self._comm_s = {}
-            self._dsec = {}
-            self._work = {}
-            for tr in self.triples:
-                for instr in tr.instrs:
-                    if instr in self._dsec or instr in self._comm_s:
-                        continue
-                    if instr.is_comm:
-                        self._comm_s[instr] = comm_time(instr, row, spec)
-                    else:
-                        self._dsec[instr] = tuple(comp_seconds(instr, row[j], self.rates[j])
-                                                  for j in range(self.m))
-                        if instr.sharded:
-                            w = 0.0
-                            for b in row:
-                                w += instr.flops * b
-                        else:
-                            w = float(instr.flops) * self.m
-                        self._work[instr] = w
-
         self._app_cache: dict[frozenset[int], tuple[int, ...]] = {}
 
     def _intern(self, p: Property) -> int:
@@ -205,9 +176,6 @@ class SearchContext:
             self._props.append(p)
         return pid
 
-    def prop_of(self, pid: int) -> Property:
-        return self._props[pid]
-
     def props_of(self, ids: frozenset[int]) -> frozenset[Property]:
         return frozenset(self._props[i] for i in ids)
 
@@ -216,7 +184,7 @@ class SearchContext:
             instrs=(), props=self.initial_props, computed=frozenset(),
             closed_s=0.0, open_comm_s=0.0, acc=(0.0,) * self.m, open_work=0.0,
             remaining=self.initial_remaining, stage_row_idx=None, open_comm_instr=None,
-            pending_key=None, complete=False, score_s=0.0, path=())
+            complete=False, score_s=0.0, path=())
         q.score_s = q.closed_s + (q.open_work + q.remaining) / self.total_rate
         return q
 
@@ -247,44 +215,26 @@ def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgr
     open_work = q.open_work
     stage_row = q.stage_row_idx
     comm_instr = q.open_comm_instr
+    pricer = ctx.pricer
 
     for instr in tri.instrs:
         if instr.is_comm:
             closed += open_comm + max(acc)
-            for j in range(ctx.m):
-                acc[j] = 0.0
+            acc = [0.0] * ctx.m
             open_work = 0.0
             comm_instr = instr
-            stage_row = None
-            if ctx._fast:
-                open_comm = ctx._comm_s[instr]
-            else:
-                row_idx = ctx.assignment.row_index(instr.ref)
-                open_comm = comm_time(instr, ctx.B.row(row_idx), ctx.spec)
-        elif ctx._fast:
-            for j, s in enumerate(ctx._dsec[instr]):
-                acc[j] += s
-            open_work += ctx._work[instr]
-        else:
-            if stage_row is None:
-                stage_row = ctx.assignment.row_index(instr.ref)
-                if comm_instr is not None:
-                    comm_idx = ctx.assignment.row_index(comm_instr.ref)
-                    if comm_idx != stage_row:
-                        row = ctx.B.row(stage_row)
-                        if comm_instr.kind == "all_to_all":
-                            open_comm = comm_time(comm_instr, row, ctx.spec,
-                                                  max_ratio=max(max(row), max(ctx.B.row(comm_idx))))
-                        else:
-                            open_comm = comm_time(comm_instr, row, ctx.spec)
-            row = ctx.B.row(stage_row)
-            for j in range(ctx.m):
-                acc[j] += comp_seconds(instr, row[j], ctx.rates[j])
-            if instr.sharded:
-                for b in row:
-                    open_work += instr.flops * b
-            else:
-                open_work += float(instr.flops) * ctx.m
+            open_comm, stage_row = pricer.open_stage(instr)
+            continue
+        if stage_row is None:
+            # The stage's first computation names its row; re-price the
+            # collective that opened it there.
+            stage_row = pricer.row_of(instr.ref)
+            if comm_instr is not None:
+                open_comm = pricer.comm(comm_instr, stage_row)
+        dsec, work = pricer.comp(instr, stage_row)
+        for j, sec in enumerate(dsec):
+            acc[j] += sec
+        open_work += work
 
     props = (q.props | ctx.tpost[ti]) - ctx.tretire[ti]
     computed = q.computed
@@ -299,15 +249,11 @@ def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgr
     if not complete and ctx.cfg.prune_properties:
         props = prune_redundant_properties(props, ctx)
 
-    pending = None
-    if ctx.multi_segment and stage_row is None and comm_instr is not None:
-        pending = comm_instr
-
     succ = PartialProgram(
         instrs=q.instrs + tri.instrs, props=props, computed=computed,
         closed_s=closed, open_comm_s=open_comm, acc=tuple(acc), open_work=open_work,
         remaining=remaining, stage_row_idx=stage_row, open_comm_instr=comm_instr,
-        pending_key=pending, complete=complete, score_s=0.0, path=q.path + (ti,))
+        complete=complete, score_s=0.0, path=q.path + (ti,))
     succ.score_s = closed + (0.0 if complete else (open_work + remaining) / ctx.total_rate)
     return succ
 
@@ -330,18 +276,13 @@ def dominates(a: PartialProgram, b: PartialProgram) -> bool:
     """True iff a renders b redundant: a's properties cover b's and a is at
     most as expensive in every cost component (closed stages, pending
     communication, per-device accrued compute)."""
-    if a.pending_key != b.pending_key:
-        return False
     if a.closed_s > b.closed_s or a.open_comm_s > b.open_comm_s:
         return False
     if any(x > y for x, y in zip(a.acc, b.acc)):
         return False
+    if a.pending_key != b.pending_key:
+        return False
     return a.props >= b.props
-
-
-def expand(q: PartialProgram, ctx: SearchContext) -> list[PartialProgram]:
-    """All successors of q under applicable, non-vacuous triples."""
-    return [apply_triple(q, ti, ctx) for ti in ctx.applicable(q.props)]
 
 
 @dataclass
@@ -357,12 +298,6 @@ class SynthesisResult:
     node: PartialProgram | None = field(default=None, repr=False)
 
 
-def make_context(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
-                 assignment: SegmentAssignment | None = None,
-                 cfg: SearchConfig | None = None) -> SearchContext:
-    return SearchContext(g, theory, spec, B, assignment, cfg)
-
-
 def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                cfg: SearchConfig | None = None,
                assignment: SegmentAssignment | None = None) -> SynthesisResult:
@@ -371,6 +306,10 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
     ctx = SearchContext(g, theory, spec, B, assignment, cfg)
     root = ctx.initial()
 
+    # Equal scores are common (fully sharded instructions leave the score
+    # unchanged), so ties prefer the deeper node, then the lower triple path:
+    # the search dives to a completion and the bound then retires the rest
+    # of the plateau.
     heap: list = []
     counter = 0
     heapq.heappush(heap, (_priority(root.score_s), -len(root.instrs), root.path, counter, root))
@@ -416,7 +355,7 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
             if succ.complete:
                 if best is None or succ.total_s < best.total_s:
                     best = succ
-                    margin = cfg.optimality_margin * abs(best.total_s)
+                    margin = OPTIMALITY_MARGIN * abs(best.total_s)
                 continue
             if best is not None and succ.score_s >= best.total_s - margin:
                 continue
@@ -533,24 +472,3 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
                              complete_states=complete_states,
                              states=states if audit else None,
                              root_key=root_key if audit else None)
-
-
-def enumerate_all_complete(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
-                           max_len: int, assignment: SegmentAssignment | None = None
-                           ) -> set[tuple[Instruction, ...]]:
-    """Every complete instruction sequence of at most max_len instructions
-    (no merging; exponential — only for tiny graphs in tests)."""
-    ctx = SearchContext(g, theory, spec, B, assignment,
-                        SearchConfig(prune_properties=False))
-    out: set[tuple[Instruction, ...]] = set()
-    stack = [ctx.initial()]
-    while stack:
-        q = stack.pop()
-        if q.complete:
-            out.add(q.instrs)
-            continue
-        if len(q.instrs) >= max_len:
-            continue
-        for ti in ctx.applicable(q.props):
-            stack.append(apply_triple(q, ti, ctx))
-    return out

@@ -412,10 +412,3 @@ def build_theory(g: Graph, m: int, *, guards: bool = True, fuse: bool = True) ->
         t = fuse_empty_preconditions(t)
     return t
 
-
-def theory_to_json(t: Theory) -> list[dict]:
-    return [{
-        "pre": sorted(str(p) for p in tr.pre),
-        "instrs": [i.to_json() for i in tr.instrs],
-        "post": sorted(str(p) for p in tr.post),
-    } for tr in t.triples]

@@ -1,8 +1,10 @@
 """Independent oracles the tests compare the package against.
 
-Everything here is deliberately brute-force: grids, vertex enumeration and
-exhaustive integer compositions.  None of it shares code with the package
-beyond calling into public evaluation entry points.
+Everything here is deliberately brute-force: grids, vertex enumeration,
+exhaustive integer compositions and unmerged program walks.  None of it
+shares code with the package beyond calling into public evaluation entry
+points, except the search-space walks, which step the package's own
+`apply_triple` to list programs.
 """
 from __future__ import annotations
 
@@ -11,11 +13,13 @@ import math
 
 import numpy as np
 
-from shardplan import ecost
+from shardplan.cost_model import decompose_stages, single_segment
+from shardplan.graph_ir import node_flops
 from shardplan.interpreter import (check_form, eval_reference,
                                    execute_instruction, random_inputs,
                                    table_sizes)
 from shardplan.load_balancer import SegmentProblem
+from shardplan.synthesizer import SearchConfig, SearchContext, apply_triple
 from shardplan.theory import dist_id
 
 
@@ -200,7 +204,65 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
+# search-space walks
+
+
+def expand(q, ctx) -> list:
+    """All successors of q under applicable, non-vacuous triples."""
+    return [apply_triple(q, ti, ctx) for ti in ctx.applicable(q.props)]
+
+
+def enumerate_all_complete(g, theory, spec, B, max_len: int, assignment=None) -> set:
+    """Every complete instruction sequence of at most max_len instructions
+    (no merging; exponential, so only for tiny graphs)."""
+    ctx = SearchContext(g, theory, spec, B, assignment,
+                        SearchConfig(prune_properties=False))
+    out = set()
+    stack = [ctx.initial()]
+    while stack:
+        q = stack.pop()
+        if q.complete:
+            out.add(q.instrs)
+            continue
+        if len(q.instrs) >= max_len:
+            continue
+        stack.extend(expand(q, ctx))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # admissibility audit over the enumeration graph
+
+
+def ecost(partial, g, spec, B, assignment=None) -> float:
+    """Reference completion estimate, recomputed from the program alone.
+
+    Counts (a) flops already accrued in the open trailing stage and (b) the
+    single-device flops of every loss ancestor without a realized property,
+    both charged at the aggregate cluster rate (best-case full sharding);
+    communication is charged as zero.  Complete programs cost nothing more.
+    The search keeps the same quantity incrementally (`ecost_s`).
+    """
+    if partial.complete:
+        return 0.0
+    assignment = assignment or single_segment(g)
+    open_work = 0.0
+    stages = decompose_stages(tuple(partial.instrs))
+    if stages:
+        trailing = stages[-1]
+        first = trailing.comps[0] if trailing.comps else trailing.comm
+        row = B.row(assignment.row_index(first.ref))
+        for instr in trailing.comps:
+            if instr.sharded:
+                for b in row:
+                    open_work += instr.flops * b
+            else:
+                open_work += float(instr.flops) * spec.m
+    remaining = 0.0
+    for node in g.nodes:
+        if node.id in g.loss_ancestors and node.id not in partial.computed:
+            remaining += node_flops(g, node)
+    return (open_work + remaining) / spec.total_rate
 
 
 def future_costs(states: dict) -> dict:
@@ -220,15 +282,17 @@ def future_costs(states: dict) -> dict:
 
 def admissibility_violations(g, spec, B, enum_result, assignment=None,
                              slack: float = 0.0) -> list[str]:
-    """ecost must never exceed the true cheapest completion (cost(Q_c) -
-    cost(Q) minimized over enumerated completions Q_c)."""
+    """The search's completion estimate (`ecost_s`) must agree with the
+    reference `ecost` and never exceed the true cheapest completion
+    (cost(Q_c) - cost(Q) minimized over enumerated completions Q_c)."""
     states = enum_result.states
     future = future_costs(states)
     bad: list[str] = []
     for key, rec in states.items():
-        if future[key] == math.inf:
-            continue
-        h = ecost(rec.node, g, spec, B, assignment)
-        if h > future[key] + slack:
+        h = rec.node.ecost_s
+        ref = ecost(rec.node, g, spec, B, assignment)
+        if abs(h - ref) > 1e-12 * rec.node.score_s:
+            bad.append(f"state len={key[2]} ecost_s={h!r} != reference ecost {ref!r}")
+        if future[key] != math.inf and h > future[key] + slack:
             bad.append(f"state len={key[2]} ecost={h!r} > future={future[key]!r}")
     return bad

@@ -5,15 +5,14 @@ import types
 import pytest
 
 import corpus
+from oracles import ecost
 from shardplan import (ClusterFormatError, ClusterSpec, Instruction,
-                       ShardingRatios, build_theory, ecost, fit_linear,
-                       graph_from_dict, iteration_time, single_segment,
-                       synthesize)
-from shardplan.cost_model import (Stage, comm_time, comp_seconds,
-                                  decompose_stages, stage_comm_seconds,
-                                  stage_row_index)
+                       ShardingRatios, build_theory, graph_from_dict,
+                       iteration_time, single_segment, synthesize)
+from shardplan.cost_model import (Stage, StagePricer, comm_terms, comm_time,
+                                  decompose_stages)
 from shardplan.graph_ir import SegmentAssignment, node_flops
-from shardplan.synthesizer import make_context
+from shardplan.synthesizer import SearchContext
 
 
 def test_cluster_round_trip():
@@ -56,6 +55,17 @@ def test_cluster_rejects_malformed():
         ClusterSpec.from_json("{not json")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(devices=[{"flops": True}, {"flops": 1e9}]),
+    lambda d: d["collectives"].update(all_gather={"latency_s": False, "bw_Bps": 1}),
+    lambda d: d["collectives"].update(all_gather={"latency_s": 0, "bw_Bps": True}),
+    lambda d: d.update(bytes_per_element=True),
+], ids=["flops", "latency_s", "bw_Bps", "bytes_per_element"])
+def test_cluster_rejects_booleans_as_numbers(edit):
+    with pytest.raises(ClusterFormatError):
+        ClusterSpec.from_dict(_mutated(edit))
+
+
 def test_ratios_validation():
     u = ShardingRatios.uniform(2)
     assert u.rows == ((0.5, 0.5),)
@@ -96,10 +106,13 @@ def test_stage_decomposition():
 
 
 def test_comp_seconds_scales_only_sharded_work():
+    spec = corpus.homog2()          # 2^30 flops/s per device
+    pricer = StagePricer(spec, ShardingRatios(((0.25, 0.75),)),
+                         SegmentAssignment(segment_of={"a": 1}, count=1))
     sharded = _comp("a", flops=128, sharded=True)
     replicated = _comp("a", flops=128, sharded=False)
-    assert comp_seconds(sharded, 0.25, 2.0 ** 30) == 32 / 2.0 ** 30
-    assert comp_seconds(replicated, 0.25, 2.0 ** 30) == 128 / 2.0 ** 30
+    assert pricer.comp(sharded, 0) == ((32 / 2.0 ** 30, 96 / 2.0 ** 30), 128.0)
+    assert pricer.comp(replicated, 0) == ((128 / 2.0 ** 30,) * 2, 256.0)
 
 
 def test_collective_prices():
@@ -122,22 +135,38 @@ def test_collective_prices():
         comm_time(_comp("x"), (0.5, 0.5), spec)
 
 
+def test_comm_terms_split_each_price_by_what_it_depends_on():
+    spec = corpus.homog2()          # latency 2^-16 s, 128 bytes move in 2^-26 s
+    lat, move = 2.0 ** -16, 2.0 ** -26
+    assert comm_terms(_comm("all_reduce", "x", 32), spec) == (lat + move, 0.0, 0.0)
+    for kind in ("all_gather", "reduce_scatter", "all_to_all"):
+        assert comm_terms(_comm(kind, "x", 32), spec) == (lat, move, 0.0)
+    assert comm_terms(_comm("grouped_broadcast", "x", 32), spec) == (2 * lat, 0.0, move)
+    with pytest.raises(ValueError):
+        comm_terms(_comp("x"), spec)
+
+
 def test_boundary_reshard_pads_to_wider_row():
     spec = corpus.homog2()
     B = ShardingRatios(((0.75, 0.25), (0.5, 0.5)))
     assignment = SegmentAssignment(segment_of={"a": 1, "b": 2}, count=2)
     a2a = Instruction("all_to_all", "a", operands=("a@shard0",), output="a@shard1",
                       axis=0, axis2=1, elements=32)
+    pricer = StagePricer(spec, B, assignment)
     stage = Stage(a2a, (_comp("b", flops=8, sharded=True),))
-    assert stage_row_index(stage, assignment) == 1
+    assert pricer.stage_row(stage) == 1
     # resharding across the segment boundary pays for the larger shard of
     # either row: max(0.75, 0.5) instead of this stage's own 0.5
-    assert stage_comm_seconds(stage, B, spec, assignment) == 2.0 ** -16 + 3 * 2.0 ** -28
-    assert stage_comm_seconds(stage, B, spec, assignment) > comm_time(a2a, (0.5, 0.5), spec)
+    assert pricer.comm(a2a, 1) == 2.0 ** -16 + 3 * 2.0 ** -28
+    assert pricer.comm(a2a, 1) > comm_time(a2a, (0.5, 0.5), spec)
     # communication-only stage prices at the collective's own segment row
     lone = Stage(a2a, ())
-    assert stage_row_index(lone, assignment) == 0
-    assert stage_comm_seconds(lone, B, spec, assignment) == comm_time(a2a, (0.75, 0.25), spec)
+    assert pricer.stage_row(lone) == 0
+    assert pricer.comm(a2a, 0) == comm_time(a2a, (0.75, 0.25), spec)
+    # the stage's row is unknown until a computation names it
+    assert pricer.open_stage(a2a) == (comm_time(a2a, (0.75, 0.25), spec), None)
+    total = iteration_time((a2a, _comp("b", flops=8, sharded=True)), B, spec, assignment)
+    assert total.stages[0].comm_s == pricer.comm(a2a, 1)
 
 
 def test_iteration_time_matches_search_cost():
@@ -158,7 +187,7 @@ def test_ecost_charges_unrealized_ancestors_at_aggregate_rate():
     g = graph_from_dict(corpus.matmul_reduce())
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
-    ctx = make_context(g, build_theory(g, 2), spec, B)
+    ctx = SearchContext(g, build_theory(g, 2), spec, B)
     # nothing computed yet: every loss-ancestor flop at the summed rate
     assert ecost(ctx.initial(), g, spec, B) == 144 / 2.0 ** 31
     assert ecost(types.SimpleNamespace(complete=True), g, spec, B) == 0.0
@@ -175,22 +204,8 @@ def test_ecost_ignores_dead_branches():
     assert "dead" not in g.loss_ancestors
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
-    ctx = make_context(g, build_theory(g, 2), spec, B)
+    ctx = SearchContext(g, build_theory(g, 2), spec, B)
     live = sum(node_flops(g, nd) for nd in g.nodes if nd.id in g.loss_ancestors)
     assert live == 32
     assert ecost(ctx.initial(), g, spec, B) == live / spec.total_rate
 
-
-def test_fit_linear_recovers_latency_and_bandwidth():
-    lat, bw = 2e-5, 1e9
-    samples = [(s, lat + s / bw) for s in (1e3, 1e5, 1e6, 1e8)]
-    fit = fit_linear(samples)
-    assert fit.latency_s == pytest.approx(lat, rel=1e-6)
-    assert fit.bytes_per_second == pytest.approx(bw, rel=1e-9)
-    assert fit.residual < 1e-12
-    with pytest.raises(ValueError):
-        fit_linear(samples[:1])
-    with pytest.raises(ValueError):
-        fit_linear([(1e6, 1e-3), (1e6, 2e-3)])          # one distinct size
-    with pytest.raises(ValueError, match="slope"):
-        fit_linear([(1e3, 2e-3), (1e6, 1e-3)])          # faster at larger sizes

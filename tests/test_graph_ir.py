@@ -65,6 +65,19 @@ def test_malformed_documents_rejected():
             graph_from_dict(doc)
 
 
+@pytest.mark.parametrize("nodes", [
+    [{"id": "x", "op": "Placeholder", "shape": [True, 4]}],
+    [{"id": "x", "op": "Placeholder", "shape": [1, 2]},
+     {"id": "u", "op": "ElemwiseUnary", "inputs": ["x"], "shape": [True, 2],
+      "attrs": {"tag": "relu"}}],
+    [{"id": "x", "op": "Placeholder", "shape": [2, 2]},
+     {"id": "r", "op": "Reduce", "inputs": ["x"], "attrs": {"dims": [True]}}],
+], ids=["source_shape", "declared_shape", "reduce_dims"])
+def test_booleans_are_not_ints(nodes):
+    with pytest.raises(GraphFormatError):
+        graph_from_dict(_doc(nodes))
+
+
 def test_declared_shape_must_match_inference():
     doc = _doc([
         {"id": "x", "op": "Placeholder", "shape": [2, 3]},

@@ -7,21 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import corpus
+import oracles
 from shardplan import (Instruction, NoCompleteProgramError, SearchConfig,
-                       ShardingRatios, build_theory, derive_theory,
-                       graph_from_dict, iteration_time, single_segment,
-                       synthesize)
-from shardplan.synthesizer import (PartialProgram, _priority, apply_triple,
-                                   dominates, enumerate_all_complete,
-                                   enumerate_programs, expand, make_context,
+                       ShardingRatios, assign_segments, build_theory,
+                       derive_theory, graph_from_dict, iteration_time,
+                       single_segment, synthesize)
+from shardplan.synthesizer import (PartialProgram, SearchContext, _priority,
+                                   apply_triple, dominates, enumerate_programs,
                                    prune_redundant_properties)
 
 
 def _ctx(name, theory_fn=build_theory, spec=None, cfg=None):
     g = graph_from_dict(corpus.CORPUS[name])
     spec = spec or corpus.homog2()
-    ctx = make_context(g, theory_fn(g, spec.m), spec, ShardingRatios.uniform(spec.m),
-                       cfg=cfg)
+    ctx = SearchContext(g, theory_fn(g, spec.m), spec, ShardingRatios.uniform(spec.m),
+                        cfg=cfg)
     return g, ctx
 
 
@@ -29,9 +29,9 @@ def test_root_fanout_is_one_per_source_form():
     # unfused theory: the only applicable triples at the root are the source
     # rules, one per tensor form (full + one shard per axis)
     _, ctx = _ctx("matmul_reduce", derive_theory)
-    assert len(expand(ctx.initial(), ctx)) == 6        # two rank-2 sources
+    assert len(oracles.expand(ctx.initial(), ctx)) == 6        # two rank-2 sources
     _, ctx = _ctx("rank1_mul", derive_theory)
-    assert len(expand(ctx.initial(), ctx)) == 4        # two rank-1 sources
+    assert len(oracles.expand(ctx.initial(), ctx)) == 4        # two rank-1 sources
 
 
 def test_applicable_refuses_vacuous_triples():
@@ -66,10 +66,12 @@ def test_property_pruning_drops_spent_intermediates():
 
 
 def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0), pending=None):
+    # a collective waits for its stage's row while no computation names it
     return PartialProgram(instrs=(), props=frozenset(props), computed=frozenset(),
                           closed_s=closed, open_comm_s=comm, acc=acc, open_work=0.0,
-                          remaining=0.0, stage_row_idx=None, open_comm_instr=None,
-                          pending_key=pending, complete=False, score_s=0.0, path=())
+                          remaining=0.0, stage_row_idx=None if pending else 0,
+                          open_comm_instr=pending, complete=False, score_s=0.0,
+                          path=())
 
 
 def test_dominance_is_componentwise():
@@ -121,13 +123,38 @@ def test_enumeration_agrees_with_unmerged_walk():
     B = ShardingRatios.uniform(2)
     g = graph_from_dict(corpus.CORPUS["rank1_mul"])
     th = build_theory(g, 2)
-    every = enumerate_all_complete(g, th, spec, B, max_len=6)
+    every = oracles.enumerate_all_complete(g, th, spec, B, max_len=6)
     assert every
     costs = [iteration_time(seq, B, spec, single_segment(g)).total_s for seq in every]
     enum = enumerate_programs(g, th, spec, B, max_len=6)
     assert enum.cost_s == min(costs)
     assert enum.program.instrs in every
     assert enum.complete_states <= len(every)
+
+
+def test_search_bookkeeping_matches_evaluator_across_segments():
+    # unequal rows: a boundary all_to_all pads to 0.75 instead of 0.625, and
+    # a collective re-prices once its stage's first computation names a row
+    spec = corpus.homog2()
+    B = ShardingRatios(((0.75, 0.25), (0.375, 0.625)))
+    repriced = padded = 0
+    for name in ("matmul_reduce", "identity_after_reduce", "param_only",
+                 "skip_connection"):
+        g = graph_from_dict(corpus.CORPUS[name])
+        assignment = assign_segments(g, 2)
+        res = enumerate_programs(g, build_theory(g, 2, guards=False, fuse=False),
+                                 spec, B, assignment=assignment, audit=True)
+        for rec in res.states.values():
+            q = rec.node
+            exact = iteration_time(q.instrs, B, spec, assignment).total_s
+            assert math.isclose(q.total_s, exact, rel_tol=1e-12, abs_tol=0.0), (name, q.instrs)
+            comm = q.open_comm_instr
+            if (comm is not None and q.stage_row_idx is not None
+                    and assignment.row_index(comm.ref) != q.stage_row_idx):
+                repriced += 1
+                padded += comm.kind == "all_to_all"
+        assert not oracles.admissibility_violations(g, spec, B, res, assignment), name
+    assert repriced > padded > 0
 
 
 def test_budget_exhaustion_is_reported():
@@ -153,9 +180,9 @@ def test_context_rejects_mismatched_shapes():
     g = graph_from_dict(corpus.CORPUS["param_only"])
     th = build_theory(g, 2)
     with pytest.raises(ValueError, match="device count"):
-        make_context(g, th, corpus.homog2(), ShardingRatios.uniform(3))
+        SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(3))
     with pytest.raises(ValueError, match="segment count"):
-        make_context(g, th, corpus.homog2(), ShardingRatios.uniform(2, g=2))
+        SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2, g=2))
 
 
 def test_search_trace_logging(caplog):

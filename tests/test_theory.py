@@ -1,13 +1,10 @@
-import json
-
 import corpus
 import oracles
 from shardplan import (ShardingRatios, build_shard_table, build_theory,
                        derive_theory, graph_from_dict, iteration_time,
                        single_segment)
-from shardplan.synthesizer import enumerate_all_complete
 from shardplan.theory import (all_gather, all_reduce, communicated, identity,
-                              merge_post, not_communicated, theory_to_json)
+                              merge_post, not_communicated)
 
 
 def _signatures(theory):
@@ -163,8 +160,8 @@ def test_guards_and_fusion_preserve_reachable_optimum():
     B = ShardingRatios.uniform(2)
     raw = build_theory(g, 2, guards=False, fuse=False)
     guarded = build_theory(g, 2, fuse=False)
-    progs_raw = enumerate_all_complete(g, raw, spec, B, max_len=5)
-    progs_g = enumerate_all_complete(g, guarded, spec, B, max_len=5)
+    progs_raw = oracles.enumerate_all_complete(g, raw, spec, B, max_len=5)
+    progs_g = oracles.enumerate_all_complete(g, guarded, spec, B, max_len=5)
     assert progs_g <= progs_raw        # guards only remove orderings
     best = lambda progs: min(iteration_time(p, B, spec, single_segment(g)).total_s
                              for p in progs)
@@ -177,10 +174,3 @@ def test_every_triple_is_sound_on_one_graph():
     table = build_shard_table(g, ShardingRatios.uniform(2), single_segment(g))
     assert oracles.triple_violations(g, build_theory(g, 2), spec, table) == []
 
-
-def test_theory_serializes_to_json():
-    g = graph_from_dict(corpus.matmul_reduce())
-    t = build_theory(g, 2)
-    doc = theory_to_json(t)
-    text = json.dumps(doc)
-    assert len(json.loads(text)) == len(t.triples)
