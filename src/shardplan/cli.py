@@ -18,19 +18,22 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
-                         iteration_time, single_segment)
-from .graph_ir import (Graph, GraphFormatError, SegmentAssignment,
+                         _is_number, iteration_time, single_segment)
+from .graph_ir import (Graph, GraphFormatError, SegmentAssignment, _is_int,
                        assign_segments, parse_graph, serialize_graph)
-from .interpreter import build_shard_table, check_equivalence
+from .interpreter import ExecutionError, build_shard_table, check_equivalence
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
                           enumerate_programs)
-from .theory import ALL_GATHER, build_theory, form_of_dist_id
+from .theory import (ALL_GATHER, INSTRUCTION_KINDS, Instruction, build_theory,
+                     form_of_dist_id)
 
 SCHEMA_VERSION = 1
 
@@ -128,44 +131,142 @@ def cmd_plan(args) -> int:
     return 0
 
 
+class PlanFormatError(ValueError):
+    """A plan document that cannot be used; the message names the field."""
+
+
+@dataclass(frozen=True)
+class Plan:
+    assignment: SegmentAssignment
+    ratios: ShardingRatios
+    program: DistributedProgram
+    shard_table: dict
+    estimate_s: float
+
+
+def _need(ok: bool, where: str, what: str) -> None:
+    if not ok:
+        raise PlanFormatError(f"plan field {where}: {what}")
+
+
+def _check_dist_id(did, g: Graph, where: str) -> None:
+    _need(isinstance(did, str), where, f"expected a distributed tensor id, got {did!r}")
+    try:
+        form = form_of_dist_id(did)
+    except ValueError:
+        raise PlanFormatError(
+            f"plan field {where}: malformed distributed tensor id {did!r}") from None
+    tensor = g.tensors.get(form.ref)
+    _need(tensor is not None, where, f"unknown tensor {form.ref!r} in {did!r}")
+    if form.kind == ALL_GATHER:
+        _need(0 <= form.axis < len(tensor.shape), where, f"axis out of range in {did!r}")
+
+
+def _load_instruction(doc, g: Graph, where: str) -> Instruction:
+    _need(isinstance(doc, dict), where, "expected an object")
+    kind = doc.get("kind")
+    _need(kind in INSTRUCTION_KINDS, f"{where}.kind", f"unknown instruction kind {kind!r}")
+    ref = doc.get("ref")
+    _need(isinstance(ref, str) and ref in g.tensors, f"{where}.ref", f"unknown tensor {ref!r}")
+    operands = doc.get("operands", [])
+    _need(isinstance(operands, list), f"{where}.operands", "expected a list")
+    for j, did in enumerate(operands):
+        _check_dist_id(did, g, f"{where}.operands[{j}]")
+    _check_dist_id(doc.get("output"), g, f"{where}.output")
+    for key in ("axis", "axis2"):
+        _need(doc.get(key) is None or _is_int(doc[key]), f"{where}.{key}",
+              "expected an integer")
+    dims = doc.get("dims")
+    _need(dims is None or (isinstance(dims, list) and all(map(_is_int, dims))),
+          f"{where}.dims", "expected a list of integers")
+    _need(doc.get("tag") is None or isinstance(doc["tag"], str), f"{where}.tag",
+          "expected a string")
+    _need(isinstance(doc.get("sharded"), bool), f"{where}.sharded", "expected true or false")
+    for key in ("flops", "elements"):
+        _need(_is_int(doc.get(key)) and doc[key] >= 0, f"{where}.{key}",
+              "expected a non-negative integer")
+    return Instruction.from_json(doc)
+
+
+def load_plan(doc, g: Graph, m: int) -> Plan:
+    """Check a plan document against the graph it claims and a cluster of m
+    devices, field by field, and load it.  Raises PlanFormatError naming the
+    first bad field."""
+    _need(isinstance(doc, dict), "(document)", "expected a JSON object")
+    _need(doc.get("schema_version") == SCHEMA_VERSION, "schema_version",
+          f"unsupported version {doc.get('schema_version')!r}")
+    _need(doc.get("graph_sha256") == _graph_digest(g), "graph_sha256",
+          "plan was produced for a different graph")
+    _need(doc.get("devices") == m and _is_int(doc.get("devices")), "devices",
+          f"plan is for {doc.get('devices')!r} devices, cluster has {m}")
+    count = doc.get("segments")
+    _need(_is_int(count) and count >= 1, "segments",
+          f"expected a positive integer, got {count!r}")
+    segment_of = doc.get("segment_of")
+    _need(isinstance(segment_of, dict), "segment_of", "expected an object")
+    for t in g.tensor_ids:
+        _need(t in segment_of, "segment_of", f"no segment for tensor {t!r}")
+        _need(_is_int(segment_of[t]) and 1 <= segment_of[t] <= count, f"segment_of.{t}",
+              f"expected a segment in 1..{count}, got {segment_of[t]!r}")
+    for t in segment_of:
+        _need(t in g.tensors, "segment_of", f"unknown tensor {t!r}")
+
+    rows = doc.get("ratios")
+    _need(isinstance(rows, list) and len(rows) == count, "ratios",
+          f"expected {count} rows, one per segment")
+    for k, row in enumerate(rows):
+        _need(isinstance(row, list) and len(row) == m
+              and all(_is_number(v) and math.isfinite(v) for v in row),
+              f"ratios[{k}]", f"expected {m} finite numbers")
+    try:
+        ratios = ShardingRatios(rows=tuple(tuple(float(v) for v in row) for row in rows))
+    except ValueError as e:
+        raise PlanFormatError(f"plan field ratios: {e}") from None
+
+    program = doc.get("program")
+    _need(isinstance(program, dict), "program", "expected an object with 'loss' and 'instrs'")
+    _need(program.get("loss") == g.loss, "program.loss",
+          f"expected the graph's loss {g.loss!r}, got {program.get('loss')!r}")
+    instrs = program.get("instrs")
+    _need(isinstance(instrs, list), "program.instrs", "expected a list")
+    loaded = tuple(_load_instruction(d, g, f"program.instrs[{i}]")
+                   for i, d in enumerate(instrs))
+
+    _need(isinstance(doc.get("shard_table"), dict), "shard_table", "expected an object")
+    estimate = doc.get("estimate")
+    _need(isinstance(estimate, dict) and _is_number(estimate.get("total_s")),
+          "estimate.total_s", "expected a number")
+    return Plan(assignment=SegmentAssignment(segment_of=dict(segment_of), count=count),
+                ratios=ratios, program=DistributedProgram(instrs=loaded, loss=g.loss),
+                shard_table=doc["shard_table"], estimate_s=estimate["total_s"])
+
+
 def cmd_verify(args) -> int:
     doc = json.loads(_read(args.plan))
     g = parse_graph(_read(args.graph))
     spec = ClusterSpec.from_json(_read(args.cluster))
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        print(f"error: unsupported schema_version {doc.get('schema_version')!r}",
-              file=sys.stderr)
-        return 2
-    if doc.get("graph_sha256") != _graph_digest(g):
-        print("error: plan was produced for a different graph", file=sys.stderr)
-        return 2
-    if doc.get("devices") != spec.m:
-        print(f"error: plan is for {doc.get('devices')} devices, "
-              f"cluster has {spec.m}", file=sys.stderr)
-        return 2
+    plan = load_plan(doc, g, spec.m)
 
-    assignment = SegmentAssignment(segment_of=dict(doc["segment_of"]),
-                                   count=int(doc["segments"]))
-    ratios = ShardingRatios(rows=tuple(tuple(float(v) for v in row)
-                                       for row in doc["ratios"]))
-    program = DistributedProgram.from_json(doc["program"])
-
-    breakdown = iteration_time(program.instrs, ratios, spec, assignment)
-    if _canon(breakdown.total_s) != doc["estimate"]["total_s"]:
+    breakdown = iteration_time(plan.program.instrs, plan.ratios, spec, plan.assignment)
+    if _canon(breakdown.total_s) != plan.estimate_s:
         print(f"estimate: MISMATCH (recomputed {_canon(breakdown.total_s)!r}, "
-              f"plan says {doc['estimate']['total_s']!r})", file=sys.stderr)
+              f"plan says {plan.estimate_s!r})", file=sys.stderr)
         return 1
     print("estimate: ok")
 
-    expected_table = _plan_shard_table(g, program, ratios, assignment)
-    if doc.get("shard_table") != expected_table:
+    expected_table = _plan_shard_table(g, plan.program, plan.ratios, plan.assignment)
+    if plan.shard_table != expected_table:
         print("shard_table: MISMATCH (does not match ratios)", file=sys.stderr)
         return 1
     print("shard_table: ok")
 
-    table = build_shard_table(g, ratios, assignment)
-    report = check_equivalence(g, program, spec.m, table,
-                               trials=args.trials, seed=args.seed)
+    table = build_shard_table(g, plan.ratios, plan.assignment)
+    try:
+        report = check_equivalence(g, plan.program, spec.m, table,
+                                   trials=args.trials, seed=args.seed)
+    except ExecutionError as e:
+        print(f"equivalence: MISMATCH (the program does not run: {e})", file=sys.stderr)
+        return 1
     print(f"equivalence: {report.trials} trials, "
           f"max rel err {report.max_rel_err:.3g} — "
           f"{'ok' if report.passed else 'MISMATCH'}")
@@ -179,25 +280,21 @@ def cmd_enumerate(args) -> int:
         print(f"error: {len(g.nodes)} nodes is large for exhaustive enumeration; "
               "pass --force to proceed", file=sys.stderr)
         return 2
-    plan_doc = None
     if args.ratios not in ("uniform", "flops"):
-        # Anything else names a plan file whose ratios (and segmentation) we
+        # Anything else names a plan file whose ratios and segmentation we
         # reuse, so enumeration prices candidates under the plan's own B.
-        plan_doc = json.loads(_read(args.ratios))
-    if plan_doc is not None and args.segments is None:
-        assignment = SegmentAssignment(segment_of=dict(plan_doc["segment_of"]),
-                                       count=int(plan_doc["segments"]))
+        plan = load_plan(json.loads(_read(args.ratios)), g, spec.m)
+        if args.segments not in (None, plan.assignment.count):
+            print(f"error: --segments {args.segments} disagrees with the plan's "
+                  f"{plan.assignment.count} segments", file=sys.stderr)
+            return 2
+        assignment, B = plan.assignment, plan.ratios
     else:
         segments = args.segments or 1
         assignment = (single_segment(g) if segments <= 1
                       else assign_segments(g, segments))
-    if plan_doc is not None:
-        B = ShardingRatios(rows=tuple(tuple(float(v) for v in row)
-                                      for row in plan_doc["ratios"]))
-    elif args.ratios == "flops":
-        B = ShardingRatios.proportional_to_flops(spec, g=assignment.count)
-    else:
-        B = ShardingRatios.uniform(spec.m, g=assignment.count)
+        B = (ShardingRatios.proportional_to_flops(spec, g=assignment.count)
+             if args.ratios == "flops" else ShardingRatios.uniform(spec.m, g=assignment.count))
     theory = build_theory(g, spec.m, guards=False, fuse=False)
     try:
         res = enumerate_programs(g, theory, spec, B, assignment=assignment,
@@ -256,7 +353,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ClusterFormatError) as e:
+    except (GraphFormatError, ClusterFormatError, PlanFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as e:

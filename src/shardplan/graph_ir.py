@@ -8,6 +8,7 @@ derivation, cost estimation, interpretation) treat them as read-only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 SUPPORTED_OPS = (
@@ -105,10 +106,7 @@ def flops_of(op: str, input_shapes: list[tuple[int, ...]]) -> int:
     if op == "MatMul":
         a, b = input_shapes
         return 2 * a[0] * a[1] * b[1]
-    size = 1
-    for x in input_shapes[0]:
-        size *= x
-    return size
+    return math.prod(input_shapes[0])
 
 
 def node_flops(g: Graph, node: Node) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from .cost_model import (ClusterSpec, ShardingRatios, StagePricer,
@@ -206,35 +207,47 @@ class SearchContext:
         return result
 
 
-def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgram:
-    """Successor of q after firing triple index ti (precondition assumed met)."""
-    tri = ctx.triples[ti]
-    closed = q.closed_s
-    open_comm = q.open_comm_s
-    acc = list(q.acc)
-    open_work = q.open_work
-    stage_row = q.stage_row_idx
-    comm_instr = q.open_comm_instr
-    pricer = ctx.pricer
+def advance_stage(pricer: StagePricer, instrs: tuple[Instruction, ...],
+                  open_comm: float, acc: tuple[float, ...], open_work: float,
+                  row: int | None, comm_instr: Instruction | None):
+    """The stage model, one instruction at a time.
 
-    for instr in tri.instrs:
+    Starting from an open stage (its collective's price, per-device accrued
+    compute, summed work, ratio row and collective), returns the charges of
+    the stages the instructions close, in order, and the open stage after
+    them as `(closes, open_comm, acc, open_work, row, comm_instr)`."""
+    closes: tuple[float, ...] = ()
+    acc = list(acc)
+    for instr in instrs:
         if instr.is_comm:
-            closed += open_comm + max(acc)
-            acc = [0.0] * ctx.m
+            closes += (open_comm + max(acc),)
+            acc = [0.0] * len(acc)
             open_work = 0.0
             comm_instr = instr
-            open_comm, stage_row = pricer.open_stage(instr)
+            open_comm, row = pricer.open_stage(instr)
             continue
-        if stage_row is None:
+        if row is None:
             # The stage's first computation names its row; re-price the
             # collective that opened it there.
-            stage_row = pricer.row_of(instr.ref)
+            row = pricer.row_of(instr.ref)
             if comm_instr is not None:
-                open_comm = pricer.comm(comm_instr, stage_row)
-        dsec, work = pricer.comp(instr, stage_row)
+                open_comm = pricer.comm(comm_instr, row)
+        dsec, work = pricer.comp(instr, row)
         for j, sec in enumerate(dsec):
             acc[j] += sec
         open_work += work
+    return closes, open_comm, tuple(acc), open_work, row, comm_instr
+
+
+def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgram:
+    """Successor of q after firing triple index ti (precondition assumed met)."""
+    tri = ctx.triples[ti]
+    closes, open_comm, acc, open_work, stage_row, comm_instr = advance_stage(
+        ctx.pricer, tri.instrs, q.open_comm_s, q.acc, q.open_work,
+        q.stage_row_idx, q.open_comm_instr)
+    closed = q.closed_s
+    for charge in closes:
+        closed += charge
 
     props = (q.props | ctx.tpost[ti]) - ctx.tretire[ti]
     computed = q.computed
@@ -251,7 +264,7 @@ def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgr
 
     succ = PartialProgram(
         instrs=q.instrs + tri.instrs, props=props, computed=computed,
-        closed_s=closed, open_comm_s=open_comm, acc=tuple(acc), open_work=open_work,
+        closed_s=closed, open_comm_s=open_comm, acc=acc, open_work=open_work,
         remaining=remaining, stage_row_idx=stage_row, open_comm_instr=comm_instr,
         complete=complete, score_s=0.0, path=q.path + (ti,))
     succ.score_s = closed + (0.0 if complete else (open_work + remaining) / ctx.total_rate)
@@ -391,10 +404,14 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
 
 @dataclass
 class StateRec:
+    """One enumeration state, kept only for audits: its cheapest program
+    (rebuilt from the best parents), the cost of its closed stages, its
+    instruction count, and its out-edges as (child state, closed-cost delta)."""
     node: PartialProgram
     closed: float
-    edges: list[tuple[object, float]] = field(default_factory=list)
-    complete: bool = False
+    length: int
+    edges: list[tuple[int, float]]
+    complete: bool
 
 
 @dataclass
@@ -403,72 +420,184 @@ class EnumerationResult:
     program: DistributedProgram
     explored: int
     complete_states: int
-    states: dict | None = None
-    root_key: object = None
+    states: dict[int, StateRec] | None = None
+    root_key: int | None = None
 
 
-def _state_key(q: PartialProgram):
-    return (q.props, q.computed, len(q.instrs), q.open_comm_s, q.acc,
-            q.stage_row_idx, q.open_comm_instr)
+class _Interner:
+    """Values stored once and referred to by dense integer ids."""
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.values: list = []
+
+    def __call__(self, value) -> int:
+        vid = self.ids.get(value)
+        if vid is None:
+            vid = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return vid
 
 
 def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                        assignment: SegmentAssignment | None = None,
                        max_len: int | None = None, audit: bool = False) -> EnumerationResult:
-    """Breadth-first enumeration of every program of at most max_len
-    instructions; returns the cheapest complete one.  States that agree on
-    properties and cost bookkeeping are merged (exact, not heuristic), which
-    keeps the walk finite without losing the minimum."""
+    """Exhaustive enumeration of every program of at most max_len
+    instructions; returns the cheapest complete one.
+
+    A state is the integer triple (props id, stage id, length): an interned
+    property set, an interned open stage (collective price, per-device
+    accrued compute, ratio row, collective) and the instruction count.
+    Programs reaching the same state are merged, keeping the one with the
+    cheapest closed stages (exact, not heuristic: what a state can still
+    become and cost depends on nothing else).  Property and stage
+    transitions are memoized separately, since far fewer property sets and
+    open stages occur than states; each state keeps its closed cost and a
+    pointer to its best parent, and the winning program is rebuilt from
+    those pointers.  States are expanded in ascending length, so every path
+    into a state is recorded before the state itself is expanded.
+
+    With `audit`, `states` maps every state id to a `StateRec` whose node
+    is rebuilt by `apply_triple` along the best parents and checked against
+    the factored bookkeeping."""
     if max_len is None:
         max_len = 2 * len(g.nodes) + 4
     ctx = SearchContext(g, theory, spec, B, assignment,
                         SearchConfig(prune_properties=False))
     root = ctx.initial()
-    root_key = _state_key(root)
-    states: dict = {root_key: StateRec(node=root, closed=root.closed_s)}
-    layers: dict[int, list] = {0: [root_key]}
-    best: PartialProgram | None = None
+    tlen = [len(tr.instrs) for tr in ctx.triples]
+    max_step = max(tlen, default=1)
+
+    props = _Interner()
+    props(root.props)
+    props_done = [ctx.loss_prop_id in root.props]     # per props id
+    props_succ: list = [None]     # per props id: ((ti, props id', length step), ...)
+
+    def props_successors(pid: int) -> tuple[tuple[int, int, int], ...]:
+        ps = props.values[pid]
+        succ = tuple((ti, props((ps | ctx.tpost[ti]) - ctx.tretire[ti]), tlen[ti])
+                     for ti in ctx.applicable(ps))
+        for fresh in props.values[len(props_done):]:
+            props_done.append(ctx.loss_prop_id in fresh)
+            props_succ.append(None)
+        props_succ[pid] = succ
+        return succ
+
+    stages = _Interner()
+    stages((root.open_comm_s, root.acc, root.stage_row_idx, root.open_comm_instr))
+    stage_tail: list[tuple[float, float]] = [(root.open_comm_s, max(root.acc))]
+    stage_next: list[dict[int, tuple[int, tuple[float, ...]]]] = [{}]   # per stage id, by ti
+
+    def stage_successor(sid: int, ti: int) -> tuple[int, tuple[float, ...]]:
+        open_comm, acc, row, comm_instr = stages.values[sid]
+        closes, open_comm, acc, _, row, comm_instr = advance_stage(
+            ctx.pricer, ctx.triples[ti].instrs, open_comm, acc, 0.0, row, comm_instr)
+        nsid = stages((open_comm, acc, row, comm_instr))
+        if nsid == len(stage_tail):
+            stage_tail.append((open_comm, max(acc)))
+            stage_next.append({})
+        out = stage_next[sid][ti] = (nsid, closes)
+        return out
+
+    closed = array("d", [root.closed_s])
+    parent = array("q", [-1])
+    via = array("q", [-1])
+    edges: list[list] | None = [[]] if audit else None
+    layers: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 0}}
+    audit_layers: list = []
+    best_total = math.inf
+    best_at: tuple[int, int] | None = None     # (parent state, triple index)
     complete_states = 0
 
-    # Expand in ascending instruction count so every path into a state is
-    # recorded before the state itself is expanded (keys include the count).
     length = 0
     while length <= max_len:
         layer = layers.pop(length, None)
-        length += 1
-        if not layer:
+        if audit and layer:
+            audit_layers.append((length, layer))
+        if not layer or length >= max_len:
+            length += 1
             continue
-        for key in layer:
-            rec = states[key]
-            q = rec.node
-            if q.complete or len(q.instrs) >= max_len:
+        targets = [None] + [layers.setdefault(length + step, {})
+                            for step in range(1, max_step + 1)]
+        for (pid, sid), s in layer.items():
+            if props_done[pid]:
                 continue
-            for ti in ctx.applicable(q.props):
-                succ = apply_triple(q, ti, ctx)
-                skey = _state_key(succ)
-                delta = succ.closed_s - q.closed_s
-                known = states.get(skey)
-                if known is None:
-                    states[skey] = StateRec(node=succ, closed=succ.closed_s,
-                                            complete=succ.complete)
-                    layers.setdefault(len(succ.instrs), []).append(skey)
-                    if succ.complete:
+            base = closed[s]
+            out = edges[s] if audit else None
+            succs = props_succ[pid]
+            if succs is None:
+                succs = props_successors(pid)
+            nexts = stage_next[sid]
+            for ti, npid, step in succs:
+                nsid, closes = nexts.get(ti) or stage_successor(sid, ti)
+                c = base
+                for charge in closes:
+                    c += charge
+                target = targets[step]
+                t = target.get((npid, nsid))
+                if t is None:
+                    t = target[npid, nsid] = len(closed)
+                    closed.append(c)
+                    parent.append(s)
+                    via.append(ti)
+                    if audit:
+                        edges.append([])
+                    if props_done[npid]:
                         complete_states += 1
-                        if best is None or succ.total_s < best.total_s:
-                            best = succ
-                else:
-                    if succ.closed_s < known.closed:
-                        known.closed = succ.closed_s
-                        known.node = succ
-                        if succ.complete and succ.total_s < (best.total_s if best else float("inf")):
-                            best = succ
-                rec.edges.append((skey, delta))
+                        oc, mx = stage_tail[nsid]
+                        total = c + oc + mx
+                        if best_at is None or total < best_total:
+                            best_total, best_at = total, (s, ti)
+                elif c < closed[t]:
+                    closed[t] = c
+                    parent[t] = s
+                    via[t] = ti
+                    if props_done[npid]:
+                        oc, mx = stage_tail[nsid]
+                        total = c + oc + mx
+                        if total < best_total:
+                            best_total, best_at = total, (s, ti)
+                if out is not None:
+                    out.append((t, c - base))
+        length += 1
 
-    if best is None:
+    if best_at is None:
         raise NoCompleteProgramError(
             f"no complete program within {max_len} instructions")
-    program = DistributedProgram(instrs=best.instrs, loss=theory.loss)
-    return EnumerationResult(cost_s=best.total_s, program=program, explored=len(states),
-                             complete_states=complete_states,
-                             states=states if audit else None,
-                             root_key=root_key if audit else None)
+    path = [best_at[1]]
+    s = best_at[0]
+    while s > 0:
+        path.append(via[s])
+        s = parent[s]
+    instrs = tuple(instr for ti in reversed(path) for instr in ctx.triples[ti].instrs)
+    program = DistributedProgram(instrs=instrs, loss=theory.loss)
+    states = None
+    if audit:
+        audit_layers.extend(sorted(layers.items()))
+        states = _audit_states(ctx, root, audit_layers, closed, parent, via,
+                               edges, props.values, stages.values)
+    return EnumerationResult(cost_s=best_total, program=program, explored=len(closed),
+                             complete_states=complete_states, states=states,
+                             root_key=0 if audit else None)
+
+
+def _audit_states(ctx: SearchContext, root: PartialProgram, layers, closed, parent,
+                  via, edges, props_values, stage_values) -> dict[int, StateRec]:
+    """One `StateRec` per state, in ascending length; each node is its best
+    parent's node advanced by `apply_triple`, and must agree with the
+    factored state it stands for."""
+    recs: dict[int, StateRec] = {}
+    for length, layer in layers:
+        for (pid, sid), s in layer.items():
+            if s == 0:
+                node = root
+            else:
+                node = apply_triple(recs[parent[s]].node, via[s], ctx)
+            if (node.closed_s != closed[s] or node.props != props_values[pid]
+                    or (node.open_comm_s, node.acc, node.stage_row_idx,
+                        node.open_comm_instr) != stage_values[sid]):
+                raise SearchInvariantError(
+                    f"state {s}: rebuilt program disagrees with the enumeration's bookkeeping")
+            recs[s] = StateRec(node=node, closed=closed[s], length=length,
+                               edges=edges[s], complete=node.complete)
+    return recs

@@ -20,6 +20,7 @@ search space without changing the reachable minimum cost.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .graph_ir import Graph, Node, node_flops
@@ -35,7 +36,9 @@ GUARD_KINDS = (COMMUNICATED, NOT_COMMUNICATED)
 
 # Instruction kinds.
 COMM_KINDS = ("all_reduce", "all_gather", "reduce_scatter", "all_to_all", "grouped_broadcast")
-SOURCE_KINDS = ("placeholder", "placeholder_shard", "parameter", "parameter_shard")
+INSTRUCTION_KINDS = ("placeholder", "placeholder_shard", "parameter", "parameter_shard",
+                     "matmul", "elemwise_unary", "elemwise_binary", "reduce",
+                     "identity") + COMM_KINDS
 
 
 @dataclass(frozen=True)
@@ -187,13 +190,6 @@ def merge_post(props: frozenset[Property], post: frozenset[Property]) -> frozens
     return merged
 
 
-def _elements(shape: tuple[int, ...]) -> int:
-    n = 1
-    for x in shape:
-        n *= x
-    return n
-
-
 def _source_rules(node: Node) -> list[HoareTriple]:
     base = "placeholder" if node.op == "Placeholder" else "parameter"
     e = node.id
@@ -302,7 +298,7 @@ _RULES = {
 
 
 def _comm_rules(ref: str, shape: tuple[int, ...]) -> list[HoareTriple]:
-    n = _elements(shape)
+    n = math.prod(shape)
     rank = len(shape)
     out: list[HoareTriple] = []
 

@@ -269,7 +269,7 @@ def future_costs(states: dict) -> dict:
     """Cheapest completion cost from each enumeration state: length strictly
     increases along edges, so one sweep in descending length suffices."""
     future = {k: math.inf for k in states}
-    for key in sorted(states, key=lambda k: -k[2]):
+    for key in sorted(states, key=lambda k: -states[k].length):
         rec = states[key]
         if rec.complete:
             future[key] = rec.node.total_s - rec.node.closed_s
@@ -292,7 +292,7 @@ def admissibility_violations(g, spec, B, enum_result, assignment=None,
         h = rec.node.ecost_s
         ref = ecost(rec.node, g, spec, B, assignment)
         if abs(h - ref) > 1e-12 * rec.node.score_s:
-            bad.append(f"state len={key[2]} ecost_s={h!r} != reference ecost {ref!r}")
+            bad.append(f"state len={rec.length} ecost_s={h!r} != reference ecost {ref!r}")
         if future[key] != math.inf and h > future[key] + slack:
-            bad.append(f"state len={key[2]} ecost={h!r} > future={future[key]!r}")
+            bad.append(f"state len={rec.length} ecost={h!r} > future={future[key]!r}")
     return bad

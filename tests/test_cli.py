@@ -113,6 +113,15 @@ def test_verify_flags_wrong_results(files, capsys):
     assert "equivalence" in capsys.readouterr().out
 
 
+def test_verify_flags_program_that_does_not_run(files, capsys):
+    doc = json.loads(open(_plan(files)).read())
+    del doc["program"]["instrs"][0]        # well formed, but reads w@full unmade
+    bad = _write(files["tmp"], "bad.json", doc)
+    capsys.readouterr()
+    assert main(["verify", bad, files["graph"], files["hetero2"]]) == 1
+    assert "equivalence: MISMATCH (the program does not run" in capsys.readouterr().err
+
+
 def test_verify_rejects_mismatched_inputs(files, capsys):
     out = _plan(files)
     other = _write(files["tmp"], "other.json", corpus.binary_add())
@@ -171,3 +180,43 @@ def test_enumerate_reports_unreachable_loss(files, capsys):
     assert main(["enumerate", files["graph"], files["homog2"],
                  "--max-len", "1"]) == 1
     assert "no complete program" in capsys.readouterr().err
+
+
+def _drop_program(doc):
+    del doc["program"]
+
+
+def _ratios_sum_past_one(doc):
+    doc["ratios"] = [[0.8, 0.3]]
+
+
+def _empty_segment_of(doc):
+    doc["segment_of"] = {}
+
+
+def _unknown_kind(doc):
+    doc["program"]["instrs"][0]["kind"] = "teleport"
+
+
+def _malformed_dist_id(doc):
+    doc["program"]["instrs"][-1]["output"] = "w@foo"
+
+
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+@pytest.mark.parametrize("damage, field", [
+    (_drop_program, "program"),
+    (_ratios_sum_past_one, "ratios"),
+    (_empty_segment_of, "segment_of"),
+    (_unknown_kind, "program.instrs[0].kind"),
+    (_malformed_dist_id, "program.instrs[3].output"),
+])
+def test_malformed_plan_fields_exit_2(files, capsys, command, damage, field):
+    doc = json.loads(open(_plan(files)).read())
+    damage(doc)
+    bad = _write(files["tmp"], "bad.json", doc)
+    argv = (["verify", bad, files["graph"], files["hetero2"]] if command == "verify"
+            else ["enumerate", files["graph"], files["hetero2"], "--ratios", bad])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: plan field {field}:"), err

@@ -119,17 +119,74 @@ def test_three_device_search_matches_enumeration():
 
 
 def test_enumeration_agrees_with_unmerged_walk():
+    # max_len=5 binds (the unlimited enumeration explores more states), and
+    # the unequal rows make the two-segment case re-price collectives
+    spec = corpus.homog2()
+    for name in ("rank1_mul", "param_only", "identity_after_reduce", "matmul_reduce"):
+        g = graph_from_dict(corpus.CORPUS[name])
+        for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
+            for B, assignment in ((ShardingRatios(((0.75, 0.25),)), single_segment(g)),
+                                  (ShardingRatios(((0.75, 0.25), (0.375, 0.625))),
+                                   assign_segments(g, 2))):
+                every = oracles.enumerate_all_complete(g, th, spec, B, max_len=5,
+                                                       assignment=assignment)
+                assert every, name
+                costs = [iteration_time(seq, B, spec, assignment).total_s for seq in every]
+                enum = enumerate_programs(g, th, spec, B, assignment=assignment, max_len=5)
+                assert enum.cost_s == min(costs), name
+                assert enum.program.instrs in every, name
+                assert enum.complete_states <= len(every), name
+                unlimited = enumerate_programs(g, th, spec, B, assignment=assignment)
+                assert enum.explored < unlimited.explored, name
+
+
+# States and complete states of the unfused homog2 enumeration of every
+# graph the benchmark audits; merging more or fewer programs moves them.
+AUDIT_COUNTS = {
+    "matmul_reduce": (14445, 8378),
+    "binary_add": (5084, 2294),
+    "identity_after_reduce": (4834, 2476),
+    "param_only": (942, 444),
+    "rank1_mul": (212, 78),
+    "wide_matmul": (14445, 8378),
+    "skip_connection": (7011, 3205),
+    "binary_mul_unary": (49577, 22641),
+}
+
+
+def test_enumeration_state_counts_are_pinned():
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
-    g = graph_from_dict(corpus.CORPUS["rank1_mul"])
-    th = build_theory(g, 2)
-    every = oracles.enumerate_all_complete(g, th, spec, B, max_len=6)
-    assert every
-    costs = [iteration_time(seq, B, spec, single_segment(g)).total_s for seq in every]
-    enum = enumerate_programs(g, th, spec, B, max_len=6)
-    assert enum.cost_s == min(costs)
-    assert enum.program.instrs in every
-    assert enum.complete_states <= len(every)
+    for name, counts in AUDIT_COUNTS.items():
+        g = graph_from_dict(corpus.CORPUS[name])
+        res = enumerate_programs(g, build_theory(g, 2, guards=False, fuse=False), spec, B)
+        assert (res.explored, res.complete_states) == counts, name
+
+
+def test_enumeration_records_edges_only_for_audits():
+    spec = corpus.homog2()
+    B = ShardingRatios.uniform(2)
+    g = graph_from_dict(corpus.CORPUS["identity_after_reduce"])
+    th = build_theory(g, 2, guards=False, fuse=False)
+    plain = enumerate_programs(g, th, spec, B)
+    assert plain.states is None and plain.root_key is None
+    audited = enumerate_programs(g, th, spec, B, audit=True)
+    assert (audited.cost_s, audited.program, audited.explored) == \
+        (plain.cost_s, plain.program, plain.explored)
+    assert len(audited.states) == audited.explored
+    root = audited.states[audited.root_key]
+    assert root.length == 0 and not root.node.instrs and root.edges
+    for rec in audited.states.values():
+        assert rec.length == len(rec.node.instrs)
+        assert rec.complete == rec.node.complete
+        # complete states are never expanded
+        assert not (rec.complete and rec.edges)
+        for child, delta in rec.edges:
+            assert audited.states[child].length > rec.length
+            assert delta >= 0.0
+            # a merged state keeps its cheapest way in
+            cheapest = rec.closed + delta
+            assert audited.states[child].closed <= cheapest * (1 + 1e-12)
 
 
 def test_search_bookkeeping_matches_evaluator_across_segments():
