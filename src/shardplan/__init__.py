@@ -5,37 +5,31 @@ tensor forms (replicated, sharded, partial-sum) flow through each operation,
 searches it for the cheapest complete distributed program under a cluster
 cost model, and alternates that search with per-segment linear programs that
 rebalance shard ratios across heterogeneous devices.
+
+The package namespace holds the entry points the README documents, the
+types they take or return, and the errors the command line maps to exit
+codes; everything else is imported from its submodule.
 """
 from .cost_model import (ClusterFormatError, ClusterSpec, CostBreakdown,
-                         ShardingRatios, iteration_time, single_segment)
-from .graph_ir import (Graph, GraphFormatError, SegmentAssignment,
-                       assign_segments, graph_from_dict, graph_to_dict,
-                       parse_graph, serialize_graph, total_flops)
+                         ShardingRatios, iteration_time)
+from .graph_ir import Graph, GraphFormatError, SegmentAssignment, parse_graph
 from .interpreter import (EquivalenceReport, ExecutionError, build_shard_table,
-                          check_equivalence, run_distributed, run_single)
-from .load_balancer import (LinearProgram, LpSolution, lp_solve,
-                            optimize_ratios, round_shards, solve_lp)
+                          check_equivalence)
+from .load_balancer import optimize_ratios
 from .optimizer_loop import (BudgetExhaustedError, LoopConfig, LoopResult,
                              alternate)
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
-                          SearchConfig, SynthesisResult, enumerate_programs,
-                          synthesize)
-from .theory import (HoareTriple, Instruction, Property, Theory, build_theory,
-                     derive_theory)
+                          SearchConfig, SynthesisResult, synthesize)
+from .theory import Instruction, Theory, build_theory
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExhaustedError", "ClusterFormatError", "ClusterSpec",
     "CostBreakdown", "DistributedProgram", "EquivalenceReport",
-    "ExecutionError", "Graph", "GraphFormatError", "HoareTriple",
-    "Instruction", "LinearProgram", "LoopConfig", "LoopResult",
-    "LpSolution", "NoCompleteProgramError", "Property", "SearchConfig",
+    "ExecutionError", "Graph", "GraphFormatError", "Instruction",
+    "LoopConfig", "LoopResult", "NoCompleteProgramError", "SearchConfig",
     "SegmentAssignment", "ShardingRatios", "SynthesisResult", "Theory",
-    "alternate", "assign_segments", "build_shard_table", "build_theory",
-    "check_equivalence", "derive_theory", "enumerate_programs",
-    "graph_from_dict", "graph_to_dict", "iteration_time",
-    "lp_solve", "optimize_ratios", "parse_graph", "round_shards",
-    "run_distributed", "run_single", "serialize_graph", "single_segment",
-    "solve_lp", "synthesize", "total_flops",
+    "alternate", "build_shard_table", "build_theory", "check_equivalence",
+    "iteration_time", "optimize_ratios", "parse_graph", "synthesize",
 ]

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 
 from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
-                         _is_number, iteration_time, single_segment)
+                         _is_number, iteration_time)
 from .graph_ir import (Graph, GraphFormatError, SegmentAssignment, _is_int,
                        assign_segments, parse_graph, serialize_graph)
 from .interpreter import ExecutionError, build_shard_table, check_equivalence
@@ -48,6 +48,16 @@ def _canon_rows(B: ShardingRatios) -> ShardingRatios:
 
 def _graph_digest(g: Graph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()
+
+
+class OptionError(ValueError):
+    """A command-line option outside its range."""
+
+
+def _check_option(name: str, value: int | None, lo: int, hi: int | None = None) -> None:
+    if value is not None and (value < lo or (hi is not None and value > hi)):
+        span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise OptionError(f"--{name} must be {span}, got {value}")
 
 
 def _read(path: str) -> str:
@@ -106,6 +116,9 @@ def cmd_plan(args) -> int:
     started = time.monotonic()
     g = parse_graph(_read(args.graph))
     spec = ClusterSpec.from_json(_read(args.cluster))
+    _check_option("segments", args.segments, 1, len(g.nodes))
+    _check_option("max-rounds", args.max_rounds, 1)
+    _check_option("budget", args.budget, 0)
     cfg = LoopConfig(max_rounds=args.max_rounds, max_expansions=args.budget,
                      prune_properties=not args.no_prune)
     result = alternate(g, spec, segments=args.segments, cfg=cfg)
@@ -242,6 +255,8 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
 
 
 def cmd_verify(args) -> int:
+    _check_option("trials", args.trials, 1)
+    _check_option("seed", args.seed, 0)
     doc = json.loads(_read(args.plan))
     g = parse_graph(_read(args.graph))
     spec = ClusterSpec.from_json(_read(args.cluster))
@@ -276,6 +291,8 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     g = parse_graph(_read(args.graph))
     spec = ClusterSpec.from_json(_read(args.cluster))
+    _check_option("segments", args.segments, 1, len(g.nodes))
+    _check_option("max-len", args.max_len, 0)
     if len(g.nodes) > 6 and not args.force:
         print(f"error: {len(g.nodes)} nodes is large for exhaustive enumeration; "
               "pass --force to proceed", file=sys.stderr)
@@ -290,9 +307,7 @@ def cmd_enumerate(args) -> int:
             return 2
         assignment, B = plan.assignment, plan.ratios
     else:
-        segments = args.segments or 1
-        assignment = (single_segment(g) if segments <= 1
-                      else assign_segments(g, segments))
+        assignment = assign_segments(g, args.segments or 1)
         B = (ShardingRatios.proportional_to_flops(spec, g=assignment.count)
              if args.ratios == "flops" else ShardingRatios.uniform(spec.m, g=assignment.count))
     theory = build_theory(g, spec.m, guards=False, fuse=False)
@@ -353,7 +368,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ClusterFormatError, PlanFormatError) as e:
+    except (GraphFormatError, ClusterFormatError, PlanFormatError, OptionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as e:

@@ -14,20 +14,24 @@ back-to-back broadcasts of the actual shards, which beats padding under
 skewed ratios and pays m latencies under even ones; AllReduce always moves
 the full tensor.
 
-`StagePricer` is the one implementation of this model: `iteration_time`
-and the search's incremental cost bookkeeping price through it, and the
-ratio LP takes its stage rows from it and its collective coefficients from
+`StagePricer.advance` is the one implementation of this model: it walks a
+program instruction by instruction, closing a stage at each collective and
+naming the ratio row each stage is priced at.  The search's incremental
+bookkeeping, the exhaustive enumeration and `iteration_time` all price
+through it, and every one of them totals a program the same way
+(closed stages + (comm_s + max(comp_s)), one stage at a time), so their
+prices agree bit for bit.  The ratio LP, which chooses B, takes the same
+grouping without prices from `stages` and its collective coefficients from
 `comm_terms`, the affine form that `comm_time` evaluates.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 from .graph_ir import Graph, SegmentAssignment
-from .theory import Instruction
-
-COLLECTIVE_KINDS = ("all_reduce", "all_gather", "reduce_scatter", "all_to_all", "grouped_broadcast")
+from .theory import COLLECTIVE_KINDS, Instruction
 
 
 class ClusterFormatError(ValueError):
@@ -164,29 +168,22 @@ def single_segment(g: Graph) -> SegmentAssignment:
     return SegmentAssignment(segment_of={t: 1 for t in g.tensor_ids}, count=1)
 
 
-@dataclass(frozen=True)
-class Stage:
-    comm: Instruction | None
-    comps: tuple[Instruction, ...]
-
-
-def decompose_stages(instrs: tuple[Instruction, ...]) -> list[Stage]:
-    """Split a program at communication instructions; each comm opens a stage."""
-    stages: list[Stage] = []
-    cur_comm: Instruction | None = None
-    cur_comps: list[Instruction] = []
-    started = False
+def stages(instrs, row_of: Callable[[str], int]
+           ) -> Iterator[tuple[int, Instruction | None, tuple[Instruction, ...]]]:
+    """The program's stages without prices, as (ratio row, opening
+    collective, computations).  Every collective opens a stage (the first
+    stage may lack one); a stage is priced at the row of its first
+    computation's segment, or of its collective's if it only communicates."""
+    comm, comps = None, []
     for instr in instrs:
         if instr.is_comm:
-            if started:
-                stages.append(Stage(cur_comm, tuple(cur_comps)))
-            cur_comm, cur_comps, started = instr, [], True
+            if comm is not None or comps:
+                yield row_of((comps[0] if comps else comm).ref), comm, tuple(comps)
+            comm, comps = instr, []
         else:
-            cur_comps.append(instr)
-            started = True
-    if started:
-        stages.append(Stage(cur_comm, tuple(cur_comps)))
-    return stages
+            comps.append(instr)
+    if comm is not None or comps:
+        yield row_of((comps[0] if comps else comm).ref), comm, tuple(comps)
 
 
 def comm_terms(instr: Instruction, spec: ClusterSpec) -> tuple[float, float, float]:
@@ -213,18 +210,40 @@ def comm_time(instr: Instruction, row: tuple[float, ...], spec: ClusterSpec,
     return const_s + per_max_s * x + per_ratio_s * sum(row)
 
 
-class StagePricer:
-    """The stage model at fixed ratios B: the ratio row each stage is priced
-    at, and what each instruction costs at a row.  B may be None when only
-    stage rows are needed (the ratio LP, which chooses B)."""
+class StageCost(NamedTuple):
+    """One stage of a program at fixed ratios: its collective's price,
+    per-device compute seconds, the ratio row it is priced at (None while no
+    computation names it yet; a stage that only communicates is priced at
+    its collective's own row) and the collective that opened it (None for a
+    first stage without one)."""
+    comm_s: float
+    comp_s: tuple[float, ...]
+    row: int | None
+    comm: Instruction | None
 
-    def __init__(self, spec: ClusterSpec, B: ShardingRatios | None,
-                 assignment: SegmentAssignment):
+    @property
+    def time_s(self) -> float:
+        """Seconds the stage takes: its collective, then its slowest device."""
+        return self.comm_s + max(self.comp_s)
+
+
+# Builds a StageCost from a 4-tuple.  NamedTuple's own __new__ is a Python
+# function and costs about twice as much; every search step builds one.
+_stage_cost = tuple.__new__
+
+
+class StagePricer:
+    """The stage model at fixed ratios B: what each instruction costs at a
+    ratio row, and `advance`, the walk that splits a program into priced
+    stages."""
+
+    def __init__(self, spec: ClusterSpec, B: ShardingRatios, assignment: SegmentAssignment):
         self.spec = spec
         self.B = B
         self.rates = [d.flops_per_second for d in spec.devices]
         self.row_of = assignment.row_index      # a tensor's ratio row
         self.one_row = assignment.count == 1
+        self.empty = StageCost(0.0, (0.0,) * spec.m, None, None)
         # Per-row price caches keyed by instruction identity: the search asks
         # about the same theory instructions over and over, and hashing an
         # Instruction field by field would dominate each lookup.  `_held`
@@ -232,11 +251,6 @@ class StagePricer:
         self._comp: list[dict] = [{} for _ in range(assignment.count)]
         self._comm: list[dict] = [{} for _ in range(assignment.count)]
         self._held: list[Instruction] = []
-
-    def stage_row(self, stage: Stage) -> int:
-        """A stage is priced at the ratio row of its first computation's
-        segment (the opening collective's, if the stage only communicates)."""
-        return self.row_of((stage.comps[0] if stage.comps else stage.comm).ref)
 
     def comp(self, instr: Instruction, row: int) -> tuple[tuple[float, ...], float]:
         """Per-device seconds of a computation at ratio row `row`, and its
@@ -274,18 +288,40 @@ class StagePricer:
             self._held.append(instr)
         return cached
 
-    def open_stage(self, instr: Instruction) -> tuple[float, int | None]:
-        """Price of a collective that opens a stage, at its own row until the
-        stage's first computation names the stage row; that row, or None
-        while it is still unknown (it is known at once with a single row)."""
-        row = self.row_of(instr.ref)
-        return self.comm(instr, row), (row if self.one_row else None)
+    def advance(self, stage: StageCost, work: float, instrs
+                ) -> tuple[tuple[StageCost, ...], StageCost, float]:
+        """The stage model, one instruction at a time.
 
-
-@dataclass(frozen=True)
-class StageCost:
-    comm_s: float
-    comp_s: tuple[float, ...]
+        From an open stage and the flops it holds (summed over devices),
+        returns the stages the instructions close, in order, the open stage
+        after them and its flops.  A collective closes the open stage unless
+        that stage holds nothing yet, and is priced at its own row until
+        the stage's first computation names the stage row (at once when
+        there is a single row); the collective is then re-priced there."""
+        comm_s, comp, row, comm = stage
+        closed: tuple[StageCost, ...] = ()
+        comp = list(comp)
+        for instr in instrs:
+            if instr.is_comm:
+                if row is not None or comm is not None:
+                    closed += (_stage_cost(StageCost, (comm_s, tuple(comp), row, comm)),)
+                comp = [0.0] * len(comp)
+                work = 0.0
+                comm = instr
+                row = self.row_of(instr.ref)
+                comm_s = self.comm(instr, row)
+                if not self.one_row:
+                    row = None
+                continue
+            if row is None:
+                row = self.row_of(instr.ref)
+                if comm is not None:
+                    comm_s = self.comm(comm, row)
+            dsec, w = self.comp(instr, row)
+            for j, sec in enumerate(dsec):
+                comp[j] += sec
+            work += w
+        return closed, _stage_cost(StageCost, (comm_s, tuple(comp), row, comm)), work
 
 
 @dataclass(frozen=True)
@@ -298,15 +334,10 @@ def iteration_time(instrs: tuple[Instruction, ...], B: ShardingRatios, spec: Clu
                    assignment: SegmentAssignment) -> CostBreakdown:
     """Exact model time for one iteration of the program."""
     pricer = StagePricer(spec, B, assignment)
-    out: list[StageCost] = []
+    closed, last, _ = pricer.advance(pricer.empty, 0.0, instrs)
+    if last.row is not None or last.comm is not None:
+        closed += (last,)
     total = 0.0
-    for stage in decompose_stages(tuple(instrs)):
-        row = pricer.stage_row(stage)
-        comm_s = 0.0 if stage.comm is None else pricer.comm(stage.comm, row)
-        comp = [0.0] * spec.m
-        for instr in stage.comps:
-            for j, s in enumerate(pricer.comp(instr, row)[0]):
-                comp[j] += s
-        out.append(StageCost(comm_s=comm_s, comp_s=tuple(comp)))
-        total += comm_s + max(comp)
-    return CostBreakdown(stages=tuple(out), total_s=total)
+    for stage in closed:
+        total += stage.time_s
+    return CostBreakdown(stages=closed, total_s=total)

@@ -61,9 +61,6 @@ class Graph:
     by_id: dict[str, Node] = field(repr=False, default_factory=dict)
     loss_ancestors: frozenset[str] = frozenset()
 
-    def producer(self, ref: str) -> Node:
-        return self.by_id[ref]
-
     @property
     def tensor_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)

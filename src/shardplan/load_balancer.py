@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost_model import (ClusterSpec, ShardingRatios, StagePricer, comm_terms,
-                         decompose_stages, single_segment)
+from .cost_model import (ClusterSpec, ShardingRatios, comm_terms,
+                         single_segment, stages)
 from .graph_ir import Graph, SegmentAssignment
 
 _TOL = 1e-9
@@ -193,18 +193,17 @@ def segment_problems(instrs, spec: ClusterSpec,
     m = spec.m
     probs = [SegmentProblem(row_index=r, m=m) for r in range(assignment.count)]
     rates = [d.flops_per_second for d in spec.devices]
-    pricer = StagePricer(spec, None, assignment)
-    for stage in decompose_stages(tuple(instrs)):
-        prob = probs[pricer.stage_row(stage)]
-        if stage.comm is not None:
-            const_s, per_max_s, per_ratio_s = comm_terms(stage.comm, spec)
+    for row, comm, comps in stages(instrs, assignment.row_index):
+        prob = probs[row]
+        if comm is not None:
+            const_s, per_max_s, per_ratio_s = comm_terms(comm, spec)
             prob.const_s += const_s
             prob.slope_M += per_max_s
             prob.linear_B += per_ratio_s
-        if stage.comps:
+        if comps:
             a = np.zeros(m)
             cvec = np.zeros(m)
-            for instr in stage.comps:
+            for instr in comps:
                 for j in range(m):
                     if instr.sharded:
                         a[j] += instr.flops / rates[j]

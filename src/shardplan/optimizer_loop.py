@@ -18,8 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .cost_model import (ClusterSpec, ShardingRatios, iteration_time,
-                         single_segment)
+from .cost_model import ClusterSpec, ShardingRatios, iteration_time
 from .graph_ir import Graph, SegmentAssignment, assign_segments
 from .load_balancer import optimize_ratios
 from .synthesizer import (DistributedProgram, SearchConfig, SearchInvariantError,
@@ -88,7 +87,7 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
     cfg = cfg or LoopConfig()
     synth_fn = synth_fn or _default_synth
     balance_fn = balance_fn or _default_balance
-    assignment = single_segment(g) if segments <= 1 else assign_segments(g, segments)
+    assignment = assign_segments(g, segments)
     if theory is None:
         theory = build_theory(g, spec.m)
     B = ShardingRatios.proportional_to_flops(spec, g=assignment.count)

@@ -19,9 +19,9 @@ import heapq
 import logging
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cost_model import (ClusterSpec, ShardingRatios, StagePricer,
+from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
                          single_segment)
 from .graph_ir import Graph, SegmentAssignment, node_flops
 from .theory import (COMMUNICATED, Instruction, Property, Theory, all_reduce,
@@ -80,31 +80,22 @@ class SearchConfig:
 @dataclass(slots=True)
 class PartialProgram:
     """A search node.  `props` are interned property ids; cost bookkeeping
-    follows the stage model incrementally (closed stages, the open stage's
-    pending communication charge, and per-device accrued compute)."""
+    follows the stage model incrementally (the cost of the closed stages and
+    the open stage, as `StagePricer.advance` leaves them)."""
     instrs: tuple[Instruction, ...]
     props: frozenset[int]
     computed: frozenset[str]
     closed_s: float
-    open_comm_s: float
-    acc: tuple[float, ...]
+    stage: StageCost
     open_work: float          # flops accrued in the open stage, all devices
     remaining: float          # flops of loss ancestors without any property
-    stage_row_idx: int | None  # the open stage's ratio row; None until known
-    open_comm_instr: Instruction | None
     complete: bool
     score_s: float
     path: tuple[int, ...]     # applied triple indices (deterministic tie-break)
 
     @property
-    def pending_key(self) -> Instruction | None:
-        """The open stage's collective while its price still waits for the
-        stage's ratio row."""
-        return self.open_comm_instr if self.stage_row_idx is None else None
-
-    @property
     def total_s(self) -> float:
-        return self.closed_s + self.open_comm_s + max(self.acc)
+        return self.closed_s + self.stage.time_s
 
     @property
     def cost_s(self) -> float:
@@ -113,9 +104,6 @@ class PartialProgram:
     @property
     def ecost_s(self) -> float:
         return 0.0 if self.complete else self.score_s - self.closed_s
-
-    def _vector(self) -> tuple[float, ...]:
-        return (self.closed_s, self.open_comm_s) + self.acc
 
 
 class SearchContext:
@@ -183,9 +171,8 @@ class SearchContext:
     def initial(self) -> PartialProgram:
         q = PartialProgram(
             instrs=(), props=self.initial_props, computed=frozenset(),
-            closed_s=0.0, open_comm_s=0.0, acc=(0.0,) * self.m, open_work=0.0,
-            remaining=self.initial_remaining, stage_row_idx=None, open_comm_instr=None,
-            complete=False, score_s=0.0, path=())
+            closed_s=0.0, stage=self.pricer.empty, open_work=0.0,
+            remaining=self.initial_remaining, complete=False, score_s=0.0, path=())
         q.score_s = q.closed_s + (q.open_work + q.remaining) / self.total_rate
         return q
 
@@ -207,49 +194,17 @@ class SearchContext:
         return result
 
 
-def advance_stage(pricer: StagePricer, instrs: tuple[Instruction, ...],
-                  open_comm: float, acc: tuple[float, ...], open_work: float,
-                  row: int | None, comm_instr: Instruction | None):
-    """The stage model, one instruction at a time.
-
-    Starting from an open stage (its collective's price, per-device accrued
-    compute, summed work, ratio row and collective), returns the charges of
-    the stages the instructions close, in order, and the open stage after
-    them as `(closes, open_comm, acc, open_work, row, comm_instr)`."""
-    closes: tuple[float, ...] = ()
-    acc = list(acc)
-    for instr in instrs:
-        if instr.is_comm:
-            closes += (open_comm + max(acc),)
-            acc = [0.0] * len(acc)
-            open_work = 0.0
-            comm_instr = instr
-            open_comm, row = pricer.open_stage(instr)
-            continue
-        if row is None:
-            # The stage's first computation names its row; re-price the
-            # collective that opened it there.
-            row = pricer.row_of(instr.ref)
-            if comm_instr is not None:
-                open_comm = pricer.comm(comm_instr, row)
-        dsec, work = pricer.comp(instr, row)
-        for j, sec in enumerate(dsec):
-            acc[j] += sec
-        open_work += work
-    return closes, open_comm, tuple(acc), open_work, row, comm_instr
-
-
 def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgram:
     """Successor of q after firing triple index ti (precondition assumed met)."""
     tri = ctx.triples[ti]
-    closes, open_comm, acc, open_work, stage_row, comm_instr = advance_stage(
-        ctx.pricer, tri.instrs, q.open_comm_s, q.acc, q.open_work,
-        q.stage_row_idx, q.open_comm_instr)
+    closes, stage, open_work = ctx.pricer.advance(q.stage, q.open_work, tri.instrs)
     closed = q.closed_s
-    for charge in closes:
-        closed += charge
+    for done in closes:
+        closed += done.time_s
 
-    props = (q.props | ctx.tpost[ti]) - ctx.tretire[ti]
+    props = q.props | ctx.tpost[ti]
+    if ctx.tretire[ti]:
+        props -= ctx.tretire[ti]
     computed = q.computed
     remaining = q.remaining
     fresh = [r for r in ctx.tnew_refs[ti] if r not in computed]
@@ -264,8 +219,7 @@ def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgr
 
     succ = PartialProgram(
         instrs=q.instrs + tri.instrs, props=props, computed=computed,
-        closed_s=closed, open_comm_s=open_comm, acc=acc, open_work=open_work,
-        remaining=remaining, stage_row_idx=stage_row, open_comm_instr=comm_instr,
+        closed_s=closed, stage=stage, open_work=open_work, remaining=remaining,
         complete=complete, score_s=0.0, path=q.path + (ti,))
     succ.score_s = closed + (0.0 if complete else (open_work + remaining) / ctx.total_rate)
     return succ
@@ -286,14 +240,16 @@ def prune_redundant_properties(props: frozenset[int], ctx: SearchContext) -> fro
 
 
 def dominates(a: PartialProgram, b: PartialProgram) -> bool:
-    """True iff a renders b redundant: a's properties cover b's and a is at
-    most as expensive in every cost component (closed stages, pending
-    communication, per-device accrued compute)."""
-    if a.closed_s > b.closed_s or a.open_comm_s > b.open_comm_s:
+    """True iff a renders b redundant: a's properties cover b's, a is at
+    most as expensive in every cost component (closed stages, the open
+    stage's collective, per-device accrued compute), and both open stages
+    wait for a row on the same collective, or neither does."""
+    s, t = a.stage, b.stage
+    if a.closed_s > b.closed_s or s.comm_s > t.comm_s:
         return False
-    if any(x > y for x, y in zip(a.acc, b.acc)):
+    if any(x > y for x, y in zip(s.comp_s, t.comp_s)):
         return False
-    if a.pending_key != b.pending_key:
+    if (s.comm if s.row is None else None) != (t.comm if t.row is None else None):
         return False
     return a.props >= b.props
 
@@ -308,7 +264,6 @@ class SynthesisResult:
     expansions: int
     generated: int
     purged: int
-    node: PartialProgram | None = field(default=None, repr=False)
 
 
 def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
@@ -333,15 +288,15 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
     buckets: dict[frozenset[int], list[PartialProgram]] = {root.props: [root]}
     expanded: list[PartialProgram] = []
     best: PartialProgram | None = None
+    best_s = bound = math.inf       # best complete cost; scores it cuts off
     expansions = generated = purged = 0
     last_score = 0.0
     exhausted = False
-    margin = 0.0
     trace = _logger.isEnabledFor(logging.DEBUG)
 
     while heap:
         key, _, _, _, q = heapq.heappop(heap)
-        if best is not None and q.score_s >= best.total_s - margin:
+        if q.score_s >= bound:
             break
         if key < last_score:
             raise SearchInvariantError(
@@ -366,11 +321,12 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
             generated += 1
 
             if succ.complete:
-                if best is None or succ.total_s < best.total_s:
-                    best = succ
-                    margin = OPTIMALITY_MARGIN * abs(best.total_s)
+                total = succ.total_s
+                if total < best_s:
+                    best, best_s = succ, total
+                    bound = best_s - OPTIMALITY_MARGIN * abs(best_s)
                 continue
-            if best is not None and succ.score_s >= best.total_s - margin:
+            if succ.score_s >= bound:
                 continue
 
             bucket = buckets.get(succ.props)
@@ -392,10 +348,9 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
             f"no complete program reachable for loss {theory.loss!r}")
 
     program = DistributedProgram(instrs=best.instrs, loss=theory.loss)
-    return SynthesisResult(program=program, cost_s=best.total_s, complete=True,
+    return SynthesisResult(program=program, cost_s=best_s, complete=True,
                            optimal=not exhausted, exhausted=exhausted,
-                           expansions=expansions, generated=generated, purged=purged,
-                           node=best)
+                           expansions=expansions, generated=generated, purged=purged)
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +401,17 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     instructions; returns the cheapest complete one.
 
     A state is the integer triple (props id, stage id, length): an interned
-    property set, an interned open stage (collective price, per-device
-    accrued compute, ratio row, collective) and the instruction count.
-    Programs reaching the same state are merged, keeping the one with the
-    cheapest closed stages (exact, not heuristic: what a state can still
-    become and cost depends on nothing else).  Property and stage
-    transitions are memoized separately, since far fewer property sets and
-    open stages occur than states; each state keeps its closed cost and a
-    pointer to its best parent, and the winning program is rebuilt from
-    those pointers.  States are expanded in ascending length, so every path
-    into a state is recorded before the state itself is expanded.
+    property set, an interned open stage (a `StageCost`: collective price,
+    per-device accrued compute, ratio row, collective) and the instruction
+    count.  Programs reaching the same state are merged, keeping the one
+    with the cheapest closed stages (exact, not heuristic: what a state can
+    still become and cost depends on nothing else).  Property transitions
+    and stage steps (`StagePricer.advance`) are memoized separately, since
+    far fewer property sets and open stages occur than states; each state
+    keeps its closed cost and a pointer to its best parent, and the winning
+    program is rebuilt from those pointers.  States are expanded in
+    ascending length, so every path into a state is recorded before the
+    state itself is expanded.
 
     With `audit`, `states` maps every state id to a `StateRec` whose node
     is rebuilt by `apply_triple` along the best parents and checked against
@@ -484,19 +440,18 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
         return succ
 
     stages = _Interner()
-    stages((root.open_comm_s, root.acc, root.stage_row_idx, root.open_comm_instr))
-    stage_tail: list[tuple[float, float]] = [(root.open_comm_s, max(root.acc))]
+    stages(root.stage)
+    stage_tail = [root.stage.time_s]     # per stage id
     stage_next: list[dict[int, tuple[int, tuple[float, ...]]]] = [{}]   # per stage id, by ti
 
     def stage_successor(sid: int, ti: int) -> tuple[int, tuple[float, ...]]:
-        open_comm, acc, row, comm_instr = stages.values[sid]
-        closes, open_comm, acc, _, row, comm_instr = advance_stage(
-            ctx.pricer, ctx.triples[ti].instrs, open_comm, acc, 0.0, row, comm_instr)
-        nsid = stages((open_comm, acc, row, comm_instr))
+        closes, stage, _ = ctx.pricer.advance(stages.values[sid], 0.0, ctx.triples[ti].instrs)
+        nsid = stages(stage)
         if nsid == len(stage_tail):
-            stage_tail.append((open_comm, max(acc)))
+            stage_tail.append(stage.time_s)
             stage_next.append({})
-        out = stage_next[sid][ti] = (nsid, closes)
+        charges = tuple(done.time_s for done in closes) if closes else ()
+        out = stage_next[sid][ti] = (nsid, charges)
         return out
 
     closed = array("d", [root.closed_s])
@@ -544,8 +499,7 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
                         edges.append([])
                     if props_done[npid]:
                         complete_states += 1
-                        oc, mx = stage_tail[nsid]
-                        total = c + oc + mx
+                        total = c + stage_tail[nsid]
                         if best_at is None or total < best_total:
                             best_total, best_at = total, (s, ti)
                 elif c < closed[t]:
@@ -553,8 +507,7 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
                     parent[t] = s
                     via[t] = ti
                     if props_done[npid]:
-                        oc, mx = stage_tail[nsid]
-                        total = c + oc + mx
+                        total = c + stage_tail[nsid]
                         if total < best_total:
                             best_total, best_at = total, (s, ti)
                 if out is not None:
@@ -594,8 +547,7 @@ def _audit_states(ctx: SearchContext, root: PartialProgram, layers, closed, pare
             else:
                 node = apply_triple(recs[parent[s]].node, via[s], ctx)
             if (node.closed_s != closed[s] or node.props != props_values[pid]
-                    or (node.open_comm_s, node.acc, node.stage_row_idx,
-                        node.open_comm_instr) != stage_values[sid]):
+                    or node.stage != stage_values[sid]):
                 raise SearchInvariantError(
                     f"state {s}: rebuilt program disagrees with the enumeration's bookkeeping")
             recs[s] = StateRec(node=node, closed=closed[s], length=length,

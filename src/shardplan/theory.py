@@ -35,10 +35,10 @@ NOT_COMMUNICATED = "NotComm"
 GUARD_KINDS = (COMMUNICATED, NOT_COMMUNICATED)
 
 # Instruction kinds.
-COMM_KINDS = ("all_reduce", "all_gather", "reduce_scatter", "all_to_all", "grouped_broadcast")
+COLLECTIVE_KINDS = ("all_reduce", "all_gather", "reduce_scatter", "all_to_all", "grouped_broadcast")
 INSTRUCTION_KINDS = ("placeholder", "placeholder_shard", "parameter", "parameter_shard",
                      "matmul", "elemwise_unary", "elemwise_binary", "reduce",
-                     "identity") + COMM_KINDS
+                     "identity") + COLLECTIVE_KINDS
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ class Instruction:
 
     @property
     def is_comm(self) -> bool:
-        return self.kind in COMM_KINDS
+        return self.kind in COLLECTIVE_KINDS
 
     def canonical(self) -> str:
         bits = [self.kind, self.ref]
@@ -177,17 +177,7 @@ class Theory:
     loss: str
     tensor_ids: tuple[str, ...]
     source_ids: frozenset[str]
-    shapes: dict[str, tuple[int, ...]]
     initial_props: frozenset[Property] = frozenset()
-
-
-def merge_post(props: frozenset[Property], post: frozenset[Property]) -> frozenset[Property]:
-    """Union of property sets; adding Communicated(e) retires NotCommunicated(e)."""
-    merged = props | post
-    retired = {not_communicated(p.ref) for p in post if p.kind == COMMUNICATED}
-    if retired:
-        merged -= retired
-    return merged
 
 
 def _source_rules(node: Node) -> list[HoareTriple]:
@@ -338,7 +328,7 @@ def derive_theory(g: Graph, m: int) -> Theory:
         assert tr.post - tr.pre, f"vacuous rule derived: {tr}"
     sources = frozenset(n.id for n in g.nodes if n.op in ("Placeholder", "Parameter"))
     return Theory(triples=tuple(triples), loss=g.loss, tensor_ids=g.tensor_ids,
-                  source_ids=sources, shapes={n.id: n.shape for n in g.nodes})
+                  source_ids=sources)
 
 
 def fuse_empty_preconditions(t: Theory) -> Theory:

@@ -8,7 +8,8 @@ optimality tests compare search and enumeration costs with zero tolerance.
 """
 from __future__ import annotations
 
-from shardplan import ClusterSpec, Graph, graph_from_dict
+from shardplan import ClusterSpec, Graph
+from shardplan.graph_ir import graph_from_dict
 
 
 def _node(op, shape, inputs=(), **attrs):

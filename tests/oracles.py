@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from shardplan.cost_model import decompose_stages, single_segment
+from shardplan.cost_model import single_segment
 from shardplan.graph_ir import node_flops
 from shardplan.interpreter import (check_form, eval_reference,
                                    execute_instruction, random_inputs,
@@ -246,13 +246,16 @@ def ecost(partial, g, spec, B, assignment=None) -> float:
     if partial.complete:
         return 0.0
     assignment = assignment or single_segment(g)
+    trailing = []           # computations since the last collective
+    for instr in partial.instrs:
+        if instr.is_comm:
+            trailing = []
+        else:
+            trailing.append(instr)
     open_work = 0.0
-    stages = decompose_stages(tuple(partial.instrs))
-    if stages:
-        trailing = stages[-1]
-        first = trailing.comps[0] if trailing.comps else trailing.comm
-        row = B.row(assignment.row_index(first.ref))
-        for instr in trailing.comps:
+    if trailing:
+        row = B.row(assignment.row_index(trailing[0].ref))
+        for instr in trailing:
             if instr.sharded:
                 for b in row:
                     open_work += instr.flops * b

@@ -19,9 +19,10 @@ import numpy as np
 import corpus
 import oracles
 from shardplan import (ClusterSpec, Instruction, ShardingRatios, alternate,
-                       build_theory, graph_from_dict, synthesize)
+                       build_theory, synthesize)
 from shardplan.cli import main
 from shardplan.cost_model import COLLECTIVE_KINDS, comm_time, single_segment
+from shardplan.graph_ir import graph_from_dict
 from shardplan.interpreter import build_shard_table
 from shardplan.load_balancer import (SegmentProblem, build_lp, lp_solve,
                                      round_shards)

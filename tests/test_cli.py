@@ -220,3 +220,27 @@ def test_malformed_plan_fields_exit_2(files, capsys, command, damage, field):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: plan field {field}:"), err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("plan", "--segments", "99"),
+    ("plan", "--segments", "0"),
+    ("plan", "--segments", "-2"),
+    ("plan", "--max-rounds", "0"),
+    ("plan", "--budget", "-1"),
+    ("verify", "--trials", "0"),
+    ("verify", "--trials", "-3"),
+    ("verify", "--seed", "-1"),
+    ("enumerate", "--segments", "9"),
+    ("enumerate", "--segments", "0"),
+    ("enumerate", "--max-len", "-1"),
+])
+def test_numeric_option_out_of_range_exits_2(files, capsys, command, option, value):
+    inputs = [files["graph"], files["hetero2"]]
+    if command == "verify":
+        inputs.insert(0, _plan(files))
+    capsys.readouterr()
+    assert main([command, *inputs, option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} "), err
+    assert "Traceback" not in err

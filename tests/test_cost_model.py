@@ -7,11 +7,10 @@ import pytest
 import corpus
 from oracles import ecost
 from shardplan import (ClusterFormatError, ClusterSpec, Instruction,
-                       ShardingRatios, build_theory, graph_from_dict,
-                       iteration_time, single_segment, synthesize)
-from shardplan.cost_model import (Stage, StagePricer, comm_terms, comm_time,
-                                  decompose_stages)
-from shardplan.graph_ir import SegmentAssignment, node_flops
+                       ShardingRatios, build_theory, iteration_time, synthesize)
+from shardplan.cost_model import (StageCost, StagePricer, comm_terms, comm_time,
+                                  single_segment, stages)
+from shardplan.graph_ir import SegmentAssignment, graph_from_dict, node_flops
 from shardplan.synthesizer import SearchContext
 
 
@@ -95,14 +94,26 @@ def _comm(kind, ref, elements):
 def test_stage_decomposition():
     a, b = _comp("a"), _comp("b")
     ag = _comm("all_gather", "a", 32)
-    assert decompose_stages(()) == []
-    assert decompose_stages((a, b)) == [Stage(None, (a, b))]
-    assert decompose_stages((a, ag, b)) == [Stage(None, (a,)), Stage(ag, (b,))]
+    row_of = {"a": 0, "b": 1}.__getitem__
+    assert list(stages((), row_of)) == []
+    assert list(stages((a, b), row_of)) == [(0, None, (a, b))]
+    # a stage takes its first computation's row
+    assert list(stages((a, ag, b), row_of)) == [(0, None, (a,)), (1, ag, (b,))]
     # a leading collective opens the first stage instead of closing one
-    assert decompose_stages((ag, a)) == [Stage(ag, (a,))]
-    two = decompose_stages((ag, _comm("all_reduce", "b", 8)))
-    assert [s.comm.kind for s in two] == ["all_gather", "all_reduce"]
-    assert all(s.comps == () for s in two)
+    assert list(stages((ag, b), row_of)) == [(1, ag, (b,))]
+    # a stage that only communicates takes its collective's row
+    ar = _comm("all_reduce", "b", 8)
+    assert list(stages((ag, ar), row_of)) == [(0, ag, ()), (1, ar, ())]
+    # the priced walk splits the same way: a leading collective keeps one stage
+    spec = corpus.homog2()
+    B = ShardingRatios.uniform(2)
+    assignment = SegmentAssignment(segment_of={"a": 1}, count=1)
+    a = _comp("a", flops=64, sharded=True)
+    bd = iteration_time((ag, a), B, spec, assignment)
+    assert bd.stages == (StageCost(comm_time(ag, (0.5, 0.5), spec),
+                                   (2.0 ** -25, 2.0 ** -25), 0, ag),)
+    assert bd.total_s == bd.stages[0].comm_s + 2.0 ** -25
+    assert iteration_time((), B, spec, assignment).stages == ()
 
 
 def test_comp_seconds_scales_only_sharded_work():
@@ -152,21 +163,24 @@ def test_boundary_reshard_pads_to_wider_row():
     assignment = SegmentAssignment(segment_of={"a": 1, "b": 2}, count=2)
     a2a = Instruction("all_to_all", "a", operands=("a@shard0",), output="a@shard1",
                       axis=0, axis2=1, elements=32)
+    b = _comp("b", flops=8, sharded=True)
     pricer = StagePricer(spec, B, assignment)
-    stage = Stage(a2a, (_comp("b", flops=8, sharded=True),))
-    assert pricer.stage_row(stage) == 1
+    # the stage's row is unknown until a computation names it: until then
+    # the collective is priced at its own segment's row
+    closed, stage, work = pricer.advance(pricer.empty, 0.0, (a2a,))
+    assert closed == () and work == 0.0
+    assert stage == StageCost(comm_time(a2a, (0.75, 0.25), spec), (0.0, 0.0), None, a2a)
+    closed, stage, work = pricer.advance(stage, work, (b,))
+    assert closed == () and stage.row == 1 and work == 8.0
     # resharding across the segment boundary pays for the larger shard of
     # either row: max(0.75, 0.5) instead of this stage's own 0.5
-    assert pricer.comm(a2a, 1) == 2.0 ** -16 + 3 * 2.0 ** -28
-    assert pricer.comm(a2a, 1) > comm_time(a2a, (0.5, 0.5), spec)
-    # communication-only stage prices at the collective's own segment row
-    lone = Stage(a2a, ())
-    assert pricer.stage_row(lone) == 0
-    assert pricer.comm(a2a, 0) == comm_time(a2a, (0.75, 0.25), spec)
-    # the stage's row is unknown until a computation names it
-    assert pricer.open_stage(a2a) == (comm_time(a2a, (0.75, 0.25), spec), None)
-    total = iteration_time((a2a, _comp("b", flops=8, sharded=True)), B, spec, assignment)
-    assert total.stages[0].comm_s == pricer.comm(a2a, 1)
+    assert stage.comm_s == 2.0 ** -16 + 3 * 2.0 ** -28
+    assert stage.comm_s > comm_time(a2a, (0.5, 0.5), spec)
+    # a communication-only stage closes at the collective's own row
+    closed, _, _ = pricer.advance(pricer.empty, 0.0, (a2a, a2a))
+    assert closed == (StageCost(comm_time(a2a, (0.75, 0.25), spec), (0.0, 0.0), None, a2a),)
+    total = iteration_time((a2a, b), B, spec, assignment)
+    assert total.stages == (stage,)
 
 
 def test_iteration_time_matches_search_cost():

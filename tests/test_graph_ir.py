@@ -2,10 +2,11 @@ import pytest
 
 import corpus
 import oracles
-from shardplan import (GraphFormatError, assign_segments, graph_from_dict,
-                       graph_to_dict, parse_graph, serialize_graph,
-                       single_segment, total_flops)
-from shardplan.graph_ir import flops_of, infer_shape, node_flops
+from shardplan import GraphFormatError, parse_graph
+from shardplan.cost_model import single_segment
+from shardplan.graph_ir import (assign_segments, flops_of, graph_from_dict,
+                                graph_to_dict, infer_shape, node_flops,
+                                serialize_graph, total_flops)
 
 
 def test_parse_round_trip_whole_corpus():
@@ -97,7 +98,7 @@ def test_flop_counts():
     assert flops_of("Identity", [(9, 9)]) == 0
     g = graph_from_dict(corpus.matmul_reduce())
     assert total_flops(g) == 128 + 16
-    assert node_flops(g, g.producer("h")) == 128
+    assert node_flops(g, g.by_id["h"]) == 128
 
 
 def test_loss_ancestors_exclude_dead_branches():

@@ -3,13 +3,15 @@ import pytest
 
 import corpus
 from shardplan import (ShardingRatios, build_shard_table, build_theory,
-                       check_equivalence, graph_from_dict, run_distributed,
-                       run_single, single_segment, synthesize)
+                       check_equivalence, synthesize)
+from shardplan.cost_model import single_segment
+from shardplan.graph_ir import graph_from_dict
 from shardplan.interpreter import (ExecutionError, check_form, coll_all_gather,
                                    coll_all_reduce, coll_all_to_all,
                                    coll_reduce_scatter, eval_reference,
                                    execute_instruction, materialize_loss,
-                                   random_inputs, slice_by_sizes)
+                                   random_inputs, run_distributed, run_single,
+                                   slice_by_sizes)
 from shardplan.theory import Instruction, all_gather, all_reduce, identity
 
 

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
-from shardplan import (ClusterSpec, Instruction, LinearProgram, ShardingRatios,
-                       build_theory, graph_from_dict, lp_solve,
-                       optimize_ratios, round_shards, solve_lp, synthesize)
-from shardplan.graph_ir import SegmentAssignment
-from shardplan.load_balancer import SegmentProblem, build_lp, segment_problems
+from shardplan import (ClusterSpec, Instruction, ShardingRatios, build_theory,
+                       optimize_ratios, synthesize)
+from shardplan.graph_ir import SegmentAssignment, graph_from_dict
+from shardplan.load_balancer import (LinearProgram, SegmentProblem, build_lp,
+                                     lp_solve, round_shards, segment_problems,
+                                     solve_lp)
 
 
 def test_simplex_basics():

@@ -2,8 +2,9 @@ import pytest
 
 import corpus
 from shardplan import (BudgetExhaustedError, LoopConfig, ShardingRatios,
-                       alternate, derive_theory, graph_from_dict,
-                       iteration_time)
+                       alternate, iteration_time)
+from shardplan.graph_ir import graph_from_dict
+from shardplan.theory import derive_theory
 
 
 def test_heterogeneous_ratios_reach_the_rate_split():

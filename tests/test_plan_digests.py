@@ -13,8 +13,9 @@ import json
 import pathlib
 
 import corpus
-from shardplan import alternate, graph_from_dict
+from shardplan import alternate
 from shardplan.cli import plan_document
+from shardplan.graph_ir import graph_from_dict
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "plan_digests.json"
 

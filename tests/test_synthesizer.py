@@ -1,5 +1,4 @@
 import logging
-import math
 from dataclasses import replace
 
 import pytest
@@ -9,12 +8,13 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from shardplan import (Instruction, NoCompleteProgramError, SearchConfig,
-                       ShardingRatios, assign_segments, build_theory,
-                       derive_theory, graph_from_dict, iteration_time,
-                       single_segment, synthesize)
+                       ShardingRatios, build_theory, iteration_time, synthesize)
+from shardplan.cost_model import StageCost, single_segment
+from shardplan.graph_ir import assign_segments, graph_from_dict
 from shardplan.synthesizer import (PartialProgram, SearchContext, _priority,
                                    apply_triple, dominates, enumerate_programs,
                                    prune_redundant_properties)
+from shardplan.theory import derive_theory
 
 
 def _ctx(name, theory_fn=build_theory, spec=None, cfg=None):
@@ -67,11 +67,10 @@ def test_property_pruning_drops_spent_intermediates():
 
 def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0), pending=None):
     # a collective waits for its stage's row while no computation names it
+    stage = StageCost(comm, acc, None if pending else 0, pending)
     return PartialProgram(instrs=(), props=frozenset(props), computed=frozenset(),
-                          closed_s=closed, open_comm_s=comm, acc=acc, open_work=0.0,
-                          remaining=0.0, stage_row_idx=None if pending else 0,
-                          open_comm_instr=pending, complete=False, score_s=0.0,
-                          path=())
+                          closed_s=closed, stage=stage, open_work=0.0, remaining=0.0,
+                          complete=False, score_s=0.0, path=())
 
 
 def test_dominance_is_componentwise():
@@ -190,28 +189,34 @@ def test_enumeration_records_edges_only_for_audits():
 
 
 def test_search_bookkeeping_matches_evaluator_across_segments():
-    # unequal rows: a boundary all_to_all pads to 0.75 instead of 0.625, and
-    # a collective re-prices once its stage's first computation names a row
-    spec = corpus.homog2()
-    B = ShardingRatios(((0.75, 0.25), (0.375, 0.625)))
-    repriced = padded = 0
-    for name in ("matmul_reduce", "identity_after_reduce", "param_only",
-                 "skip_connection"):
-        g = graph_from_dict(corpus.CORPUS[name])
-        assignment = assign_segments(g, 2)
-        res = enumerate_programs(g, build_theory(g, 2, guards=False, fuse=False),
-                                 spec, B, assignment=assignment, audit=True)
-        for rec in res.states.values():
-            q = rec.node
-            exact = iteration_time(q.instrs, B, spec, assignment).total_s
-            assert math.isclose(q.total_s, exact, rel_tol=1e-12, abs_tol=0.0), (name, q.instrs)
-            comm = q.open_comm_instr
-            if (comm is not None and q.stage_row_idx is not None
-                    and assignment.row_index(comm.ref) != q.stage_row_idx):
-                repriced += 1
-                padded += comm.kind == "all_to_all"
-        assert not oracles.admissibility_violations(g, spec, B, res, assignment), name
-    assert repriced > padded > 0
+    # a collective re-prices once its stage's first computation names a row;
+    # every state's search price is what iteration_time says, bit for bit
+    configs = [
+        # dyadic rows: a boundary all_to_all pads to 0.75 instead of 0.625
+        (corpus.homog2(), ShardingRatios(((0.75, 0.25), (0.375, 0.625)))),
+        # non-dyadic rates and rows: the order in which a program's stage
+        # times are added up shows in the last bits
+        (corpus.hetero2(), ShardingRatios(((0.7, 0.3), (0.4, 0.6)))),
+    ]
+    for spec, B in configs:
+        repriced = padded = 0
+        for name in ("matmul_reduce", "identity_after_reduce", "param_only",
+                     "skip_connection"):
+            g = graph_from_dict(corpus.CORPUS[name])
+            assignment = assign_segments(g, 2)
+            res = enumerate_programs(g, build_theory(g, 2, guards=False, fuse=False),
+                                     spec, B, assignment=assignment, audit=True)
+            for rec in res.states.values():
+                q = rec.node
+                assert q.total_s == iteration_time(q.instrs, B, spec, assignment).total_s, \
+                    (name, B.rows, q.instrs)
+                comm = q.stage.comm
+                if (comm is not None and q.stage.row is not None
+                        and assignment.row_index(comm.ref) != q.stage.row):
+                    repriced += 1
+                    padded += comm.kind == "all_to_all"
+            assert not oracles.admissibility_violations(g, spec, B, res, assignment), name
+        assert repriced > padded > 0, B.rows
 
 
 def test_budget_exhaustion_is_reported():

@@ -1,10 +1,12 @@
 import corpus
 import oracles
-from shardplan import (ShardingRatios, build_shard_table, build_theory,
-                       derive_theory, graph_from_dict, iteration_time,
-                       single_segment)
-from shardplan.theory import (all_gather, all_reduce, communicated, identity,
-                              merge_post, not_communicated)
+from shardplan import (SearchConfig, ShardingRatios, build_shard_table,
+                       build_theory, iteration_time)
+from shardplan.cost_model import single_segment
+from shardplan.graph_ir import graph_from_dict
+from shardplan.synthesizer import SearchContext, apply_triple
+from shardplan.theory import (all_gather, all_reduce, communicated,
+                              derive_theory, identity, not_communicated)
 
 
 def _signatures(theory):
@@ -130,12 +132,20 @@ def test_guards_gate_each_tensor_to_one_collective():
     assert t.initial_props == frozenset(not_communicated(e) for e in g.tensor_ids)
 
 
-def test_merge_post_retires_not_communicated():
-    props = frozenset({identity("x"), not_communicated("x"), not_communicated("y")})
-    merged = merge_post(props, frozenset({communicated("x"), identity("y")}))
-    assert communicated("x") in merged
-    assert not_communicated("x") not in merged
-    assert not_communicated("y") in merged
+def test_communicating_a_tensor_retires_its_guard():
+    g = graph_from_dict(corpus.matmul_reduce())
+    ctx = SearchContext(g, build_theory(g, 2, fuse=False), corpus.homog2(),
+                        ShardingRatios.uniform(2), cfg=SearchConfig(prune_properties=False))
+    q = ctx.initial()
+    for output in ("x@shard0", "w@full", "h@shard0", "h@full"):
+        assert not_communicated("h") in ctx.props_of(q.props)
+        q = apply_triple(q, next(ti for ti in ctx.applicable(q.props)
+                                 if ctx.triples[ti].instrs[-1].output == output), ctx)
+    assert q.instrs[-1].kind == "all_gather"
+    after = ctx.props_of(q.props)
+    assert communicated("h") in after
+    assert not_communicated("h") not in after
+    assert not_communicated("loss") in after
 
 
 def test_fusion_folds_source_prefixes():
