@@ -1,7 +1,7 @@
 """Command-line interface.
 
     shardplan plan GRAPH CLUSTER [-o PLAN] [--segments N] [--max-rounds N]
-                                 [--budget N] [--no-prune]
+                                 [--budget N]
     shardplan verify PLAN GRAPH CLUSTER [--trials N] [--seed S]
     shardplan enumerate GRAPH CLUSTER [--ratios uniform|flops|PLAN]
                                       [--segments N] [--max-len N] [--force]
@@ -32,8 +32,7 @@ from .interpreter import ExecutionError, build_shard_table, check_equivalence
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
                           enumerate_programs)
-from .theory import (ALL_GATHER, INSTRUCTION_KINDS, Instruction, build_theory,
-                     form_of_dist_id)
+from .theory import ALL_GATHER, build_theory, derive_theory, form_of_dist_id
 
 SCHEMA_VERSION = 1
 
@@ -76,10 +75,9 @@ def _sharded_axes(program) -> list[tuple[str, int]]:
     return sorted(pairs)
 
 
-def _plan_shard_table(g: Graph, program, ratios: ShardingRatios,
-                      assignment) -> dict[str, list[int]]:
-    full = build_shard_table(g, ratios, assignment)
-    return {f"{ref}:{axis}": list(full[(ref, axis)])
+def _plan_shard_table(table: dict, program) -> dict[str, list[int]]:
+    """The plan file's view of a full shard table: the axes the program shards."""
+    return {f"{ref}:{axis}": list(table[(ref, axis)])
             for ref, axis in _sharded_axes(program)}
 
 
@@ -94,8 +92,8 @@ def plan_document(g: Graph, spec: ClusterSpec, result) -> dict:
         "segments": result.assignment.count,
         "segment_of": {t: result.assignment.segment_of[t] for t in g.tensor_ids},
         "ratios": [[v for v in row] for row in ratios.rows],
-        "shard_table": _plan_shard_table(g, result.program, ratios,
-                                         result.assignment),
+        "shard_table": _plan_shard_table(build_shard_table(g, ratios, result.assignment),
+                                         result.program),
         "program": result.program.to_json(),
         "estimate": {
             "total_s": _canon(breakdown.total_s),
@@ -119,8 +117,7 @@ def cmd_plan(args) -> int:
     _check_option("segments", args.segments, 1, len(g.nodes))
     _check_option("max-rounds", args.max_rounds, 1)
     _check_option("budget", args.budget, 0)
-    cfg = LoopConfig(max_rounds=args.max_rounds, max_expansions=args.budget,
-                     prune_properties=not args.no_prune)
+    cfg = LoopConfig(max_rounds=args.max_rounds, max_expansions=args.budget)
     result = alternate(g, spec, segments=args.segments, cfg=cfg)
     doc = plan_document(g, spec, result)
     text = json.dumps(doc, indent=2) + "\n"
@@ -162,49 +159,11 @@ def _need(ok: bool, where: str, what: str) -> None:
         raise PlanFormatError(f"plan field {where}: {what}")
 
 
-def _check_dist_id(did, g: Graph, where: str) -> None:
-    _need(isinstance(did, str), where, f"expected a distributed tensor id, got {did!r}")
-    try:
-        form = form_of_dist_id(did)
-    except ValueError:
-        raise PlanFormatError(
-            f"plan field {where}: malformed distributed tensor id {did!r}") from None
-    tensor = g.tensors.get(form.ref)
-    _need(tensor is not None, where, f"unknown tensor {form.ref!r} in {did!r}")
-    if form.kind == ALL_GATHER:
-        _need(0 <= form.axis < len(tensor.shape), where, f"axis out of range in {did!r}")
-
-
-def _load_instruction(doc, g: Graph, where: str) -> Instruction:
-    _need(isinstance(doc, dict), where, "expected an object")
-    kind = doc.get("kind")
-    _need(kind in INSTRUCTION_KINDS, f"{where}.kind", f"unknown instruction kind {kind!r}")
-    ref = doc.get("ref")
-    _need(isinstance(ref, str) and ref in g.tensors, f"{where}.ref", f"unknown tensor {ref!r}")
-    operands = doc.get("operands", [])
-    _need(isinstance(operands, list), f"{where}.operands", "expected a list")
-    for j, did in enumerate(operands):
-        _check_dist_id(did, g, f"{where}.operands[{j}]")
-    _check_dist_id(doc.get("output"), g, f"{where}.output")
-    for key in ("axis", "axis2"):
-        _need(doc.get(key) is None or _is_int(doc[key]), f"{where}.{key}",
-              "expected an integer")
-    dims = doc.get("dims")
-    _need(dims is None or (isinstance(dims, list) and all(map(_is_int, dims))),
-          f"{where}.dims", "expected a list of integers")
-    _need(doc.get("tag") is None or isinstance(doc["tag"], str), f"{where}.tag",
-          "expected a string")
-    _need(isinstance(doc.get("sharded"), bool), f"{where}.sharded", "expected true or false")
-    for key in ("flops", "elements"):
-        _need(_is_int(doc.get(key)) and doc[key] >= 0, f"{where}.{key}",
-              "expected a non-negative integer")
-    return Instruction.from_json(doc)
-
-
 def load_plan(doc, g: Graph, m: int) -> Plan:
     """Check a plan document against the graph it claims and a cluster of m
     devices, field by field, and load it.  Raises PlanFormatError naming the
-    first bad field."""
+    first bad field.  An instruction is valid only if it is, field for field
+    and type for type, an instruction of the graph's derived theory."""
     _need(isinstance(doc, dict), "(document)", "expected a JSON object")
     _need(doc.get("schema_version") == SCHEMA_VERSION, "schema_version",
           f"unsupported version {doc.get('schema_version')!r}")
@@ -242,15 +201,21 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
           f"expected the graph's loss {g.loss!r}, got {program.get('loss')!r}")
     instrs = program.get("instrs")
     _need(isinstance(instrs, list), "program.instrs", "expected a list")
-    loaded = tuple(_load_instruction(d, g, f"program.instrs[{i}]")
-                   for i, d in enumerate(instrs))
+    derived = {json.dumps(instr.to_json(), sort_keys=True): instr
+               for tr in derive_theory(g, m).triples for instr in tr.instrs}
+    loaded = []
+    for i, d in enumerate(instrs):
+        instr = derived.get(json.dumps(d, sort_keys=True))
+        _need(instr is not None, f"program.instrs[{i}]",
+              "not an instruction this graph's rules derive")
+        loaded.append(instr)
 
     _need(isinstance(doc.get("shard_table"), dict), "shard_table", "expected an object")
     estimate = doc.get("estimate")
     _need(isinstance(estimate, dict) and _is_number(estimate.get("total_s")),
           "estimate.total_s", "expected a number")
     return Plan(assignment=SegmentAssignment(segment_of=dict(segment_of), count=count),
-                ratios=ratios, program=DistributedProgram(instrs=loaded, loss=g.loss),
+                ratios=ratios, program=DistributedProgram(instrs=tuple(loaded), loss=g.loss),
                 shard_table=doc["shard_table"], estimate_s=estimate["total_s"])
 
 
@@ -269,13 +234,12 @@ def cmd_verify(args) -> int:
         return 1
     print("estimate: ok")
 
-    expected_table = _plan_shard_table(g, plan.program, plan.ratios, plan.assignment)
-    if plan.shard_table != expected_table:
+    table = build_shard_table(g, plan.ratios, plan.assignment)
+    if plan.shard_table != _plan_shard_table(table, plan.program):
         print("shard_table: MISMATCH (does not match ratios)", file=sys.stderr)
         return 1
     print("shard_table: ok")
 
-    table = build_shard_table(g, plan.ratios, plan.assignment)
     try:
         report = check_equivalence(g, plan.program, spec.m, table,
                                    trials=args.trials, seed=args.seed)
@@ -337,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=8)
     p.add_argument("--budget", type=int, default=200_000,
                    help="search expansion budget per synthesis call")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable redundant-property pruning")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("verify", help="check a plan against its graph")

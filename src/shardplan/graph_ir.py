@@ -66,7 +66,7 @@ class Graph:
         return tuple(n.id for n in self.nodes)
 
 
-def infer_shape(op: str, input_shapes: list[tuple[int, ...]], node: Node | None = None,
+def infer_shape(op: str, input_shapes: list[tuple[int, ...]],
                 dims: tuple[int, ...] | None = None, where: str | None = None) -> tuple[int, ...]:
     """Output shape of `op` given input shapes; raises GraphFormatError on mismatch."""
     if op in SOURCE_OPS:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_ir import Graph
+from .load_balancer import round_shards
 from .theory import (ALL_GATHER, ALL_REDUCE, IDENTITY, Instruction, Property,
                      form_of_dist_id)
 
@@ -205,7 +206,6 @@ def materialize_loss(env: dict[str, list[np.ndarray]], loss_ref: str, m: int) ->
 def build_shard_table(g: Graph, B, assignment) -> dict[tuple[str, int], list[int]]:
     """Integer shard sizes for every (tensor, axis) pair, rounded from the
     tensor's segment's ratio row."""
-    from .load_balancer import round_shards
     table: dict[tuple[str, int], list[int]] = {}
     for t in g.tensors.values():
         row = B.row(assignment.row_index(t.id))
@@ -223,15 +223,8 @@ def run_distributed(program, m: int, inputs: dict[str, np.ndarray], shard_table:
     property of every produced distributed tensor is re-checked after each
     instruction.
     """
-    if hasattr(program, "instrs"):
-        instrs, loss_ref = program.instrs, program.loss
-    else:
-        instrs = tuple(program)
-        if not instrs:
-            raise ExecutionError("cannot run an empty program")
-        loss_ref = instrs[-1].ref
     env: dict[str, list[np.ndarray]] = {}
-    for instr in instrs:
+    for instr in program.instrs:
         execute_instruction(instr, env, m, inputs, shard_table)
         if debug:
             assert reference is not None, "debug mode needs reference values"
@@ -239,7 +232,7 @@ def run_distributed(program, m: int, inputs: dict[str, np.ndarray], shard_table:
             if not check_form(prop, env[instr.output], reference[prop.ref], rtol=1e-9):
                 raise ExecutionError(f"{instr.canonical()} violates its declared "
                                      f"property {prop}")
-    return materialize_loss(env, loss_ref, m)
+    return materialize_loss(env, program.loss, m)
 
 
 @dataclass(frozen=True)

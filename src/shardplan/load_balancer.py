@@ -284,11 +284,10 @@ def optimize_ratios(program, g: Graph, spec: ClusterSpec,
     Segments with nothing ratio-sensitive (no compute stages, no
     shard-size-dependent communication) fall back to uniform rows.
     """
-    instrs = program.instrs if hasattr(program, "instrs") else tuple(program)
     assignment = assignment or single_segment(g)
     m = spec.m
     out_rows: list[tuple[float, ...]] = []
-    for prob in segment_problems(instrs, spec, assignment):
+    for prob in segment_problems(program.instrs, spec, assignment):
         if prob.trivial:
             out_rows.append(tuple(1.0 / m for _ in range(m)))
             continue

@@ -15,6 +15,7 @@ useful triple still consumes.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import logging
 import math
@@ -96,10 +97,6 @@ class PartialProgram:
     @property
     def total_s(self) -> float:
         return self.closed_s + self.stage.time_s
-
-    @property
-    def cost_s(self) -> float:
-        return self.total_s if self.complete else self.closed_s
 
     @property
     def ecost_s(self) -> float:
@@ -358,25 +355,16 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
 
 
 @dataclass
-class StateRec:
-    """One enumeration state, kept only for audits: its cheapest program
-    (rebuilt from the best parents), the cost of its closed stages, its
-    instruction count, and its out-edges as (child state, closed-cost delta)."""
-    node: PartialProgram
-    closed: float
-    length: int
-    edges: list[tuple[int, float]]
-    complete: bool
-
-
-@dataclass
 class EnumerationResult:
+    """With an audit, `nodes[s]` is state s's cheapest program (state 0 is
+    the root) and `edges` holds three flat arrays: source state, child state
+    and closed-cost delta of every transition, in expansion order."""
     cost_s: float
     program: DistributedProgram
     explored: int
     complete_states: int
-    states: dict[int, StateRec] | None = None
-    root_key: int | None = None
+    nodes: list[PartialProgram] | None = None
+    edges: tuple[array, array, array] | None = None
 
 
 class _Interner:
@@ -413,9 +401,9 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     ascending length, so every path into a state is recorded before the
     state itself is expanded.
 
-    With `audit`, `states` maps every state id to a `StateRec` whose node
-    is rebuilt by `apply_triple` along the best parents and checked against
-    the factored bookkeeping."""
+    With `audit`, every state's node is rebuilt by `apply_triple` along the
+    best parents and checked against the factored bookkeeping, and every
+    transition is recorded as an edge."""
     if max_len is None:
         max_len = 2 * len(g.nodes) + 4
     ctx = SearchContext(g, theory, spec, B, assignment,
@@ -457,7 +445,7 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     closed = array("d", [root.closed_s])
     parent = array("q", [-1])
     via = array("q", [-1])
-    edges: list[list] | None = [[]] if audit else None
+    edge_src, edge_child, edge_delta = array("q"), array("q"), array("d")
     layers: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 0}}
     audit_layers: list = []
     best_total = math.inf
@@ -468,7 +456,7 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     while length <= max_len:
         layer = layers.pop(length, None)
         if audit and layer:
-            audit_layers.append((length, layer))
+            audit_layers.append(layer)
         if not layer or length >= max_len:
             length += 1
             continue
@@ -478,7 +466,6 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
             if props_done[pid]:
                 continue
             base = closed[s]
-            out = edges[s] if audit else None
             succs = props_succ[pid]
             if succs is None:
                 succs = props_successors(pid)
@@ -495,8 +482,6 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
                     closed.append(c)
                     parent.append(s)
                     via.append(ti)
-                    if audit:
-                        edges.append([])
                     if props_done[npid]:
                         complete_states += 1
                         total = c + stage_tail[nsid]
@@ -510,8 +495,10 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
                         total = c + stage_tail[nsid]
                         if total < best_total:
                             best_total, best_at = total, (s, ti)
-                if out is not None:
-                    out.append((t, c - base))
+                if audit:
+                    edge_src.append(s)
+                    edge_child.append(t)
+                    edge_delta.append(c - base)
         length += 1
 
     if best_at is None:
@@ -524,32 +511,36 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
         s = parent[s]
     instrs = tuple(instr for ti in reversed(path) for instr in ctx.triples[ti].instrs)
     program = DistributedProgram(instrs=instrs, loss=theory.loss)
-    states = None
+    nodes = edges = None
     if audit:
-        audit_layers.extend(sorted(layers.items()))
-        states = _audit_states(ctx, root, audit_layers, closed, parent, via,
-                               edges, props.values, stages.values)
+        audit_layers.extend(layer for _, layer in sorted(layers.items()))
+        nodes = _audit_nodes(ctx, root, audit_layers, closed, parent, via,
+                             props.values, stages.values)
+        edges = (edge_src, edge_child, edge_delta)
     return EnumerationResult(cost_s=best_total, program=program, explored=len(closed),
-                             complete_states=complete_states, states=states,
-                             root_key=0 if audit else None)
+                             complete_states=complete_states, nodes=nodes, edges=edges)
 
 
-def _audit_states(ctx: SearchContext, root: PartialProgram, layers, closed, parent,
-                  via, edges, props_values, stage_values) -> dict[int, StateRec]:
-    """One `StateRec` per state, in ascending length; each node is its best
-    parent's node advanced by `apply_triple`, and must agree with the
-    factored state it stands for."""
-    recs: dict[int, StateRec] = {}
-    for length, layer in layers:
-        for (pid, sid), s in layer.items():
-            if s == 0:
-                node = root
-            else:
-                node = apply_triple(recs[parent[s]].node, via[s], ctx)
-            if (node.closed_s != closed[s] or node.props != props_values[pid]
-                    or node.stage != stage_values[sid]):
-                raise SearchInvariantError(
-                    f"state {s}: rebuilt program disagrees with the enumeration's bookkeeping")
-            recs[s] = StateRec(node=node, closed=closed[s], length=length,
-                               edges=edges[s], complete=node.complete)
-    return recs
+def _audit_nodes(ctx: SearchContext, root: PartialProgram, layers, closed, parent,
+                 via, props_values, stage_values) -> list[PartialProgram]:
+    """Every state's node, indexed by state id and built in ascending length:
+    each is its best parent's node advanced by `apply_triple`, and must agree
+    with the factored state it stands for."""
+    nodes: list = [None] * len(closed)
+    # Every node survives until the result is dropped and none forms a cycle,
+    # so the cyclic collector would only rescan them as they pile up.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for layer in layers:
+            for (pid, sid), s in layer.items():
+                node = root if s == 0 else apply_triple(nodes[parent[s]], via[s], ctx)
+                if (node.closed_s != closed[s] or node.props != props_values[pid]
+                        or node.stage != stage_values[sid]):
+                    raise SearchInvariantError(
+                        f"state {s}: rebuilt program disagrees with the enumeration's bookkeeping")
+                nodes[s] = node
+    finally:
+        if collecting:
+            gc.enable()
+    return nodes

@@ -34,11 +34,8 @@ NOT_COMMUNICATED = "NotComm"
 
 GUARD_KINDS = (COMMUNICATED, NOT_COMMUNICATED)
 
-# Instruction kinds.
+# Collective instruction kinds.
 COLLECTIVE_KINDS = ("all_reduce", "all_gather", "reduce_scatter", "all_to_all", "grouped_broadcast")
-INSTRUCTION_KINDS = ("placeholder", "placeholder_shard", "parameter", "parameter_shard",
-                     "matmul", "elemwise_unary", "elemwise_binary", "reduce",
-                     "identity") + COLLECTIVE_KINDS
 
 
 @dataclass(frozen=True)
@@ -315,8 +312,9 @@ def _comm_rules(ref: str, shape: tuple[int, ...]) -> list[HoareTriple]:
 
 
 def derive_theory(g: Graph, m: int) -> Theory:
-    """All sound triples for `g`.  The triple set does not depend on `m`
-    (shards of extent zero are legal), but `m` must be a sane device count."""
+    """All sound triples for `g`; their instructions are the only ones a plan
+    for `g` may contain.  The triple set does not depend on `m` (shards of
+    extent zero are legal), but `m` must be a sane device count."""
     if m < 1:
         raise ValueError(f"device count must be >= 1, got {m}")
     triples: list[HoareTriple] = []

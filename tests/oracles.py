@@ -268,18 +268,16 @@ def ecost(partial, g, spec, B, assignment=None) -> float:
     return (open_work + remaining) / spec.total_rate
 
 
-def future_costs(states: dict) -> dict:
-    """Cheapest completion cost from each enumeration state: length strictly
-    increases along edges, so one sweep in descending length suffices."""
-    future = {k: math.inf for k in states}
-    for key in sorted(states, key=lambda k: -states[k].length):
-        rec = states[key]
-        if rec.complete:
-            future[key] = rec.node.total_s - rec.node.closed_s
-        for child_key, delta in rec.edges:
-            cand = delta + future[child_key]
-            if cand < future[key]:
-                future[key] = cand
+def future_costs(nodes, edges) -> list[float]:
+    """Cheapest completion cost from each enumeration state.  A child is
+    expanded after its parents, so its out-edges come later in the edge
+    arrays, and one reverse sweep over them suffices."""
+    future = [q.total_s - q.closed_s if q.complete else math.inf for q in nodes]
+    src, child, delta = edges
+    for i in range(len(src) - 1, -1, -1):
+        cand = delta[i] + future[child[i]]
+        if cand < future[src[i]]:
+            future[src[i]] = cand
     return future
 
 
@@ -288,14 +286,14 @@ def admissibility_violations(g, spec, B, enum_result, assignment=None,
     """The search's completion estimate (`ecost_s`) must agree with the
     reference `ecost` and never exceed the true cheapest completion
     (cost(Q_c) - cost(Q) minimized over enumerated completions Q_c)."""
-    states = enum_result.states
-    future = future_costs(states)
+    nodes = enum_result.nodes
+    future = future_costs(nodes, enum_result.edges)
     bad: list[str] = []
-    for key, rec in states.items():
-        h = rec.node.ecost_s
-        ref = ecost(rec.node, g, spec, B, assignment)
-        if abs(h - ref) > 1e-12 * rec.node.score_s:
-            bad.append(f"state len={rec.length} ecost_s={h!r} != reference ecost {ref!r}")
-        if future[key] != math.inf and h > future[key] + slack:
-            bad.append(f"state len={rec.length} ecost={h!r} > future={future[key]!r}")
+    for q, best in zip(nodes, future):
+        h = q.ecost_s
+        ref = ecost(q, g, spec, B, assignment)
+        if abs(h - ref) > 1e-12 * q.score_s:
+            bad.append(f"state len={len(q.instrs)} ecost_s={h!r} != reference ecost {ref!r}")
+        if best != math.inf and h > best + slack:
+            bad.append(f"state len={len(q.instrs)} ecost={h!r} > future={best!r}")
     return bad

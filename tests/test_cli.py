@@ -1,10 +1,15 @@
 import json
 import pathlib
+import re
 
 import pytest
 
 import corpus
+from shardplan import (DistributedProgram, SegmentAssignment, ShardingRatios,
+                       build_shard_table, iteration_time)
 from shardplan.cli import main
+from shardplan.cost_model import single_segment
+from shardplan.graph_ir import graph_from_dict
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -108,9 +113,12 @@ def test_verify_flags_wrong_results(files, capsys):
     tags = [i for i in doc["program"]["instrs"] if i.get("tag") == "tanh"]
     assert tags            # same shapes and flops, different values
     tags[0]["tag"] = "exp"
+    index = doc["program"]["instrs"].index(tags[0])
     bad = _write(files["tmp"], "bad.json", doc)
-    assert main(["verify", bad, graph, files["hetero2"]]) == 1
-    assert "equivalence" in capsys.readouterr().out
+    capsys.readouterr()
+    # the graph's rules derive no exp here, so the plan is refused at load
+    assert main(["verify", bad, graph, files["hetero2"]]) == 2
+    assert capsys.readouterr().err.startswith(f"error: plan field program.instrs[{index}]:")
 
 
 def test_verify_flags_program_that_does_not_run(files, capsys):
@@ -202,6 +210,66 @@ def _malformed_dist_id(doc):
     doc["program"]["instrs"][-1]["output"] = "w@foo"
 
 
+def _reseal(doc):
+    """Recompute the estimate for the plan's (edited) program, as `shardplan
+    plan` would have written it, so that only the instructions are wrong."""
+    program = DistributedProgram.from_json(doc["program"])
+    ratios = ShardingRatios(rows=tuple(map(tuple, doc["ratios"])))
+    assignment = SegmentAssignment(segment_of=doc["segment_of"], count=doc["segments"])
+    total = iteration_time(program.instrs, ratios, corpus.hetero2(), assignment).total_s
+    doc["estimate"]["total_s"] = float(f"{total:.12g}")
+
+
+def _edit(doc, i, key, value):
+    doc["program"]["instrs"][i][key] = value
+    _reseal(doc)
+
+
+def _gather_w(doc):
+    """Shard the parameter w and all-gather it before use: a sound program
+    the guarded planner never writes (it does not communicate sources)."""
+    g = graph_from_dict(corpus.matmul_reduce())
+    ratios = ShardingRatios(rows=tuple(map(tuple, doc["ratios"])))
+    doc["shard_table"]["w:0"] = build_shard_table(g, ratios, single_segment(g))[("w", 0)]
+    doc["program"]["instrs"][0:1] = [
+        {"kind": "parameter_shard", "ref": "w", "operands": [], "output": "w@shard0",
+         "axis": 0, "sharded": True, "flops": 0, "elements": 0},
+        {"kind": "all_gather", "ref": "w", "operands": ["w@shard0"], "output": "w@full",
+         "axis": 0, "sharded": False, "flops": 0, "elements": 8},
+    ]
+    _reseal(doc)
+
+
+def test_verify_accepts_hand_written_collective_on_a_parameter(files, capsys):
+    doc = json.loads(open(_plan(files)).read())
+    _gather_w(doc)
+    good = _write(files["tmp"], "good.json", doc)
+    capsys.readouterr()
+    assert main(["verify", good, files["graph"], files["hetero2"]]) == 0
+    assert "equivalence: 5 trials" in capsys.readouterr().out
+
+
+def _zero_flops(doc):
+    _edit(doc, 2, "flops", 0)
+
+
+def _flip_sharded(doc):
+    _edit(doc, 3, "sharded", False)
+
+
+def _resize_collective(doc):
+    _gather_w(doc)
+    _edit(doc, 1, "elements", 16)
+
+
+def _flops_true(doc):
+    _edit(doc, 2, "flops", True)
+
+
+def _flops_float(doc):
+    _edit(doc, 3, "flops", 16.0)
+
+
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
 @pytest.mark.parametrize("damage, field", [
     (_drop_program, "program"),
@@ -209,6 +277,11 @@ def _malformed_dist_id(doc):
     (_empty_segment_of, "segment_of"),
     (_unknown_kind, "program.instrs[0].kind"),
     (_malformed_dist_id, "program.instrs[3].output"),
+    (_zero_flops, "program.instrs[2]"),
+    (_flip_sharded, "program.instrs[3]"),
+    (_resize_collective, "program.instrs[1]"),
+    (_flops_true, "program.instrs[2]"),
+    (_flops_float, "program.instrs[3]"),
 ])
 def test_malformed_plan_fields_exit_2(files, capsys, command, damage, field):
     doc = json.loads(open(_plan(files)).read())
@@ -219,6 +292,8 @@ def test_malformed_plan_fields_exit_2(files, capsys, command, damage, field):
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
+    # an instruction is checked whole, so damage inside one names the instruction
+    field = re.sub(r"(\[\d+\])\..*", r"\1", field)
     assert err.startswith(f"error: plan field {field}:"), err
 
 

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import corpus
-from shardplan import (ShardingRatios, build_shard_table, build_theory,
+from shardplan import (ShardingRatios, alternate, build_shard_table, build_theory,
                        check_equivalence, synthesize)
 from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
@@ -165,16 +167,17 @@ def test_distributed_matches_reference():
     assert vacuous.passed and vacuous.max_rel_err == 0.0
 
 
-def test_run_accepts_bare_instruction_lists():
-    g = graph_from_dict(corpus.matmul_reduce())
-    B = ShardingRatios.uniform(2)
-    res = synthesize(g, build_theory(g, 2), corpus.homog2(), B)
-    table = build_shard_table(g, B, single_segment(g))
-    inputs = {"x": np.ones((8, 4)), "w": np.ones((4, 2))}
-    losses = run_distributed(list(res.program.instrs), 2, inputs, table)
-    assert [float(v) for v in losses] == [64.0, 64.0]
-    with pytest.raises(ExecutionError, match="empty"):
-        run_distributed([], 2, inputs, table)
+def test_equivalence_flags_wrong_results():
+    g = graph_from_dict(corpus.param_only())
+    spec = corpus.hetero2()
+    res = alternate(g, spec)
+    instrs = list(res.program.instrs)
+    i = next(i for i, instr in enumerate(instrs) if instr.tag == "tanh")
+    instrs[i] = replace(instrs[i], tag="exp")     # same shapes and flops, other values
+    table = build_shard_table(g, res.ratios, res.assignment)
+    assert check_equivalence(g, res.program, spec.m, table).passed
+    swapped = replace(res.program, instrs=tuple(instrs))
+    assert check_equivalence(g, swapped, spec.m, table).passed is False
 
 
 def test_random_inputs_cover_sources_only():

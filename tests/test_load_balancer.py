@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import corpus
 import oracles
-from shardplan import (ClusterSpec, Instruction, ShardingRatios, build_theory,
-                       optimize_ratios, synthesize)
+from shardplan import (ClusterSpec, DistributedProgram, Instruction, ShardingRatios,
+                       build_theory, optimize_ratios, synthesize)
 from shardplan.graph_ir import SegmentAssignment, graph_from_dict
 from shardplan.load_balancer import (LinearProgram, SegmentProblem, build_lp,
                                      lp_solve, round_shards, segment_problems,
@@ -148,8 +148,9 @@ def test_optimize_ratios_balances_heterogeneous_devices():
 
 def test_optimize_ratios_uniform_fallback_for_trivial_segments():
     g = graph_from_dict(corpus.matmul_reduce())
-    ar_only = [Instruction("all_reduce", "h", operands=("h@partial",),
-                           output="h@full", elements=16)]
+    ar_only = DistributedProgram(instrs=(Instruction("all_reduce", "h", operands=("h@partial",),
+                                                     output="h@full", elements=16),),
+                                 loss=g.loss)
     B = optimize_ratios(ar_only, g, corpus.hetero2())
     assert B.rows == ((0.5, 0.5),)
 

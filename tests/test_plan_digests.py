@@ -14,7 +14,7 @@ import pathlib
 
 import corpus
 from shardplan import alternate
-from shardplan.cli import plan_document
+from shardplan.cli import load_plan, plan_document
 from shardplan.graph_ir import graph_from_dict
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "plan_digests.json"
@@ -28,17 +28,21 @@ def _graphs():
         yield f"chain{blocks}", corpus.chain_graph(blocks)
 
 
-def plan_digests() -> dict[str, str]:
-    out = {}
+def corpus_plans():
+    """(key, graph, cluster, planned program, plan text) of every pinned plan."""
     for name, doc in _graphs():
         g = graph_from_dict(doc)
         for cname, cluster in CLUSTERS.items():
             spec = cluster()
             for segments in (1, 2):
-                plan = plan_document(g, spec, alternate(g, spec, segments=segments))
-                text = json.dumps(plan, indent=2) + "\n"
-                out[f"{name}.{cname}.s{segments}"] = hashlib.sha256(text.encode()).hexdigest()
-    return out
+                result = alternate(g, spec, segments=segments)
+                text = json.dumps(plan_document(g, spec, result), indent=2) + "\n"
+                yield f"{name}.{cname}.s{segments}", g, spec, result.program, text
+
+
+def plan_digests() -> dict[str, str]:
+    return {key: hashlib.sha256(text.encode()).hexdigest()
+            for key, _, _, _, text in corpus_plans()}
 
 
 def test_plan_bytes_match_pinned_digests():
@@ -47,6 +51,16 @@ def test_plan_bytes_match_pinned_digests():
     assert sorted(got) == sorted(pinned)
     moved = sorted(k for k in pinned if got[k] != pinned[k])
     assert not moved, f"plan bytes changed for {moved}"
+
+
+def test_every_pinned_plan_loads_to_its_program():
+    count = 0
+    for key, g, spec, program, text in corpus_plans():
+        loaded = load_plan(json.loads(text), g, spec.m).program
+        assert loaded == program, key
+        assert json.dumps(loaded.to_json()) == json.dumps(program.to_json()), key
+        count += 1
+    assert count == len(json.loads(DIGESTS.read_text()))
 
 
 if __name__ == "__main__":

@@ -168,24 +168,26 @@ def test_enumeration_records_edges_only_for_audits():
     g = graph_from_dict(corpus.CORPUS["identity_after_reduce"])
     th = build_theory(g, 2, guards=False, fuse=False)
     plain = enumerate_programs(g, th, spec, B)
-    assert plain.states is None and plain.root_key is None
+    assert plain.nodes is None and plain.edges is None
     audited = enumerate_programs(g, th, spec, B, audit=True)
     assert (audited.cost_s, audited.program, audited.explored) == \
         (plain.cost_s, plain.program, plain.explored)
-    assert len(audited.states) == audited.explored
-    root = audited.states[audited.root_key]
-    assert root.length == 0 and not root.node.instrs and root.edges
-    for rec in audited.states.values():
-        assert rec.length == len(rec.node.instrs)
-        assert rec.complete == rec.node.complete
+    nodes = audited.nodes
+    src, child, delta = audited.edges
+    assert len(nodes) == audited.explored
+    assert not nodes[0].instrs and 0 in src
+    assert len(src) == len(child) == len(delta) > 0
+    last = 0
+    for s, t, d in zip(src, child, delta):
+        # edges leave states in expansion order: ascending length
+        assert len(nodes[s].instrs) >= last
+        last = len(nodes[s].instrs)
+        assert len(nodes[t].instrs) > len(nodes[s].instrs)
         # complete states are never expanded
-        assert not (rec.complete and rec.edges)
-        for child, delta in rec.edges:
-            assert audited.states[child].length > rec.length
-            assert delta >= 0.0
-            # a merged state keeps its cheapest way in
-            cheapest = rec.closed + delta
-            assert audited.states[child].closed <= cheapest * (1 + 1e-12)
+        assert not nodes[s].complete
+        assert d >= 0.0
+        # a merged state keeps its cheapest way in
+        assert nodes[t].closed_s <= (nodes[s].closed_s + d) * (1 + 1e-12)
 
 
 def test_search_bookkeeping_matches_evaluator_across_segments():
@@ -206,8 +208,7 @@ def test_search_bookkeeping_matches_evaluator_across_segments():
             assignment = assign_segments(g, 2)
             res = enumerate_programs(g, build_theory(g, 2, guards=False, fuse=False),
                                      spec, B, assignment=assignment, audit=True)
-            for rec in res.states.values():
-                q = rec.node
+            for q in res.nodes:
                 assert q.total_s == iteration_time(q.instrs, B, spec, assignment).total_s, \
                     (name, B.rows, q.instrs)
                 comm = q.stage.comm
