@@ -188,6 +188,27 @@ def chain_graph(blocks: int, batch: int = 16, width: int = 32) -> dict:
     return _graph(nodes, "loss")
 
 
+def mix_graph(blocks: int, batch: int, width: int) -> dict:
+    """Chain whose blocks also contract the batch axis.
+
+    Block i computes ``h = prev @ w``, ``z = c @ h`` with ``c[batch,batch]``,
+    then ``x = relu(z) + prev``.  A batch-sharded ``h`` cannot feed the
+    batch contraction locally, so every plan needs a collective.
+    """
+    nodes = {"x0": _node("Placeholder", [batch, width])}
+    prev = "x0"
+    for i in range(1, blocks + 1):
+        nodes[f"w{i}"] = _node("Parameter", [width, width])
+        nodes[f"h{i}"] = _node("MatMul", [batch, width], [prev, f"w{i}"])
+        nodes[f"c{i}"] = _node("Parameter", [batch, batch])
+        nodes[f"z{i}"] = _node("MatMul", [batch, width], [f"c{i}", f"h{i}"])
+        nodes[f"u{i}"] = _node("ElemwiseUnary", [batch, width], [f"z{i}"], tag="relu")
+        nodes[f"x{i}"] = _node("ElemwiseBinary", [batch, width], [f"u{i}", prev], tag="add")
+        prev = f"x{i}"
+    nodes["loss"] = _node("Reduce", [], [prev], dims="all")
+    return _graph(nodes, "loss")
+
+
 def _cluster(rates, lat, bw, bpe=4) -> dict:
     colls = {k: {"latency_s": lat, "bw_Bps": bw}
              for k in ("all_gather", "all_reduce", "reduce_scatter",
@@ -203,6 +224,8 @@ HOMOG3 = _cluster([2.0 ** 30] * 3, 2.0 ** -16, 2.0 ** 33)
 HETERO2 = _cluster([175e9, 75e9], 2e-5, 12e9)
 # Extreme skew drives small extents to zero-size shards after rounding.
 SKEW2 = _cluster([100e9, 1e9], 2e-5, 12e9)
+# Dyadic and 2:1 heterogeneous.
+SLOWHET2 = _cluster([2.0 ** 31, 2.0 ** 30], 2.0 ** -16, 2.0 ** 33)
 
 
 def homog2() -> ClusterSpec:
@@ -219,3 +242,7 @@ def hetero2() -> ClusterSpec:
 
 def skew2() -> ClusterSpec:
     return ClusterSpec.from_dict(SKEW2)
+
+
+def slowhet2() -> ClusterSpec:
+    return ClusterSpec.from_dict(SLOWHET2)

@@ -7,6 +7,11 @@ meant to leave plans alone must leave every digest alone; one that moves a
 plan on purpose regenerates the file with
 
     PYTHONPATH=src:tests python tests/test_plan_digests.py > tests/data/plan_digests.json
+
+None of those plans holds a collective, so `COLLECTIVE_PINS` adds three
+batch-contracting `mix_graph` plans whose answers do.  Their digests cover
+the plan without its `loop` object, so they pin the answer and not the
+search effort spent finding it.
 """
 import hashlib
 import json
@@ -40,6 +45,18 @@ def corpus_plans():
                 yield f"{name}.{cname}.s{segments}", g, spec, result.program, text
 
 
+# (batch, width, cluster): (collective the plan must use, sha256 of the plan
+# document without "loop").
+COLLECTIVE_PINS = {
+    (32, 32, "homog2"): (
+        "reduce_scatter", "936d3bb330d5b405f4278120c81068aff15e39159b8693988ee0648839b46bf6"),
+    (64, 64, "slowhet2"): (
+        "all_gather", "ddb5ab8582619cb9db6798b7b84c2a0a8df71976b1a8f759b5a469df42a00797"),
+    (24, 32, "slowhet2"): (
+        "reduce_scatter", "0a1fd3c8476d35f2f4ed9ef5ae801c152085c9e5bc17a47025cb2b122444271e"),
+}
+
+
 def plan_digests() -> dict[str, str]:
     return {key: hashlib.sha256(text.encode()).hexdigest()
             for key, _, _, _, text in corpus_plans()}
@@ -61,6 +78,19 @@ def test_every_pinned_plan_loads_to_its_program():
         assert json.dumps(loaded.to_json()) == json.dumps(program.to_json()), key
         count += 1
     assert count == len(json.loads(DIGESTS.read_text()))
+
+
+def test_collective_forcing_plans_match_pinned_digests():
+    clusters = {"homog2": corpus.homog2, "slowhet2": corpus.slowhet2}
+    for (batch, width, cname), (collective, digest) in COLLECTIVE_PINS.items():
+        key = f"mix{batch}x{width}@{cname}"
+        g = graph_from_dict(corpus.mix_graph(2, batch, width))
+        spec = clusters[cname]()
+        doc = plan_document(g, spec, alternate(g, spec))
+        assert doc.pop("loop")["optimal"], key
+        assert collective in {i["kind"] for i in doc["program"]["instrs"]}, key
+        text = json.dumps(doc, indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, key
 
 
 if __name__ == "__main__":
