@@ -116,14 +116,6 @@ class ClusterSpec:
             raise ClusterFormatError(f"invalid JSON at line {e.lineno} col {e.colno}: {e.msg}") from e
         return cls.from_dict(doc)
 
-    def to_dict(self) -> dict:
-        return {
-            "devices": [{"flops": d.flops_per_second} for d in self.devices],
-            "collectives": {k: {"latency_s": v.latency_s, "bw_Bps": v.bytes_per_second}
-                            for k, v in sorted(self.collectives.items())},
-            "bytes_per_element": self.bytes_per_element,
-        }
-
 
 @dataclass(frozen=True)
 class ShardingRatios:

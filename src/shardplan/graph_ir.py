@@ -315,7 +315,3 @@ def assign_segments(g: Graph, count: int) -> SegmentAssignment:
         for idx in range(cuts[k], cuts[k + 1]):
             segment_of[g.nodes[idx].id] = k + 1
     return SegmentAssignment(segment_of=segment_of, count=count)
-
-
-def total_flops(g: Graph) -> int:
-    return sum(node_flops(g, n) for n in g.nodes)

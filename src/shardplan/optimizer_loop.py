@@ -41,7 +41,7 @@ class BudgetExhaustedError(RuntimeError):
 class LoopConfig:
     max_rounds: int = 8
     max_expansions: int = 200_000
-    prune_properties: bool = True
+    prune_properties: bool = True     # unread; kept while perfbench/ops.py passes it
 
 
 @dataclass
@@ -71,13 +71,8 @@ def _quantize(B: ShardingRatios) -> tuple:
 
 def _default_synth(g, theory, spec, B, assignment, cfg: LoopConfig) -> SynthesisResult:
     return synthesize(g, theory, spec, B,
-                      cfg=SearchConfig(max_expansions=cfg.max_expansions,
-                                       prune_properties=cfg.prune_properties),
+                      cfg=SearchConfig(max_expansions=cfg.max_expansions),
                       assignment=assignment)
-
-
-def _default_balance(program, g, spec, assignment) -> ShardingRatios:
-    return optimize_ratios(program, g, spec, assignment)
 
 
 def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
@@ -86,7 +81,7 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
     """Run the alternating loop and return the best verified pair."""
     cfg = cfg or LoopConfig()
     synth_fn = synth_fn or _default_synth
-    balance_fn = balance_fn or _default_balance
+    balance_fn = balance_fn or optimize_ratios
     assignment = assign_segments(g, segments)
     if theory is None:
         theory = build_theory(g, spec.m)

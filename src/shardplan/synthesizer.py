@@ -10,8 +10,8 @@ is an admissible, consistent underestimate of everything still missing, so
 popped scores never decrease and the first pop at or above the best complete
 cost proves optimality.  Pruning: exact-state dynamic programming plus
 superset dominance (a node whose properties cover another's at no greater
-cost vector makes the other redundant), and optional removal of properties no
-useful triple still consumes.
+cost vector makes the other redundant).  A node's property set is exactly
+the state `enumerate_programs` walks.
 """
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ OPTIMALITY_MARGIN = 1e-12
 @dataclass
 class SearchConfig:
     max_expansions: int = 200_000
-    prune_properties: bool = True
+    prune_properties: bool = True     # unread; kept while perfbench/ops.py passes it
 
 
 @dataclass(slots=True)
@@ -108,7 +108,7 @@ class SearchContext:
     instruction is priced by one `StagePricer`."""
 
     def __init__(self, g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
-                 assignment: SegmentAssignment | None = None, cfg: SearchConfig | None = None):
+                 assignment: SegmentAssignment | None = None):
         if B.m != spec.m:
             raise ValueError(f"ratio width {B.m} != device count {spec.m}")
         assignment = assignment or single_segment(g)
@@ -118,13 +118,11 @@ class SearchContext:
         self.theory = theory
         self.spec = spec
         self.B = B
-        self.cfg = cfg or SearchConfig()
         self.m = spec.m
         self.total_rate = spec.total_rate
         self.pricer = StagePricer(spec, B, assignment)
 
         self._ids: dict[Property, int] = {}
-        self._props: list[Property] = []
         self.loss_prop_id = self._intern(all_reduce(theory.loss))
 
         self.triples = theory.triples
@@ -157,13 +155,8 @@ class SearchContext:
     def _intern(self, p: Property) -> int:
         pid = self._ids.get(p)
         if pid is None:
-            pid = len(self._props)
-            self._ids[p] = pid
-            self._props.append(p)
+            pid = self._ids[p] = len(self._ids)
         return pid
-
-    def props_of(self, ids: frozenset[int]) -> frozenset[Property]:
-        return frozenset(self._props[i] for i in ids)
 
     def initial(self) -> PartialProgram:
         q = PartialProgram(
@@ -211,8 +204,6 @@ def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgr
             if r in ctx.ancestors:
                 remaining -= ctx.flops_map[r]
     complete = ctx.loss_prop_id in props
-    if not complete and ctx.cfg.prune_properties:
-        props = prune_redundant_properties(props, ctx)
 
     succ = PartialProgram(
         instrs=q.instrs + tri.instrs, props=props, computed=computed,
@@ -220,20 +211,6 @@ def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgr
         complete=complete, score_s=0.0, path=q.path + (ti,))
     succ.score_s = closed + (0.0 if complete else (open_work + remaining) / ctx.total_rate)
     return succ
-
-
-def prune_redundant_properties(props: frozenset[int], ctx: SearchContext) -> frozenset[int]:
-    """Drop every property that no triple with a still-novel postcondition
-    mentions in its precondition."""
-    keep = []
-    for p in props:
-        for ti in ctx.by_elem.get(p, ()):
-            if not ctx.tpost[ti] <= props:
-                keep.append(p)
-                break
-    if len(keep) == len(props):
-        return props
-    return frozenset(keep)
 
 
 def dominates(a: PartialProgram, b: PartialProgram) -> bool:
@@ -255,8 +232,6 @@ def dominates(a: PartialProgram, b: PartialProgram) -> bool:
 class SynthesisResult:
     program: DistributedProgram | None
     cost_s: float
-    complete: bool
-    optimal: bool
     exhausted: bool
     expansions: int
     generated: int
@@ -268,7 +243,7 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                assignment: SegmentAssignment | None = None) -> SynthesisResult:
     """Minimum-cost complete program for the graph under fixed ratios B."""
     cfg = cfg or SearchConfig()
-    ctx = SearchContext(g, theory, spec, B, assignment, cfg)
+    ctx = SearchContext(g, theory, spec, B, assignment)
     root = ctx.initial()
 
     # Equal scores are common (fully sharded instructions leave the score
@@ -336,17 +311,11 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
             counter += 1
             heapq.heappush(heap, (_priority(succ.score_s), -len(succ.instrs), succ.path, counter, succ))
 
-    if best is None:
-        if exhausted:
-            return SynthesisResult(program=None, cost_s=float("inf"), complete=False,
-                                   optimal=False, exhausted=True, expansions=expansions,
-                                   generated=generated, purged=purged)
+    if best is None and not exhausted:
         raise NoCompleteProgramError(
             f"no complete program reachable for loss {theory.loss!r}")
-
-    program = DistributedProgram(instrs=best.instrs, loss=theory.loss)
-    return SynthesisResult(program=program, cost_s=best_s, complete=True,
-                           optimal=not exhausted, exhausted=exhausted,
+    program = None if best is None else DistributedProgram(instrs=best.instrs, loss=theory.loss)
+    return SynthesisResult(program=program, cost_s=best_s, exhausted=exhausted,
                            expansions=expansions, generated=generated, purged=purged)
 
 
@@ -406,8 +375,7 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     transition is recorded as an edge."""
     if max_len is None:
         max_len = 2 * len(g.nodes) + 4
-    ctx = SearchContext(g, theory, spec, B, assignment,
-                        SearchConfig(prune_properties=False))
+    ctx = SearchContext(g, theory, spec, B, assignment)
     root = ctx.initial()
     tlen = [len(tr.instrs) for tr in ctx.triples]
     max_step = max(tlen, default=1)

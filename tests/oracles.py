@@ -19,7 +19,7 @@ from shardplan.interpreter import (check_form, eval_reference,
                                    execute_instruction, random_inputs,
                                    table_sizes)
 from shardplan.load_balancer import SegmentProblem
-from shardplan.synthesizer import SearchConfig, SearchContext, apply_triple
+from shardplan.synthesizer import SearchContext, apply_triple
 from shardplan.theory import dist_id
 
 
@@ -215,8 +215,7 @@ def expand(q, ctx) -> list:
 def enumerate_all_complete(g, theory, spec, B, max_len: int, assignment=None) -> set:
     """Every complete instruction sequence of at most max_len instructions
     (no merging; exponential, so only for tiny graphs)."""
-    ctx = SearchContext(g, theory, spec, B, assignment,
-                        SearchConfig(prune_properties=False))
+    ctx = SearchContext(g, theory, spec, B, assignment)
     out = set()
     stack = [ctx.initial()]
     while stack:

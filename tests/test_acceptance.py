@@ -26,7 +26,7 @@ from shardplan.graph_ir import graph_from_dict
 from shardplan.interpreter import build_shard_table
 from shardplan.load_balancer import (SegmentProblem, build_lp, lp_solve,
                                      round_shards)
-from shardplan.synthesizer import SearchConfig, enumerate_programs
+from shardplan.synthesizer import enumerate_programs
 
 
 def _cli(argv):
@@ -175,20 +175,17 @@ def test_criterion_07_optimizations_preserve_cost_and_bound_expansions():
     B = ShardingRatios.uniform(2)
     for name, g in corpus.corpus_graphs():
         runs = {}
-        for guards, fuse, prune in itertools.product((False, True), repeat=3):
+        for guards, fuse in itertools.product((False, True), repeat=2):
             th = build_theory(g, spec.m, guards=guards, fuse=fuse)
-            res = synthesize(g, th, spec, B,
-                             cfg=SearchConfig(prune_properties=prune))
-            runs[guards, fuse, prune] = res
-        base = runs[False, False, False]
+            runs[guards, fuse] = synthesize(g, th, spec, B)
+        base = runs[False, False]
         for combo, res in runs.items():
             assert res.cost_s == base.cost_s, \
                 f"{name} {combo}: cost {res.cost_s!r} != {base.cost_s!r}"
-        # Fusion and pruning presuppose the guard properties: without them
-        # fused source prefixes and re-derivable pruned properties can widen
-        # the frontier, so each toggle is measured with guards in place.
-        for combo in ((True, False, False), (True, True, False),
-                      (True, False, True), (True, True, True)):
+        # Fusion presupposes the guard properties: without them fused source
+        # prefixes can widen the frontier, so each toggle is measured with
+        # guards in place.
+        for combo in ((True, False), (True, True)):
             assert runs[combo].expansions <= base.expansions, \
                 f"{name} {combo}: {runs[combo].expansions} > {base.expansions}"
 

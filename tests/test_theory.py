@@ -1,12 +1,17 @@
 import corpus
 import oracles
-from shardplan import (SearchConfig, ShardingRatios, build_shard_table,
-                       build_theory, iteration_time)
+from shardplan import (ShardingRatios, build_shard_table, build_theory,
+                       iteration_time)
 from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
 from shardplan.synthesizer import SearchContext, apply_triple
 from shardplan.theory import (all_gather, all_reduce, communicated,
                               derive_theory, identity, not_communicated)
+
+
+def _props_of(ctx, ids):
+    """The properties behind a search node's interned ids."""
+    return frozenset(p for p, pid in ctx._ids.items() if pid in ids)
 
 
 def _signatures(theory):
@@ -135,14 +140,14 @@ def test_guards_gate_each_tensor_to_one_collective():
 def test_communicating_a_tensor_retires_its_guard():
     g = graph_from_dict(corpus.matmul_reduce())
     ctx = SearchContext(g, build_theory(g, 2, fuse=False), corpus.homog2(),
-                        ShardingRatios.uniform(2), cfg=SearchConfig(prune_properties=False))
+                        ShardingRatios.uniform(2))
     q = ctx.initial()
     for output in ("x@shard0", "w@full", "h@shard0", "h@full"):
-        assert not_communicated("h") in ctx.props_of(q.props)
+        assert not_communicated("h") in _props_of(ctx, q.props)
         q = apply_triple(q, next(ti for ti in ctx.applicable(q.props)
                                  if ctx.triples[ti].instrs[-1].output == output), ctx)
     assert q.instrs[-1].kind == "all_gather"
-    after = ctx.props_of(q.props)
+    after = _props_of(ctx, q.props)
     assert communicated("h") in after
     assert not_communicated("h") not in after
     assert not_communicated("loss") in after
