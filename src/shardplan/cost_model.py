@@ -244,24 +244,18 @@ class StagePricer:
         self._comm: list[dict] = [{} for _ in range(assignment.count)]
         self._held: list[Instruction] = []
 
-    def comp(self, instr: Instruction, row: int) -> tuple[tuple[float, ...], float]:
-        """Per-device seconds of a computation at ratio row `row`, and its
-        flops summed over all devices.  Sharded work scales with each
-        device's ratio; replicated work runs in full on every device."""
+    def comp(self, instr: Instruction, row: int) -> tuple[float, ...]:
+        """Per-device seconds of a computation at ratio row `row`.  Sharded
+        work scales with each device's ratio; replicated work runs in full
+        on every device."""
         cached = self._comp[row].get(id(instr))
         if cached is None:
             flops = instr.flops
-            dsec = []
             if instr.sharded:
-                work = 0.0
-                for b, rate in zip(self.B.row(row), self.rates):
-                    dsec.append(flops * b / rate)
-                    work += flops * b
+                cached = tuple(flops * b / rate for b, rate in zip(self.B.row(row), self.rates))
             else:
-                for rate in self.rates:
-                    dsec.append(flops / rate)
-                work = float(flops) * len(self.rates)
-            cached = self._comp[row][id(instr)] = (tuple(dsec), work)
+                cached = tuple(flops / rate for rate in self.rates)
+            self._comp[row][id(instr)] = cached
             self._held.append(instr)
         return cached
 
@@ -280,16 +274,16 @@ class StagePricer:
             self._held.append(instr)
         return cached
 
-    def advance(self, stage: StageCost, work: float, instrs
-                ) -> tuple[tuple[StageCost, ...], StageCost, float]:
+    def advance(self, stage: StageCost, instrs
+                ) -> tuple[tuple[StageCost, ...], StageCost]:
         """The stage model, one instruction at a time.
 
-        From an open stage and the flops it holds (summed over devices),
-        returns the stages the instructions close, in order, the open stage
-        after them and its flops.  A collective closes the open stage unless
-        that stage holds nothing yet, and is priced at its own row until
-        the stage's first computation names the stage row (at once when
-        there is a single row); the collective is then re-priced there."""
+        From an open stage, returns the stages the instructions close, in
+        order, and the open stage after them.  A collective closes the open
+        stage unless that stage holds nothing yet, and is priced at its own
+        row until the stage's first computation names the stage row (at
+        once when there is a single row); the collective is then re-priced
+        there."""
         comm_s, comp, row, comm = stage
         closed: tuple[StageCost, ...] = ()
         comp = list(comp)
@@ -298,7 +292,6 @@ class StagePricer:
                 if row is not None or comm is not None:
                     closed += (_stage_cost(StageCost, (comm_s, tuple(comp), row, comm)),)
                 comp = [0.0] * len(comp)
-                work = 0.0
                 comm = instr
                 row = self.row_of(instr.ref)
                 comm_s = self.comm(instr, row)
@@ -309,11 +302,9 @@ class StagePricer:
                 row = self.row_of(instr.ref)
                 if comm is not None:
                     comm_s = self.comm(comm, row)
-            dsec, w = self.comp(instr, row)
-            for j, sec in enumerate(dsec):
+            for j, sec in enumerate(self.comp(instr, row)):
                 comp[j] += sec
-            work += w
-        return closed, _stage_cost(StageCost, (comm_s, tuple(comp), row, comm)), work
+        return closed, _stage_cost(StageCost, (comm_s, tuple(comp), row, comm))
 
 
 @dataclass(frozen=True)
@@ -326,7 +317,7 @@ def iteration_time(instrs: tuple[Instruction, ...], B: ShardingRatios, spec: Clu
                    assignment: SegmentAssignment) -> CostBreakdown:
     """Exact model time for one iteration of the program."""
     pricer = StagePricer(spec, B, assignment)
-    closed, last, _ = pricer.advance(pricer.empty, 0.0, instrs)
+    closed, last = pricer.advance(pricer.empty, instrs)
     if last.row is not None or last.comm is not None:
         closed += (last,)
     total = 0.0

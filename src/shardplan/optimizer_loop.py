@@ -108,7 +108,7 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
             reason = "budget"
             break
         cost_q = iteration_time(res.program.instrs, B, spec, assignment).total_s
-        if not res.exhausted and cost_q > prev_cost + 1e-9 * max(1.0, prev_cost):
+        if not res.exhausted and cost_q > prev_cost * (1 + 1e-9):
             raise SearchInvariantError(
                 f"synthesis step increased cost: {prev_cost} -> {cost_q}")
         trace = RoundTrace(index=r, synth_cost_s=cost_q, exhausted=res.exhausted)

@@ -8,10 +8,12 @@ loss carries the AllReduce-form property.
 The priority is cost + ecost where cost counts closed stages only and ecost
 is an admissible, consistent underestimate of everything still missing, so
 popped scores never decrease and the first pop at or above the best complete
-cost proves optimality.  Pruning: exact-state dynamic programming plus
-superset dominance (a node whose properties cover another's at no greater
-cost vector makes the other redundant).  A node's property set is exactly
-the state `enumerate_programs` walks.
+cost proves optimality.  ecost (`SearchContext.score`) is the open stage's
+collective plus its slowest device, which holds its accrued compute and its
+least share of every remaining loss-ancestor flop.  Pruning: exact-state
+dynamic programming plus superset dominance (a node whose properties cover
+another's at no greater cost vector makes the other redundant).  A node's
+property set is exactly the state `enumerate_programs` walks.
 """
 from __future__ import annotations
 
@@ -71,6 +73,11 @@ class DistributedProgram:
 # difference in these models is many orders larger.
 OPTIMALITY_MARGIN = 1e-12
 
+# The completion bound often equals the cheapest completion, and adding the
+# same seconds in another order can lift it an ulp above that price; a 2**-40
+# cut is far below any real cost difference and far above the rounding.
+COMPLETION_SCALE = 1.0 - 2.0 ** -40
+
 
 @dataclass
 class SearchConfig:
@@ -88,7 +95,6 @@ class PartialProgram:
     computed: frozenset[str]
     closed_s: float
     stage: StageCost
-    open_work: float          # flops accrued in the open stage, all devices
     remaining: float          # flops of loss ancestors without any property
     complete: bool
     score_s: float
@@ -118,9 +124,11 @@ class SearchContext:
         self.theory = theory
         self.spec = spec
         self.B = B
-        self.m = spec.m
-        self.total_rate = spec.total_rate
         self.pricer = StagePricer(spec, B, assignment)
+        # Least seconds a remaining flop puts on each device: a B[r][j] share
+        # of it if it runs sharded, all of it if replicated.
+        self.floor_s = tuple(min(row[j] for row in B.rows) / rate
+                             for j, rate in enumerate(self.pricer.rates))
 
         self._ids: dict[Property, int] = {}
         self.loss_prop_id = self._intern(all_reduce(theory.loss))
@@ -159,12 +167,23 @@ class SearchContext:
         return pid
 
     def initial(self) -> PartialProgram:
-        q = PartialProgram(
-            instrs=(), props=self.initial_props, computed=frozenset(),
-            closed_s=0.0, stage=self.pricer.empty, open_work=0.0,
-            remaining=self.initial_remaining, complete=False, score_s=0.0, path=())
-        q.score_s = q.closed_s + (q.open_work + q.remaining) / self.total_rate
-        return q
+        return PartialProgram(
+            instrs=(), props=self.initial_props, computed=frozenset(), closed_s=0.0,
+            stage=self.pricer.empty, remaining=self.initial_remaining, complete=False,
+            score_s=self.score(0.0, self.pricer.empty, self.initial_remaining), path=())
+
+    def score(self, closed_s: float, stage: StageCost, remaining: float) -> float:
+        """Lower bound on every completion: the closed stages, the open
+        collective once its row is fixed, and the slowest device's accrued
+        compute plus `floor_s` per remaining flop (each later stage takes at
+        least its slowest device, so all of them at least any one device)."""
+        comm_s, comp, row, _ = stage
+        worst = 0.0             # a loop: max() over a generator takes twice as long
+        for c, f in zip(comp, self.floor_s):
+            c += remaining * f
+            if c > worst:
+                worst = c
+        return closed_s + COMPLETION_SCALE * ((0.0 if row is None else comm_s) + worst)
 
     def applicable(self, props: frozenset[int]) -> tuple[int, ...]:
         cached = self._app_cache.get(props)
@@ -187,7 +206,7 @@ class SearchContext:
 def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgram:
     """Successor of q after firing triple index ti (precondition assumed met)."""
     tri = ctx.triples[ti]
-    closes, stage, open_work = ctx.pricer.advance(q.stage, q.open_work, tri.instrs)
+    closes, stage = ctx.pricer.advance(q.stage, tri.instrs)
     closed = q.closed_s
     for done in closes:
         closed += done.time_s
@@ -207,9 +226,9 @@ def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgr
 
     succ = PartialProgram(
         instrs=q.instrs + tri.instrs, props=props, computed=computed,
-        closed_s=closed, stage=stage, open_work=open_work, remaining=remaining,
-        complete=complete, score_s=0.0, path=q.path + (ti,))
-    succ.score_s = closed + (0.0 if complete else (open_work + remaining) / ctx.total_rate)
+        closed_s=closed, stage=stage, remaining=remaining, complete=complete,
+        score_s=closed if complete else ctx.score(closed, stage, remaining),
+        path=q.path + (ti,))
     return succ
 
 
@@ -401,7 +420,7 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     stage_next: list[dict[int, tuple[int, tuple[float, ...]]]] = [{}]   # per stage id, by ti
 
     def stage_successor(sid: int, ti: int) -> tuple[int, tuple[float, ...]]:
-        closes, stage, _ = ctx.pricer.advance(stages.values[sid], 0.0, ctx.triples[ti].instrs)
+        closes, stage = ctx.pricer.advance(stages.values[sid], ctx.triples[ti].instrs)
         nsid = stages(stage)
         if nsid == len(stage_tail):
             stage_tail.append(stage.time_s)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from shardplan.cost_model import single_segment
+from shardplan.cost_model import comm_time, single_segment
 from shardplan.graph_ir import node_flops
 from shardplan.interpreter import (check_form, eval_reference,
                                    execute_instruction, random_inputs,
@@ -233,38 +233,58 @@ def enumerate_all_complete(g, theory, spec, B, max_len: int, assignment=None) ->
 # admissibility audit over the enumeration graph
 
 
+# The search scales its completion bound by this factor so that float
+# rounding cannot lift it above a completion it meets exactly.
+COMPLETION_SCALE = 1.0 - 2.0 ** -40
+
+
 def ecost(partial, g, spec, B, assignment=None) -> float:
     """Reference completion estimate, recomputed from the program alone.
 
-    Counts (a) flops already accrued in the open trailing stage and (b) the
-    single-device flops of every loss ancestor without a realized property,
-    both charged at the aggregate cluster rate (best-case full sharding);
-    communication is charged as zero.  Complete programs cost nothing more.
-    The search keeps the same quantity incrementally (`ecost_s`).
+    The open trailing stage's collective (once a computation, or a single
+    ratio row, fixes the row it is priced at; a reshard across a segment
+    boundary pads to the larger of the two rows' largest shards), plus the
+    slowest device's total of (a) compute already accrued in that stage and
+    (b) every loss ancestor without a realized property, at the least share
+    of its flops any ratio row gives that device.  Complete programs cost
+    nothing more.  The search keeps the same quantity incrementally
+    (`ecost_s`).
     """
     if partial.complete:
         return 0.0
     assignment = assignment or single_segment(g)
-    trailing = []           # computations since the last collective
+    comm, trailing = None, []       # the last collective and what follows it
     for instr in partial.instrs:
         if instr.is_comm:
-            trailing = []
+            comm, trailing = instr, []
         else:
             trailing.append(instr)
-    open_work = 0.0
+    row = None
     if trailing:
-        row = B.row(assignment.row_index(trailing[0].ref))
-        for instr in trailing:
-            if instr.sharded:
-                for b in row:
-                    open_work += instr.flops * b
-            else:
-                open_work += float(instr.flops) * spec.m
+        row = assignment.row_index(trailing[0].ref)
+    elif comm is not None and assignment.count == 1:
+        row = 0
+    rates = [d.flops_per_second for d in spec.devices]
+    comm_s = 0.0
+    if comm is not None and row is not None:
+        own = assignment.row_index(comm.ref)
+        pad = None
+        if comm.kind == "all_to_all" and own != row:
+            pad = max(max(B.row(row)), max(B.row(own)))
+        comm_s = comm_time(comm, B.row(row), spec, pad)
     remaining = 0.0
     for node in g.nodes:
         if node.id in g.loss_ancestors and node.id not in partial.computed:
             remaining += node_flops(g, node)
-    return (open_work + remaining) / spec.total_rate
+    worst = 0.0
+    for j, rate in enumerate(rates):
+        device_s = 0.0
+        for instr in trailing:
+            share = B.row(row)[j] if instr.sharded else 1.0
+            device_s += instr.flops * share / rate
+        device_s += remaining * min(r[j] for r in B.rows) / rate
+        worst = max(worst, device_s)
+    return COMPLETION_SCALE * (comm_s + worst)
 
 
 def future_costs(nodes, edges) -> list[float]:

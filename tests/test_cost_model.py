@@ -5,7 +5,7 @@ import types
 import pytest
 
 import corpus
-from oracles import ecost
+from oracles import COMPLETION_SCALE, ecost
 from shardplan import (ClusterFormatError, ClusterSpec, Instruction,
                        ShardingRatios, build_theory, iteration_time, synthesize)
 from shardplan.cost_model import (StageCost, StagePricer, comm_terms, comm_time,
@@ -132,8 +132,8 @@ def test_comp_seconds_scales_only_sharded_work():
                          SegmentAssignment(segment_of={"a": 1}, count=1))
     sharded = _comp("a", flops=128, sharded=True)
     replicated = _comp("a", flops=128, sharded=False)
-    assert pricer.comp(sharded, 0) == ((32 / 2.0 ** 30, 96 / 2.0 ** 30), 128.0)
-    assert pricer.comp(replicated, 0) == ((128 / 2.0 ** 30,) * 2, 256.0)
+    assert pricer.comp(sharded, 0) == (32 / 2.0 ** 30, 96 / 2.0 ** 30)
+    assert pricer.comp(replicated, 0) == (128 / 2.0 ** 30,) * 2
 
 
 def test_collective_prices():
@@ -177,17 +177,17 @@ def test_boundary_reshard_pads_to_wider_row():
     pricer = StagePricer(spec, B, assignment)
     # the stage's row is unknown until a computation names it: until then
     # the collective is priced at its own segment's row
-    closed, stage, work = pricer.advance(pricer.empty, 0.0, (a2a,))
-    assert closed == () and work == 0.0
+    closed, stage = pricer.advance(pricer.empty, (a2a,))
+    assert closed == ()
     assert stage == StageCost(comm_time(a2a, (0.75, 0.25), spec), (0.0, 0.0), None, a2a)
-    closed, stage, work = pricer.advance(stage, work, (b,))
-    assert closed == () and stage.row == 1 and work == 8.0
+    closed, stage = pricer.advance(stage, (b,))
+    assert closed == () and stage.row == 1
     # resharding across the segment boundary pays for the larger shard of
     # either row: max(0.75, 0.5) instead of this stage's own 0.5
     assert stage.comm_s == 2.0 ** -16 + 3 * 2.0 ** -28
     assert stage.comm_s > comm_time(a2a, (0.5, 0.5), spec)
     # a communication-only stage closes at the collective's own row
-    closed, _, _ = pricer.advance(pricer.empty, 0.0, (a2a, a2a))
+    closed, _ = pricer.advance(pricer.empty, (a2a, a2a))
     assert closed == (StageCost(comm_time(a2a, (0.75, 0.25), spec), (0.0, 0.0), None, a2a),)
     total = iteration_time((a2a, b), B, spec, assignment)
     assert total.stages == (stage,)
@@ -207,14 +207,29 @@ def test_iteration_time_matches_search_cost():
     assert all(len(s.comp_s) == 2 for s in bd.stages)
 
 
-def test_ecost_charges_unrealized_ancestors_at_aggregate_rate():
-    g = graph_from_dict(corpus.matmul_reduce())
+def test_ecost_charges_each_device_its_least_share_of_unrealized_ancestors():
+    g = graph_from_dict(corpus.matmul_reduce())     # h: 128 flops, loss: 16
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
     ctx = SearchContext(g, build_theory(g, 2), spec, B)
-    # nothing computed yet: every loss-ancestor flop at the summed rate
-    assert ecost(ctx.initial(), g, spec, B) == 144 / 2.0 ** 31
+    # nothing computed yet: half of every loss-ancestor flop on each device
+    assert ecost(ctx.initial(), g, spec, B) == COMPLETION_SCALE * 144 / 2.0 ** 31
     assert ecost(types.SimpleNamespace(complete=True), g, spec, B) == 0.0
+    # on unequal devices the slower one bounds the completion, above every
+    # flop spread over the whole cluster at its summed rate
+    spec = corpus.hetero2()                          # 175e9 and 75e9 flops/s
+    ctx = SearchContext(g, build_theory(g, 2), spec, B)
+    assert ecost(ctx.initial(), g, spec, B) == COMPLETION_SCALE * (144 * 0.5 / 75e9)
+    assert ecost(ctx.initial(), g, spec, B) > 144 / spec.total_rate
+    # the open stage's collective counts in full, its accrued compute stays
+    # on its device, and each remaining flop adds that device's share
+    spec = corpus.homog2()                           # latency 2^-16 s, 2^33 B/s
+    B = ShardingRatios(((0.25, 0.75),))
+    partial = types.SimpleNamespace(
+        complete=False, computed=frozenset({"x", "w", "h"}),
+        instrs=(_comm("all_reduce", "h", 16), _comp("h", flops=128, sharded=True)))
+    assert ecost(partial, g, spec, B) == \
+        COMPLETION_SCALE * (2.0 ** -16 + 2.0 ** -27 + (96 + 16 * 0.75) / 2.0 ** 30)
 
 
 def test_ecost_ignores_dead_branches():
@@ -231,5 +246,5 @@ def test_ecost_ignores_dead_branches():
     ctx = SearchContext(g, build_theory(g, 2), spec, B)
     live = sum(node_flops(g, nd) for nd in g.nodes if nd.id in g.loss_ancestors)
     assert live == 32
-    assert ecost(ctx.initial(), g, spec, B) == live / spec.total_rate
+    assert ecost(ctx.initial(), g, spec, B) == COMPLETION_SCALE * live / 2.0 ** 31
 

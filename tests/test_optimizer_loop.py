@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import pytest
 
 import corpus
-from shardplan import (BudgetExhaustedError, LoopConfig, ShardingRatios,
+from shardplan import (BudgetExhaustedError, ClusterSpec, LoopConfig, ShardingRatios,
                        alternate, iteration_time)
 from shardplan.graph_ir import graph_from_dict
+from shardplan.optimizer_loop import _default_synth
+from shardplan.synthesizer import SearchInvariantError
 from shardplan.theory import derive_theory
 
 
@@ -83,3 +87,26 @@ def test_ratio_oscillation_is_detected():
     assert len(res.rounds) == 3
     # both visited rows cost the same to within tolerance; the best is kept
     assert res.cost_s <= 144 / 2.0 ** 31 * (1 + 1e-6)
+
+
+def test_synthesis_step_that_raises_cost_is_caught_below_a_nanosecond():
+    # on 2^40 flops/s devices the plan takes 65 ps; the second synthesis,
+    # kept from row-sharding h, returns a program 11% dearer, which an
+    # absolute tolerance of 1e-9 s would let through
+    g = graph_from_dict(corpus.matmul_reduce())
+    spec = ClusterSpec.from_dict({**corpus.HOMOG2, "devices": [{"flops": 2.0 ** 40}] * 2})
+    theory = derive_theory(g, 2)
+    no_row_shards = replace(theory, triples=tuple(
+        tr for tr in theory.triples
+        if not any(i.kind == "matmul" and i.output.startswith("h@shard") for i in tr.instrs)))
+    calls = []
+
+    def synth(graph, th, spec, B, assignment, cfg):
+        calls.append(B)
+        return _default_synth(graph, th if len(calls) == 1 else no_row_shards,
+                              spec, B, assignment, cfg)
+
+    nudge = lambda program, graph, spec, assignment: ShardingRatios(((0.500002, 0.499998),))
+    with pytest.raises(SearchInvariantError, match="synthesis step increased cost"):
+        alternate(g, spec, theory=theory, synth_fn=synth, balance_fn=nudge)
+    assert len(calls) == 2

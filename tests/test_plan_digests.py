@@ -50,8 +50,10 @@ def corpus_plans():
 COLLECTIVE_PINS = {
     (32, 32, "homog2"): (
         "reduce_scatter", "936d3bb330d5b405f4278120c81068aff15e39159b8693988ee0648839b46bf6"),
+    # reduce_scatter of h2 here and all_gather of x1 cost the same to 1 ulp
+    # (within OPTIMALITY_MARGIN); the search keeps whichever it completes first
     (64, 64, "slowhet2"): (
-        "all_gather", "ddb5ab8582619cb9db6798b7b84c2a0a8df71976b1a8f759b5a469df42a00797"),
+        "reduce_scatter", "7dbc2f09ac8f35b763c17538cdc0d8e4c25acde3f27ab217d245b568f1611502"),
     (24, 32, "slowhet2"): (
         "reduce_scatter", "0a1fd3c8476d35f2f4ed9ef5ae801c152085c9e5bc17a47025cb2b122444271e"),
 }

@@ -44,7 +44,7 @@ def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0), pending=None):
     # a collective waits for its stage's row while no computation names it
     stage = StageCost(comm, acc, None if pending else 0, pending)
     return PartialProgram(instrs=(), props=frozenset(props), computed=frozenset(),
-                          closed_s=closed, stage=stage, open_work=0.0, remaining=0.0,
+                          closed_s=closed, stage=stage, remaining=0.0,
                           complete=False, score_s=0.0, path=())
 
 
@@ -193,6 +193,29 @@ def test_search_bookkeeping_matches_evaluator_across_segments():
                     padded += comm.kind == "all_to_all"
             assert not oracles.admissibility_violations(g, spec, B, res, assignment), name
         assert repriced > padded > 0, B.rows
+
+
+def test_batch_contracting_mix_finishes_within_budget_on_hetero2():
+    # the open stage's slowest device bounds the completion, so the search
+    # proves the optimum in 385 expansions; a bound that spreads the
+    # remaining work over the whole cluster exhausts 3,000 here, at a cost
+    # 7.5 times this one
+    spec = corpus.hetero2()
+    g = graph_from_dict(corpus.mix_graph(2, 32, 32))
+    res = synthesize(g, build_theory(g, 2), spec, ShardingRatios.proportional_to_flops(spec),
+                     cfg=SearchConfig(max_expansions=1000))
+    assert not res.exhausted
+    assert f"{res.cost_s:.9e}" == "2.843989333e-06"
+
+
+def test_chain_at_one_sided_ratios_finishes_within_budget():
+    # at B = (0, 1) device 1 runs all sharded work: 16 expansions; a bound
+    # that spreads the remaining work over both devices needs 3,672
+    spec = corpus.hetero2()
+    g = graph_from_dict(corpus.chain_graph(2))
+    res = synthesize(g, build_theory(g, 2), spec, ShardingRatios(((0.0, 1.0),)),
+                     cfg=SearchConfig(max_expansions=100))
+    assert not res.exhausted and res.program is not None
 
 
 def test_budget_exhaustion_is_reported():
