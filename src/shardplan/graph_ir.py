@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SUPPORTED_OPS = (
     "Placeholder",
@@ -37,13 +37,6 @@ class GraphFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class TensorRef:
-    id: str
-    shape: tuple[int, ...]
-    role: str  # "input" | "parameter" | "activation" | "loss"
-
-
-@dataclass(frozen=True)
 class Node:
     id: str
     op: str
@@ -56,9 +49,8 @@ class Node:
 @dataclass(frozen=True)
 class Graph:
     nodes: tuple[Node, ...]
-    tensors: dict[str, TensorRef]
+    tensors: dict[str, Node]
     loss: str
-    by_id: dict[str, Node] = field(repr=False, default_factory=dict)
     loss_ancestors: frozenset[str] = frozenset()
 
     @property
@@ -203,23 +195,14 @@ def graph_from_dict(doc: dict) -> Graph:
     if not isinstance(loss, str):
         raise GraphFormatError("missing 'loss' id")
 
-    by_id: dict[str, Node] = {}
-    nodes: list[Node] = []
+    tensors: dict[str, Node] = {}
     for i, raw in enumerate(raw_nodes):
-        node = _parse_node(raw, i, by_id)
-        by_id[node.id] = node
-        nodes.append(node)
-    if loss not in by_id:
+        node = _parse_node(raw, i, tensors)
+        tensors[node.id] = node
+    if loss not in tensors:
         raise GraphFormatError(f"loss id {loss!r} names no node")
-    if by_id[loss].shape != ():
-        raise GraphFormatError(f"loss {loss!r} must be scalar, has shape {by_id[loss].shape}")
-
-    tensors = {}
-    for n in nodes:
-        role = {"Placeholder": "input", "Parameter": "parameter"}.get(n.op, "activation")
-        if n.id == loss:
-            role = "loss"
-        tensors[n.id] = TensorRef(id=n.id, shape=n.shape, role=role)
+    if tensors[loss].shape != ():
+        raise GraphFormatError(f"loss {loss!r} must be scalar, has shape {tensors[loss].shape}")
 
     ancestors: set[str] = set()
     stack = [loss]
@@ -228,9 +211,9 @@ def graph_from_dict(doc: dict) -> Graph:
         if ref in ancestors:
             continue
         ancestors.add(ref)
-        stack.extend(by_id[ref].inputs)
+        stack.extend(tensors[ref].inputs)
 
-    return Graph(nodes=tuple(nodes), tensors=tensors, loss=loss, by_id=by_id,
+    return Graph(nodes=tuple(tensors.values()), tensors=tensors, loss=loss,
                  loss_ancestors=frozenset(ancestors))
 
 

@@ -5,13 +5,15 @@ ratios (which collectives pay off) and the best ratios depend on the program
 (which stages exist).  The loop therefore alternates exact half-steps —
 synthesize the optimal program for fixed ratios, then optimize ratios for
 the fixed program — starting from ratios proportional to device speed.
-Each accepted half-step is verified against the exact cost model and never
-increases it; the loop stops on a fixed point, on revisiting an earlier
-(program, ratios) pair, or after a round limit.
+Each half-step is priced with the exact cost model, and the loop keeps the
+cheapest verified (program, ratios) pair.  It stops when a synthesis fails
+to beat that pair, when a ratio step is rejected or neither lowers the cost
+nor moves a ratio, or at the round limit.
 
-Because the final accepted pair may come from a ratio step, a last synthesis
-pass under the final ratios ("polish") restores the property that the
-returned program is optimal for the returned ratios.
+A synthesis under the ratios of a pair that a ratio step found replaces the
+pair on a tie, so the returned program is optimal for the returned ratios.
+At the round limit, one more synthesis runs when the last ratio step found
+the best pair.
 """
 from __future__ import annotations
 
@@ -28,8 +30,8 @@ from .theory import Theory, build_theory
 _logger = logging.getLogger("shardplan.optimizer_loop")
 
 
-# Ratio rows that agree to this quantum count as the same rows when the loop
-# looks for a fixed point or a revisited (program, ratios) pair.
+# Ratio rows that agree to this quantum count as the same rows: a ratio step
+# that moves no row further than this is a fixed point.
 RATIO_QUANTUM = 1e-6
 
 
@@ -46,11 +48,9 @@ class LoopConfig:
 
 @dataclass
 class RoundTrace:
-    index: int
     synth_cost_s: float
     balance_cost_s: float | None = None
     balance_accepted: bool = False
-    exhausted: bool = False
 
 
 @dataclass
@@ -87,19 +87,22 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
         theory = build_theory(g, spec.m)
     B = ShardingRatios.proportional_to_flops(spec, g=assignment.count)
 
-    seen: dict[tuple, int] = {}
-    best: tuple[float, DistributedProgram, ShardingRatios, bool] | None = None
+    best: tuple[float, DistributedProgram, ShardingRatios] | None = None
     prev_cost = float("inf")
     rounds: list[RoundTrace] = []
     reason = "max_rounds"
     any_exhausted = False
     expansions = 0
 
-    for r in range(cfg.max_rounds):
+    for r in range(cfg.max_rounds + 1):
+        # The best pair holds the current ratios only when the last ratio
+        # step found it; its program need not be optimal for them yet.
+        stepped = best is not None and best[2] is B
+        if r == cfg.max_rounds and (any_exhausted or not stepped):
+            break
         res = synth_fn(g, theory, spec, B, assignment, cfg)
         expansions += res.expansions
-        if res.exhausted:
-            any_exhausted = True
+        any_exhausted = any_exhausted or res.exhausted
         if res.program is None:
             if best is None:
                 raise BudgetExhaustedError(
@@ -111,53 +114,39 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
         if not res.exhausted and cost_q > prev_cost * (1 + 1e-9):
             raise SearchInvariantError(
                 f"synthesis step increased cost: {prev_cost} -> {cost_q}")
-        trace = RoundTrace(index=r, synth_cost_s=cost_q, exhausted=res.exhausted)
-        rounds.append(trace)
-        if best is None or cost_q < best[0] - 1e-12:
-            best = (cost_q, res.program, B, not res.exhausted)
-        elif (abs(cost_q - best[0]) <= 1e-12 and not best[3] and not res.exhausted):
-            best = (cost_q, res.program, B, True)
-
-        fp = (res.program.instrs, _quantize(B))
-        if fp in seen:
-            reason = "fixed_point" if seen[fp] == r - 1 else "oscillation"
+        improved = best is None or cost_q < best[0] - 1e-12
+        if improved or (stepped and not res.exhausted and abs(cost_q - best[0]) <= 1e-12):
+            best = (cost_q, res.program, B)
+        if r == cfg.max_rounds:
             break
-        seen[fp] = r
+        trace = RoundTrace(synth_cost_s=cost_q)
+        rounds.append(trace)
+        if not improved and not res.exhausted:
+            reason = "fixed_point"
+            break
 
         B_new = balance_fn(res.program, g, spec, assignment)
         cost_b = iteration_time(res.program.instrs, B_new, spec, assignment).total_s
         trace.balance_cost_s = cost_b
-        if cost_b <= cost_q + 1e-9 * max(1.0, cost_q):
-            trace.balance_accepted = True
-            if cost_b < best[0] - 1e-12:
-                best = (cost_b, res.program, B_new, False)
-            if _quantize(B_new) == _quantize(B):
-                prev_cost = min(cost_q, cost_b)
-                reason = "fixed_point"
-                break
-            B = B_new
-            prev_cost = cost_b
-        else:
+        if cost_b > cost_q + 1e-9 * max(1.0, cost_q):
             # The per-segment LPs approximate boundary reshards; fall back.
             _logger.debug("round %d: rejected ratio step (%.6g > %.6g)",
                           r, cost_b, cost_q)
-            prev_cost = cost_q
             reason = "fixed_point"
             break
+        trace.balance_accepted = True
+        # A pair found by a ratio step is always followed by a synthesis
+        # under its ratios.
+        if cost_b < best[0] - 1e-12:
+            best = (cost_b, res.program, B_new)
+        elif _quantize(B_new) == _quantize(B):
+            reason = "fixed_point"
+            break
+        B = B_new
+        prev_cost = cost_b
 
     assert best is not None
-    cost, program, ratios, q_optimal = best
-
-    if not q_optimal and not any_exhausted:
-        res = synth_fn(g, theory, spec, ratios, assignment, cfg)
-        expansions += res.expansions
-        if res.exhausted:
-            any_exhausted = True
-        elif res.program is not None:
-            cost_p = iteration_time(res.program.instrs, ratios, spec, assignment).total_s
-            if cost_p <= cost + 1e-9 * max(1.0, cost):
-                program, cost, q_optimal = res.program, min(cost, cost_p), True
-
+    cost, program, ratios = best
     return LoopResult(program=program, ratios=ratios, assignment=assignment,
                       cost_s=cost, rounds=rounds, reason=reason,
-                      optimal=q_optimal and not any_exhausted, expansions=expansions)
+                      optimal=not any_exhausted, expansions=expansions)

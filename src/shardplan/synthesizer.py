@@ -104,10 +104,6 @@ class PartialProgram:
     def total_s(self) -> float:
         return self.closed_s + self.stage.time_s
 
-    @property
-    def ecost_s(self) -> float:
-        return 0.0 if self.complete else self.score_s - self.closed_s
-
 
 class SearchContext:
     """Theory, cluster and ratio data prepared for fast expansion; every

@@ -15,12 +15,13 @@ import numpy as np
 
 from shardplan.cost_model import comm_time, single_segment
 from shardplan.graph_ir import node_flops
-from shardplan.interpreter import (check_form, eval_reference,
-                                   execute_instruction, random_inputs,
-                                   table_sizes)
+from shardplan.interpreter import (ExecutionError, coll_all_reduce,
+                                   eval_reference, execute_instruction,
+                                   materialize_loss, random_inputs, table_sizes)
 from shardplan.load_balancer import SegmentProblem
 from shardplan.synthesizer import SearchContext, apply_triple
-from shardplan.theory import dist_id
+from shardplan.theory import (ALL_GATHER, ALL_REDUCE, IDENTITY, dist_id,
+                              form_of_dist_id)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +148,42 @@ def min_max_contiguous(weights, count: int) -> float:
 # Hoare-triple soundness harness
 
 
+def check_form(prop, instances: list[np.ndarray], reference: np.ndarray,
+               rtol: float = 0.0) -> bool:
+    """Does the distributed tensor satisfy property `prop` w.r.t. `reference`?"""
+    if prop.kind == IDENTITY:
+        realized = instances[0]
+        if not all(np.array_equal(inst, instances[0]) for inst in instances[1:]):
+            return False
+    elif prop.kind == ALL_GATHER:
+        realized = np.concatenate(instances, axis=prop.axis)
+    elif prop.kind == ALL_REDUCE:
+        realized = coll_all_reduce(instances)[0]
+    else:
+        raise ValueError(f"cannot check guard property {prop}")
+    if realized.shape != reference.shape:
+        return False
+    if rtol == 0.0:
+        return bool(np.array_equal(realized, reference))
+    scale = np.maximum(np.abs(reference), 1.0)
+    return bool(np.all(np.abs(realized - reference) <= rtol * scale))
+
+
+def run_checked(program, m: int, inputs: dict[str, np.ndarray], shard_table: dict,
+                reference: dict[str, np.ndarray]) -> list[np.ndarray]:
+    """`run_distributed`, re-checking the declared property of every produced
+    distributed tensor against the reference values (from `eval_reference`)
+    after each instruction."""
+    env: dict[str, list[np.ndarray]] = {}
+    for instr in program.instrs:
+        execute_instruction(instr, env, m, inputs, shard_table)
+        prop = form_of_dist_id(instr.output)
+        if not check_form(prop, env[instr.output], reference[prop.ref], rtol=1e-9):
+            raise ExecutionError(f"{instr.canonical()} violates its declared "
+                                 f"property {prop}")
+    return materialize_loss(env, program.loss, m)
+
+
 def materialize_property(prop, reference: np.ndarray, m: int, shard_table: dict,
                          rng: np.random.Generator) -> list[np.ndarray]:
     """Produce per-device instances satisfying `prop` w.r.t. `reference`."""
@@ -247,8 +284,8 @@ def ecost(partial, g, spec, B, assignment=None) -> float:
     slowest device's total of (a) compute already accrued in that stage and
     (b) every loss ancestor without a realized property, at the least share
     of its flops any ratio row gives that device.  Complete programs cost
-    nothing more.  The search keeps the same quantity incrementally
-    (`ecost_s`).
+    nothing more.  The search keeps the same quantity incrementally, as
+    a node's score less its closed cost.
     """
     if partial.complete:
         return 0.0
@@ -302,17 +339,17 @@ def future_costs(nodes, edges) -> list[float]:
 
 def admissibility_violations(g, spec, B, enum_result, assignment=None,
                              slack: float = 0.0) -> list[str]:
-    """The search's completion estimate (`ecost_s`) must agree with the
-    reference `ecost` and never exceed the true cheapest completion
-    (cost(Q_c) - cost(Q) minimized over enumerated completions Q_c)."""
+    """The search's completion estimate (a node's score less its closed cost)
+    must agree with the reference `ecost` and never exceed the true cheapest
+    completion (cost(Q_c) - cost(Q) minimized over enumerated completions Q_c)."""
     nodes = enum_result.nodes
     future = future_costs(nodes, enum_result.edges)
     bad: list[str] = []
     for q, best in zip(nodes, future):
-        h = q.ecost_s
+        h = 0.0 if q.complete else q.score_s - q.closed_s
         ref = ecost(q, g, spec, B, assignment)
         if abs(h - ref) > 1e-12 * q.score_s:
-            bad.append(f"state len={len(q.instrs)} ecost_s={h!r} != reference ecost {ref!r}")
+            bad.append(f"state len={len(q.instrs)} estimate={h!r} != reference ecost {ref!r}")
         if best != math.inf and h > best + slack:
             bad.append(f"state len={len(q.instrs)} ecost={h!r} > future={best!r}")
     return bad

@@ -210,6 +210,11 @@ def test_criterion_08_alternating_loop_descends_and_terminates():
                 for row in res.ratios.rows:
                     assert all(abs(v - 1.0 / spec.m) <= 1e-9 for v in row), \
                         f"{name}: ratios {row} not uniform"
+            # the returned program is optimal for the returned ratios
+            again = synthesize(g, build_theory(g, spec.m), spec, res.ratios,
+                               assignment=res.assignment)
+            assert again.cost_s == res.cost_s, \
+                f"{name}: synthesis under the returned ratios costs {again.cost_s!r}"
 
 
 def test_criterion_09_chain_synthesis_time_scales_subcubically():

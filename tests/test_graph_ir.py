@@ -98,7 +98,7 @@ def test_flop_counts():
     assert flops_of("Identity", [(9, 9)]) == 0
     g = graph_from_dict(corpus.matmul_reduce())
     assert sum(node_flops(g, n) for n in g.nodes) == 128 + 16
-    assert node_flops(g, g.by_id["h"]) == 128
+    assert node_flops(g, g.tensors["h"]) == 128
 
 
 def test_loss_ancestors_exclude_dead_branches():
@@ -110,14 +110,6 @@ def test_loss_ancestors_exclude_dead_branches():
     ])
     g = graph_from_dict(doc)
     assert g.loss_ancestors == {"x", "u", "loss"}
-
-
-def test_tensor_roles():
-    g = graph_from_dict(corpus.matmul_reduce())
-    assert g.tensors["x"].role == "input"
-    assert g.tensors["w"].role == "parameter"
-    assert g.tensors["h"].role == "activation"
-    assert g.tensors["loss"].role == "loss"
 
 
 def test_single_segment_covers_everything():

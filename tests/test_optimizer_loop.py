@@ -72,7 +72,7 @@ def test_worse_ratio_steps_are_rejected():
     assert res.cost_s == 144 / 2.0 ** 31
 
 
-def test_ratio_oscillation_is_detected():
+def test_ratio_wobble_stops_at_the_first_synthesis_that_does_not_improve():
     g = graph_from_dict(corpus.matmul_reduce())
     calls = []
 
@@ -83,10 +83,31 @@ def test_ratio_oscillation_is_detected():
         return ShardingRatios(((0.5, 0.5),))
 
     res = alternate(g, corpus.homog2(), balance_fn=wobble)
-    assert res.reason == "oscillation"
-    assert len(res.rounds) == 3
-    # both visited rows cost the same to within tolerance; the best is kept
-    assert res.cost_s <= 144 / 2.0 ** 31 * (1 + 1e-6)
+    # the wobbled row is accepted within tolerance, but the synthesis under
+    # it costs more than the first pair, so the loop stops and keeps that pair
+    assert res.reason == "fixed_point"
+    assert len(res.rounds) == 2
+    assert res.ratios.rows == ((0.5, 0.5),)
+    assert res.cost_s == 144 / 2.0 ** 31
+
+
+def test_round_limit_resynthesizes_under_the_ratio_step_pair():
+    # the one ratio step the limit allows finds the best pair; one more
+    # synthesis under its ratios makes the program optimal for them
+    g = graph_from_dict(corpus.mix_graph(2, 32, 32))
+    calls = []
+
+    def synth(*args):
+        calls.append(None)
+        return _default_synth(*args)
+
+    res = alternate(g, corpus.hetero2(), cfg=LoopConfig(max_rounds=1), synth_fn=synth)
+    assert len(calls) == 2
+    assert res.reason == "max_rounds" and res.optimal
+    assert len(res.rounds) == 1
+    assert res.expansions == 665
+    assert res.cost_s == 2.1340160000000003e-06
+    assert res.ratios.rows == ((0.8992337164750959, 0.10076628352490419),)
 
 
 def test_synthesis_step_that_raises_cost_is_caught_below_a_nanosecond():
