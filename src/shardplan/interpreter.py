@@ -1,19 +1,25 @@
 """Reference semantics: run graphs on one device and programs on m simulated ones.
 
-The distributed runner keeps, per distributed tensor, the list of per-device
-numpy arrays and executes instructions in lock step.  Sharding always takes
-contiguous slices: device j owns the slice from sum(sizes[:j]) to
-sum(sizes[:j+1]) along the shard axis, where the sizes come from the plan's
-shard table.  Zero-size shards are legal.  All arithmetic is float64; the
-equivalence check passes at 1e-9 relative error.
+Every array carries a leading trial axis: a tensor of shape s is held as an
+array of shape (trials, *s), so one pass runs a batch of seeded trials.  Axes
+named by the graph or the plan (shard axes, Reduce dims) count tensor axes;
+the interpreter shifts them past the trial axis.  The distributed runner
+keeps, per distributed tensor, the list of per-device numpy arrays and
+executes instructions in lock step.  Sharding always takes contiguous
+slices: device j owns the slice from sum(sizes[:j]) to sum(sizes[:j+1])
+along the shard axis, where the sizes come from the plan's shard table.
+Zero-size shards are legal.  All arithmetic is float64; the equivalence
+check runs its trials in chunks of at most `CHUNK_ELEMENTS` graph elements
+and passes at 1e-9 relative error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_ir import Graph
+from .graph_ir import SOURCE_OPS, Graph
 from .load_balancer import round_shards
 from .theory import Instruction
 
@@ -30,18 +36,27 @@ class ExecutionError(RuntimeError):
     """Raised when a program is not executable (an unsound plan)."""
 
 
+def _past_trials(axes: tuple[int, ...]) -> tuple[int, ...]:
+    """Array axes of the given tensor axes."""
+    return tuple(a + 1 for a in axes)
+
+
 def eval_reference(g: Graph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Evaluate every tensor of the graph on a single device."""
+    """Evaluate every tensor of the graph on a single device, for every trial
+    of the batch the sources hold."""
     env: dict[str, np.ndarray] = {}
+    trials = None           # the first source's batch size; the others must match
     for node in g.nodes:
-        if node.op in ("Placeholder", "Parameter"):
+        if node.op in SOURCE_OPS:
             try:
                 value = np.asarray(inputs[node.id], dtype=np.float64)
             except KeyError:
                 raise ExecutionError(f"no binding for source tensor {node.id!r}") from None
-            if value.shape != node.shape:
+            if trials is None and value.ndim:
+                trials = value.shape[0]
+            if value.shape != (trials, *node.shape):
                 raise ExecutionError(f"binding for {node.id!r} has shape {value.shape}, "
-                                     f"want {node.shape}")
+                                     f"want {(trials, *node.shape)}")
             env[node.id] = value
         elif node.op == "MatMul":
             env[node.id] = env[node.inputs[0]] @ env[node.inputs[1]]
@@ -51,7 +66,7 @@ def eval_reference(g: Graph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndar
             a, b = env[node.inputs[0]], env[node.inputs[1]]
             env[node.id] = a + b if node.tag == "add" else a * b
         elif node.op == "Reduce":
-            env[node.id] = np.sum(env[node.inputs[0]], axis=node.dims)
+            env[node.id] = env[node.inputs[0]].sum(axis=_past_trials(node.dims))
         elif node.op == "Identity":
             env[node.id] = env[node.inputs[0]]
         else:  # pragma: no cover
@@ -65,9 +80,10 @@ def run_single(g: Graph, inputs: dict[str, np.ndarray]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Collective primitives (simulated; device order is the concatenation order).
+# Their axes are tensor axes.
 
 def coll_all_gather(instances: list[np.ndarray], axis: int) -> list[np.ndarray]:
-    full = np.concatenate(instances, axis=axis)
+    full = np.concatenate(instances, axis=axis + 1)
     return [full for _ in instances]
 
 
@@ -79,14 +95,14 @@ def coll_all_reduce(instances: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def slice_by_sizes(value: np.ndarray, axis: int, sizes: list[int]) -> list[np.ndarray]:
-    if sum(sizes) != value.shape[axis]:
-        raise ExecutionError(f"shard sizes {sizes} do not cover extent {value.shape[axis]}")
+    extent = value.shape[axis + 1]
+    if sum(sizes) != extent:
+        raise ExecutionError(f"shard sizes {sizes} do not cover extent {extent}")
     out = []
     offset = 0
+    lead = (slice(None),) * (axis + 1)
     for s in sizes:
-        index = [slice(None)] * value.ndim
-        index[axis] = slice(offset, offset + s)
-        out.append(value[tuple(index)])
+        out.append(value[lead + (slice(offset, offset + s),)])
         offset += s
     return out
 
@@ -97,7 +113,7 @@ def coll_reduce_scatter(instances: list[np.ndarray], axis: int, sizes: list[int]
 
 
 def coll_all_to_all(instances: list[np.ndarray], d1: int, d2: int, sizes_d2: list[int]) -> list[np.ndarray]:
-    full = np.concatenate(instances, axis=d1)
+    full = np.concatenate(instances, axis=d1 + 1)
     return slice_by_sizes(full, d2, sizes_d2)
 
 
@@ -147,7 +163,8 @@ def execute_instruction(instr: Instruction, env: dict[str, list[np.ndarray]], m:
             else:
                 env[instr.output] = [a * b for a, b in zip(operand(0), operand(1))]
         elif kind == "reduce":
-            env[instr.output] = [np.sum(x, axis=instr.dims) for x in operand(0)]
+            axes = _past_trials(instr.dims)
+            env[instr.output] = [x.sum(axis=axes) for x in operand(0)]
         elif kind == "identity":
             env[instr.output] = list(operand(0))
         elif kind == "all_reduce":
@@ -194,7 +211,8 @@ def build_shard_table(g: Graph, B, assignment) -> dict[tuple[str, int], list[int
 
 def run_distributed(program, m: int, inputs: dict[str, np.ndarray], shard_table: dict
                     ) -> list[np.ndarray]:
-    """Execute a distributed program; returns the per-device loss values."""
+    """Execute a distributed program; returns the per-device loss values, one
+    per trial of the batch the inputs hold."""
     env: dict[str, list[np.ndarray]] = {}
     for instr in program.instrs:
         execute_instruction(instr, env, m, inputs, shard_table)
@@ -208,25 +226,38 @@ class EquivalenceReport:
     passed: bool
 
 
-def random_inputs(g: Graph, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    out = {}
-    for node in g.nodes:
-        if node.op in ("Placeholder", "Parameter"):
-            out[node.id] = rng.standard_normal(node.shape)
+def random_inputs(g: Graph, seed: int, trials: int) -> dict[str, np.ndarray]:
+    """Standard-normal values for every source tensor, trial axis first.
+    Trial t draws the sources, in graph order, from default_rng(seed + t)."""
+    out = {node.id: np.empty((trials, *node.shape))
+           for node in g.nodes if node.op in SOURCE_OPS}
+    for t in range(trials):
+        rng = np.random.default_rng(seed + t)
+        for value in out.values():
+            rng.standard_normal(out=value[t])
     return out
+
+
+# One pass runs as many trials as fit in this many float64 elements of graph
+# tensors (512 KiB).  Whole-check batches were slower on the larger `mix`
+# graphs: their temporaries grew past glibc's 128 KiB mmap threshold, so
+# each new temporary paid fresh page faults.
+CHUNK_ELEMENTS = 65536
 
 
 def check_equivalence(g: Graph, program, m: int, shard_table: dict, trials: int = 5,
                       seed: int = 0, rtol: float = 1e-9) -> EquivalenceReport:
-    """Compare run_single against every device's loss over seeded random inputs."""
-    max_err = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
-        inputs = random_inputs(g, rng)
+    """Compare run_single against every device's loss over seeded random
+    inputs.  A NaN or infinite error fails the check and is reported."""
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    chunk = max(1, CHUNK_ELEMENTS // sum(math.prod(node.shape) for node in g.nodes))
+    worst = [0.0]
+    for start in range(0, trials, chunk):
+        inputs = random_inputs(g, seed + start, min(chunk, trials - start))
         expected = run_single(g, inputs)
         losses = run_distributed(program, m, inputs, shard_table)
-        scale = max(abs(float(expected)), 1.0)
-        for value in losses:
-            err = abs(float(value) - float(expected)) / scale
-            max_err = max(max_err, err)
+        scale = np.maximum(np.abs(expected), 1.0)
+        worst.append(np.max(np.abs(np.stack(losses) - expected) / scale))
+    max_err = float(np.max(worst))      # np.max, unlike max(), keeps a NaN
     return EquivalenceReport(trials=trials, max_rel_err=max_err, passed=max_err <= rtol)

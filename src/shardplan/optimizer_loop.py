@@ -80,6 +80,8 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
               synth_fn=None, balance_fn=None) -> LoopResult:
     """Run the alternating loop and return the best verified pair."""
     cfg = cfg or LoopConfig()
+    if cfg.max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {cfg.max_rounds}")
     synth_fn = synth_fn or _default_synth
     balance_fn = balance_fn or optimize_ratios
     assignment = assign_segments(g, segments)

@@ -15,9 +15,11 @@ import numpy as np
 
 from shardplan.cost_model import comm_time, single_segment
 from shardplan.graph_ir import node_flops
-from shardplan.interpreter import (ExecutionError, coll_all_reduce,
-                                   eval_reference, execute_instruction,
-                                   materialize_loss, random_inputs, table_sizes)
+from shardplan.interpreter import (EquivalenceReport, ExecutionError,
+                                   coll_all_reduce, eval_reference,
+                                   execute_instruction, materialize_loss,
+                                   random_inputs, run_distributed, run_single,
+                                   table_sizes)
 from shardplan.load_balancer import SegmentProblem
 from shardplan.synthesizer import SearchContext, apply_triple
 from shardplan.theory import (ALL_GATHER, ALL_REDUCE, IDENTITY, dist_id,
@@ -145,7 +147,25 @@ def min_max_contiguous(weights, count: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hoare-triple soundness harness
+# Hoare-triple soundness harness and the per-trial equivalence check
+#
+# Arrays carry the interpreter's leading trial axis; property axes are tensor
+# axes, one less than the array axis.
+
+
+def equivalence_per_trial(g, program, m: int, shard_table: dict, trials: int = 5,
+                          seed: int = 0, rtol: float = 1e-9) -> EquivalenceReport:
+    """`check_equivalence` one trial per interpreter pass, compared in Python
+    floats; the reference for its chunked batches."""
+    errs = [0.0]
+    for trial in range(trials):
+        inputs = random_inputs(g, seed + trial, 1)
+        expected = float(run_single(g, inputs)[0])
+        scale = max(abs(expected), 1.0)
+        for value in run_distributed(program, m, inputs, shard_table):
+            errs.append(abs(float(value[0]) - expected) / scale)
+    max_err = float(np.max(errs))
+    return EquivalenceReport(trials=trials, max_rel_err=max_err, passed=max_err <= rtol)
 
 
 def check_form(prop, instances: list[np.ndarray], reference: np.ndarray,
@@ -156,7 +176,7 @@ def check_form(prop, instances: list[np.ndarray], reference: np.ndarray,
         if not all(np.array_equal(inst, instances[0]) for inst in instances[1:]):
             return False
     elif prop.kind == ALL_GATHER:
-        realized = np.concatenate(instances, axis=prop.axis)
+        realized = np.concatenate(instances, axis=prop.axis + 1)
     elif prop.kind == ALL_REDUCE:
         realized = coll_all_reduce(instances)[0]
     else:
@@ -195,7 +215,7 @@ def materialize_property(prop, reference: np.ndarray, m: int, shard_table: dict,
         start = 0
         for size in sizes:
             idx = [slice(None)] * reference.ndim
-            idx[prop.axis] = slice(start, start + size)
+            idx[prop.axis + 1] = slice(start, start + size)
             out.append(reference[tuple(idx)].copy())
             start += size
         return out
@@ -210,10 +230,10 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
                       rtol: float = 1e-9) -> list[str]:
     """Instantiate every triple's precondition with concrete tensors, run its
     instructions, and check every (non-guard) postcondition form.  Returns
-    human-readable descriptions of any failures."""
-    rng = np.random.default_rng(seed)
-    inputs = random_inputs(g, rng)
+    human-readable descriptions of any failures.  Runs one trial."""
+    inputs = random_inputs(g, seed, 1)
     refs = eval_reference(g, inputs)
+    rng = np.random.default_rng((seed, 1))      # the partial-sum splits' own stream
     bad: list[str] = []
     for triple in theory.triples:
         env: dict[str, list[np.ndarray]] = {}

@@ -1,15 +1,17 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import corpus
-from oracles import check_form, run_checked
+import shardplan.interpreter as interp
+from oracles import check_form, equivalence_per_trial, run_checked
 from shardplan import (ShardingRatios, alternate, build_shard_table, build_theory,
                        check_equivalence, synthesize)
 from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
-from shardplan.interpreter import (ExecutionError, coll_all_gather,
+from shardplan.interpreter import (CHUNK_ELEMENTS, ExecutionError, coll_all_gather,
                                    coll_all_reduce, coll_all_to_all,
                                    coll_reduce_scatter, eval_reference,
                                    execute_instruction, materialize_loss,
@@ -20,21 +22,27 @@ from shardplan.theory import Instruction, all_gather, all_reduce, identity
 
 def test_reference_eval():
     g = graph_from_dict(corpus.matmul_reduce())
-    env = eval_reference(g, {"x": np.ones((8, 4)), "w": np.ones((4, 2))})
-    assert np.array_equal(env["h"], np.full((8, 2), 4.0))
-    assert env["loss"] == 64.0
+    # two trials: the second doubles x, and the trials stay apart
+    x = np.stack([np.ones((8, 4)), np.full((8, 4), 2.0)])
+    env = eval_reference(g, {"x": x, "w": np.ones((2, 4, 2))})
+    assert np.array_equal(env["h"], np.stack([np.full((8, 2), 4.0), np.full((8, 2), 8.0)]))
+    assert np.array_equal(env["loss"], [64.0, 128.0])
     with pytest.raises(ExecutionError, match="no binding"):
-        run_single(g, {"x": np.ones((8, 4))})
+        run_single(g, {"x": np.ones((1, 8, 4))})
     with pytest.raises(ExecutionError, match="shape"):
-        run_single(g, {"x": np.ones((8, 4)), "w": np.ones((2, 4))})
+        run_single(g, {"x": np.ones((1, 8, 4)), "w": np.ones((1, 2, 4))})
+    with pytest.raises(ExecutionError, match="shape"):       # no trial axis
+        run_single(g, {"x": np.ones((8, 4)), "w": np.ones((4, 2))})
+    with pytest.raises(ExecutionError, match="want \\(2, 4, 2\\)"):   # unequal batches
+        run_single(g, {"x": np.ones((2, 8, 4)), "w": np.ones((3, 4, 2))})
 
 
 def test_reference_eval_unary_tags():
-    x = np.array([[-1.0, 0.0], [1.0, 2.0]])
+    x = np.array([[[-1.0, 0.0], [1.0, 2.0]]])
     expected = {
         "exp": np.exp(x),
         "neg": -x,
-        "relu": np.array([[0.0, 0.0], [1.0, 2.0]]),
+        "relu": np.array([[[0.0, 0.0], [1.0, 2.0]]]),
         "sigmoid": 1.0 / (1.0 + np.exp(-x)),
         "tanh": np.tanh(x),
     }
@@ -49,39 +57,42 @@ def test_reference_eval_unary_tags():
 
 
 def test_collective_primitives():
-    a, b = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
+    # one trial; the axes the primitives take are tensor axes
+    a, b = np.array([[[1.0, 2.0]]]), np.array([[[3.0, 4.0]]])
     gathered = coll_all_gather([a, b], 0)
     assert len(gathered) == 2
-    assert np.array_equal(gathered[0], [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(gathered[0], [[[1.0, 2.0], [3.0, 4.0]]])
     assert np.array_equal(gathered[0], gathered[1])
 
     reduced = coll_all_reduce([a, b])
-    assert np.array_equal(reduced[0], [[4.0, 6.0]])
+    assert np.array_equal(reduced[0], [[[4.0, 6.0]]])
     assert np.array_equal(reduced[0], reduced[1])
 
     rs = coll_reduce_scatter([a, b], 1, [1, 1])
-    assert np.array_equal(rs[0], [[4.0]])
-    assert np.array_equal(rs[1], [[6.0]])
+    assert np.array_equal(rs[0], [[[4.0]]])
+    assert np.array_equal(rs[1], [[[6.0]]])
 
     # row shards in, column shards out
     a2a = coll_all_to_all([a, b], 0, 1, [1, 1])
-    assert np.array_equal(a2a[0], [[1.0], [3.0]])
-    assert np.array_equal(a2a[1], [[2.0], [4.0]])
+    assert np.array_equal(a2a[0], [[[1.0], [3.0]]])
+    assert np.array_equal(a2a[1], [[[2.0], [4.0]]])
 
 
 def test_slicing_allows_zero_size_shards():
-    x = np.arange(12.0).reshape(3, 4)
+    x = np.arange(24.0).reshape(2, 3, 4)          # two trials of a (3, 4) tensor
     parts = slice_by_sizes(x, 0, [3, 0])
-    assert parts[0].shape == (3, 4) and parts[1].shape == (0, 4)
-    assert np.array_equal(np.concatenate(parts, axis=0), x)
+    assert parts[0].shape == (2, 3, 4) and parts[1].shape == (2, 0, 4)
+    assert np.array_equal(np.concatenate(parts, axis=1), x)
     # a zero-size operand flows through compute without special-casing
-    assert (parts[1] @ np.ones((4, 2))).shape == (0, 2)
+    assert (parts[1] @ np.ones((2, 4, 2))).shape == (2, 0, 2)
     with pytest.raises(ExecutionError, match="do not cover"):
         slice_by_sizes(x, 0, [2, 2])
+    with pytest.raises(ExecutionError, match="do not cover"):
+        slice_by_sizes(x, 0, [1, 1])              # the trial axis is not a tensor axis
 
 
 def test_execute_instruction_sources():
-    x = np.arange(32.0).reshape(8, 4)
+    x = np.arange(32.0).reshape(1, 8, 4)
     env = {}
     execute_instruction(Instruction("placeholder", "x", output="x@full"),
                         env, 2, {"x": x}, {})
@@ -90,7 +101,8 @@ def test_execute_instruction_sources():
     env = {}
     shard = Instruction("placeholder_shard", "x", axis=0, output="x@shard0", sharded=True)
     execute_instruction(shard, env, 2, {"x": x}, {("x", 0): [6, 2]})
-    assert [v.shape for v in env["x@shard0"]] == [(6, 4), (2, 4)]
+    assert [v.shape for v in env["x@shard0"]] == [(1, 6, 4), (1, 2, 4)]
+    assert np.array_equal(env["x@shard0"][1], x[:, 6:])
     with pytest.raises(ExecutionError, match="shard table lacks"):
         execute_instruction(shard, {}, 2, {"x": x}, {})
     with pytest.raises(ExecutionError, match="2 devices"):
@@ -104,14 +116,14 @@ def test_execute_instruction_errors():
     bad = Instruction("broadcast", "x", output="x@full")
     with pytest.raises(ExecutionError, match="unsupported"):
         execute_instruction(bad, {}, 2, {"x": np.ones(2)}, {})
-    env = {"x@full": [np.ones((2, 3))] * 2, "w@full": [np.ones((2, 3))] * 2}
+    env = {"x@full": [np.ones((1, 2, 3))] * 2, "w@full": [np.ones((1, 2, 3))] * 2}
     with pytest.raises(ExecutionError, match="shape mismatch"):
         execute_instruction(mm, env, 2, {}, {})
 
 
 def test_check_form():
-    ref = np.arange(6.0).reshape(2, 3)
-    halves = [ref[:1], ref[1:]]
+    ref = np.arange(6.0).reshape(1, 2, 3)
+    halves = [ref[:, :1], ref[:, 1:]]
     assert check_form(all_gather("t", 0), halves, ref)
     assert not check_form(all_gather("t", 1), halves, ref)
     assert check_form(identity("t"), [ref, ref.copy()], ref)
@@ -155,17 +167,19 @@ def test_distributed_matches_reference():
     B = ShardingRatios.uniform(2)
     res = synthesize(g, build_theory(g, 2), corpus.homog2(), B)
     table = build_shard_table(g, B, single_segment(g))
-    inputs = {"x": np.ones((8, 4)), "w": np.ones((4, 2))}
+    inputs = {"x": np.ones((1, 8, 4)), "w": np.ones((1, 4, 2))}
     losses = run_distributed(res.program, 2, inputs, table)
-    assert [float(v) for v in losses] == [64.0, 64.0]
+    assert [v.tolist() for v in losses] == [[64.0], [64.0]]
     # the checked run re-checks every declared property against the reference
     checked = run_checked(res.program, 2, inputs, table, eval_reference(g, inputs))
-    assert [float(v) for v in checked] == [64.0, 64.0]
+    assert [v.tolist() for v in checked] == [[64.0], [64.0]]
     report = check_equivalence(g, res.program, 2, table, trials=5)
     assert report.passed and report.trials == 5
     assert report.max_rel_err <= 1e-9
     vacuous = check_equivalence(g, res.program, 2, table, trials=0)
     assert vacuous.passed and vacuous.max_rel_err == 0.0
+    with pytest.raises(ValueError, match="non-negative"):
+        check_equivalence(g, res.program, 2, table, trials=-1)
 
 
 def test_equivalence_flags_wrong_results():
@@ -183,8 +197,89 @@ def test_equivalence_flags_wrong_results():
 
 def test_random_inputs_cover_sources_only():
     g = graph_from_dict(corpus.matmul_reduce())
-    rng = np.random.default_rng(7)
-    values = random_inputs(g, rng)
+    values = random_inputs(g, 7, 3)
     assert set(values) == {"x", "w"}
-    assert values["x"].shape == (8, 4)
-    assert values["w"].shape == (4, 2)
+    assert values["x"].shape == (3, 8, 4)
+    assert values["w"].shape == (3, 4, 2)
+    # trial t draws the sources in graph order from its own seeded generator
+    for t in range(3):
+        rng = np.random.default_rng(7 + t)
+        assert np.array_equal(values["x"][t], rng.standard_normal((8, 4)))
+        assert np.array_equal(values["w"][t], rng.standard_normal((4, 2)))
+
+
+def _plans():
+    """(graph, program, m, shard table) for every corpus graph on homog2,
+    hetero2 and skew2 with 1 and 2 segments, and for two batch-contracting
+    graphs on slowhet2 whose chunks hold fewer trials than a check runs."""
+    cases = [(g, spec, segments) for _, g in corpus.corpus_graphs()
+             for spec in (corpus.homog2(), corpus.hetero2(), corpus.skew2())
+             for segments in (1, 2)]
+    cases += [(graph_from_dict(corpus.mix_graph(2, batch, width)), corpus.slowhet2(), 1)
+              for batch, width in ((64, 64), (24, 32))]
+    for g, spec, segments in cases:
+        res = alternate(g, spec, segments=segments)
+        yield g, res.program, spec.m, build_shard_table(g, res.ratios, res.assignment)
+
+
+def _chunk(g):
+    return max(1, CHUNK_ELEMENTS // sum(math.prod(n.shape) for n in g.nodes))
+
+
+def test_batched_check_matches_per_trial_oracle():
+    chunks = set()
+    for g, program, m, table in _plans():
+        chunks.add(_chunk(g))
+        for trials in (1, 5, 20, 23):
+            got = check_equivalence(g, program, m, table, trials=trials, seed=3)
+            want = equivalence_per_trial(g, program, m, table, trials=trials, seed=3)
+            assert got.max_rel_err == want.max_rel_err, (g.loss, trials)
+            assert got.passed == want.passed
+            assert got.trials == trials
+            assert got.passed
+    # 64x64 runs one trial per pass, 24x32 six, so 23 trials end on a short chunk
+    assert {1, 6} <= chunks
+
+
+def test_check_runs_one_interpreter_pass_per_chunk(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(len(next(iter(args[2].values()))))   # trials in the batch
+        return run_distributed(*args)
+
+    monkeypatch.setattr(interp, "run_distributed", counting)
+    spec = corpus.slowhet2()
+    for name, doc in (("matmul_reduce", corpus.matmul_reduce()),
+                      ("mix24x32", corpus.mix_graph(2, 24, 32))):
+        g = graph_from_dict(doc)
+        res = alternate(g, spec)
+        table = build_shard_table(g, res.ratios, res.assignment)
+        for trials in (0, 1, 20, 23):
+            calls.clear()
+            assert check_equivalence(g, res.program, spec.m, table, trials=trials).passed
+            assert len(calls) == math.ceil(trials / _chunk(g)), (name, trials)
+            assert sum(calls) == trials
+
+
+@pytest.mark.parametrize("bad_trials", [[2], [0, 1, 2, 3, 4]])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nan_or_infinite_losses_fail_the_check(monkeypatch, bad_trials, bad):
+    g = graph_from_dict(corpus.matmul_reduce())
+    B = ShardingRatios.uniform(2)
+    res = synthesize(g, build_theory(g, 2), corpus.homog2(), B)
+    table = build_shard_table(g, B, single_segment(g))
+
+    def corrupted(program, m, inputs, shard_table):
+        losses = [v.copy() for v in run_distributed(program, m, inputs, shard_table)]
+        losses[1][bad_trials] = bad
+        return losses
+
+    monkeypatch.setattr(interp, "run_distributed", corrupted)
+    report = check_equivalence(g, res.program, 2, table, trials=5)
+    assert report.passed is False
+    if math.isnan(bad):
+        assert math.isnan(report.max_rel_err)
+    else:
+        assert report.max_rel_err == math.inf
+

@@ -62,6 +62,13 @@ def test_budget_exhaustion_with_no_program_raises():
                   cfg=LoopConfig(max_expansions=1))
 
 
+def test_round_limit_below_one_is_rejected():
+    g = graph_from_dict(corpus.matmul_reduce())
+    for rounds in (0, -1):
+        with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+            alternate(g, corpus.homog2(), cfg=LoopConfig(max_rounds=rounds))
+
+
 def test_worse_ratio_steps_are_rejected():
     g = graph_from_dict(corpus.matmul_reduce())
     lopsided = lambda program, graph, spec, assignment: ShardingRatios(((0.9, 0.1),))
