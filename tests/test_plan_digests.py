@@ -9,7 +9,8 @@ plan on purpose regenerates the file with
     PYTHONPATH=src:tests python tests/test_plan_digests.py > tests/data/plan_digests.json
 
 None of those plans holds a collective, so `COLLECTIVE_PINS` adds three
-batch-contracting `mix_graph` plans whose answers do.  Their digests cover
+batch-contracting `mix_graph` plans whose answers do, and `DOMINANCE_PINS`
+two more whose searches prune the most dominated nodes.  Their digests cover
 the plan without its `loop` object, so they pin the answer and not the
 search effort spent finding it.
 """
@@ -58,6 +59,28 @@ COLLECTIVE_PINS = {
         "reduce_scatter", "0a1fd3c8476d35f2f4ed9ef5ae801c152085c9e5bc17a47025cb2b122444271e"),
 }
 
+# (batch, width, cluster): sha256 of the plan document without "loop".  Both
+# searches drop dominated nodes in every synthesis call; neither final plan
+# holds a collective.
+DOMINANCE_PINS = {
+    (32, 32, "hetero2"): "f36eaa295d11644d61d925103a33864d1458955fe43474243a13808ef2d85995",
+    (64, 64, "hetero2"): "894bb6913fda9834dca6c9bb251854ac77c8baf8d3013d682e2660d2a0e2793b",
+}
+
+
+def mix_answer(batch: int, width: int, cname: str) -> dict:
+    """The one-segment plan document of a 2-block `mix_graph`, without its
+    `loop` object, which must report an optimal search."""
+    g = graph_from_dict(corpus.mix_graph(2, batch, width))
+    spec = getattr(corpus, cname)()
+    doc = plan_document(g, spec, alternate(g, spec))
+    assert doc.pop("loop")["optimal"], (batch, width, cname)
+    return doc
+
+
+def answer_digest(doc: dict) -> str:
+    return hashlib.sha256((json.dumps(doc, indent=2) + "\n").encode()).hexdigest()
+
 
 def plan_digests() -> dict[str, str]:
     return {key: hashlib.sha256(text.encode()).hexdigest()
@@ -83,16 +106,17 @@ def test_every_pinned_plan_loads_to_its_program():
 
 
 def test_collective_forcing_plans_match_pinned_digests():
-    clusters = {"homog2": corpus.homog2, "slowhet2": corpus.slowhet2}
     for (batch, width, cname), (collective, digest) in COLLECTIVE_PINS.items():
         key = f"mix{batch}x{width}@{cname}"
-        g = graph_from_dict(corpus.mix_graph(2, batch, width))
-        spec = clusters[cname]()
-        doc = plan_document(g, spec, alternate(g, spec))
-        assert doc.pop("loop")["optimal"], key
+        doc = mix_answer(batch, width, cname)
         assert collective in {i["kind"] for i in doc["program"]["instrs"]}, key
-        text = json.dumps(doc, indent=2) + "\n"
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+        assert answer_digest(doc) == digest, key
+
+
+def test_dominance_pruned_plans_match_pinned_digests():
+    for (batch, width, cname), digest in DOMINANCE_PINS.items():
+        assert answer_digest(mix_answer(batch, width, cname)) == digest, \
+            f"mix{batch}x{width}@{cname}"
 
 
 if __name__ == "__main__":
