@@ -18,14 +18,13 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 
 from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
-                         _is_number, iteration_time)
+                         _is_finite_number, iteration_time)
 from .graph_ir import (Graph, GraphFormatError, SegmentAssignment, _is_int,
                        assign_segments, parse_graph, serialize_graph)
 from .interpreter import ExecutionError, build_shard_table, check_equivalence
@@ -188,7 +187,7 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
           f"expected {count} rows, one per segment")
     for k, row in enumerate(rows):
         _need(isinstance(row, list) and len(row) == m
-              and all(_is_number(v) and math.isfinite(v) for v in row),
+              and all(_is_finite_number(v) for v in row),
               f"ratios[{k}]", f"expected {m} finite numbers")
     try:
         ratios = ShardingRatios(rows=tuple(tuple(float(v) for v in row) for row in rows))
@@ -212,8 +211,8 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
 
     _need(isinstance(doc.get("shard_table"), dict), "shard_table", "expected an object")
     estimate = doc.get("estimate")
-    _need(isinstance(estimate, dict) and _is_number(estimate.get("total_s")),
-          "estimate.total_s", "expected a number")
+    _need(isinstance(estimate, dict) and _is_finite_number(estimate.get("total_s")),
+          "estimate.total_s", "expected a finite number")
     return Plan(assignment=SegmentAssignment(segment_of=dict(segment_of), count=count),
                 ratios=ratios, program=DistributedProgram(instrs=tuple(loaded), loss=g.loss),
                 shard_table=doc["shard_table"], estimate_s=estimate["total_s"])

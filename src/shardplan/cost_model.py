@@ -27,6 +27,7 @@ grouping without prices from `stages` and its collective coefficients from
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
@@ -38,9 +39,15 @@ class ClusterFormatError(ValueError):
     pass
 
 
-def _is_number(x) -> bool:
-    """A JSON number: int or float, but not a boolean."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite_number(x) -> bool:
+    """A JSON number with a finite float value: int or float, but not a
+    boolean, NaN, an infinity or an int beyond float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -80,9 +87,10 @@ class ClusterSpec:
             raise ClusterFormatError("'devices' must be a non-empty list")
         devices = []
         for i, d in enumerate(raw_devices):
-            if not isinstance(d, dict) or set(d) != {"flops"} or not _is_number(d["flops"]) \
-                    or d["flops"] <= 0:
-                raise ClusterFormatError(f"devices[{i}] must be {{\"flops\": positive number}}")
+            if not isinstance(d, dict) or set(d) != {"flops"} \
+                    or not _is_finite_number(d["flops"]) or d["flops"] <= 0:
+                raise ClusterFormatError(
+                    f"devices[{i}] must be {{\"flops\": positive finite number}}")
             devices.append(DeviceSpec(flops_per_second=float(d["flops"])))
         raw_coll = doc.get("collectives")
         if not isinstance(raw_coll, dict):
@@ -98,10 +106,10 @@ class ClusterSpec:
             if not isinstance(entry, dict) or set(entry) != {"latency_s", "bw_Bps"}:
                 raise ClusterFormatError(f"collectives[{kind!r}] must be {{latency_s, bw_Bps}}")
             lat, bw = entry["latency_s"], entry["bw_Bps"]
-            if not _is_number(lat) or lat < 0:
-                raise ClusterFormatError(f"collectives[{kind!r}].latency_s must be >= 0")
-            if not _is_number(bw) or bw <= 0:
-                raise ClusterFormatError(f"collectives[{kind!r}].bw_Bps must be > 0")
+            if not _is_finite_number(lat) or lat < 0:
+                raise ClusterFormatError(f"collectives[{kind!r}].latency_s must be finite and >= 0")
+            if not _is_finite_number(bw) or bw <= 0:
+                raise ClusterFormatError(f"collectives[{kind!r}].bw_Bps must be finite and > 0")
             collectives[kind] = CollectiveModel(latency_s=float(lat), bytes_per_second=float(bw))
         bpe = doc.get("bytes_per_element")
         if not isinstance(bpe, int) or isinstance(bpe, bool) or bpe <= 0:
@@ -129,6 +137,8 @@ class ShardingRatios:
         for k, row in enumerate(self.rows):
             if len(row) != width:
                 raise ValueError("ragged ratio matrix")
+            if not all(math.isfinite(x) for x in row):
+                raise ValueError(f"ratio in row {k} is not finite: {row}")
             if any(x < 0.0 for x in row):
                 raise ValueError(f"negative ratio in row {k}: {row}")
             if abs(sum(row) - 1.0) > 1e-9:

@@ -10,10 +10,10 @@ is an admissible, consistent underestimate of everything still missing, so
 popped scores never decrease and the first pop at or above the best complete
 cost proves optimality.  ecost (`SearchContext.score`) is the open stage's
 collective plus its slowest device, which holds its accrued compute and its
-least share of every remaining loss-ancestor flop.  Pruning: exact-state
-dynamic programming plus superset dominance (a node whose properties cover
-another's at no greater cost vector makes the other redundant).  A node's
-property set is exactly the state `enumerate_programs` walks.
+least share of every remaining loss-ancestor flop.  Pruning: among nodes
+with the same property set, a node at no greater cost vector makes another
+redundant, so it is not pushed.  A node's property set is exactly the state
+`enumerate_programs` walks.
 """
 from __future__ import annotations
 
@@ -154,8 +154,6 @@ class SearchContext:
         self.initial_remaining = float(sum(self.flops_map[r] for r in self.ancestors))
         self.initial_props = frozenset(self._intern(p) for p in theory.initial_props)
 
-        self._app_cache: dict[frozenset[int], tuple[int, ...]] = {}
-
     def _intern(self, p: Property) -> int:
         pid = self._ids.get(p)
         if pid is None:
@@ -182,9 +180,6 @@ class SearchContext:
         return closed_s + COMPLETION_SCALE * ((0.0 if row is None else comm_s) + worst)
 
     def applicable(self, props: frozenset[int]) -> tuple[int, ...]:
-        cached = self._app_cache.get(props)
-        if cached is not None:
-            return cached
         out = [ti for ti in self.empty_pre if not self.tpost[ti] <= props]
         seen = set(out)
         for p in props:
@@ -194,9 +189,7 @@ class SearchContext:
                     if self.tpre[ti] <= props and not self.tpost[ti] <= props:
                         out.append(ti)
         out.sort()
-        result = tuple(out)
-        self._app_cache[props] = result
-        return result
+        return tuple(out)
 
 
 def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgram:
@@ -229,7 +222,7 @@ def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgr
 
 
 def dominates(a: PartialProgram, b: PartialProgram) -> bool:
-    """True iff a renders b redundant: a's properties cover b's, a is at
+    """True iff a renders b redundant, given equal property sets: a is at
     most as expensive in every cost component (closed stages, the open
     stage's collective, per-device accrued compute), and both open stages
     wait for a row on the same collective, or neither does."""
@@ -238,9 +231,7 @@ def dominates(a: PartialProgram, b: PartialProgram) -> bool:
         return False
     if any(x > y for x, y in zip(s.comp_s, t.comp_s)):
         return False
-    if (s.comm if s.row is None else None) != (t.comm if t.row is None else None):
-        return False
-    return a.props >= b.props
+    return (s.comm if s.row is None else None) == (t.comm if t.row is None else None)
 
 
 @dataclass
@@ -264,16 +255,12 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
     # Equal scores are common (fully sharded instructions leave the score
     # unchanged), so ties prefer the deeper node, then the lower triple path:
     # the search dives to a completion and the bound then retires the rest
-    # of the plateau.
+    # of the plateau.  Paths are unique, so no entry compares past its path.
     heap: list = []
-    counter = 0
-    heapq.heappush(heap, (_priority(root.score_s), -len(root.instrs), root.path, counter, root))
-    # One bucket per exact property set holds every node pushed with it;
-    # exact-duplicate states are refused at push time (cheap), while the
-    # superset dominance check runs lazily at pop time against the expanded
-    # set, which stays small.
+    heapq.heappush(heap, (_priority(root.score_s), -len(root.instrs), root.path, root))
+    # One bucket per exact property set holds every node pushed with it; a
+    # successor some node in its bucket dominates is dropped (`purged`).
     buckets: dict[frozenset[int], list[PartialProgram]] = {root.props: [root]}
-    expanded: list[PartialProgram] = []
     best: PartialProgram | None = None
     best_s = bound = math.inf       # best complete cost; scores it cuts off
     expansions = generated = purged = 0
@@ -282,23 +269,17 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
     trace = _logger.isEnabledFor(logging.DEBUG)
 
     while heap:
-        key, _, _, _, q = heapq.heappop(heap)
+        key, _, _, q = heapq.heappop(heap)
         if q.score_s >= bound:
             break
         if key < last_score:
             raise SearchInvariantError(
                 f"popped priority decreased: {key} after {last_score}")
         last_score = key
-        n_props = len(q.props)
-        if any(len(e.props) >= n_props and e is not q and dominates(e, q)
-               for e in expanded):
-            purged += 1
-            continue
         if expansions >= cfg.max_expansions:
             exhausted = True
             break
         expansions += 1
-        expanded.append(q)
         if trace:
             _logger.debug("expand #%d score=%.6g instrs=%d props=%d",
                           expansions, q.score_s, len(q.instrs), len(q.props))
@@ -321,10 +302,10 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                 buckets[succ.props] = [succ]
             else:
                 if any(dominates(other, succ) for other in bucket):
+                    purged += 1
                     continue
                 bucket.append(succ)
-            counter += 1
-            heapq.heappush(heap, (_priority(succ.score_s), -len(succ.instrs), succ.path, counter, succ))
+            heapq.heappush(heap, (_priority(succ.score_s), -len(succ.instrs), succ.path, succ))
 
     if best is None and not exhausted:
         raise NoCompleteProgramError(

@@ -153,7 +153,11 @@ def test_malformed_inputs_exit_2(files, capsys):
     assert main(["plan", str(files["tmp"] / "missing.json"), files["homog2"]]) == 2
     empty = _write(files["tmp"], "empty.json", {"nodes": [], "loss": "l"})
     assert main(["plan", empty, files["homog2"]]) == 2
-    capsys.readouterr()
+    # valid JSON whose flops parse to an infinity
+    overflow = json.dumps({**corpus.HOMOG2, "devices": [{"flops": "F"}] * 2})
+    overflow = _write(files["tmp"], "inf.json", overflow.replace('"F"', "1e999"))
+    assert main(["plan", files["graph"], overflow]) == 2
+    assert "devices[0]" in capsys.readouterr().err
 
 
 def test_exhausted_budget_exits_3(files, capsys):
@@ -270,6 +274,14 @@ def _flops_float(doc):
     _edit(doc, 3, "flops", 16.0)
 
 
+def _estimate_nan(doc):
+    doc["estimate"]["total_s"] = float("nan")
+
+
+def _estimate_infinite(doc):
+    doc["estimate"]["total_s"] = float("inf")
+
+
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
 @pytest.mark.parametrize("damage, field", [
     (_drop_program, "program"),
@@ -282,6 +294,8 @@ def _flops_float(doc):
     (_resize_collective, "program.instrs[1]"),
     (_flops_true, "program.instrs[2]"),
     (_flops_float, "program.instrs[3]"),
+    (_estimate_nan, "estimate.total_s"),
+    (_estimate_infinite, "estimate.total_s"),
 ])
 def test_malformed_plan_fields_exit_2(files, capsys, command, damage, field):
     doc = json.loads(open(_plan(files)).read())

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import types
 
 import pytest
@@ -54,6 +55,14 @@ def test_cluster_rejects_malformed():
         _mutated(lambda d: d["collectives"].update(all_gather={"latency_s": 0})),
         _mutated(lambda d: d["collectives"].update(all_gather={"latency_s": -1, "bw_Bps": 1})),
         _mutated(lambda d: d["collectives"].update(all_gather={"latency_s": 0, "bw_Bps": 0})),
+        # numbers that are not finite
+        _mutated(lambda d: d.update(devices=[{"flops": math.inf}])),
+        _mutated(lambda d: d.update(devices=[{"flops": math.nan}])),
+        _mutated(lambda d: d.update(devices=[{"flops": 10 ** 400}])),  # past float range
+        _mutated(lambda d: d["collectives"].update(all_gather={"latency_s": math.nan, "bw_Bps": 1})),
+        _mutated(lambda d: d["collectives"].update(all_gather={"latency_s": math.inf, "bw_Bps": 1})),
+        _mutated(lambda d: d["collectives"].update(all_gather={"latency_s": 0, "bw_Bps": math.inf})),
+        _mutated(lambda d: d["collectives"].update(all_gather={"latency_s": 0, "bw_Bps": math.nan})),
         _mutated(lambda d: d.update(bytes_per_element=4.0)),       # must be an int
         _mutated(lambda d: d.pop("bytes_per_element")),
     ]
@@ -89,6 +98,8 @@ def test_ratios_validation():
         ShardingRatios(((1.2, -0.2),))                  # negative entry
     with pytest.raises(ValueError):
         ShardingRatios(((0.5, 0.6),))                   # does not sum to one
+    with pytest.raises(ValueError):
+        ShardingRatios(((math.nan, 1.0),))              # NaN passes both checks above
 
 
 def _comp(ref, flops=0, sharded=False):

@@ -112,7 +112,7 @@ def test_round_limit_resynthesizes_under_the_ratio_step_pair():
     assert len(calls) == 2
     assert res.reason == "max_rounds" and res.optimal
     assert len(res.rounds) == 1
-    assert res.expansions == 665
+    assert res.expansions == 706
     assert res.cost_s == 2.1340160000000003e-06
     assert res.ratios.rows == ((0.8992337164750959, 0.10076628352490419),)
 

@@ -49,8 +49,9 @@ def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0), pending=None):
 
 
 def test_dominance_is_componentwise():
+    # the search compares nodes of one property set only
     a = _partial({1, 2}, closed=1.0, acc=(0.1, 0.1))
-    b = _partial({1}, closed=1.0, acc=(0.2, 0.2))
+    b = _partial({1, 2}, closed=1.0, acc=(0.2, 0.2))
     assert dominates(a, b) and not dominates(b, a)
     assert dominates(a, a)
     assert not dominates(_partial({1, 2}, closed=1.5), b)          # dearer stages
@@ -197,7 +198,7 @@ def test_search_bookkeeping_matches_evaluator_across_segments():
 
 def test_batch_contracting_mix_finishes_within_budget_on_hetero2():
     # the open stage's slowest device bounds the completion, so the search
-    # proves the optimum in 385 expansions; a bound that spreads the
+    # proves the optimum in 426 expansions; a bound that spreads the
     # remaining work over the whole cluster exhausts 3,000 here, at a cost
     # 7.5 times this one
     spec = corpus.hetero2()
