@@ -99,7 +99,7 @@ def test_ratios_validation():
     with pytest.raises(ValueError):
         ShardingRatios(((0.5, 0.6),))                   # does not sum to one
     with pytest.raises(ValueError):
-        ShardingRatios(((math.nan, 1.0),))              # NaN passes both checks above
+        ShardingRatios(((math.nan, 1.0),))              # every comparison with NaN is False
 
 
 def _comp(ref, flops=0, sharded=False):

@@ -10,7 +10,7 @@ plan on purpose regenerates the file with
 
 None of those plans holds a collective, so `COLLECTIVE_PINS` adds three
 batch-contracting `mix_graph` plans whose answers do, and `DOMINANCE_PINS`
-two more whose searches prune the most dominated nodes.  Their digests cover
+two hetero2 plans whose searches drop dominated nodes.  Their digests cover
 the plan without its `loop` object, so they pin the answer and not the
 search effort spent finding it.
 """
