@@ -13,8 +13,8 @@ codes; everything else is imported from its submodule.
 from .cost_model import (ClusterFormatError, ClusterSpec, CostBreakdown,
                          ShardingRatios, iteration_time)
 from .graph_ir import Graph, GraphFormatError, SegmentAssignment, parse_graph
-from .interpreter import (EquivalenceReport, ExecutionError, build_shard_table,
-                          check_equivalence)
+from .interpreter import (EquivalenceReport, ExecutionError, GraphTooLargeError,
+                          build_shard_table, check_equivalence)
 from .load_balancer import optimize_ratios
 from .optimizer_loop import (BudgetExhaustedError, LoopConfig, LoopResult,
                              alternate)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetExhaustedError", "ClusterFormatError", "ClusterSpec",
     "CostBreakdown", "DistributedProgram", "EquivalenceReport",
-    "ExecutionError", "Graph", "GraphFormatError", "Instruction",
+    "ExecutionError", "Graph", "GraphFormatError", "GraphTooLargeError", "Instruction",
     "LoopConfig", "LoopResult", "NoCompleteProgramError", "SearchConfig",
     "SegmentAssignment", "ShardingRatios", "SynthesisResult", "Theory",
     "alternate", "build_shard_table", "build_theory", "check_equivalence",

@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 verification mismatch, 2 malformed input,
 3 search budget exhausted.  Plan files are byte-deterministic: floats are
 canonicalized to 12 significant digits and the embedded cost estimate is
 recomputed from the canonicalized ratios, so a written plan is exactly
-self-consistent.
+self-consistent.  A plan holds the answer and no search telemetry: `verify`
+checks every field but `loop.optimal`, which `enumerate --ratios PLAN`
+checks.
 """
 from __future__ import annotations
 
@@ -23,17 +25,20 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
-                         _is_finite_number, iteration_time)
-from .graph_ir import (Graph, GraphFormatError, SegmentAssignment, _is_int,
-                       assign_segments, parse_graph, serialize_graph)
-from .interpreter import ExecutionError, build_shard_table, check_equivalence
+from .cost_model import ClusterFormatError, ClusterSpec, ShardingRatios, iteration_time
+from .graph_ir import (Graph, GraphFormatError, SegmentAssignment, _is_finite_number,
+                       _is_int, assign_segments, parse_graph, serialize_graph)
+from .interpreter import (ExecutionError, GraphTooLargeError, build_shard_table,
+                          check_equivalence)
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
                           enumerate_programs)
 from .theory import ALL_GATHER, build_theory, derive_theory, form_of_dist_id
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+# The fields of a plan document, in the order `plan_document` writes them.
+PLAN_FIELDS = ("schema_version", "graph_sha256", "devices", "segments", "segment_of",
+               "ratios", "shard_table", "program", "estimate", "loop")
 
 
 def _canon(x: float) -> float:
@@ -94,18 +99,8 @@ def plan_document(g: Graph, spec: ClusterSpec, result) -> dict:
         "shard_table": _plan_shard_table(build_shard_table(g, ratios, result.assignment),
                                          result.program),
         "program": result.program.to_json(),
-        "estimate": {
-            "total_s": _canon(breakdown.total_s),
-            "stages": [{"comm_s": _canon(s.comm_s),
-                        "comp_s": [_canon(v) for v in s.comp_s]}
-                       for s in breakdown.stages],
-        },
-        "loop": {
-            "rounds": len(result.rounds),
-            "reason": result.reason,
-            "optimal": result.optimal,
-            "expansions": result.expansions,
-        },
+        "estimate": {"total_s": _canon(breakdown.total_s)},
+        "loop": {"optimal": result.optimal},
     }
 
 
@@ -124,7 +119,7 @@ def cmd_plan(args) -> int:
 
     info = sys.stderr if args.output is None else sys.stdout
     print(f"cost: {doc['estimate']['total_s']:.6g} s", file=info)
-    print(f"rounds: {len(result.rounds)} ({result.reason})"
+    print(f"rounds: {len(result.rounds)} ({result.reason}), {result.expansions} expansions"
           f"{', optimal' if result.optimal else ', budget exhausted'}", file=info)
     print(f"wall: {wall:.3f} s", file=info)
     if args.output is None:
@@ -158,22 +153,35 @@ def _need(ok: bool, where: str, what: str) -> None:
         raise PlanFormatError(f"plan field {where}: {what}")
 
 
+def _fields(obj, where: str, keys: tuple[str, ...]) -> None:
+    """The plan field `where` ("" for the document) must be an object with
+    exactly the fields `keys`."""
+    _need(isinstance(obj, dict), where or "(document)", "expected a JSON object")
+    prefix = f"{where}." if where else ""
+    for key in keys:
+        _need(key in obj, f"{prefix}{key}", "missing")
+    for key in obj:
+        _need(key in keys, f"{prefix}{key}", "unknown field")
+
+
 def load_plan(doc, g: Graph, m: int) -> Plan:
     """Check a plan document against the graph it claims and a cluster of m
     devices, field by field, and load it.  Raises PlanFormatError naming the
-    first bad field.  An instruction is valid only if it is, field for field
-    and type for type, an instruction of the graph's derived theory."""
+    first bad field.  The schema is closed: every object holds exactly its
+    fields.  An instruction is valid only if it is, field for field and type
+    for type, an instruction of the graph's derived theory."""
     _need(isinstance(doc, dict), "(document)", "expected a JSON object")
     _need(doc.get("schema_version") == SCHEMA_VERSION, "schema_version",
           f"unsupported version {doc.get('schema_version')!r}")
-    _need(doc.get("graph_sha256") == _graph_digest(g), "graph_sha256",
+    _fields(doc, "", PLAN_FIELDS)
+    _need(doc["graph_sha256"] == _graph_digest(g), "graph_sha256",
           "plan was produced for a different graph")
-    _need(doc.get("devices") == m and _is_int(doc.get("devices")), "devices",
-          f"plan is for {doc.get('devices')!r} devices, cluster has {m}")
-    count = doc.get("segments")
+    _need(doc["devices"] == m and _is_int(doc["devices"]), "devices",
+          f"plan is for {doc['devices']!r} devices, cluster has {m}")
+    count = doc["segments"]
     _need(_is_int(count) and count >= 1, "segments",
           f"expected a positive integer, got {count!r}")
-    segment_of = doc.get("segment_of")
+    segment_of = doc["segment_of"]
     _need(isinstance(segment_of, dict), "segment_of", "expected an object")
     for t in g.tensor_ids:
         _need(t in segment_of, "segment_of", f"no segment for tensor {t!r}")
@@ -182,7 +190,7 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
     for t in segment_of:
         _need(t in g.tensors, "segment_of", f"unknown tensor {t!r}")
 
-    rows = doc.get("ratios")
+    rows = doc["ratios"]
     _need(isinstance(rows, list) and len(rows) == count, "ratios",
           f"expected {count} rows, one per segment")
     for k, row in enumerate(rows):
@@ -194,11 +202,11 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
     except ValueError as e:
         raise PlanFormatError(f"plan field ratios: {e}") from None
 
-    program = doc.get("program")
-    _need(isinstance(program, dict), "program", "expected an object with 'loss' and 'instrs'")
-    _need(program.get("loss") == g.loss, "program.loss",
-          f"expected the graph's loss {g.loss!r}, got {program.get('loss')!r}")
-    instrs = program.get("instrs")
+    program = doc["program"]
+    _fields(program, "program", ("loss", "instrs"))
+    _need(program["loss"] == g.loss, "program.loss",
+          f"expected the graph's loss {g.loss!r}, got {program['loss']!r}")
+    instrs = program["instrs"]
     _need(isinstance(instrs, list), "program.instrs", "expected a list")
     derived = {json.dumps(instr.to_json(), sort_keys=True): instr
                for tr in derive_theory(g, m).triples for instr in tr.instrs}
@@ -209,10 +217,14 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
               "not an instruction this graph's rules derive")
         loaded.append(instr)
 
-    _need(isinstance(doc.get("shard_table"), dict), "shard_table", "expected an object")
-    estimate = doc.get("estimate")
-    _need(isinstance(estimate, dict) and _is_finite_number(estimate.get("total_s")),
-          "estimate.total_s", "expected a finite number")
+    _need(isinstance(doc["shard_table"], dict), "shard_table", "expected an object")
+    estimate = doc["estimate"]
+    _fields(estimate, "estimate", ("total_s",))
+    _need(_is_finite_number(estimate["total_s"]), "estimate.total_s",
+          "expected a finite number")
+    loop = doc["loop"]
+    _fields(loop, "loop", ("optimal",))
+    _need(isinstance(loop["optimal"], bool), "loop.optimal", "expected true or false")
     return Plan(assignment=SegmentAssignment(segment_of=dict(segment_of), count=count),
                 ratios=ratios, program=DistributedProgram(instrs=tuple(loaded), loss=g.loss),
                 shard_table=doc["shard_table"], estimate_s=estimate["total_s"])
@@ -329,7 +341,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ClusterFormatError, PlanFormatError, OptionError) as e:
+    except (GraphFormatError, ClusterFormatError, PlanFormatError, OptionError,
+            GraphTooLargeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as e:

@@ -31,23 +31,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .graph_ir import Graph, SegmentAssignment
+from .graph_ir import Graph, SegmentAssignment, _is_finite_number
 from .theory import COLLECTIVE_KINDS, Instruction
 
 
 class ClusterFormatError(ValueError):
     pass
-
-
-def _is_finite_number(x) -> bool:
-    """A JSON number with a finite float value: int or float, but not a
-    boolean, NaN, an infinity or an int beyond float range."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)

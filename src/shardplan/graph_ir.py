@@ -107,6 +107,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_finite_number(x) -> bool:
+    """A JSON number with a finite float value: int or float, but not a
+    boolean, NaN, an infinity or an int beyond float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _parse_node(raw: dict, index: int, known: dict[str, Node]) -> Node:
     where = f"nodes[{index}]"
     if not isinstance(raw, dict):
@@ -196,9 +207,15 @@ def graph_from_dict(doc: dict) -> Graph:
         raise GraphFormatError("missing 'loss' id")
 
     tensors: dict[str, Node] = {}
+    flops = 0
     for i, raw in enumerate(raw_nodes):
         node = _parse_node(raw, i, tensors)
         tensors[node.id] = node
+        # The cost model prices element counts and sums of flops as floats.
+        flops += flops_of(node.op, [tensors[r].shape for r in node.inputs])
+        if not (_is_finite_number(math.prod(node.shape)) and _is_finite_number(flops)):
+            raise GraphFormatError("element count or flops of the graph so far exceed "
+                                   "float range", f"nodes[{i}] (id={node.id!r})")
     if loss not in tensors:
         raise GraphFormatError(f"loss id {loss!r} names no node")
     if tensors[loss].shape != ():

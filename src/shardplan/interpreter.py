@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph_ir import SOURCE_OPS, Graph
 from .load_balancer import round_shards
-from .theory import Instruction
+from .theory import Instruction, all_reduce, dist_id, identity
 
 UNARY_FNS = {
     "exp": np.exp,
@@ -34,6 +34,10 @@ UNARY_FNS = {
 
 class ExecutionError(RuntimeError):
     """Raised when a program is not executable (an unsound plan)."""
+
+
+class GraphTooLargeError(RuntimeError):
+    """Raised when numpy cannot hold one trial of the graph's tensors."""
 
 
 def _past_trials(axes: tuple[int, ...]) -> tuple[int, ...]:
@@ -189,10 +193,10 @@ def execute_instruction(instr: Instruction, env: dict[str, list[np.ndarray]], m:
 def materialize_loss(env: dict[str, list[np.ndarray]], loss_ref: str, m: int) -> list[np.ndarray]:
     """Per-device loss values, applying the completing collective if the final
     loss property is AllReduce-form (the no-op closure for m=1)."""
-    full = f"{loss_ref}@full"
+    full = dist_id(loss_ref, identity(loss_ref))
     if full in env:
         return env[full]
-    partial = f"{loss_ref}@partial"
+    partial = dist_id(loss_ref, all_reduce(loss_ref))
     if partial in env:
         return coll_all_reduce(env[partial])
     raise ExecutionError(f"program realizes no property of the loss tensor {loss_ref!r}")
@@ -251,12 +255,21 @@ def check_equivalence(g: Graph, program, m: int, shard_table: dict, trials: int 
     inputs.  A NaN or infinite error fails the check and is reported."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    chunk = max(1, CHUNK_ELEMENTS // sum(math.prod(node.shape) for node in g.nodes))
+    per_trial = sum(math.prod(node.shape) for node in g.nodes)
+    # numpy refuses an array past its index range (ValueError) or past the
+    # address space (MemoryError) before allocating it.
+    if per_trial * 8 > np.iinfo(np.intp).max:
+        raise GraphTooLargeError(f"one trial of the graph's tensors is {per_trial} "
+                                 "float64 elements, more than numpy can index")
+    chunk = max(1, CHUNK_ELEMENTS // per_trial)
     worst = [0.0]
     for start in range(0, trials, chunk):
-        inputs = random_inputs(g, seed + start, min(chunk, trials - start))
-        expected = run_single(g, inputs)
-        losses = run_distributed(program, m, inputs, shard_table)
+        try:
+            inputs = random_inputs(g, seed + start, min(chunk, trials - start))
+            expected = run_single(g, inputs)
+            losses = run_distributed(program, m, inputs, shard_table)
+        except MemoryError as e:
+            raise GraphTooLargeError(f"the graph's tensors do not fit in memory: {e}") from None
         scale = np.maximum(np.abs(expected), 1.0)
         worst.append(np.max(np.abs(np.stack(losses) - expected) / scale))
     max_err = float(np.max(worst))      # np.max, unlike max(), keeps a NaN

@@ -204,7 +204,7 @@ def test_criterion_08_alternating_loop_descends_and_terminates():
                 if tr.balance_accepted:
                     halves.append(tr.balance_cost_s)
             for prev, nxt in zip(halves, halves[1:]):
-                assert nxt <= prev + 1e-9 * max(1.0, prev), \
+                assert nxt <= prev * (1 + 1e-9), \
                     f"{name}: cost rose {prev!r} -> {nxt!r}"
             if homogeneous:
                 for row in res.ratios.rows:

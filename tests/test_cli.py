@@ -45,15 +45,15 @@ def test_plan_document_layout(files, capsys):
     out = _plan(files)
     stdout = capsys.readouterr().out
     assert "cost: 5.76e-10 s" in stdout
-    assert "rounds: 1 (fixed_point), optimal" in stdout
+    assert "rounds: 1 (fixed_point), 2 expansions, optimal" in stdout
     doc = json.loads(open(out).read())
     assert list(doc) == PLAN_KEYS
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["devices"] == 2 and doc["segments"] == 1
     assert doc["ratios"] == [[0.7, 0.3]]
     assert doc["shard_table"] == {"h:0": [6, 2], "x:0": [6, 2]}
-    assert doc["estimate"]["total_s"] == 5.76e-10
-    assert doc["loop"]["optimal"] is True
+    assert doc["estimate"] == {"total_s": 5.76e-10}
+    assert doc["loop"] == {"optimal": True}
     restored = [i["kind"] for i in doc["program"]["instrs"]]
     assert "matmul" in restored and "reduce" in restored
 
@@ -158,6 +158,37 @@ def test_malformed_inputs_exit_2(files, capsys):
     overflow = _write(files["tmp"], "inf.json", overflow.replace('"F"', "1e999"))
     assert main(["plan", files["graph"], overflow]) == 2
     assert "devices[0]" in capsys.readouterr().err
+    # integer extents whose element count does not fit a float
+    huge = _write(files["tmp"], "huge.json", _rows(10**400))
+    for argv in (["plan", huge, files["homog2"]],
+                 ["verify", _plan(files), huge, files["hetero2"]],
+                 ["enumerate", huge, files["homog2"]]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: nodes[0] (id='x'):"), err
+
+
+def _rows(n):
+    """matmul_reduce with n rows of x and h."""
+    doc = corpus.matmul_reduce()
+    for node in doc["nodes"]:
+        if node["id"] in ("x", "h"):
+            node["shape"][0] = n
+    return doc
+
+
+# Both sizes exceed the address space, so numpy refuses the arrays before
+# allocating anything: 2**50 rows with a MemoryError, 2**62 with a ValueError.
+@pytest.mark.parametrize("rows", [2**50, 2**62])
+def test_verify_refuses_graph_too_large_to_execute(files, capsys, rows):
+    graph = _write(files["tmp"], "big.json", _rows(rows))
+    out = str(files["tmp"] / "big.plan.json")
+    assert main(["plan", graph, files["hetero2"], "-o", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", out, graph, files["hetero2"], "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "the graph's tensors" in err, err
 
 
 def test_exhausted_budget_exits_3(files, capsys):
@@ -282,6 +313,37 @@ def _estimate_infinite(doc):
     doc["estimate"]["total_s"] = float("inf")
 
 
+def _extra_top_level(doc):
+    doc["notes"] = "hand edited"
+
+
+def _extra_in_program(doc):
+    doc["program"]["comment"] = ""
+
+
+def _stage_estimates(doc):
+    doc["estimate"]["stages"] = [{"comm_s": 0.0, "comp_s": [123.0, 123.0]}]
+
+
+def _loop_telemetry(doc):
+    doc["loop"]["expansions"] = -5
+
+
+def _optimal_not_boolean(doc):
+    doc["loop"]["optimal"] = 1
+
+
+def _drop_loop(doc):
+    del doc["loop"]
+
+
+def _schema_1(doc):
+    """The plan as schema 1 wrote it, with search telemetry and stages."""
+    doc["schema_version"] = 1
+    doc["estimate"]["stages"] = [{"comm_s": 0.0, "comp_s": [5.76e-10, 5.76e-10]}]
+    doc["loop"] = {"rounds": 1, "reason": "fixed_point", "optimal": True, "expansions": 2}
+
+
 @pytest.mark.parametrize("command", ["verify", "enumerate"])
 @pytest.mark.parametrize("damage, field", [
     (_drop_program, "program"),
@@ -296,6 +358,13 @@ def _estimate_infinite(doc):
     (_flops_float, "program.instrs[3]"),
     (_estimate_nan, "estimate.total_s"),
     (_estimate_infinite, "estimate.total_s"),
+    (_extra_top_level, "notes"),
+    (_extra_in_program, "program.comment"),
+    (_stage_estimates, "estimate.stages"),
+    (_loop_telemetry, "loop.expansions"),
+    (_optimal_not_boolean, "loop.optimal"),
+    (_drop_loop, "loop"),
+    (_schema_1, "schema_version"),
 ])
 def test_malformed_plan_fields_exit_2(files, capsys, command, damage, field):
     doc = json.loads(open(_plan(files)).read())
