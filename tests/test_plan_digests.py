@@ -99,5 +99,17 @@ def test_collective_forcing_plans_use_their_collectives(plans):
             assert collective in kinds, key
 
 
+def test_dominance_pruned_plans_match_pinned_digests(plans):
+    pinned = json.loads(DIGESTS.read_text())
+    got = plan_digests(plans)
+    keys = [f"mix{batch}x{width}.{cname}.s1"
+            for (batch, width, cname), collective in MIX_PINS.items()
+            if cname == "hetero2" and collective is None]
+    assert len(keys) == 2
+    for key in keys:
+        assert key in pinned, key
+        assert got[key] == pinned[key], f"plan bytes changed for {key}"
+
+
 if __name__ == "__main__":
     print(json.dumps(plan_digests(pinned_plans()), indent=1, sort_keys=True))
