@@ -4,7 +4,7 @@
                                  [--budget N]
     shardplan verify PLAN GRAPH CLUSTER [--trials N] [--seed S]
     shardplan enumerate GRAPH CLUSTER [--ratios uniform|flops|PLAN]
-                                      [--segments N] [--max-len N] [--force]
+                                      [--max-len N] [--force]
 
 Exit codes: 0 success, 1 verification mismatch, 2 malformed input,
 3 search budget exhausted.  Plan files are byte-deterministic: floats are
@@ -12,7 +12,8 @@ canonicalized to 12 significant digits and the embedded cost estimate is
 recomputed from the canonicalized ratios, so a written plan is exactly
 self-consistent.  A plan holds the answer and no search telemetry: `verify`
 checks every field but `loop.optimal`, which `enumerate --ratios PLAN`
-checks.
+checks.  `enumerate` prices every program at one ratio row, uniform or
+proportional to device speed, or at a plan's rows and segments.
 """
 from __future__ import annotations
 
@@ -25,9 +26,10 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .cost_model import ClusterFormatError, ClusterSpec, ShardingRatios, iteration_time
+from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios, iteration_time,
+                         single_segment)
 from .graph_ir import (Graph, GraphFormatError, SegmentAssignment, _is_finite_number,
-                       _is_int, assign_segments, parse_graph, serialize_graph)
+                       _is_int, parse_graph, serialize_graph)
 from .interpreter import (ExecutionError, GraphTooLargeError, build_shard_table,
                           check_equivalence)
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
@@ -266,7 +268,6 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     g = parse_graph(_read(args.graph))
     spec = ClusterSpec.from_json(_read(args.cluster))
-    _check_option("segments", args.segments, 1, len(g.nodes))
     _check_option("max-len", args.max_len, 0)
     if len(g.nodes) > 6 and not args.force:
         print(f"error: {len(g.nodes)} nodes is large for exhaustive enumeration; "
@@ -276,15 +277,11 @@ def cmd_enumerate(args) -> int:
         # Anything else names a plan file whose ratios and segmentation we
         # reuse, so enumeration prices candidates under the plan's own B.
         plan = load_plan(json.loads(_read(args.ratios)), g, spec.m)
-        if args.segments not in (None, plan.assignment.count):
-            print(f"error: --segments {args.segments} disagrees with the plan's "
-                  f"{plan.assignment.count} segments", file=sys.stderr)
-            return 2
         assignment, B = plan.assignment, plan.ratios
     else:
-        assignment = assign_segments(g, args.segments or 1)
-        B = (ShardingRatios.proportional_to_flops(spec, g=assignment.count)
-             if args.ratios == "flops" else ShardingRatios.uniform(spec.m, g=assignment.count))
+        assignment = single_segment(g)
+        B = (ShardingRatios.proportional_to_flops(spec) if args.ratios == "flops"
+             else ShardingRatios.uniform(spec.m))
     theory = build_theory(g, spec.m, guards=False, fuse=False)
     try:
         res = enumerate_programs(g, theory, spec, B, assignment=assignment,
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cluster")
     p.add_argument("--ratios", default="uniform",
                    help="'uniform', 'flops', or a plan file to take B from")
-    p.add_argument("--segments", type=int, default=None)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_enumerate)

@@ -193,10 +193,10 @@ def execute_instruction(instr: Instruction, env: dict[str, list[np.ndarray]], m:
 def materialize_loss(env: dict[str, list[np.ndarray]], loss_ref: str, m: int) -> list[np.ndarray]:
     """Per-device loss values, applying the completing collective if the final
     loss property is AllReduce-form (the no-op closure for m=1)."""
-    full = dist_id(loss_ref, identity(loss_ref))
+    full = dist_id(identity(loss_ref))
     if full in env:
         return env[full]
-    partial = dist_id(loss_ref, all_reduce(loss_ref))
+    partial = dist_id(all_reduce(loss_ref))
     if partial in env:
         return coll_all_reduce(env[partial])
     raise ExecutionError(f"program realizes no property of the loss tensor {loss_ref!r}")

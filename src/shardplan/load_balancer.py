@@ -5,8 +5,9 @@ is a small linear program: ratio variables B_j (nonnegative, summing to one),
 one variable M bounding every B_j (gather-style collectives move the largest
 shard), and one variable T_i per compute stage bounding each device's affine
 compute time.  Each collective enters through `cost_model.comm_terms`:
-AllReduce contributes a constant; grouped broadcast is linear in the B_j
-directly; the padded collectives are linear in M.  Rows never interact except through segment-boundary
+AllReduce contributes only a constant, which no ratio row changes, so the LP
+leaves it out; grouped broadcast is linear in the B_j directly; the padded
+collectives are linear in M.  Rows never interact except through segment-boundary
 reshards, which are charged here against the segment's own M (the exact
 evaluator uses the max over both rows, so the loop re-checks candidates
 against the true model before accepting them).
@@ -26,24 +27,6 @@ from .cost_model import (ClusterSpec, ShardingRatios, comm_terms,
 from .graph_ir import Graph, SegmentAssignment
 
 _TOL = 1e-9
-
-
-@dataclass
-class LinearProgram:
-    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
-
-    `const` is an additive objective constant (collective latencies and
-    replicated work that no choice of ratios can avoid); it is carried so the
-    reported objective equals the cost model's segment time.  `scale` is the
-    unit of the objective in seconds: coefficients are stored rescaled so the
-    tableau is O(1) regardless of the physical magnitudes."""
-    c: np.ndarray
-    A_ub: np.ndarray | None = None
-    b_ub: np.ndarray | None = None
-    A_eq: np.ndarray | None = None
-    b_eq: np.ndarray | None = None
-    const: float = 0.0
-    scale: float = 1.0
 
 
 @dataclass
@@ -175,7 +158,6 @@ class SegmentProblem:
     comp_c: list[np.ndarray] = field(default_factory=list)   # replicated s
     slope_M: float = 0.0
     linear_B: np.ndarray | None = None
-    const_s: float = 0.0
 
     def __post_init__(self):
         if self.linear_B is None:
@@ -196,8 +178,7 @@ def segment_problems(instrs, spec: ClusterSpec,
     for row, comm, comps in stages(instrs, assignment.row_index):
         prob = probs[row]
         if comm is not None:
-            const_s, per_max_s, per_ratio_s = comm_terms(comm, spec)
-            prob.const_s += const_s
+            _, per_max_s, per_ratio_s = comm_terms(comm, spec)
             prob.slope_M += per_max_s
             prob.linear_B += per_ratio_s
         if comps:
@@ -214,13 +195,15 @@ def segment_problems(instrs, spec: ClusterSpec,
     return probs
 
 
-def build_lp(prob: SegmentProblem) -> LinearProgram:
-    """Assemble the ratio LP for one segment.
+def build_lp(prob: SegmentProblem) -> tuple[np.ndarray, ...]:
+    """Assemble the ratio LP for one segment as `solve_lp`'s arguments
+    (c, A_ub, b_ub, A_eq, b_eq).
 
     Variables are [B_1..B_m, M, T_1..T_k]: M >= B_j models gather-style
     collectives that wait for the largest shard, and T_s >= a_sj*B_j + c_sj
     models stage s finishing when its slowest device does.  The objective is
-    linear_B @ B + slope_M * M + sum(T) (+ const).
+    linear_B @ B + slope_M * M + sum(T); collective latencies and other terms
+    that no choice of ratios changes are left out.
 
     Worked examples (m=2):
       * one stage with per-device slopes (1, 2), no communication
@@ -233,9 +216,8 @@ def build_lp(prob: SegmentProblem) -> LinearProgram:
     Second-valued coefficients are divided by a power-of-two unit (exact in
     floating point) before they enter the tableau: stage times sit around
     1e-10 s, far below the simplex pivot tolerance, and without the change of
-    units the solver stops a pivot short of the optimum.  lp_solve converts
-    the objective back to seconds via `scale`; the ratio variables B_j are
-    dimensionless and unaffected.
+    units the solver stops a pivot short of the optimum.  The ratio variables
+    B_j are dimensionless and unaffected.
     """
     m = prob.m
     k = len(prob.comp_a)
@@ -266,15 +248,7 @@ def build_lp(prob: SegmentProblem) -> LinearProgram:
             row[m + 1 + s] = -1.0
             rows.append(row)
             rhs.append(-prob.comp_c[s][j] / scale)
-    return LinearProgram(c=c, A_ub=np.vstack(rows), b_ub=np.asarray(rhs),
-                         A_eq=A_eq, b_eq=b_eq, const=prob.const_s, scale=scale)
-
-
-def lp_solve(lp: LinearProgram) -> LpSolution:
-    sol = solve_lp(lp.c, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq)
-    if sol.status == "optimal":
-        sol.objective = sol.objective * lp.scale + lp.const
-    return sol
+    return c, np.vstack(rows), np.asarray(rhs), A_eq, b_eq
 
 
 def optimize_ratios(program, g: Graph, spec: ClusterSpec,
@@ -291,7 +265,7 @@ def optimize_ratios(program, g: Graph, spec: ClusterSpec,
         if prob.trivial:
             out_rows.append(tuple(1.0 / m for _ in range(m)))
             continue
-        sol = lp_solve(build_lp(prob))
+        sol = solve_lp(*build_lp(prob))
         if sol.status != "optimal":
             raise RuntimeError(f"ratio LP unexpectedly {sol.status} "
                                f"for segment {prob.row_index}")
@@ -307,12 +281,25 @@ def optimize_ratios(program, g: Graph, spec: ClusterSpec,
 def round_shards(extent: int, ratios) -> list[int]:
     """Integer shard sizes for one axis: start from nearest integers, then
     repair the sum one unit at a time wherever the move costs least accuracy
-    (ties go to the higher device index); sizes never drop below zero."""
+    (ties go to the higher device index); sizes never drop below zero.
+
+    Each float target is off by up to extent * 2**-53, and a row sums to 1
+    only within 1e-9, so the nearest integers can miss the extent by far more
+    than one unit per device.  Past the first unit per device every move
+    costs one unit of accuracy wherever it goes, so all but the last
+    len(sizes) units move in bulk, largest shards first, and the repair
+    takes at most len(sizes) steps."""
     if extent < 0:
         raise ValueError("extent must be nonnegative")
     targets = [extent * r for r in ratios]
     sizes = [math.floor(t + 0.5) for t in targets]
     diff = extent - sum(sizes)
+    m = len(sizes)
+    if abs(diff) > m:
+        for j in sorted(range(m), key=sizes.__getitem__, reverse=True):
+            move = max(diff - m if diff > 0 else diff + m, -sizes[j])
+            sizes[j] += move
+            diff -= move
     while diff != 0:
         step = 1 if diff > 0 else -1
         best_j = -1

@@ -14,9 +14,12 @@ reference tensor).
 
 ``derive_theory`` turns a graph into the set of sound triples
 ``{pre} instr {post}``: source rules, per-operator sharding rules, and
-collective rules for every tensor.  ``fuse_empty_preconditions`` and
-``add_communication_guards`` are optional theory rewrites that shrink the
-search space without changing the reachable minimum cost.
+collective rules for every tensor.  One constructor, ``_rule``, builds every
+one of them: a single instruction that reads the distributed tensor of each
+precondition property and writes the one of the postcondition.
+``fuse_empty_preconditions`` and ``add_communication_guards`` are optional
+theory rewrites that shrink the search space without changing the reachable
+minimum cost.
 """
 from __future__ import annotations
 
@@ -74,14 +77,14 @@ def not_communicated(ref: str) -> Property:
     return Property(ref, NOT_COMMUNICATED)
 
 
-def dist_id(ref: str, prop: Property) -> str:
+def dist_id(prop: Property) -> str:
     """Canonical name of the distributed tensor realizing `prop`."""
     if prop.kind == IDENTITY:
-        return f"{ref}@full"
+        return f"{prop.ref}@full"
     if prop.kind == ALL_GATHER:
-        return f"{ref}@shard{prop.axis}"
+        return f"{prop.ref}@shard{prop.axis}"
     if prop.kind == ALL_REDUCE:
-        return f"{ref}@partial"
+        return f"{prop.ref}@partial"
     raise ValueError(f"guard property {prop} has no distributed tensor")
 
 
@@ -177,75 +180,58 @@ class Theory:
     initial_props: frozenset[Property] = frozenset()
 
 
-def _source_rules(node: Node) -> list[HoareTriple]:
+def _rule(kind: str, post: Property, pre: tuple[Property, ...] = (), *,
+          axis: int | None = None, axis2: int | None = None,
+          dims: tuple[int, ...] | None = None, tag: str | None = None,
+          sharded: bool = False, flops: int = 0, elements: int = 0) -> HoareTriple:
+    """The triple {pre} kind {post}: one instruction on `post`'s reference
+    tensor that reads the distributed tensor of each precondition property and
+    writes the one of the postcondition."""
+    instr = Instruction(kind, post.ref, tuple(map(dist_id, pre)), dist_id(post),
+                        axis, axis2, dims, tag, sharded, flops, elements)
+    return HoareTriple(frozenset(pre), (instr,), frozenset({post}))
+
+
+def _source_rules(node: Node, g: Graph) -> list[HoareTriple]:
     base = "placeholder" if node.op == "Placeholder" else "parameter"
     e = node.id
-    out: list[HoareTriple] = []
-    full = identity(e)
-    out.append(HoareTriple(frozenset(), (Instruction(base, e, output=dist_id(e, full)),),
-                           frozenset({full})))
-    for d in range(len(node.shape)):
-        p = all_gather(e, d)
-        out.append(HoareTriple(frozenset(),
-                               (Instruction(f"{base}_shard", e, axis=d, output=dist_id(e, p),
-                                            sharded=True),),
-                               frozenset({p})))
-    return out
+    return [_rule(base, identity(e))] + [
+        _rule(f"{base}_shard", all_gather(e, d), axis=d, sharded=True)
+        for d in range(len(node.shape))]
 
 
 def _matmul_rules(node: Node, g: Graph) -> list[HoareTriple]:
     e1, e2 = node.inputs
     e3 = node.id
     f = node_flops(g, node)
-
-    def rule(p1: Property, p2: Property, p3: Property, sharded: bool) -> HoareTriple:
-        instr = Instruction("matmul", e3, operands=(dist_id(e1, p1), dist_id(e2, p2)),
-                            output=dist_id(e3, p3), sharded=sharded, flops=f)
-        return HoareTriple(frozenset({p1, p2}), (instr,), frozenset({p3}))
-
     return [
-        rule(all_gather(e1, 0), identity(e2), all_gather(e3, 0), True),
-        rule(identity(e1), all_gather(e2, 1), all_gather(e3, 1), True),
-        rule(all_gather(e1, 1), all_gather(e2, 0), all_reduce(e3), True),
-        rule(identity(e1), identity(e2), identity(e3), False),  # full replication
+        _rule("matmul", all_gather(e3, 0), (all_gather(e1, 0), identity(e2)),
+              sharded=True, flops=f),
+        _rule("matmul", all_gather(e3, 1), (identity(e1), all_gather(e2, 1)),
+              sharded=True, flops=f),
+        _rule("matmul", all_reduce(e3), (all_gather(e1, 1), all_gather(e2, 0)),
+              sharded=True, flops=f),
+        _rule("matmul", identity(e3), (identity(e1), identity(e2)), flops=f),  # full replication
     ]
 
 
-def _unary_rules(node: Node, g: Graph) -> list[HoareTriple]:
-    (e1,) = node.inputs
-    e2 = node.id
+_ELEMWISE_KINDS = {"Identity": "identity", "ElemwiseUnary": "elemwise_unary",
+                   "ElemwiseBinary": "elemwise_binary"}
+
+
+def _elemwise_rules(node: Node, g: Graph) -> list[HoareTriple]:
+    """Every operand takes the output's form: the same sharded axis, full
+    replication, or partial sums for a linear op."""
+    kind = _ELEMWISE_KINDS[node.op]
     f = node_flops(g, node)
-    kind = "identity" if node.op == "Identity" else "elemwise_unary"
-
-    def rule(p1: Property, p2: Property, sharded: bool) -> HoareTriple:
-        instr = Instruction(kind, e2, operands=(dist_id(e1, p1),), output=dist_id(e2, p2),
-                            tag=node.tag, sharded=sharded, flops=f)
-        return HoareTriple(frozenset({p1}), (instr,), frozenset({p2}))
-
-    out = [rule(all_gather(e1, d), all_gather(e2, d), True) for d in range(len(node.shape))]
-    out.append(rule(identity(e1), identity(e2), False))
-    if node.op == "Identity":
-        # Identity is linear, so it commutes with the cross-device sum.
-        out.append(rule(all_reduce(e1), all_reduce(e2), False))
-    return out
-
-
-def _binary_rules(node: Node, g: Graph) -> list[HoareTriple]:
-    e1, e2 = node.inputs
-    e3 = node.id
-    f = node_flops(g, node)
-
-    def rule(p1: Property, p2: Property, p3: Property, sharded: bool) -> HoareTriple:
-        instr = Instruction("elemwise_binary", e3, operands=(dist_id(e1, p1), dist_id(e2, p2)),
-                            output=dist_id(e3, p3), tag=node.tag, sharded=sharded, flops=f)
-        return HoareTriple(frozenset({p1, p2}), (instr,), frozenset({p3}))
-
-    out = [rule(all_gather(e1, d), all_gather(e2, d), all_gather(e3, d), True)
-           for d in range(len(node.shape))]
-    out.append(rule(identity(e1), identity(e2), identity(e3), False))
-    if node.tag == "add":
-        # Addition distributes over the cross-device sum; Mul does not.
-        out.append(rule(all_reduce(e1), all_reduce(e2), all_reduce(e3), False))
+    out = [_rule(kind, all_gather(node.id, d), tuple(all_gather(e, d) for e in node.inputs),
+                 tag=node.tag, sharded=True, flops=f) for d in range(len(node.shape))]
+    out.append(_rule(kind, identity(node.id), tuple(map(identity, node.inputs)), tag=node.tag,
+                     flops=f))
+    if node.op == "Identity" or node.tag == "add":
+        # Identity and addition commute with the cross-device sum; Mul does not.
+        out.append(_rule(kind, all_reduce(node.id), tuple(map(all_reduce, node.inputs)),
+                         tag=node.tag, flops=f))
     return out
 
 
@@ -254,61 +240,40 @@ def _reduce_rules(node: Node, g: Graph) -> list[HoareTriple]:
     e2 = node.id
     f = node_flops(g, node)
     dims = node.dims or ()
-    in_rank = len(g.tensors[e1].shape)
-
-    def rule(p1: Property, p2: Property, sharded: bool) -> HoareTriple:
-        instr = Instruction("reduce", e2, operands=(dist_id(e1, p1),), output=dist_id(e2, p2),
-                            dims=dims, sharded=sharded, flops=f)
-        return HoareTriple(frozenset({p1}), (instr,), frozenset({p2}))
-
-    out = [rule(identity(e1), identity(e2), False),
-           rule(all_reduce(e1), all_reduce(e2), False)]
-    for d in range(in_rank):
+    out = [_rule("reduce", identity(e2), (identity(e1),), dims=dims, flops=f),
+           _rule("reduce", all_reduce(e2), (all_reduce(e1),), dims=dims, flops=f)]
+    for d in range(len(g.tensors[e1].shape)):
         if d in dims:
             # Reducing over the sharded axis leaves per-device partial sums.
-            out.append(rule(all_gather(e1, d), all_reduce(e2), True))
+            post = all_reduce(e2)
         else:
-            d_out = d - sum(1 for r in dims if r < d)
-            out.append(rule(all_gather(e1, d), all_gather(e2, d_out), True))
+            post = all_gather(e2, d - sum(1 for r in dims if r < d))
+        out.append(_rule("reduce", post, (all_gather(e1, d),), dims=dims, sharded=True, flops=f))
     return out
 
 
 _RULES = {
-    "Placeholder": lambda node, g: _source_rules(node),
-    "Parameter": lambda node, g: _source_rules(node),
+    "Placeholder": _source_rules,
+    "Parameter": _source_rules,
     "MatMul": _matmul_rules,
-    "ElemwiseUnary": _unary_rules,
-    "Identity": _unary_rules,
-    "ElemwiseBinary": _binary_rules,
+    "ElemwiseUnary": _elemwise_rules,
+    "Identity": _elemwise_rules,
+    "ElemwiseBinary": _elemwise_rules,
     "Reduce": _reduce_rules,
 }
 
 
 def _comm_rules(ref: str, shape: tuple[int, ...]) -> list[HoareTriple]:
     n = math.prod(shape)
-    rank = len(shape)
-    out: list[HoareTriple] = []
-
-    def rule(pre: Property, kind: str, post: Property, axis: int | None = None,
-             axis2: int | None = None) -> HoareTriple:
-        instr = Instruction(kind, ref, operands=(dist_id(ref, pre),), output=dist_id(ref, post),
-                            axis=axis, axis2=axis2, elements=n)
-        return HoareTriple(frozenset({pre}), (instr,), frozenset({post}))
-
-    out.append(rule(all_reduce(ref), "all_reduce", identity(ref)))
-    for d in range(rank):
-        out.append(rule(all_reduce(ref), "reduce_scatter", all_gather(ref, d), axis=d))
-    for d in range(rank):
-        out.append(rule(all_gather(ref, d), "all_gather", identity(ref), axis=d))
-    for d in range(rank):
-        # Same contract as AllGather(d); costs differ under skewed ratios.
-        out.append(rule(all_gather(ref, d), "grouped_broadcast", identity(ref), axis=d))
-    for d1 in range(rank):
-        for d2 in range(rank):
-            if d1 != d2:
-                out.append(rule(all_gather(ref, d1), "all_to_all", all_gather(ref, d2),
-                                axis=d1, axis2=d2))
-    return out
+    full, partial = identity(ref), all_reduce(ref)
+    shards = list(enumerate(all_gather(ref, d) for d in range(len(shape))))
+    return ([_rule("all_reduce", full, (partial,), elements=n)]
+            + [_rule("reduce_scatter", p, (partial,), axis=d, elements=n) for d, p in shards]
+            + [_rule("all_gather", full, (p,), axis=d, elements=n) for d, p in shards]
+            # Same contract as AllGather(d); costs differ under skewed ratios.
+            + [_rule("grouped_broadcast", full, (p,), axis=d, elements=n) for d, p in shards]
+            + [_rule("all_to_all", p2, (p1,), axis=d1, axis2=d2, elements=n)
+               for d1, p1 in shards for d2, p2 in shards if d1 != d2])
 
 
 def derive_theory(g: Graph, m: int) -> Theory:

@@ -48,7 +48,6 @@ def segment_objective(prob: SegmentProblem, row) -> float:
     LP, computed directly)."""
     row = np.asarray(row, dtype=float)
     total = float(prob.linear_B @ row) + prob.slope_M * float(row.max())
-    total += prob.const_s
     for a, c in zip(prob.comp_a, prob.comp_c):
         total += float(np.max(a * row + c))
     return total
@@ -240,7 +239,7 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
         for prop in triple.pre:
             if prop.is_guard:
                 continue
-            env[dist_id(prop.ref, prop)] = materialize_property(
+            env[dist_id(prop)] = materialize_property(
                 prop, refs[prop.ref], spec.m, shard_table, rng)
         try:
             for instr in triple.instrs:
@@ -251,7 +250,7 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
         for prop in triple.post:
             if prop.is_guard:
                 continue
-            did = dist_id(prop.ref, prop)
+            did = dist_id(prop)
             if did not in env:
                 bad.append(f"{triple}: post {prop} not realized")
                 continue

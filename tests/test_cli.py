@@ -191,20 +191,45 @@ def test_verify_refuses_graph_too_large_to_execute(files, capsys, rows):
     assert err.startswith("error: ") and "the graph's tensors" in err, err
 
 
+def test_huge_extent_plans_and_verify_refuses_it(files, capsys):
+    doc = corpus.skip_connection()
+    for node in doc["nodes"]:
+        if node["shape"]:
+            node["shape"][0] = 10**307
+    graph = _write(files["tmp"], "huge.json", doc)
+    out = str(files["tmp"] / "huge.plan.json")
+    assert main(["plan", graph, files["hetero2"], "-o", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", out, graph, files["hetero2"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "the graph's tensors" in err, err
+    assert "Traceback" not in err
+
+
 def test_exhausted_budget_exits_3(files, capsys):
     assert main(["plan", files["graph"], files["homog2"], "--budget", "1"]) == 3
     assert "budget exhausted" in capsys.readouterr().err
 
 
+def _enumerated_minimum(files, capsys, plan):
+    capsys.readouterr()
+    assert main(["enumerate", files["graph"], files["hetero2"], "--ratios", plan]) == 0
+    stdout = capsys.readouterr().out
+    line = next(l for l in stdout.splitlines() if l.startswith("minimum cost:"))
+    return float(f"{float(line.split()[2]):.12g}")
+
+
 def test_enumerate_confirms_plan_cost(files, capsys):
     out = _plan(files)
     doc = json.loads(open(out).read())
-    rc = main(["enumerate", files["graph"], files["hetero2"], "--ratios", out])
-    assert rc == 0
-    stdout = capsys.readouterr().out
-    line = next(l for l in stdout.splitlines() if l.startswith("minimum cost:"))
-    enum_cost = float(line.split()[2])
-    assert float(f"{enum_cost:.12g}") == doc["estimate"]["total_s"]
+    assert _enumerated_minimum(files, capsys, out) == doc["estimate"]["total_s"]
+
+
+def test_enumerate_confirms_multi_segment_plan_cost(files, capsys):
+    out = _plan(files, "hetero2", "plan2.json", "--segments", "2")
+    doc = json.loads(open(out).read())
+    assert doc["segments"] == 2 and len(doc["ratios"]) == 2
+    assert _enumerated_minimum(files, capsys, out) == doc["estimate"]["total_s"]
 
 
 def test_enumerate_flops_ratios(files, capsys):
@@ -389,8 +414,6 @@ def test_malformed_plan_fields_exit_2(files, capsys, command, damage, field):
     ("verify", "--trials", "0"),
     ("verify", "--trials", "-3"),
     ("verify", "--seed", "-1"),
-    ("enumerate", "--segments", "9"),
-    ("enumerate", "--segments", "0"),
     ("enumerate", "--max-len", "-1"),
 ])
 def test_numeric_option_out_of_range_exits_2(files, capsys, command, option, value):
