@@ -283,12 +283,8 @@ def cmd_enumerate(args) -> int:
         B = (ShardingRatios.proportional_to_flops(spec) if args.ratios == "flops"
              else ShardingRatios.uniform(spec.m))
     theory = build_theory(g, spec.m, guards=False, fuse=False)
-    try:
-        res = enumerate_programs(g, theory, spec, B, assignment=assignment,
-                                 max_len=args.max_len)
-    except NoCompleteProgramError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    res = enumerate_programs(g, theory, spec, B, assignment=assignment,
+                             max_len=args.max_len)
     print(f"explored {res.explored} states, {res.complete_states} complete")
     print(f"minimum cost: {res.cost_s:.12g} s")
     for instr in res.program.instrs:
@@ -347,6 +343,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except NoCompleteProgramError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except BudgetExhaustedError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -1,16 +1,17 @@
 """Reference semantics: run graphs on one device and programs on m simulated ones.
 
 Every array carries a leading trial axis: a tensor of shape s is held as an
-array of shape (trials, *s), so one pass runs a batch of seeded trials.  Axes
+array of shape (trials, *s), so one pass runs a batch of trials.  Axes
 named by the graph or the plan (shard axes, Reduce dims) count tensor axes;
 the interpreter shifts them past the trial axis.  The distributed runner
 keeps, per distributed tensor, the list of per-device numpy arrays and
 executes instructions in lock step.  Sharding always takes contiguous
 slices: device j owns the slice from sum(sizes[:j]) to sum(sizes[:j+1])
 along the shard axis, where the sizes come from the plan's shard table.
-Zero-size shards are legal.  All arithmetic is float64; the equivalence
-check runs its trials in chunks of at most `CHUNK_ELEMENTS` graph elements
-and passes at 1e-9 relative error.
+Zero-size shards are legal.  All arithmetic is float64.  The equivalence
+check draws its inputs uniformly from [-1, 1), trial after trial, from one
+generator seeded once per check; it runs its trials in chunks of at most
+`CHUNK_ELEMENTS` graph elements and passes at 1e-9 relative error.
 """
 from __future__ import annotations
 
@@ -230,15 +231,20 @@ class EquivalenceReport:
     passed: bool
 
 
-def random_inputs(g: Graph, seed: int, trials: int) -> dict[str, np.ndarray]:
-    """Standard-normal values for every source tensor, trial axis first.
-    Trial t draws the sources, in graph order, from default_rng(seed + t)."""
-    out = {node.id: np.empty((trials, *node.shape))
-           for node in g.nodes if node.op in SOURCE_OPS}
-    for t in range(trials):
-        rng = np.random.default_rng(seed + t)
-        for value in out.values():
-            rng.standard_normal(out=value[t])
+def random_inputs(g: Graph, rng: np.random.Generator, trials: int) -> dict[str, np.ndarray]:
+    """Uniform values in [-1, 1) for every source tensor, trial axis first.
+    The values are drawn trial by trial and, within a trial, source by
+    source in graph order, so consecutive calls on one generator continue
+    one stream: trial t of a check is block t of it, whatever the chunks."""
+    sources = [node for node in g.nodes if node.op in SOURCE_OPS]
+    sizes = [math.prod(node.shape) for node in sources]
+    block = rng.random((trials, sum(sizes)))
+    block *= 2.0
+    block -= 1.0
+    out, offset = {}, 0
+    for node, size in zip(sources, sizes):
+        out[node.id] = block[:, offset:offset + size].reshape(trials, *node.shape)
+        offset += size
     return out
 
 
@@ -251,8 +257,9 @@ CHUNK_ELEMENTS = 65536
 
 def check_equivalence(g: Graph, program, m: int, shard_table: dict, trials: int = 5,
                       seed: int = 0, rtol: float = 1e-9) -> EquivalenceReport:
-    """Compare run_single against every device's loss over seeded random
-    inputs.  A NaN or infinite error fails the check and is reported."""
+    """Compare run_single against every device's loss over random inputs
+    drawn from one default_rng(seed) stream.  A NaN or infinite error fails
+    the check and is reported."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     per_trial = sum(math.prod(node.shape) for node in g.nodes)
@@ -262,10 +269,11 @@ def check_equivalence(g: Graph, program, m: int, shard_table: dict, trials: int 
         raise GraphTooLargeError(f"one trial of the graph's tensors is {per_trial} "
                                  "float64 elements, more than numpy can index")
     chunk = max(1, CHUNK_ELEMENTS // per_trial)
+    rng = np.random.default_rng(seed)
     worst = [0.0]
     for start in range(0, trials, chunk):
         try:
-            inputs = random_inputs(g, seed + start, min(chunk, trials - start))
+            inputs = random_inputs(g, rng, min(chunk, trials - start))
             expected = run_single(g, inputs)
             losses = run_distributed(program, m, inputs, shard_table)
         except MemoryError as e:

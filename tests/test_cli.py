@@ -250,6 +250,33 @@ def test_enumerate_reports_unreachable_loss(files, capsys):
     assert "no complete program" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nodes", [
+    [{"id": "x", "op": "Placeholder", "shape": []}],
+    [{"id": "w", "op": "Parameter", "shape": []}],
+    [{"id": "x", "op": "Placeholder", "shape": []},
+     {"id": "loss", "op": "Reduce", "shape": [], "inputs": ["x"], "attrs": {"dims": "all"}}],
+], ids=["placeholder", "parameter", "reduce_all"])
+def test_plan_without_complete_program_exits_1(files, capsys, nodes):
+    graph = _write(files["tmp"], "scalar.json", {"nodes": nodes, "loss": nodes[-1]["id"]})
+    assert main(["plan", graph, files["hetero2"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no complete program"), err
+    assert "Traceback" not in err
+
+
+def test_readme_verify_example_is_current(tmp_path, capsys):
+    """README's graph and cluster, its pinned plan, and its `verify` output."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    graph, cluster = re.findall(r"```json\n(.*?)```", readme, re.S)[:2]
+    shown = re.search(r"\$ shardplan verify plan.json graph.json cluster.json --trials 20\n"
+                      r"(.*?)```", readme, re.S).group(1)
+    argv = ["verify", str(DATA / "matmul_reduce.hetero2.plan.json"),
+            _write(tmp_path, "graph.json", graph), _write(tmp_path, "cluster.json", cluster),
+            "--trials", "20"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == shown.splitlines()
+
+
 def _drop_program(doc):
     del doc["program"]
 

@@ -197,15 +197,18 @@ def test_equivalence_flags_wrong_results():
 
 def test_random_inputs_cover_sources_only():
     g = graph_from_dict(corpus.matmul_reduce())
-    values = random_inputs(g, 7, 3)
+    values = random_inputs(g, np.random.default_rng(7), 3)
     assert set(values) == {"x", "w"}
     assert values["x"].shape == (3, 8, 4)
     assert values["w"].shape == (3, 4, 2)
-    # trial t draws the sources in graph order from its own seeded generator
-    for t in range(3):
-        rng = np.random.default_rng(7 + t)
-        assert np.array_equal(values["x"][t], rng.standard_normal((8, 4)))
-        assert np.array_equal(values["w"][t], rng.standard_normal((4, 2)))
+    drawn = np.concatenate([value.ravel() for value in values.values()])
+    assert np.all(drawn >= -1.0) and np.all(drawn < 1.0)
+    assert drawn.min() < -0.5 and drawn.max() > 0.5     # both halves, not [0, 1)
+    # trial-major: one generator drawing 3 trials matches a twin drawing 1, then 2
+    twin = np.random.default_rng(7)
+    first, rest = random_inputs(g, twin, 1), random_inputs(g, twin, 2)
+    for source, value in values.items():
+        assert np.array_equal(value, np.concatenate([first[source], rest[source]]))
 
 
 def _plans():
@@ -222,23 +225,31 @@ def _plans():
         yield g, res.program, spec.m, build_shard_table(g, res.ratios, res.assignment)
 
 
+def _elements(g):
+    return sum(math.prod(n.shape) for n in g.nodes)
+
+
 def _chunk(g):
-    return max(1, CHUNK_ELEMENTS // sum(math.prod(n.shape) for n in g.nodes))
+    return max(1, interp.CHUNK_ELEMENTS // _elements(g))
 
 
-def test_batched_check_matches_per_trial_oracle():
+def test_batched_check_matches_per_trial_oracle(monkeypatch):
     chunks = set()
     for g, program, m, table in _plans():
-        chunks.add(_chunk(g))
         for trials in (1, 5, 20, 23):
-            got = check_equivalence(g, program, m, table, trials=trials, seed=3)
             want = equivalence_per_trial(g, program, m, table, trials=trials, seed=3)
-            assert got.max_rel_err == want.max_rel_err, (g.loss, trials)
-            assert got.passed == want.passed
-            assert got.trials == trials
-            assert got.passed
+            # the default budget, then one of three trials a pass, so every
+            # graph's checks of 5 or more trials cross chunk boundaries
+            for budget in (CHUNK_ELEMENTS, 3 * _elements(g)):
+                monkeypatch.setattr(interp, "CHUNK_ELEMENTS", budget)
+                chunks.add(_chunk(g))
+                got = check_equivalence(g, program, m, table, trials=trials, seed=3)
+                assert got.max_rel_err == want.max_rel_err, (g.loss, trials, budget)
+                assert got.passed == want.passed
+                assert got.trials == trials
+                assert got.passed
     # 64x64 runs one trial per pass, 24x32 six, so 23 trials end on a short chunk
-    assert {1, 6} <= chunks
+    assert {1, 3, 6} <= chunks
 
 
 def test_check_runs_one_interpreter_pass_per_chunk(monkeypatch):
