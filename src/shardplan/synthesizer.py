@@ -116,7 +116,6 @@ class SearchContext:
         assignment = assignment or single_segment(g)
         if B.g != assignment.count:
             raise ValueError(f"ratio rows {B.g} != segment count {assignment.count}")
-        self.graph = g
         self.theory = theory
         self.spec = spec
         self.B = B

@@ -297,33 +297,29 @@ def derive_theory(g: Graph, m: int) -> Theory:
 def fuse_empty_preconditions(t: Theory) -> Theory:
     """Fold empty-precondition triples into their consumers.
 
-    Repeatedly: pick a triple T1 with empty pre that has at least one consumer
-    (a triple T2 with post(T1) <= pre(T2)), replace T1 by the fused triples
-    {pre(T2) \\ post(T1)} [T1;T2] {post(T1) | post(T2)}.  Empty-pre triples
-    without consumers survive; the search fires them directly.
+    One walk over the triples, fused ones included: each triple T1 with empty
+    pre that has at least one consumer (a triple T2 with post(T1) <= pre(T2))
+    is replaced by the fused triples {pre(T2) \\ post(T1)} [T1;T2]
+    {post(T1) | post(T2)}.  A fused pre is a subset of its consumer's pre, so
+    no triple already walked gains a consumer.  Empty-pre triples without
+    consumers survive; the search fires them directly.
     """
     triples = list(t.triples)
     seen = {(tr.instrs, tr.pre, tr.post) for tr in triples}
-    while True:
-        fused_any = False
-        for tr in triples:
-            if tr.pre:
-                continue
-            consumers = [c for c in triples if c is not tr and tr.post <= c.pre]
-            if not consumers:
-                continue
-            triples.remove(tr)
-            for c in consumers:
-                fused = HoareTriple(pre=c.pre - tr.post, instrs=tr.instrs + c.instrs,
-                                    post=tr.post | c.post)
-                key = (fused.instrs, fused.pre, fused.post)
-                if key not in seen:
-                    seen.add(key)
-                    triples.append(fused)
-            fused_any = True
-            break
-        if not fused_any:
-            return replace(t, triples=tuple(triples))
+    kept: list[HoareTriple] = []
+    for tr in triples:          # also walks the fused triples appended below
+        consumers = [] if tr.pre else [c for c in triples if tr.post <= c.pre]
+        if not consumers:
+            kept.append(tr)
+            continue
+        for c in consumers:
+            fused = HoareTriple(pre=c.pre - tr.post, instrs=tr.instrs + c.instrs,
+                                post=tr.post | c.post)
+            key = (fused.instrs, fused.pre, fused.post)
+            if key not in seen:
+                seen.add(key)
+                triples.append(fused)
+    return replace(t, triples=tuple(kept))
 
 
 def add_communication_guards(t: Theory) -> Theory:
@@ -335,8 +331,6 @@ def add_communication_guards(t: Theory) -> Theory:
     sharded forms come straight from the source rules).  Property sets then
     start from NotCommunicated for every tensor.
     """
-    if not any(i.is_comm for tr in t.triples for i in tr.instrs):
-        return t
     kept: list[HoareTriple] = []
     for tr in t.triples:
         comm_refs = [i.ref for i in tr.instrs if i.is_comm]

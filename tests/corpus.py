@@ -228,6 +228,15 @@ SKEW2 = _cluster([100e9, 1e9], 2e-5, 12e9)
 SLOWHET2 = _cluster([2.0 ** 31, 2.0 ** 30], 2.0 ** -16, 2.0 ** 33)
 
 
+def scaled(cluster: dict, k: int) -> dict:
+    """The cluster with rates and bandwidths multiplied by 2**k, latencies divided."""
+    f = 2.0 ** k
+    return {**cluster,
+            "devices": [{"flops": d["flops"] * f} for d in cluster["devices"]],
+            "collectives": {kind: {"latency_s": c["latency_s"] / f, "bw_Bps": c["bw_Bps"] * f}
+                            for kind, c in cluster["collectives"].items()}}
+
+
 def homog2() -> ClusterSpec:
     return ClusterSpec.from_dict(HOMOG2)
 

@@ -201,6 +201,8 @@ def test_criterion_08_alternating_loop_descends_and_terminates():
             for tr in res.rounds:
                 halves.append(tr.synth_cost_s)
                 if tr.balance_accepted:
+                    assert tr.balance_cost_s < tr.synth_cost_s, \
+                        f"{name}: accepted ratio step did not lower the cost"
                     halves.append(tr.balance_cost_s)
             for prev, nxt in zip(halves, halves[1:]):
                 assert nxt <= prev * (1 + 1e-9), \

@@ -211,6 +211,24 @@ def test_exhausted_budget_exits_3(files, capsys):
     assert "budget exhausted" in capsys.readouterr().err
 
 
+def test_budget_exhausted_after_a_program_writes_a_plan_and_exits_3(files, capsys):
+    graph = _write(files["tmp"], "rows.json", corpus.two_reduce_rows())
+    out = str(files["tmp"] / "rows.plan.json")
+    assert main(["plan", graph, files["hetero2"], "--budget", "3", "-o", out]) == 3
+    captured = capsys.readouterr()
+    assert "budget exhausted" in captured.out
+    assert "warning: search budget exhausted; plan may be suboptimal" in captured.err
+    assert json.loads(open(out).read())["loop"] == {"optimal": False}
+
+
+def test_verify_plan_that_is_not_json_exits_2(files, capsys):
+    bad = _write(files["tmp"], "bad.json", "{not json")
+    assert main(["verify", bad, files["graph"], files["hetero2"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON"), err
+    assert "Traceback" not in err
+
+
 def _enumerated_minimum(files, capsys, plan):
     capsys.readouterr()
     assert main(["enumerate", files["graph"], files["hetero2"], "--ratios", plan]) == 0

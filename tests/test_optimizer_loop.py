@@ -7,8 +7,8 @@ from shardplan import (BudgetExhaustedError, ClusterSpec, LoopConfig, ShardingRa
                        alternate, iteration_time)
 from shardplan.graph_ir import graph_from_dict
 from shardplan.optimizer_loop import _default_synth
-from shardplan.synthesizer import SearchInvariantError
-from shardplan.theory import derive_theory
+from shardplan.synthesizer import SearchInvariantError, SynthesisResult
+from shardplan.theory import build_theory, derive_theory
 
 
 def test_heterogeneous_ratios_reach_the_rate_split():
@@ -19,7 +19,11 @@ def test_heterogeneous_ratios_reach_the_rate_split():
     assert res.reason == "fixed_point"
     assert res.optimal
     assert len(res.rounds) == 1
-    assert res.rounds[0].balance_accepted
+    # the LP returns the speed-proportional row it started from, to rounding,
+    # which does not beat the first pair, so the ratio step is not accepted
+    assert res.rounds[0].balance_cost_s == pytest.approx(res.rounds[0].synth_cost_s,
+                                                         rel=1e-12)
+    assert not res.rounds[0].balance_accepted
     # the returned cost is the exact model time of the returned pair
     assert res.cost_s == iteration_time(res.program.instrs, res.ratios,
                                         corpus.hetero2(), res.assignment).total_s
@@ -62,6 +66,30 @@ def test_budget_exhaustion_with_no_program_raises():
                   cfg=LoopConfig(max_expansions=1))
 
 
+def test_later_synthesis_without_program_keeps_the_earlier_pair():
+    # the first synthesis finds a program and its ratio step is accepted;
+    # the next synthesis exhausts its budget before completing any program
+    g = graph_from_dict(corpus.mix_graph(2, 32, 32))
+    first = []
+
+    def synth(*args):
+        if first:
+            return SynthesisResult(program=None, cost_s=float("inf"), exhausted=True,
+                                   expansions=5, generated=0, purged=0)
+        first.append(_default_synth(*args))
+        return first[0]
+
+    res = alternate(g, corpus.hetero2(), synth_fn=synth)
+    assert res.reason == "budget" and not res.optimal
+    assert res.program == first[0].program
+    assert len(res.rounds) == 1 and res.rounds[0].balance_accepted
+    assert res.cost_s == res.rounds[0].balance_cost_s < res.rounds[0].synth_cost_s
+    assert res.ratios.rows != ((0.7, 0.3),)
+    assert res.cost_s == iteration_time(res.program.instrs, res.ratios,
+                                        corpus.hetero2(), res.assignment).total_s
+    assert res.expansions == first[0].expansions + 5
+
+
 def test_round_limit_below_one_is_rejected():
     g = graph_from_dict(corpus.matmul_reduce())
     for rounds in (0, -1):
@@ -79,7 +107,7 @@ def test_worse_ratio_steps_are_rejected():
     assert res.cost_s == 144 / 2.0 ** 31
 
 
-def test_ratio_wobble_stops_at_the_first_synthesis_that_does_not_improve():
+def test_ratio_wobble_stops_at_the_ratio_step_that_does_not_improve():
     g = graph_from_dict(corpus.matmul_reduce())
     calls = []
 
@@ -90,10 +118,11 @@ def test_ratio_wobble_stops_at_the_first_synthesis_that_does_not_improve():
         return ShardingRatios(((0.5, 0.5),))
 
     res = alternate(g, corpus.homog2(), balance_fn=wobble)
-    # the wobbled row is accepted within tolerance, but the synthesis under
-    # it costs more than the first pair, so the loop stops and keeps that pair
+    # the wobbled row costs more than the first pair, so the ratio step does
+    # not count and the loop stops there, keeping that pair
     assert res.reason == "fixed_point"
-    assert len(res.rounds) == 2
+    assert len(res.rounds) == 1 and len(calls) == 1
+    assert not res.rounds[0].balance_accepted
     assert res.ratios.rows == ((0.5, 0.5),)
     assert res.cost_s == 144 / 2.0 ** 31
 
@@ -118,23 +147,47 @@ def test_round_limit_resynthesizes_under_the_ratio_step_pair():
 
 
 def test_synthesis_step_that_raises_cost_is_caught_below_a_nanosecond():
-    # on 2^40 flops/s devices the plan takes 65 ps; the second synthesis,
-    # kept from row-sharding h, returns a program 11% dearer, which an
-    # absolute tolerance of 1e-9 s would let through
-    g = graph_from_dict(corpus.matmul_reduce())
-    spec = ClusterSpec.from_dict({**corpus.HOMOG2, "devices": [{"flops": 2.0 ** 40}] * 2})
-    theory = derive_theory(g, 2)
-    no_row_shards = replace(theory, triples=tuple(
+    # on hetero2 scaled by 2^12 the plan takes 0.52 ns; the ratio step lowers
+    # the first program's cost by 25%, and the second synthesis, kept from
+    # sharding h1, returns a program 33% dearer, which an absolute tolerance
+    # of 1e-9 s would let through
+    g = graph_from_dict(corpus.mix_graph(2, 32, 32))
+    spec = ClusterSpec.from_dict(corpus.scaled(corpus.HETERO2, 12))
+    theory = build_theory(g, 2)
+    no_h1_shards = replace(theory, triples=tuple(
         tr for tr in theory.triples
-        if not any(i.kind == "matmul" and i.output.startswith("h@shard") for i in tr.instrs)))
+        if not any(i.kind == "matmul" and i.output.startswith("h1@shard") for i in tr.instrs)))
     calls = []
 
     def synth(graph, th, spec, B, assignment, cfg):
         calls.append(B)
-        return _default_synth(graph, th if len(calls) == 1 else no_row_shards,
+        return _default_synth(graph, th if len(calls) == 1 else no_h1_shards,
                               spec, B, assignment, cfg)
 
-    nudge = lambda program, graph, spec, assignment: ShardingRatios(((0.500002, 0.499998),))
     with pytest.raises(SearchInvariantError, match="synthesis step increased cost"):
-        alternate(g, spec, theory=theory, synth_fn=synth, balance_fn=nudge)
+        alternate(g, spec, theory=theory, synth_fn=synth)
     assert len(calls) == 2
+
+
+def _assert_scale_invariant(doc, cluster, k):
+    g = graph_from_dict(doc)
+    base = alternate(g, ClusterSpec.from_dict(cluster))
+    res = alternate(g, ClusterSpec.from_dict(corpus.scaled(cluster, k)))
+    assert res.program == base.program
+    assert res.ratios.rows == base.ratios.rows
+    assert res.cost_s == base.cost_s * 2.0 ** -k
+
+
+@pytest.mark.parametrize("cluster", ["HOMOG2", "HETERO2", "SLOWHET2", "SKEW2"])
+def test_scaled_cluster_scales_every_corpus_cost(cluster):
+    # rates and bandwidths times 2^k, latencies times 2^-k: every price is
+    # multiplied by a power of two, so the cost scales exactly
+    for doc in corpus.CORPUS.values():
+        for k in (30, -30):
+            _assert_scale_invariant(doc, getattr(corpus, cluster), k)
+
+
+def test_scaled_cluster_keeps_the_ratio_step_of_a_mix_plan():
+    # the ratio step's 25% gain is 6.8e-13 s here; an absolute tolerance of
+    # 1e-12 s kept the speed-proportional ratios at a 33% higher cost
+    _assert_scale_invariant(corpus.mix_graph(2, 32, 32), corpus.HETERO2, 20)
