@@ -8,13 +8,14 @@ rebalance shard ratios across heterogeneous devices.
 
 The package namespace holds the entry points the README documents, the
 types they take or return, and the errors the command line maps to exit
-codes; everything else is imported from its submodule.
+codes; everything else is imported from its submodule.  The equivalence
+check's names load `interpreter`, and with it numpy, on first access, so
+importing the package for planning needs only the standard library.
 """
 from .cost_model import (ClusterFormatError, ClusterSpec, CostBreakdown,
-                         ShardingRatios, iteration_time)
-from .graph_ir import Graph, GraphFormatError, SegmentAssignment, parse_graph
-from .interpreter import (EquivalenceReport, ExecutionError, GraphTooLargeError,
-                          build_shard_table, check_equivalence)
+                         ShardingRatios, build_shard_table, iteration_time)
+from .graph_ir import (Graph, GraphFormatError, GraphTooLargeError,
+                       SegmentAssignment, parse_graph)
 from .load_balancer import optimize_ratios
 from .optimizer_loop import (BudgetExhaustedError, LoopConfig, LoopResult,
                              alternate)
@@ -33,3 +34,13 @@ __all__ = [
     "alternate", "build_shard_table", "build_theory", "check_equivalence",
     "iteration_time", "optimize_ratios", "parse_graph", "synthesize",
 ]
+
+# Names whose module imports numpy, bound on first access (PEP 562).
+_INTERPRETER_NAMES = ("EquivalenceReport", "ExecutionError", "check_equivalence")
+
+
+def __getattr__(name: str):
+    if name in _INTERPRETER_NAMES:
+        from . import interpreter
+        return getattr(interpreter, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,12 +26,10 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios, iteration_time,
-                         single_segment)
-from .graph_ir import (Graph, GraphFormatError, SegmentAssignment, _is_finite_number,
-                       _is_int, parse_graph, serialize_graph)
-from .interpreter import (ExecutionError, GraphTooLargeError, build_shard_table,
-                          check_equivalence)
+from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
+                         build_shard_table, iteration_time, single_segment)
+from .graph_ir import (Graph, GraphFormatError, GraphTooLargeError, SegmentAssignment,
+                       _is_finite_number, _is_int, parse_graph, serialize_graph)
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
                           enumerate_programs)
@@ -233,6 +231,10 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
 
 
 def cmd_verify(args) -> int:
+    # The equivalence check is the only user of numpy; `plan` and
+    # `enumerate` never import it.
+    from .interpreter import ExecutionError, check_equivalence
+
     _check_option("trials", args.trials, 1)
     _check_option("seed", args.seed, 0)
     doc = json.loads(_read(args.plan))

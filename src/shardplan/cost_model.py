@@ -23,6 +23,11 @@ through it, and every one of them totals a program the same way
 prices agree bit for bit.  The ratio LP, which chooses B, takes the same
 grouping without prices from `stages` and its collective coefficients from
 `comm_terms`, the affine form that `comm_time` evaluates.
+
+A program runs on integer shards, not on fractional ratios: `round_shards`
+splits one axis's extent by a ratio row, and `build_shard_table` does so for
+every tensor axis at its segment's row.  Plan files and the interpreter both
+take their shard sizes from it.
 """
 from __future__ import annotations
 
@@ -323,3 +328,53 @@ def iteration_time(instrs: tuple[Instruction, ...], B: ShardingRatios, spec: Clu
     for stage in closed:
         total += stage.time_s
     return CostBreakdown(stages=closed, total_s=total)
+
+
+def round_shards(extent: int, ratios) -> list[int]:
+    """Integer shard sizes for one axis: start from nearest integers, then
+    repair the sum one unit at a time wherever the move costs least accuracy
+    (ties go to the higher device index); sizes never drop below zero.
+
+    Each float target is off by up to extent * 2**-53, and a row sums to 1
+    only within 1e-9, so the nearest integers can miss the extent by far more
+    than one unit per device.  Past the first unit per device every move
+    costs one unit of accuracy wherever it goes, so all but the last
+    len(sizes) units move in bulk, largest shards first, and the repair
+    takes at most len(sizes) steps."""
+    if extent < 0:
+        raise ValueError("extent must be nonnegative")
+    targets = [extent * r for r in ratios]
+    sizes = [math.floor(t + 0.5) for t in targets]
+    diff = extent - sum(sizes)
+    m = len(sizes)
+    if abs(diff) > m:
+        for j in sorted(range(m), key=sizes.__getitem__, reverse=True):
+            move = max(diff - m if diff > 0 else diff + m, -sizes[j])
+            sizes[j] += move
+            diff -= move
+    while diff != 0:
+        step = 1 if diff > 0 else -1
+        best_j = -1
+        best_pen = math.inf
+        for j, (s, t) in enumerate(zip(sizes, targets)):
+            if step < 0 and s == 0:
+                continue
+            pen = abs(s + step - t) - abs(s - t)
+            if pen < best_pen - 1e-12 or (pen <= best_pen + 1e-12 and j > best_j):
+                best_pen = min(best_pen, pen)
+                best_j = j
+        sizes[best_j] += step
+        diff -= step
+    return sizes
+
+
+def build_shard_table(g: Graph, B: ShardingRatios,
+                      assignment: SegmentAssignment) -> dict[tuple[str, int], list[int]]:
+    """Integer shard sizes for every (tensor, axis) pair, rounded from the
+    tensor's segment's ratio row."""
+    table: dict[tuple[str, int], list[int]] = {}
+    for t in g.tensors.values():
+        row = B.row(assignment.row_index(t.id))
+        for axis, extent in enumerate(t.shape):
+            table[(t.id, axis)] = round_shards(extent, row)
+    return table

@@ -36,6 +36,12 @@ class GraphFormatError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
+class GraphTooLargeError(RuntimeError):
+    """Raised by the equivalence check when numpy cannot hold one trial of
+    the graph's tensors; defined here so that the CLI maps it to exit 2
+    without importing numpy."""
+
+
 @dataclass(frozen=True)
 class Node:
     id: str

@@ -7,11 +7,14 @@ the interpreter shifts them past the trial axis.  The distributed runner
 keeps, per distributed tensor, the list of per-device numpy arrays and
 executes instructions in lock step.  Sharding always takes contiguous
 slices: device j owns the slice from sum(sizes[:j]) to sum(sizes[:j+1])
-along the shard axis, where the sizes come from the plan's shard table.
-Zero-size shards are legal.  All arithmetic is float64.  The equivalence
-check draws its inputs uniformly from [-1, 1), trial after trial, from one
-generator seeded once per check; it runs its trials in chunks of at most
-`CHUNK_ELEMENTS` graph elements and passes at 1e-9 relative error.
+along the shard axis, where the sizes come from the plan's shard table:
+`cost_model.build_shard_table` (re-exported here) rounds each tensor axis
+by its segment's ratio row.  Zero-size shards are legal.  All arithmetic
+is float64.  The equivalence check draws its inputs uniformly from
+[-1, 1), trial after trial, from one generator seeded once per check; it
+runs its trials in chunks of at most `CHUNK_ELEMENTS` graph elements and
+passes at 1e-9 relative error.  This is the package's only module that
+imports numpy, and only `verify` loads it.
 """
 from __future__ import annotations
 
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_ir import SOURCE_OPS, Graph
-from .load_balancer import round_shards
+from .cost_model import build_shard_table  # noqa: F401  (re-exported)
+from .graph_ir import SOURCE_OPS, Graph, GraphTooLargeError
 from .theory import Instruction, all_reduce, dist_id, identity
 
 UNARY_FNS = {
@@ -35,10 +38,6 @@ UNARY_FNS = {
 
 class ExecutionError(RuntimeError):
     """Raised when a program is not executable (an unsound plan)."""
-
-
-class GraphTooLargeError(RuntimeError):
-    """Raised when numpy cannot hold one trial of the graph's tensors."""
 
 
 def _past_trials(axes: tuple[int, ...]) -> tuple[int, ...]:
@@ -201,17 +200,6 @@ def materialize_loss(env: dict[str, list[np.ndarray]], loss_ref: str, m: int) ->
     if partial in env:
         return coll_all_reduce(env[partial])
     raise ExecutionError(f"program realizes no property of the loss tensor {loss_ref!r}")
-
-
-def build_shard_table(g: Graph, B, assignment) -> dict[tuple[str, int], list[int]]:
-    """Integer shard sizes for every (tensor, axis) pair, rounded from the
-    tensor's segment's ratio row."""
-    table: dict[tuple[str, int], list[int]] = {}
-    for t in g.tensors.values():
-        row = B.row(assignment.row_index(t.id))
-        for axis, extent in enumerate(t.shape):
-            table[(t.id, axis)] = round_shards(extent, row)
-    return table
 
 
 def run_distributed(program, m: int, inputs: dict[str, np.ndarray], shard_table: dict

@@ -12,18 +12,20 @@ reshards, which are charged here against the segment's own M (the exact
 evaluator uses the max over both rows, so the loop re-checks candidates
 against the true model before accepting them).
 
-The solver is a dense two-phase simplex with Bland's rule — the problems
-have a handful of variables, so robustness and determinism beat speed.
+The solver is a dense two-phase simplex with Bland's rule, run on Python
+lists of floats so that planning needs only the standard library: the
+tableaux have a few dozen columns at most, where numpy's per-call overhead
+costs more than the arithmetic.  Its pivots divide a row by the pivot
+element and subtract f * pivot row from the others, element by element, and
+`_array_sum` adds a ratio row in numpy's summation order, so the ratios are
+bit-identical to those of the same simplex on numpy arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .cost_model import (ClusterSpec, ShardingRatios, comm_terms,
-                         single_segment, stages)
+from .cost_model import ClusterSpec, ShardingRatios, comm_terms, single_segment, stages
 from .graph_ir import Graph, SegmentAssignment
 
 _TOL = 1e-9
@@ -32,37 +34,35 @@ _TOL = 1e-9
 @dataclass
 class LpSolution:
     status: str                       # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None = None
-    objective: float | None = None
+    x: list[float] | None = None
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r] -= T[r, col] * T[row]
+def _pivot(T: list[list[float]], basis: list[int], row: int, col: int) -> None:
+    p = T[row][col]
+    pivot_row = T[row] = [v / p for v in T[row]]
+    for r, tr in enumerate(T):
+        f = tr[col]
+        if r != row and f != 0.0:
+            T[r] = [a - f * b for a, b in zip(tr, pivot_row)]
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
+def _run_simplex(T: list[list[float]], basis: list[int], ncols: int) -> str:
     """Iterate to optimality on a tableau whose last row is the reduced-cost
     row and last column the right-hand side.  Bland's rule (lowest eligible
     index for both entering and leaving variable) prevents cycling."""
-    k = T.shape[0] - 1
+    k = len(T) - 1
     while True:
-        enter = -1
-        for j in range(ncols):
-            if T[k, j] < -_TOL:
-                enter = j
-                break
+        cost = T[k]
+        enter = next((j for j in range(ncols) if cost[j] < -_TOL), -1)
         if enter < 0:
             return "optimal"
         leave = -1
         best = math.inf
         for r in range(k):
-            a = T[r, enter]
+            a = T[r][enter]
             if a > _TOL:
-                ratio = T[r, -1] / a
+                ratio = T[r][-1] / a
                 if ratio < best - _TOL or (ratio <= best + _TOL and
                                            (leave < 0 or basis[r] < basis[leave])):
                     best = min(best, ratio)
@@ -72,81 +72,61 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
         _pivot(T, basis, leave, enter)
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpSolution:
-    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
-    c = np.asarray(c, dtype=float)
-    nv = c.size
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    slacks = 0
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        for r, bv in zip(A_eq, np.atleast_1d(b_eq)):
-            rows.append(np.concatenate([r, np.zeros(0)]))
-            rhs.append(float(bv))
-    n_eq = len(rows)
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        slacks = A_ub.shape[0]
-        for i, (r, bv) in enumerate(zip(A_ub, np.atleast_1d(b_ub))):
-            srow = np.zeros(slacks)
-            srow[i] = 1.0
-            rows.append(np.concatenate([r, srow]))
-            rhs.append(float(bv))
-    for i in range(n_eq):
-        rows[i] = np.concatenate([rows[i], np.zeros(slacks)])
+def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LpSolution:
+    """Minimize c @ x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+    Every argument is a sequence (of sequences) of numbers."""
+    c = [float(v) for v in c]
+    nv = len(c)
+    A_eq = [[float(v) for v in r] for r in A_eq]
+    A_ub = [[float(v) for v in r] for r in A_ub]
+    slacks = len(A_ub)
+    rows = [r + [0.0] * slacks for r in A_eq]
+    rows += [r + [float(i == j) for j in range(slacks)] for i, r in enumerate(A_ub)]
+    rhs = [float(v) for v in b_eq] + [float(v) for v in b_ub]
     k = len(rows)
     if k == 0:
-        x = np.zeros(nv)
-        return LpSolution(status="optimal", x=x, objective=0.0)
-    A = np.vstack(rows)
-    b = np.asarray(rhs, dtype=float)
+        return LpSolution(status="optimal", x=[0.0] * nv)
     for r in range(k):
-        if b[r] < 0:
-            A[r] = -A[r]
-            b[r] = -b[r]
+        if rhs[r] < 0:
+            rows[r] = [-v for v in rows[r]]
+            rhs[r] = -rhs[r]
 
     # Phase 1: minimize the sum of one artificial variable per row.
     n_real = nv + slacks
-    T = np.zeros((k + 1, n_real + k + 1))
-    T[:k, :n_real] = A
-    T[:k, n_real:n_real + k] = np.eye(k)
-    T[:k, -1] = b
-    T[k, n_real:n_real + k] = 1.0
+    T = [row + [float(i == r) for i in range(k)] + [b]
+         for r, (row, b) in enumerate(zip(rows, rhs))]
+    cost = [0.0] * n_real + [1.0] * k + [0.0]
+    for row in T:
+        cost = [a - b for a, b in zip(cost, row)]
+    T.append(cost)
     basis = [n_real + r for r in range(k)]
-    for r in range(k):
-        T[k] -= T[r]
     _run_simplex(T, basis, n_real + k)
-    art_level = sum(T[r, -1] for r in range(k) if basis[r] >= n_real)
+    art_level = sum(T[r][-1] for r in range(k) if basis[r] >= n_real)
     if art_level > 1e-7:
         return LpSolution(status="infeasible")
     for r in range(k):
         if basis[r] >= n_real:
             for j in range(n_real):
-                if abs(T[r, j]) > _TOL:
+                if abs(T[r][j]) > _TOL:
                     _pivot(T, basis, r, j)
                     break
 
     keep = [r for r in range(k) if basis[r] < n_real]
-    A2 = T[keep, :n_real]
-    b2 = T[keep, -1]
     basis2 = [basis[r] for r in keep]
-    k2 = len(keep)
-    T2 = np.zeros((k2 + 1, n_real + 1))
-    T2[:k2, :n_real] = A2
-    T2[:k2, -1] = b2
-    T2[k2, :nv] = c
-    for r in range(k2):
-        if T2[k2, basis2[r]] != 0.0:
-            T2[k2] -= T2[k2, basis2[r]] * T2[r]
+    T2 = [T[r][:n_real] + [T[r][-1]] for r in keep]
+    cost = c + [0.0] * (n_real - nv + 1)
+    for r, row in enumerate(T2):
+        f = cost[basis2[r]]
+        if f != 0.0:
+            cost = [a - f * b for a, b in zip(cost, row)]
+    T2.append(cost)
     status = _run_simplex(T2, basis2, n_real)
     if status != "optimal":
         return LpSolution(status=status)
-    x = np.zeros(n_real)
-    for r in range(k2):
-        x[basis2[r]] = T2[r, -1]
-    x = x[:nv]
-    return LpSolution(status="optimal", x=x, objective=float(c @ x))
+    x = [0.0] * n_real
+    for r, j in enumerate(basis2):
+        x[j] = T2[r][-1]
+    return LpSolution(status="optimal", x=x[:nv])
 
 
 @dataclass
@@ -154,19 +134,18 @@ class SegmentProblem:
     """LP coefficients for one segment's ratio row."""
     row_index: int
     m: int
-    comp_a: list[np.ndarray] = field(default_factory=list)   # sharded s/B_j
-    comp_c: list[np.ndarray] = field(default_factory=list)   # replicated s
+    comp_a: list[list[float]] = field(default_factory=list)   # sharded s/B_j
+    comp_c: list[list[float]] = field(default_factory=list)   # replicated s
     slope_M: float = 0.0
-    linear_B: np.ndarray | None = None
+    linear_B: list[float] | None = None
 
     def __post_init__(self):
         if self.linear_B is None:
-            self.linear_B = np.zeros(self.m)
+            self.linear_B = [0.0] * self.m
 
     @property
     def trivial(self) -> bool:
-        return (not self.comp_a and self.slope_M <= 0.0
-                and not np.any(self.linear_B))
+        return not self.comp_a and self.slope_M <= 0.0 and not any(self.linear_B)
 
 
 def segment_problems(instrs, spec: ClusterSpec,
@@ -180,22 +159,20 @@ def segment_problems(instrs, spec: ClusterSpec,
         if comm is not None:
             _, per_max_s, per_ratio_s = comm_terms(comm, spec)
             prob.slope_M += per_max_s
-            prob.linear_B += per_ratio_s
+            prob.linear_B = [v + per_ratio_s for v in prob.linear_B]
         if comps:
-            a = np.zeros(m)
-            cvec = np.zeros(m)
+            a = [0.0] * m
+            cvec = [0.0] * m
             for instr in comps:
+                target = a if instr.sharded else cvec
                 for j in range(m):
-                    if instr.sharded:
-                        a[j] += instr.flops / rates[j]
-                    else:
-                        cvec[j] += instr.flops / rates[j]
+                    target[j] += instr.flops / rates[j]
             prob.comp_a.append(a)
             prob.comp_c.append(cvec)
     return probs
 
 
-def build_lp(prob: SegmentProblem) -> tuple[np.ndarray, ...]:
+def build_lp(prob: SegmentProblem) -> tuple[list, ...]:
     """Assemble the ratio LP for one segment as `solve_lp`'s arguments
     (c, A_ub, b_ub, A_eq, b_eq).
 
@@ -221,34 +198,50 @@ def build_lp(prob: SegmentProblem) -> tuple[np.ndarray, ...]:
     """
     m = prob.m
     k = len(prob.comp_a)
-    peak = max([float(prob.slope_M), float(np.max(np.abs(prob.linear_B), initial=0.0))]
-               + [float(np.max(a, initial=0.0)) for a in prob.comp_a]
-               + [float(np.max(cv, initial=0.0)) for cv in prob.comp_c])
+    peak = max([prob.slope_M, 0.0, *map(abs, prob.linear_B)]
+               + [v for vec in prob.comp_a + prob.comp_c for v in vec])
     scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0.0 else 1.0
     nv = m + 1 + k
-    c = np.zeros(nv)
-    c[:m] = prob.linear_B / scale
-    c[m] = prob.slope_M / scale
-    c[m + 1:] = 1.0
-    A_eq = np.zeros((1, nv))
-    A_eq[0, :m] = 1.0
-    b_eq = np.array([1.0])
+    c = [v / scale for v in prob.linear_B] + [prob.slope_M / scale] + [1.0] * k
+    A_eq = [[1.0] * m + [0.0] * (k + 1)]
     rows = []
     rhs = []
     for j in range(m):
-        row = np.zeros(nv)
+        row = [0.0] * nv
         row[j] = 1.0
         row[m] = -1.0
         rows.append(row)
         rhs.append(0.0)
     for s in range(k):
         for j in range(m):
-            row = np.zeros(nv)
+            row = [0.0] * nv
             row[j] = prob.comp_a[s][j] / scale
             row[m + 1 + s] = -1.0
             rows.append(row)
             rhs.append(-prob.comp_c[s][j] / scale)
-    return c, np.vstack(rows), np.asarray(rhs), A_eq, b_eq
+    return c, rows, rhs, A_eq, [1.0]
+
+
+def _array_sum(xs: list[float]) -> float:
+    """Sum in numpy's pairwise order: sequential below 8 elements; up to 128,
+    eight running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
+    then the tail; beyond that, the two halves split at a multiple of 8."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _array_sum(xs[:half]) + _array_sum(xs[half:])
+    if n < 8:
+        total = 0.0
+        for v in xs:
+            total += v
+        return total
+    r = xs[:8]
+    for i in range(8, n - n % 8, 8):
+        r = [a + b for a, b in zip(r, xs[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in xs[n - n % 8:]:
+        total += v
+    return total
 
 
 def optimize_ratios(program, g: Graph, spec: ClusterSpec,
@@ -269,48 +262,11 @@ def optimize_ratios(program, g: Graph, spec: ClusterSpec,
         if sol.status != "optimal":
             raise RuntimeError(f"ratio LP unexpectedly {sol.status} "
                                f"for segment {prob.row_index}")
-        row = np.clip(sol.x[:m], 0.0, None)
-        total = float(row.sum())
+        # Negative and signed-zero solutions clip to 0.0.
+        row = [0.0 if v <= 0.0 else v for v in sol.x[:m]]
+        total = _array_sum(row)
         if total <= _TOL:
             out_rows.append(tuple(1.0 / m for _ in range(m)))
         else:
-            out_rows.append(tuple(float(v / total) for v in row))
+            out_rows.append(tuple(v / total for v in row))
     return ShardingRatios(rows=tuple(out_rows))
-
-
-def round_shards(extent: int, ratios) -> list[int]:
-    """Integer shard sizes for one axis: start from nearest integers, then
-    repair the sum one unit at a time wherever the move costs least accuracy
-    (ties go to the higher device index); sizes never drop below zero.
-
-    Each float target is off by up to extent * 2**-53, and a row sums to 1
-    only within 1e-9, so the nearest integers can miss the extent by far more
-    than one unit per device.  Past the first unit per device every move
-    costs one unit of accuracy wherever it goes, so all but the last
-    len(sizes) units move in bulk, largest shards first, and the repair
-    takes at most len(sizes) steps."""
-    if extent < 0:
-        raise ValueError("extent must be nonnegative")
-    targets = [extent * r for r in ratios]
-    sizes = [math.floor(t + 0.5) for t in targets]
-    diff = extent - sum(sizes)
-    m = len(sizes)
-    if abs(diff) > m:
-        for j in sorted(range(m), key=sizes.__getitem__, reverse=True):
-            move = max(diff - m if diff > 0 else diff + m, -sizes[j])
-            sizes[j] += move
-            diff -= move
-    while diff != 0:
-        step = 1 if diff > 0 else -1
-        best_j = -1
-        best_pen = math.inf
-        for j, (s, t) in enumerate(zip(sizes, targets)):
-            if step < 0 and s == 0:
-                continue
-            pen = abs(s + step - t) - abs(s - t)
-            if pen < best_pen - 1e-12 or (pen <= best_pen + 1e-12 and j > best_j):
-                best_pen = min(best_pen, pen)
-                best_j = j
-        sizes[best_j] += step
-        diff -= step
-    return sizes

@@ -47,9 +47,9 @@ def segment_objective(prob: SegmentProblem, row) -> float:
     """Evaluate one segment's time at a fixed ratio row (same algebra as the
     LP, computed directly)."""
     row = np.asarray(row, dtype=float)
-    total = float(prob.linear_B @ row) + prob.slope_M * float(row.max())
+    total = float(np.asarray(prob.linear_B) @ row) + prob.slope_M * float(row.max())
     for a, c in zip(prob.comp_a, prob.comp_c):
-        total += float(np.max(a * row + c))
+        total += float(np.max(np.asarray(a) * row + np.asarray(c)))
     return total
 
 

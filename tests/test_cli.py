@@ -189,6 +189,7 @@ def test_verify_refuses_graph_too_large_to_execute(files, capsys, rows):
     assert main(["verify", out, graph, files["hetero2"], "--trials", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "the graph's tensors" in err, err
+    assert "Traceback" not in err
 
 
 def test_huge_extent_plans_and_verify_refuses_it(files, capsys):
