@@ -12,13 +12,19 @@ reshards, which are charged here against the segment's own M (the exact
 evaluator uses the max over both rows, so the loop re-checks candidates
 against the true model before accepting them).
 
-The solver is a dense two-phase simplex with Bland's rule, run on Python
-lists of floats so that planning needs only the standard library: the
-tableaux have a few dozen columns at most, where numpy's per-call overhead
-costs more than the arithmetic.  Its pivots divide a row by the pivot
-element and subtract f * pivot row from the others, element by element, and
-`_array_sum` adds a ratio row in numpy's summation order, so the ratios are
-bit-identical to those of the same simplex on numpy arrays.
+The solver is a two-phase simplex with Bland's rule, run on Python lists of
+floats so that planning needs only the standard library: the tableaux have
+a few dozen columns at most, where numpy's per-call overhead costs more
+than the arithmetic.  A pivot divides the pivot row by the pivot element and
+subtracts f * pivot row from each other row, in place and only on the
+columns where the pivot row is nonzero: most of a row's columns are slack
+and artificial variables that the pivot row does not touch.  Every touched
+entry computes `a / p` or `a - f * b` as a dense pivot does; a skipped
+entry would have computed `0 / p` or `a - f * 0`, which can only flip the
+sign of a zero, and no comparison, quotient or sum the solver forms tells
+-0.0 from 0.0 (the clip in `optimize_ratios` maps it to 0.0).  With `_array_sum`
+adding a ratio row in numpy's summation order, the ratios are bit-identical
+to those of the same simplex on dense numpy arrays.
 """
 from __future__ import annotations
 
@@ -38,12 +44,16 @@ class LpSolution:
 
 
 def _pivot(T: list[list[float]], basis: list[int], row: int, col: int) -> None:
-    p = T[row][col]
-    pivot_row = T[row] = [v / p for v in T[row]]
+    pivot_row = T[row]
+    p = pivot_row[col]
+    pivot = [(j, v / p) for j, v in enumerate(pivot_row) if v != 0.0]
+    for j, b in pivot:
+        pivot_row[j] = b
     for r, tr in enumerate(T):
         f = tr[col]
         if r != row and f != 0.0:
-            T[r] = [a - f * b for a, b in zip(tr, pivot_row)]
+            for j, b in pivot:
+                tr[j] -= f * b
     basis[row] = col
 
 

@@ -23,6 +23,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
                          single_segment)
@@ -125,20 +126,21 @@ class SearchContext:
         self.floor_s = tuple(min(row[j] for row in B.rows) / rate
                              for j, rate in enumerate(self.pricer.rates))
 
-        self._ids: dict[Property, int] = {}
-        self.loss_prop_id = self._intern(all_reduce(theory.loss))
-
-        self.triples = theory.triples
-        self.tpre: list[frozenset[int]] = []
-        self.tpost: list[frozenset[int]] = []
-        self.tretire: list[frozenset[int]] = []
-        self.tnew_refs: list[tuple[str, ...]] = []
-        for tr in self.triples:
-            self.tpre.append(frozenset(self._intern(p) for p in tr.pre))
-            self.tpost.append(frozenset(self._intern(p) for p in tr.post))
-            self.tretire.append(frozenset(self._intern(not_communicated(p.ref))
-                                          for p in tr.post if p.kind == COMMUNICATED))
-            self.tnew_refs.append(tuple(sorted({p.ref for p in tr.post if not p.is_guard})))
+        # Property ids in order of first appearance: the loss property, then
+        # each triple's pre, post and retired guards.
+        self.triples = triples = theory.triples
+        retired = [[not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED]
+                   for tr in triples]
+        order = dict.fromkeys(chain((all_reduce(theory.loss),), chain.from_iterable(
+            chain(tr.pre, tr.post, ret) for tr, ret in zip(triples, retired))))
+        self._ids: dict[Property, int] = dict(zip(order, range(len(order))))
+        self.loss_prop_id = 0
+        intern = self._ids.__getitem__
+        self.tpre = [frozenset(map(intern, tr.pre)) for tr in triples]
+        self.tpost = [frozenset(map(intern, tr.post)) for tr in triples]
+        self.tretire = [frozenset(map(intern, ret)) for ret in retired]
+        self.tnew_refs = [tuple(sorted({p.ref for p in tr.post if not p.is_guard}))
+                          for tr in triples]
 
         self.by_elem: dict[int, list[int]] = {}
         self.empty_pre: list[int] = []
@@ -151,7 +153,7 @@ class SearchContext:
         self.flops_map = {n.id: node_flops(g, n) for n in g.nodes}
         self.ancestors = g.loss_ancestors
         self.initial_remaining = float(sum(self.flops_map[r] for r in self.ancestors))
-        self.initial_props = frozenset(self._intern(p) for p in theory.initial_props)
+        self.initial_props = frozenset(map(self._intern, theory.initial_props))
 
     def _intern(self, p: Property) -> int:
         pid = self._ids.get(p)

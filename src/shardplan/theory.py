@@ -20,11 +20,20 @@ precondition property and writes the one of the postcondition.
 ``fuse_empty_preconditions`` and ``add_communication_guards`` are optional
 theory rewrites that shrink the search space without changing the reachable
 minimum cost.
+
+``Property``, ``Instruction`` and ``HoareTriple`` are named tuples: every
+plan builds, hashes and compares thousands of them, and a tuple does all
+three in C.  Their hash is the hash of the tuple of their fields, as a
+frozen dataclass's was, so frozenset iteration orders, triple lists and plan
+bytes do not depend on the choice.  Unlike dataclasses they order, and
+compare equal to plain tuples of the same fields; the package neither sorts
+them nor mixes them with plain tuples.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .graph_ir import Graph, Node, node_flops
 
@@ -41,8 +50,7 @@ GUARD_KINDS = (COMMUNICATED, NOT_COMMUNICATED)
 COLLECTIVE_KINDS = ("all_reduce", "all_gather", "reduce_scatter", "all_to_all", "grouped_broadcast")
 
 
-@dataclass(frozen=True)
-class Property:
+class Property(NamedTuple):
     ref: str
     kind: str
     axis: int | None = None
@@ -99,8 +107,7 @@ def form_of_dist_id(did: str) -> Property:
     raise ValueError(f"malformed distributed tensor id {did!r}")
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One SPMD instruction; self-contained for both execution and costing.
 
     `sharded` marks whether the per-device work scales with the device's
@@ -158,8 +165,7 @@ class Instruction:
                    elements=doc["elements"])
 
 
-@dataclass(frozen=True)
-class HoareTriple:
+class HoareTriple(NamedTuple):
     pre: frozenset[Property]
     instrs: tuple[Instruction, ...]
     post: frozenset[Property]
@@ -303,22 +309,33 @@ def fuse_empty_preconditions(t: Theory) -> Theory:
     {post(T1) | post(T2)}.  A fused pre is a subset of its consumer's pre, so
     no triple already walked gains a consumer.  Empty-pre triples without
     consumers survive; the search fires them directly.
+
+    Consumers are found through an index from each property to the triples,
+    in list order, whose pre holds it; fused triples join it as they are
+    appended, so the consumers and the triple list are those of a scan over
+    every triple.
     """
     triples = list(t.triples)
-    seen = {(tr.instrs, tr.pre, tr.post) for tr in triples}
+    seen = set(triples)
+    readers: dict[Property, list[HoareTriple]] = {}
+    for tr in triples:
+        for p in tr.pre:
+            readers.setdefault(p, []).append(tr)
     kept: list[HoareTriple] = []
     for tr in triples:          # also walks the fused triples appended below
-        consumers = [] if tr.pre else [c for c in triples if tr.post <= c.pre]
+        consumers = [] if tr.pre else [
+            c for c in min((readers.get(p, ()) for p in tr.post), key=len)
+            if tr.post <= c.pre]
         if not consumers:
             kept.append(tr)
             continue
         for c in consumers:
-            fused = HoareTriple(pre=c.pre - tr.post, instrs=tr.instrs + c.instrs,
-                                post=tr.post | c.post)
-            key = (fused.instrs, fused.pre, fused.post)
-            if key not in seen:
-                seen.add(key)
+            fused = HoareTriple(c.pre - tr.post, tr.instrs + c.instrs, tr.post | c.post)
+            if fused not in seen:
+                seen.add(fused)
                 triples.append(fused)
+                for p in fused.pre:
+                    readers.setdefault(p, []).append(fused)
     return replace(t, triples=tuple(kept))
 
 
@@ -339,7 +356,7 @@ def add_communication_guards(t: Theory) -> Theory:
         if comm_refs:
             pre = tr.pre | {not_communicated(r) for r in comm_refs}
             post = tr.post | {communicated(r) for r in comm_refs}
-            kept.append(replace(tr, pre=pre, post=post))
+            kept.append(HoareTriple(pre, tr.instrs, post))
         else:
             kept.append(tr)
     initial = frozenset(not_communicated(ref) for ref in t.tensor_ids)

@@ -4,15 +4,20 @@ Everything here is deliberately brute-force: grids, vertex enumeration,
 exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
 points, except the search-space walks, which step the package's own
-`apply_triple` to list programs.
+`apply_triple` to list programs, and the reference forms of two of the
+package's shortcuts: triple fusion by a scan over every triple, and the
+simplex with dense pivots.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
+from shardplan import load_balancer
 from shardplan.cost_model import comm_time, single_segment
 from shardplan.graph_ir import node_flops
 from shardplan.interpreter import (EquivalenceReport, ExecutionError,
@@ -22,8 +27,8 @@ from shardplan.interpreter import (EquivalenceReport, ExecutionError,
                                    table_sizes)
 from shardplan.load_balancer import SegmentProblem
 from shardplan.synthesizer import SearchContext, apply_triple
-from shardplan.theory import (ALL_GATHER, ALL_REDUCE, IDENTITY, dist_id,
-                              form_of_dist_id)
+from shardplan.theory import (ALL_GATHER, ALL_REDUCE, IDENTITY, HoareTriple,
+                              dist_id, form_of_dist_id)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +60,29 @@ def segment_objective(prob: SegmentProblem, row) -> float:
 
 def grid_min_objective(prob: SegmentProblem, step: float = 1e-2) -> float:
     return min(segment_objective(prob, row) for row in grid_rows(prob.m, step))
+
+
+# ---------------------------------------------------------------------------
+# the simplex with dense pivots
+
+
+def dense_pivot(T: list[list[float]], basis: list[int], row: int, col: int) -> None:
+    """A pivot that rebuilds every row it changes as a fresh list over every
+    column, zeros of the pivot row included."""
+    p = T[row][col]
+    pivot_row = T[row] = [v / p for v in T[row]]
+    for r, tr in enumerate(T):
+        f = tr[col]
+        if r != row and f != 0.0:
+            T[r] = [a - f * b for a, b in zip(tr, pivot_row)]
+    basis[row] = col
+
+
+@contextlib.contextmanager
+def dense_pivots():
+    """Within the block, `load_balancer` solves every LP with `dense_pivot`."""
+    with mock.patch.object(load_balancer, "_pivot", dense_pivot):
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +287,30 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
             if not check_form(prop, env[did], refs[prop.ref], rtol=rtol):
                 bad.append(f"{triple}: post {prop} does not hold")
     return bad
+
+
+# ---------------------------------------------------------------------------
+# triple fusion by scanning
+
+
+def fuse_by_scan(theory) -> tuple:
+    """The triples of `theory.fuse_empty_preconditions`, each empty-pre
+    producer's consumers found by scanning every triple, fused ones included,
+    in list order."""
+    triples = list(theory.triples)
+    seen = set(triples)
+    kept = []
+    for tr in triples:          # also walks the fused triples appended below
+        consumers = [] if tr.pre else [c for c in triples if tr.post <= c.pre]
+        if not consumers:
+            kept.append(tr)
+            continue
+        for c in consumers:
+            fused = HoareTriple(c.pre - tr.post, tr.instrs + c.instrs, tr.post | c.post)
+            if fused not in seen:
+                seen.add(fused)
+                triples.append(fused)
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from shardplan import (ClusterSpec, DistributedProgram, Instruction, ShardingRatios,
-                       build_theory, optimize_ratios, synthesize)
+                       alternate, build_theory, optimize_ratios, synthesize)
 from shardplan.cost_model import round_shards
 from shardplan.graph_ir import SegmentAssignment, graph_from_dict
 from shardplan.load_balancer import (SegmentProblem, _array_sum, build_lp, segment_problems,
@@ -47,6 +47,39 @@ def test_simplex_matches_vertex_enumeration():
             assert float(c @ sol.x) == pytest.approx(expect, abs=1e-7)
             solved += 1
     assert solved >= 20          # the sweep must mostly exercise the solver
+
+
+def test_sparse_pivots_solve_as_dense_pivots_do():
+    # Sparse rows, negative right-hand sides (whose rows are negated, zeros
+    # included) and every status.
+    rng = random.Random(0)
+    coef = lambda: 0.0 if rng.random() < 0.4 else rng.uniform(-2.0, 2.0)
+    statuses = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        A_ub = [[coef() for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        A_eq = [[coef() for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        args = ([coef() for _ in range(n)], A_ub, [rng.uniform(-1.0, 2.0) for _ in A_ub],
+                A_eq, [rng.uniform(-1.0, 2.0) for _ in A_eq])
+        sol = solve_lp(*args)
+        with oracles.dense_pivots():
+            ref = solve_lp(*args)
+        assert (sol.status, sol.x) == (ref.status, ref.x), args
+        statuses.add(sol.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_ratio_rows_equal_dense_pivots_bit_for_bit(m):
+    spec = ClusterSpec.from_dict(corpus._cluster([(j + 2) * 25e9 for j in range(m)],
+                                                 2e-5, 12e9))
+    for name, g in corpus.corpus_graphs():
+        res = alternate(g, spec)
+        rows = optimize_ratios(res.program, g, spec, res.assignment).rows
+        with oracles.dense_pivots():
+            ref = optimize_ratios(res.program, g, spec, res.assignment).rows
+        assert [[v.hex() for v in row] for row in rows] == \
+            [[v.hex() for v in row] for row in ref], name
 
 
 def test_ratio_lp_analytic_cases():

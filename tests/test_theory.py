@@ -1,3 +1,5 @@
+import pytest
+
 import corpus
 import oracles
 from shardplan import (ShardingRatios, build_shard_table, build_theory,
@@ -5,8 +7,10 @@ from shardplan import (ShardingRatios, build_shard_table, build_theory,
 from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
 from shardplan.synthesizer import SearchContext, apply_triple
-from shardplan.theory import (all_gather, all_reduce, communicated,
-                              derive_theory, identity, not_communicated)
+from shardplan.theory import (Instruction, all_gather, all_reduce,
+                              communicated, derive_theory,
+                              fuse_empty_preconditions, identity,
+                              not_communicated)
 
 
 def _props_of(ctx, ids):
@@ -167,6 +171,41 @@ def test_fusion_folds_source_prefixes():
         if tr.pre:
             continue
         assert not any(c is not tr and tr.post <= c.pre for c in t.triples)
+
+
+def _fusion_graphs():
+    yield from corpus.corpus_graphs()
+    for blocks in range(1, 5):
+        yield f"chain{blocks}", graph_from_dict(corpus.chain_graph(blocks))
+    for blocks in range(1, 4):
+        yield f"mix{blocks}", graph_from_dict(corpus.mix_graph(blocks, 16, 32))
+
+
+@pytest.mark.parametrize("guards", [True, False])
+def test_fusion_index_finds_the_consumers_a_scan_finds(guards):
+    for name, g in _fusion_graphs():
+        unfused = build_theory(g, 2, guards=guards, fuse=False)
+        fused = fuse_empty_preconditions(unfused).triples
+        assert list(map(str, fused)) == list(map(str, oracles.fuse_by_scan(unfused))), name
+
+
+def test_rule_types_are_immutable_tuples():
+    seen = 0
+    for name, g in corpus.corpus_graphs():
+        for tr in build_theory(g, 2).triples:
+            assert hash(tr) == hash(tuple(tr))
+            for p in tr.pre | tr.post:
+                assert hash(p) == hash(tuple(p))
+            for instr in tr.instrs:
+                assert hash(instr) == hash(tuple(instr))
+                assert Instruction.from_json(instr.to_json()) == instr, name
+                seen += 1
+    assert seen > 100
+    assert repr(identity("x")) == "Property(ref='x', kind='Id', axis=None)"
+    tr = build_theory(graph_from_dict(corpus.matmul_reduce()), 2).triples[0]
+    for value, field in ((identity("x"), "ref"), (tr.instrs[0], "tag"), (tr, "pre")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
 
 
 def test_guards_and_fusion_preserve_reachable_optimum():
