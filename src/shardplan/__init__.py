@@ -11,6 +11,19 @@ types they take or return, and the errors the command line maps to exit
 codes; everything else is imported from its submodule.  The equivalence
 check's names load `interpreter`, and with it numpy, on first access, so
 importing the package for planning needs only the standard library.
+
+Every record type is a `typing.NamedTuple`, or a small class with
+`__slots__` where it checks its fields on every construction
+(`ShardingRatios`) or is filled in place (`load_balancer.SegmentProblem`).
+Defining a named tuple at import costs a fraction of what a dataclass
+costs, and every plan builds, hashes and compares thousands of `theory`'s
+rule types, which a tuple does in C.  A named tuple hashes as the tuple of
+its fields, as a frozen dataclass does, so frozenset iteration orders,
+triple lists and plan bytes do not depend on the choice.  Unlike a
+dataclass it iterates, has a length, orders, compares equal to any tuple
+of equal fields, and `json.dumps` writes it as an array; the package does
+none of these with its record types, and never asks whether one is a
+tuple.
 """
 from .cost_model import (ClusterFormatError, ClusterSpec, CostBreakdown,
                          ShardingRatios, build_shard_table, iteration_time)

@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
                          build_shard_table, iteration_time, single_segment)
@@ -139,8 +139,7 @@ class PlanFormatError(ValueError):
     """A plan document that cannot be used; the message names the field."""
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     assignment: SegmentAssignment
     ratios: ShardingRatios
     program: DistributedProgram

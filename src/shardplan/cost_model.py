@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .graph_ir import Graph, SegmentAssignment, _is_finite_number
@@ -44,19 +43,16 @@ class ClusterFormatError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(NamedTuple):
     flops_per_second: float
 
 
-@dataclass(frozen=True)
-class CollectiveModel:
+class CollectiveModel(NamedTuple):
     latency_s: float
     bytes_per_second: float
 
 
-@dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(NamedTuple):
     devices: tuple[DeviceSpec, ...]
     collectives: dict[str, CollectiveModel]
     bytes_per_element: int
@@ -119,16 +115,20 @@ class ClusterSpec:
         return cls.from_dict(doc)
 
 
-@dataclass(frozen=True)
 class ShardingRatios:
-    """g x m row-stochastic matrix; row k shards segment k+1 across devices."""
-    rows: tuple[tuple[float, ...], ...]
+    """g x m row-stochastic matrix; row k shards segment k+1 across devices.
 
-    def __post_init__(self):
-        if not self.rows:
+    A class with one slot, not a named tuple: a named tuple's `_make` and
+    `_replace` skip `__new__`, and with it the row checks.  It equals only
+    another `ShardingRatios` with equal rows, hashes as the tuple of its one
+    field, and its field cannot be assigned."""
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[float, ...], ...]):
+        if not rows:
             raise ValueError("ratios need at least one row")
-        width = len(self.rows[0])
-        for k, row in enumerate(self.rows):
+        width = len(rows[0])
+        for k, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError("ragged ratio matrix")
             if not all(math.isfinite(x) for x in row):
@@ -137,6 +137,28 @@ class ShardingRatios:
                 raise ValueError(f"negative ratio in row {k}: {row}")
             if abs(sum(row) - 1.0) > 1e-9:
                 raise ValueError(f"row {k} sums to {sum(row)!r}, not 1")
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"ShardingRatios(rows={self.rows!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which checks the rows
+        return ShardingRatios, (self.rows,)
 
     @property
     def g(self) -> int:
@@ -311,8 +333,7 @@ class StagePricer:
         return closed, _stage_cost(StageCost, (comm_s, tuple(comp), row, comm))
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     stages: tuple[StageCost, ...]
     total_s: float
 

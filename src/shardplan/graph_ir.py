@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SUPPORTED_OPS = (
     "Placeholder",
@@ -42,8 +42,7 @@ class GraphTooLargeError(RuntimeError):
     without importing numpy."""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     op: str
     inputs: tuple[str, ...]
@@ -52,8 +51,7 @@ class Node:
     dims: tuple[int, ...] | None = None  # Reduce
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     nodes: tuple[Node, ...]
     tensors: dict[str, Node]
     loss: str
@@ -270,10 +268,10 @@ def serialize_graph(g: Graph) -> str:
     return json.dumps(graph_to_dict(g), indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class SegmentAssignment:
+class SegmentAssignment(NamedTuple):
     """Maps every tensor id to a segment index in [1..count]; contiguous in
-    topological order."""
+    topological order.  The field `count` shadows `tuple.count`, which the
+    package never calls."""
     segment_of: dict[str, int]
     count: int
 

@@ -19,7 +19,7 @@ imports numpy, and only `verify` loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,8 +212,7 @@ def run_distributed(program, m: int, inputs: dict[str, np.ndarray], shard_table:
     return materialize_loss(env, program.loss, m)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     trials: int
     max_rel_err: float
     passed: bool

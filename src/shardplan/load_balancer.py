@@ -22,14 +22,16 @@ and artificial variables that the pivot row does not touch.  Every touched
 entry computes `a / p` or `a - f * b` as a dense pivot does; a skipped
 entry would have computed `0 / p` or `a - f * 0`, which can only flip the
 sign of a zero, and no comparison, quotient or sum the solver forms tells
--0.0 from 0.0 (the clip in `optimize_ratios` maps it to 0.0).  With `_array_sum`
-adding a ratio row in numpy's summation order, the ratios are bit-identical
-to those of the same simplex on dense numpy arrays.
+-0.0 from 0.0 (the clip in `optimize_ratios` maps it to 0.0).  Both phases
+build their reduced-cost row the same way, subtracting each row into it in
+place on the row's nonzero columns.  With `_array_sum` adding a ratio row
+in numpy's summation order, the ratios are bit-identical to those of the
+same simplex on dense numpy arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cost_model import ClusterSpec, ShardingRatios, comm_terms, single_segment, stages
 from .graph_ir import Graph, SegmentAssignment
@@ -37,8 +39,7 @@ from .graph_ir import Graph, SegmentAssignment
 _TOL = 1e-9
 
 
-@dataclass
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str                       # "optimal" | "infeasible" | "unbounded"
     x: list[float] | None = None
 
@@ -107,7 +108,9 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LpSolution:
          for r, (row, b) in enumerate(zip(rows, rhs))]
     cost = [0.0] * n_real + [1.0] * k + [0.0]
     for row in T:
-        cost = [a - b for a, b in zip(cost, row)]
+        for j, b in enumerate(row):
+            if b != 0.0:
+                cost[j] -= b
     T.append(cost)
     basis = [n_real + r for r in range(k)]
     _run_simplex(T, basis, n_real + k)
@@ -128,7 +131,9 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LpSolution:
     for r, row in enumerate(T2):
         f = cost[basis2[r]]
         if f != 0.0:
-            cost = [a - f * b for a, b in zip(cost, row)]
+            for j, b in enumerate(row):
+                if b != 0.0:
+                    cost[j] -= f * b
     T2.append(cost)
     status = _run_simplex(T2, basis2, n_real)
     if status != "optimal":
@@ -139,19 +144,20 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LpSolution:
     return LpSolution(status="optimal", x=x[:nv])
 
 
-@dataclass
 class SegmentProblem:
-    """LP coefficients for one segment's ratio row."""
-    row_index: int
-    m: int
-    comp_a: list[list[float]] = field(default_factory=list)   # sharded s/B_j
-    comp_c: list[list[float]] = field(default_factory=list)   # replicated s
-    slope_M: float = 0.0
-    linear_B: list[float] | None = None
+    """LP coefficients for one segment's ratio row, filled in place by
+    `segment_problems`."""
+    __slots__ = ("row_index", "m", "comp_a", "comp_c", "slope_M", "linear_B")
 
-    def __post_init__(self):
-        if self.linear_B is None:
-            self.linear_B = [0.0] * self.m
+    def __init__(self, row_index: int, m: int, comp_a: list[list[float]] | None = None,
+                 comp_c: list[list[float]] | None = None, slope_M: float = 0.0,
+                 linear_B: list[float] | None = None):
+        self.row_index = row_index
+        self.m = m
+        self.comp_a = [] if comp_a is None else comp_a      # sharded s/B_j
+        self.comp_c = [] if comp_c is None else comp_c      # replicated s
+        self.slope_M = slope_M
+        self.linear_B = [0.0] * m if linear_B is None else linear_B
 
     @property
     def trivial(self) -> bool:

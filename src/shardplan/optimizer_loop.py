@@ -19,7 +19,7 @@ more synthesis runs for the same reason.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cost_model import ClusterSpec, ShardingRatios, iteration_time
 from .graph_ir import Graph, SegmentAssignment, assign_segments
@@ -33,27 +33,24 @@ class BudgetExhaustedError(RuntimeError):
     pass
 
 
-@dataclass
-class LoopConfig:
+class LoopConfig(NamedTuple):
     max_rounds: int = 8
     max_expansions: int = 200_000
     prune_properties: bool = True     # unread; kept while perfbench/ops.py passes it
 
 
-@dataclass
-class RoundTrace:
+class RoundTrace(NamedTuple):
     synth_cost_s: float
     balance_cost_s: float | None = None
     balance_accepted: bool = False
 
 
-@dataclass
-class LoopResult:
+class LoopResult(NamedTuple):
     program: DistributedProgram
     ratios: ShardingRatios
     assignment: SegmentAssignment
     cost_s: float
-    rounds: list[RoundTrace] = field(default_factory=list)
+    rounds: tuple[RoundTrace, ...] = ()
     reason: str = "max_rounds"
     optimal: bool = True
     expansions: int = 0
@@ -111,23 +108,22 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
             best = (cost_q, res.program, B)
         if r == cfg.max_rounds:
             break
-        trace = RoundTrace(synth_cost_s=cost_q)
-        rounds.append(trace)
         if not improved:
+            rounds.append(RoundTrace(synth_cost_s=cost_q))
             reason = "fixed_point"
             break
 
         B_new = balance_fn(res.program, g, spec, assignment)
         cost_b = iteration_time(res.program.instrs, B_new, spec, assignment).total_s
-        trace.balance_cost_s = cost_b
-        if not _beats(cost_b, best[0]):
+        accepted = _beats(cost_b, best[0])
+        rounds.append(RoundTrace(cost_q, cost_b, accepted))
+        if not accepted:
             reason = "fixed_point"
             break
-        trace.balance_accepted = True
         best = (cost_b, res.program, B_new)
         B = B_new
 
     cost, program, ratios = best
     return LoopResult(program=program, ratios=ratios, assignment=assignment,
-                      cost_s=cost, rounds=rounds, reason=reason,
+                      cost_s=cost, rounds=tuple(rounds), reason=reason,
                       optimal=not any_exhausted, expansions=expansions)

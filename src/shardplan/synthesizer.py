@@ -22,8 +22,8 @@ import heapq
 import logging
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
                          single_segment)
@@ -54,8 +54,7 @@ def _priority(score: float) -> float:
     return math.ldexp(round(m * 1073741824) / 1073741824, e)
 
 
-@dataclass(frozen=True)
-class DistributedProgram:
+class DistributedProgram(NamedTuple):
     instrs: tuple[Instruction, ...]
     loss: str
 
@@ -80,14 +79,12 @@ OPTIMALITY_MARGIN = 1e-12
 COMPLETION_SCALE = 1.0 - 2.0 ** -40
 
 
-@dataclass
-class SearchConfig:
+class SearchConfig(NamedTuple):
     max_expansions: int = 200_000
     prune_properties: bool = True     # unread; kept while perfbench/ops.py passes it
 
 
-@dataclass(slots=True)
-class PartialProgram:
+class PartialProgram(NamedTuple):
     """A search node.  `props` are interned property ids; cost bookkeeping
     follows the stage model incrementally (the cost of the closed stages and
     the open stage, as `StagePricer.advance` leaves them)."""
@@ -104,6 +101,11 @@ class PartialProgram:
     @property
     def total_s(self) -> float:
         return self.closed_s + self.stage.time_s
+
+
+# Builds a PartialProgram from a 9-tuple, as `cost_model._stage_cost` builds
+# a StageCost: every successor the search generates is one.
+_partial_program = tuple.__new__
 
 
 class SearchContext:
@@ -214,12 +216,9 @@ def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgr
                 remaining -= ctx.flops_map[r]
     complete = ctx.loss_prop_id in props
 
-    succ = PartialProgram(
-        instrs=q.instrs + tri.instrs, props=props, computed=computed,
-        closed_s=closed, stage=stage, remaining=remaining, complete=complete,
-        score_s=closed if complete else ctx.score(closed, stage, remaining),
-        path=q.path + (ti,))
-    return succ
+    return _partial_program(PartialProgram, (
+        q.instrs + tri.instrs, props, computed, closed, stage, remaining, complete,
+        closed if complete else ctx.score(closed, stage, remaining), q.path + (ti,)))
 
 
 def dominates(a: PartialProgram, b: PartialProgram) -> bool:
@@ -235,8 +234,7 @@ def dominates(a: PartialProgram, b: PartialProgram) -> bool:
     return (s.comm if s.row is None else None) == (t.comm if t.row is None else None)
 
 
-@dataclass
-class SynthesisResult:
+class SynthesisResult(NamedTuple):
     program: DistributedProgram | None
     cost_s: float
     exhausted: bool
@@ -320,8 +318,7 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
 # Exhaustive enumeration: the independent optimality oracle.
 
 
-@dataclass
-class EnumerationResult:
+class EnumerationResult(NamedTuple):
     """With an audit, `nodes[s]` is state s's cheapest program (state 0 is
     the root) and `edges` holds three flat arrays: source state, child state
     and closed-cost delta of every transition, in expansion order."""

@@ -20,19 +20,10 @@ precondition property and writes the one of the postcondition.
 ``fuse_empty_preconditions`` and ``add_communication_guards`` are optional
 theory rewrites that shrink the search space without changing the reachable
 minimum cost.
-
-``Property``, ``Instruction`` and ``HoareTriple`` are named tuples: every
-plan builds, hashes and compares thousands of them, and a tuple does all
-three in C.  Their hash is the hash of the tuple of their fields, as a
-frozen dataclass's was, so frozenset iteration orders, triple lists and plan
-bytes do not depend on the choice.  Unlike dataclasses they order, and
-compare equal to plain tuples of the same fields; the package neither sorts
-them nor mixes them with plain tuples.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .graph_ir import Graph, Node, node_flops
@@ -177,8 +168,7 @@ class HoareTriple(NamedTuple):
         return f"{{{pre}}} {seq} {{{post}}}"
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(NamedTuple):
     triples: tuple[HoareTriple, ...]
     loss: str
     tensor_ids: tuple[str, ...]
@@ -336,7 +326,7 @@ def fuse_empty_preconditions(t: Theory) -> Theory:
                 triples.append(fused)
                 for p in fused.pre:
                     readers.setdefault(p, []).append(fused)
-    return replace(t, triples=tuple(kept))
+    return t._replace(triples=tuple(kept))
 
 
 def add_communication_guards(t: Theory) -> Theory:
@@ -360,7 +350,7 @@ def add_communication_guards(t: Theory) -> Theory:
         else:
             kept.append(tr)
     initial = frozenset(not_communicated(ref) for ref in t.tensor_ids)
-    return replace(t, triples=tuple(kept), initial_props=initial)
+    return t._replace(triples=tuple(kept), initial_props=initial)
 
 
 def build_theory(g: Graph, m: int, *, guards: bool = True, fuse: bool = True) -> Theory:

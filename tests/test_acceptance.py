@@ -13,7 +13,6 @@ import math
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 
 import numpy as np
 
@@ -277,7 +276,7 @@ def test_criterion_10_collective_choice_crosses_over_at_derived_ratio():
     g = graph_from_dict(CROSSOVER_GRAPH)
     spec = ClusterSpec.from_dict(CROSSOVER_CLUSTER)
     th = build_theory(g, spec.m, guards=True, fuse=False)
-    th = replace(th, triples=tuple(
+    th = th._replace(triples=tuple(
         tr for tr in th.triples
         if not any((p.ref, p.kind, p.axis) in CROSSOVER_BANNED
                    for p in tr.pre | tr.post)))

@@ -90,16 +90,28 @@ def test_ratios_validation():
     assert (u.g, u.m) == (1, 2)
     assert ShardingRatios.uniform(4, g=3).rows[2] == (0.25,) * 4
     assert ShardingRatios.proportional_to_flops(corpus.hetero2()).rows == ((0.7, 0.3),)
-    with pytest.raises(ValueError):
-        ShardingRatios(())
-    with pytest.raises(ValueError):
-        ShardingRatios(((0.5, 0.5), (1.0,)))            # ragged
-    with pytest.raises(ValueError):
-        ShardingRatios(((1.2, -0.2),))                  # negative entry
-    with pytest.raises(ValueError):
-        ShardingRatios(((0.5, 0.6),))                   # does not sum to one
-    with pytest.raises(ValueError):
-        ShardingRatios(((math.nan, 1.0),))              # every comparison with NaN is False
+    bad = [
+        (),
+        ((0.5, 0.5), (1.0,)),           # ragged
+        ((1.2, -0.2),),                 # negative entry
+        ((0.5, 0.6),),                  # does not sum to one
+        ((math.nan, 1.0),),             # every comparison with NaN is False
+    ]
+    # Every way to build one checks its rows.  A named tuple's _make and
+    # _replace would skip a checking __new__.
+    builds = [ShardingRatios, lambda rows: ShardingRatios(rows=rows)]
+    if isinstance(u, tuple):
+        builds += [lambda rows: ShardingRatios._make((rows,)),
+                   lambda rows: u._replace(rows=rows)]
+    for build in builds:
+        for rows in bad:
+            with pytest.raises(ValueError):
+                build(rows)
+    # Equal, hashed and printed by its one field, and equal to nothing else.
+    assert u == ShardingRatios(((0.5, 0.5),)) and u != ShardingRatios(((0.25, 0.75),))
+    assert u != (u.rows,) and hash(u) == hash((u.rows,))
+    assert repr(u) == "ShardingRatios(rows=((0.5, 0.5),))"
+    assert copy.copy(u) == u and copy.deepcopy(u) == u
 
 
 def _comp(ref, flops=0, sharded=False):

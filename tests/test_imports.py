@@ -19,10 +19,12 @@ import sys
 from shardplan.cli import main
 graph, cluster, plan = sys.argv[1:]
 assert "numpy" not in sys.modules, "importing the CLI loaded numpy"
+assert "dataclasses" not in sys.modules, "importing the CLI loaded dataclasses"
 assert main(["plan", graph, cluster, "-o", plan]) == 0
 assert main(["enumerate", graph, cluster]) == 0
 assert main(["enumerate", graph, cluster, "--ratios", plan]) == 0
 assert "numpy" not in sys.modules, "plan or enumerate loaded numpy"
+assert "dataclasses" not in sys.modules, "plan or enumerate loaded dataclasses"
 assert main(["verify", plan, graph, cluster]) == 0
 assert "numpy" in sys.modules
 """

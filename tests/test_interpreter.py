@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,7 +190,7 @@ def test_equivalence_flags_wrong_results():
     instrs[i] = instrs[i]._replace(tag="exp")     # same shapes and flops, other values
     table = build_shard_table(g, res.ratios, res.assignment)
     assert check_equivalence(g, res.program, spec.m, table).passed
-    swapped = replace(res.program, instrs=tuple(instrs))
+    swapped = res.program._replace(instrs=tuple(instrs))
     assert check_equivalence(g, swapped, spec.m, table).passed is False
 
 

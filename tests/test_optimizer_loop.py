@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 import corpus
@@ -154,7 +152,7 @@ def test_synthesis_step_that_raises_cost_is_caught_below_a_nanosecond():
     g = graph_from_dict(corpus.mix_graph(2, 32, 32))
     spec = ClusterSpec.from_dict(corpus.scaled(corpus.HETERO2, 12))
     theory = build_theory(g, 2)
-    no_h1_shards = replace(theory, triples=tuple(
+    no_h1_shards = theory._replace(triples=tuple(
         tr for tr in theory.triples
         if not any(i.kind == "matmul" and i.output.startswith("h1@shard") for i in tr.instrs)))
     calls = []
