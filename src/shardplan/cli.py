@@ -27,7 +27,8 @@ import time
 from typing import NamedTuple
 
 from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
-                         build_shard_table, iteration_time, single_segment)
+                         build_shard_table, check_byte_counts, iteration_time,
+                         single_segment)
 from .graph_ir import (Graph, GraphFormatError, GraphTooLargeError, SegmentAssignment,
                        _is_finite_number, _is_int, parse_graph, serialize_graph)
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
@@ -68,6 +69,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _graph_and_cluster(args) -> tuple[Graph, ClusterSpec]:
+    g = parse_graph(_read(args.graph))
+    spec = ClusterSpec.from_json(_read(args.cluster))
+    check_byte_counts(g, spec)
+    return g, spec
+
+
 def _sharded_axes(program) -> list[tuple[str, int]]:
     """(tensor, axis) pairs the program actually shards, in sorted order."""
     pairs = set()
@@ -106,8 +114,7 @@ def plan_document(g: Graph, spec: ClusterSpec, result) -> dict:
 
 def cmd_plan(args) -> int:
     started = time.monotonic()
-    g = parse_graph(_read(args.graph))
-    spec = ClusterSpec.from_json(_read(args.cluster))
+    g, spec = _graph_and_cluster(args)
     _check_option("segments", args.segments, 1, len(g.nodes))
     _check_option("max-rounds", args.max_rounds, 1)
     _check_option("budget", args.budget, 0)
@@ -237,8 +244,7 @@ def cmd_verify(args) -> int:
     _check_option("trials", args.trials, 1)
     _check_option("seed", args.seed, 0)
     doc = json.loads(_read(args.plan))
-    g = parse_graph(_read(args.graph))
-    spec = ClusterSpec.from_json(_read(args.cluster))
+    g, spec = _graph_and_cluster(args)
     plan = load_plan(doc, g, spec.m)
 
     breakdown = iteration_time(plan.program.instrs, plan.ratios, spec, plan.assignment)
@@ -267,8 +273,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    g = parse_graph(_read(args.graph))
-    spec = ClusterSpec.from_json(_read(args.cluster))
+    g, spec = _graph_and_cluster(args)
     _check_option("max-len", args.max_len, 0)
     if len(g.nodes) > 6 and not args.force:
         print(f"error: {len(g.nodes)} nodes is large for exhaustive enumeration; "

@@ -102,8 +102,9 @@ class ClusterSpec(NamedTuple):
                 raise ClusterFormatError(f"collectives[{kind!r}].bw_Bps must be finite and > 0")
             collectives[kind] = CollectiveModel(latency_s=float(lat), bytes_per_second=float(bw))
         bpe = doc.get("bytes_per_element")
-        if not isinstance(bpe, int) or isinstance(bpe, bool) or bpe <= 0:
-            raise ClusterFormatError("'bytes_per_element' must be a positive integer")
+        if not isinstance(bpe, int) or not _is_finite_number(bpe) or bpe <= 0:
+            raise ClusterFormatError(
+                "'bytes_per_element' must be a positive integer within float range")
         return cls(devices=tuple(devices), collectives=collectives, bytes_per_element=bpe)
 
     @classmethod
@@ -180,6 +181,16 @@ class ShardingRatios:
         total = spec.total_rate
         row = tuple(d.flops_per_second / total for d in spec.devices)
         return cls(tuple(row for _ in range(g)))
+
+
+def check_byte_counts(g: Graph, spec: ClusterSpec) -> None:
+    """A collective's price divides its tensor's bytes, elements times
+    `bytes_per_element`, as a float: reject a graph and cluster for which
+    some tensor's bytes exceed float range."""
+    for t in g.nodes:
+        if not _is_finite_number(math.prod(t.shape) * spec.bytes_per_element):
+            raise ClusterFormatError(f"tensor {t.id!r}: its element count times "
+                                     "'bytes_per_element' exceeds float range")
 
 
 def single_segment(g: Graph) -> SegmentAssignment:

@@ -17,7 +17,6 @@ redundant, so it is not pushed.  A node's property set is exactly the state
 """
 from __future__ import annotations
 
-import gc
 import heapq
 import logging
 import math
@@ -319,15 +318,10 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
 
 
 class EnumerationResult(NamedTuple):
-    """With an audit, `nodes[s]` is state s's cheapest program (state 0 is
-    the root) and `edges` holds three flat arrays: source state, child state
-    and closed-cost delta of every transition, in expansion order."""
     cost_s: float
     program: DistributedProgram
     explored: int
     complete_states: int
-    nodes: list[PartialProgram] | None = None
-    edges: tuple[array, array, array] | None = None
 
 
 class _Interner:
@@ -347,7 +341,7 @@ class _Interner:
 
 def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                        assignment: SegmentAssignment | None = None,
-                       max_len: int | None = None, audit: bool = False) -> EnumerationResult:
+                       max_len: int | None = None) -> EnumerationResult:
     """Exhaustive enumeration of every program of at most max_len
     instructions; returns the cheapest complete one.
 
@@ -362,11 +356,7 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     keeps its closed cost and a pointer to its best parent, and the winning
     program is rebuilt from those pointers.  States are expanded in
     ascending length, so every path into a state is recorded before the
-    state itself is expanded.
-
-    With `audit`, every state's node is rebuilt by `apply_triple` along the
-    best parents and checked against the factored bookkeeping, and every
-    transition is recorded as an edge."""
+    state itself is expanded."""
     if max_len is None:
         max_len = 2 * len(g.nodes) + 4
     ctx = SearchContext(g, theory, spec, B, assignment)
@@ -407,9 +397,7 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     closed = array("d", [root.closed_s])
     parent = array("q", [-1])
     via = array("q", [-1])
-    edge_src, edge_child, edge_delta = array("q"), array("q"), array("d")
     layers: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 0}}
-    audit_layers: list = []
     best_total = math.inf
     best_at: tuple[int, int] | None = None     # (parent state, triple index)
     complete_states = 0
@@ -417,8 +405,6 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     length = 0
     while length <= max_len:
         layer = layers.pop(length, None)
-        if audit and layer:
-            audit_layers.append(layer)
         if not layer or length >= max_len:
             length += 1
             continue
@@ -457,10 +443,6 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
                         total = c + stage_tail[nsid]
                         if total < best_total:
                             best_total, best_at = total, (s, ti)
-                if audit:
-                    edge_src.append(s)
-                    edge_child.append(t)
-                    edge_delta.append(c - base)
         length += 1
 
     if best_at is None:
@@ -473,36 +455,5 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
         s = parent[s]
     instrs = tuple(instr for ti in reversed(path) for instr in ctx.triples[ti].instrs)
     program = DistributedProgram(instrs=instrs, loss=theory.loss)
-    nodes = edges = None
-    if audit:
-        audit_layers.extend(layer for _, layer in sorted(layers.items()))
-        nodes = _audit_nodes(ctx, root, audit_layers, closed, parent, via,
-                             props.values, stages.values)
-        edges = (edge_src, edge_child, edge_delta)
     return EnumerationResult(cost_s=best_total, program=program, explored=len(closed),
-                             complete_states=complete_states, nodes=nodes, edges=edges)
-
-
-def _audit_nodes(ctx: SearchContext, root: PartialProgram, layers, closed, parent,
-                 via, props_values, stage_values) -> list[PartialProgram]:
-    """Every state's node, indexed by state id and built in ascending length:
-    each is its best parent's node advanced by `apply_triple`, and must agree
-    with the factored state it stands for."""
-    nodes: list = [None] * len(closed)
-    # Every node survives until the result is dropped and none forms a cycle,
-    # so the cyclic collector would only rescan them as they pile up.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        for layer in layers:
-            for (pid, sid), s in layer.items():
-                node = root if s == 0 else apply_triple(nodes[parent[s]], via[s], ctx)
-                if (node.closed_s != closed[s] or node.props != props_values[pid]
-                        or node.stage != stage_values[sid]):
-                    raise SearchInvariantError(
-                        f"state {s}: rebuilt program disagrees with the enumeration's bookkeeping")
-                nodes[s] = node
-    finally:
-        if collecting:
-            gc.enable()
-    return nodes
+                             complete_states=complete_states)

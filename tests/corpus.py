@@ -170,6 +170,27 @@ CORPUS: dict[str, dict] = {
 }
 
 
+# States and complete states of the enumeration of every corpus graph under
+# the unfused, unguarded theory, on homog2 at uniform ratios: what
+# `shardplan enumerate GRAPH homog2` prints.  Merging more or fewer programs
+# moves them.
+ENUMERATION_COUNTS: dict[str, tuple[int, int]] = {
+    "matmul_reduce": (14445, 8378),
+    "matmul_unary": (114976, 52352),
+    "binary_add": (5084, 2294),
+    "two_reduce_rows": (172149, 95828),
+    "two_reduce_cols": (162396, 89867),
+    "identity_after_reduce": (4834, 2476),
+    "unary_chain": (75560, 33898),
+    "binary_mul_unary": (49577, 22641),
+    "param_only": (942, 444),
+    "rank1_mul": (212, 78),
+    "wide_matmul": (14445, 8378),
+    "skip_connection": (7011, 3205),
+    "self_add": (296165, 153794),
+}
+
+
 def corpus_graphs() -> list[tuple[str, Graph]]:
     return [(name, graph_from_dict(d)) for name, d in CORPUS.items()]
 

@@ -3,16 +3,21 @@
 Everything here is deliberately brute-force: grids, vertex enumeration,
 exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
-points, except the search-space walks, which step the package's own
-`apply_triple` to list programs, and the reference forms of two of the
+points, except the search-space walks and the reference forms of two of the
 package's shortcuts: triple fusion by a scan over every triple, and the
-simplex with dense pivots.
+simplex with dense pivots.  The walks step the package's own `apply_triple`
+to list programs; the enumeration's state graph also takes the applicable
+triples and their property changes from `SearchContext`, and the stage
+steps from `StagePricer.advance`.
 """
 from __future__ import annotations
 
 import contextlib
+import gc
 import itertools
 import math
+from array import array
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -340,7 +345,145 @@ def enumerate_all_complete(g, theory, spec, B, max_len: int, assignment=None) ->
 
 
 # ---------------------------------------------------------------------------
-# admissibility audit over the enumeration graph
+# the enumeration's state graph and the admissibility audit over it
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Within the block the cyclic collector does not run.  A state graph
+    holds up to 300,000 nodes, all alive until its audit ends and none in a
+    cycle, so the collector would only rescan them as they pile up; walk
+    and audit large graphs within this block."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+class StateGraph(NamedTuple):
+    """Every state of the exhaustive enumeration and every transition
+    between states.  `nodes[s]` is state s's cheapest program (state 0 is
+    the root); `edges` holds three flat arrays: source state, child state
+    and closed-cost delta of every transition, in expansion order."""
+    nodes: list
+    edges: tuple[array, array, array]
+    explored: int
+    complete_states: int
+
+
+def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
+    """The states and transitions that `enumerate_programs` walks at its
+    default length bound, built without it, for an unfused and unguarded
+    theory.
+
+    A state is a property set and an open stage (`StageCost`); programs
+    reaching the same state are merged, keeping the cheapest closed stages.
+    The program length follows from the property set under such a theory,
+    and the walk checks that it does.  States are expanded in ascending
+    length; complete ones, and those of 2 * nodes + 4 or more instructions,
+    are not.  Property successors are memoized per property set, and stage
+    steps (`StagePricer.advance`) per open stage and triple.  Before a state
+    is expanded, its node is rebuilt by `apply_triple` from its cheapest
+    parent's node, and must agree with the state and its closed cost."""
+    max_len = 2 * len(g.nodes) + 4
+    ctx = SearchContext(g, theory, spec, B, assignment)
+    root = ctx.initial()
+    triples = ctx.triples
+
+    prop_ids = {root.props: 0}
+    prop_sets = [root.props]
+    prop_len = [0]                  # instruction count of every program reaching it
+    prop_next: list = [None]        # ((ti, successor property set id), ...)
+
+    def prop_successors(pid: int) -> tuple[tuple[int, int], ...]:
+        props = prop_sets[pid]
+        out = []
+        for ti in ctx.applicable(props):
+            after = (props | ctx.tpost[ti]) - ctx.tretire[ti]
+            length = prop_len[pid] + len(triples[ti].instrs)
+            npid = prop_ids.get(after)
+            if npid is None:
+                npid = prop_ids[after] = len(prop_sets)
+                prop_sets.append(after)
+                prop_len.append(length)
+                prop_next.append(None)
+            elif prop_len[npid] != length:
+                raise AssertionError(f"a property set is reached by programs of "
+                                     f"{prop_len[npid]} and of {length} instructions")
+            out.append((ti, npid))
+        succs = prop_next[pid] = tuple(out)
+        return succs
+
+    stage_ids = {root.stage: 0}
+    stages = [root.stage]
+    stage_next: list[dict] = [{}]   # per triple: (successor stage id, closed stage times)
+
+    def stage_step(sid: int, ti: int) -> tuple[int, tuple[float, ...]]:
+        closes, stage = ctx.pricer.advance(stages[sid], triples[ti].instrs)
+        nsid = stage_ids.get(stage)
+        if nsid is None:
+            nsid = stage_ids[stage] = len(stages)
+            stages.append(stage)
+            stage_next.append({})
+        step = stage_next[sid][ti] = (nsid, tuple(done.time_s for done in closes))
+        return step
+
+    state_ids = {(0, 0): 0}
+    keys = [(0, 0)]
+    closed = array("d", [root.closed_s])
+    parent = array("q", [-1])
+    via = array("q", [-1])
+    nodes: list = [root]
+    layers = {0: [0]}               # length -> its states, in discovery order
+    src, child, delta = array("q"), array("q"), array("d")
+    complete_states = 0
+    length = 0
+    while layers:
+        for s in layers.pop(length, ()):
+            pid, sid = keys[s]
+            node = nodes[s]
+            if node is None:
+                node = nodes[s] = apply_triple(nodes[parent[s]], via[s], ctx)
+                if (node.closed_s != closed[s] or node.props != prop_sets[pid]
+                        or node.stage != stages[sid] or len(node.instrs) != length):
+                    raise AssertionError(
+                        f"state {s}: the rebuilt program disagrees with the state")
+            if node.complete or length >= max_len:
+                continue
+            base = closed[s]
+            succs = prop_next[pid]
+            if succs is None:
+                succs = prop_successors(pid)
+            nexts = stage_next[sid]
+            for ti, npid in succs:
+                nsid, charges = nexts.get(ti) or stage_step(sid, ti)
+                c = base
+                for charge in charges:
+                    c += charge
+                key = (npid, nsid)
+                t = state_ids.get(key)
+                if t is None:
+                    t = state_ids[key] = len(keys)
+                    keys.append(key)
+                    closed.append(c)
+                    parent.append(s)
+                    via.append(ti)
+                    nodes.append(None)
+                    layers.setdefault(prop_len[npid], []).append(t)
+                    complete_states += ctx.loss_prop_id in prop_sets[npid]
+                elif c < closed[t]:
+                    closed[t] = c
+                    parent[t] = s
+                    via[t] = ti
+                src.append(s)
+                child.append(t)
+                delta.append(c - base)
+        length += 1
+    return StateGraph(nodes=nodes, edges=(src, child, delta), explored=len(nodes),
+                      complete_states=complete_states)
 
 
 # The search scales its completion bound by this factor so that float
@@ -348,27 +491,17 @@ def enumerate_all_complete(g, theory, spec, B, max_len: int, assignment=None) ->
 COMPLETION_SCALE = 1.0 - 2.0 ** -40
 
 
-def ecost(partial, g, spec, B, assignment=None) -> float:
-    """Reference completion estimate, recomputed from the program alone.
+def _completion_key(instrs) -> tuple:
+    """What a program's completion estimate depends on: the tensors it has
+    realized a property of, its last collective and the instructions after
+    that collective."""
+    k = len(instrs)
+    while k and not instrs[k - 1].is_comm:
+        k -= 1
+    return frozenset(instr.ref for instr in instrs), instrs[k - 1] if k else None, instrs[k:]
 
-    The open trailing stage's collective (once a computation, or a single
-    ratio row, fixes the row it is priced at; a reshard across a segment
-    boundary pads to the larger of the two rows' largest shards), plus the
-    slowest device's total of (a) compute already accrued in that stage and
-    (b) every loss ancestor without a realized property, at the least share
-    of its flops any ratio row gives that device.  Complete programs cost
-    nothing more.  The search keeps the same quantity incrementally, as
-    a node's score less its closed cost.
-    """
-    if partial.complete:
-        return 0.0
-    assignment = assignment or single_segment(g)
-    comm, trailing = None, []       # the last collective and what follows it
-    for instr in partial.instrs:
-        if instr.is_comm:
-            comm, trailing = instr, []
-        else:
-            trailing.append(instr)
+
+def _completion_bound(computed, comm, trailing, g, spec, B, assignment) -> float:
     row = None
     if trailing:
         row = assignment.row_index(trailing[0].ref)
@@ -384,7 +517,7 @@ def ecost(partial, g, spec, B, assignment=None) -> float:
         comm_s = comm_time(comm, B.row(row), spec, pad)
     remaining = 0.0
     for node in g.nodes:
-        if node.id in g.loss_ancestors and node.id not in partial.computed:
+        if node.id in g.loss_ancestors and node.id not in computed:
             remaining += node_flops(g, node)
     worst = 0.0
     for j, rate in enumerate(rates):
@@ -395,6 +528,24 @@ def ecost(partial, g, spec, B, assignment=None) -> float:
         device_s += remaining * min(r[j] for r in B.rows) / rate
         worst = max(worst, device_s)
     return COMPLETION_SCALE * (comm_s + worst)
+
+
+def ecost(partial, g, spec, B, assignment=None) -> float:
+    """Reference completion estimate, recomputed from the program alone.
+
+    The open trailing stage's collective (once a computation, or a single
+    ratio row, fixes the row it is priced at; a reshard across a segment
+    boundary pads to the larger of the two rows' largest shards), plus the
+    slowest device's total of (a) compute already accrued in that stage and
+    (b) every loss ancestor that no instruction has realized a property of,
+    at the least share of its flops any ratio row gives that device.
+    Complete programs cost nothing more.  The search keeps the same quantity
+    incrementally, as a node's score less its closed cost.
+    """
+    if partial.complete:
+        return 0.0
+    return _completion_bound(*_completion_key(partial.instrs), g, spec, B,
+                             assignment or single_segment(g))
 
 
 def future_costs(nodes, edges) -> list[float]:
@@ -410,17 +561,25 @@ def future_costs(nodes, edges) -> list[float]:
     return future
 
 
-def admissibility_violations(g, spec, B, enum_result, assignment=None,
+def admissibility_violations(g, spec, B, graph: StateGraph, assignment=None,
                              slack: float = 0.0) -> list[str]:
     """The search's completion estimate (a node's score less its closed cost)
     must agree with the reference `ecost` and never exceed the true cheapest
-    completion (cost(Q_c) - cost(Q) minimized over enumerated completions Q_c)."""
-    nodes = enum_result.nodes
-    future = future_costs(nodes, enum_result.edges)
+    completion (cost(Q_c) - cost(Q) minimized over enumerated completions Q_c).
+    Programs that end in the same open stage over the same realized tensors
+    share one `ecost`, computed once."""
+    assignment = assignment or single_segment(g)
+    bounds: dict = {}
     bad: list[str] = []
-    for q, best in zip(nodes, future):
-        h = 0.0 if q.complete else q.score_s - q.closed_s
-        ref = ecost(q, g, spec, B, assignment)
+    for q, best in zip(graph.nodes, future_costs(graph.nodes, graph.edges)):
+        if q.complete:
+            h = ref = 0.0
+        else:
+            h = q.score_s - q.closed_s
+            key = _completion_key(q.instrs)
+            ref = bounds.get(key)
+            if ref is None:
+                ref = bounds[key] = _completion_bound(*key, g, spec, B, assignment)
         if abs(h - ref) > 1e-12 * q.score_s:
             bad.append(f"state len={len(q.instrs)} estimate={h!r} != reference ecost {ref!r}")
         if best != math.inf and h > best + slack:

@@ -2,8 +2,11 @@
 
 Each criterion is stated in the assert messages and checked at its stated
 tolerance; the oracles (exhaustive enumeration, grids, vertex enumeration,
-integer compositions, direct interpretation) live in oracles.py and share no
-algorithmic code with the package.
+integer compositions, direct interpretation) live in oracles.py.  They share
+no algorithmic code with the package but for the enumeration's state graph,
+which criterion 04 audits: it produces its states with the package's
+`SearchContext` (applicable triples and their property changes),
+`StagePricer.advance` and `apply_triple`.
 """
 import gc
 import io
@@ -25,7 +28,6 @@ from shardplan.cost_model import (COLLECTIVE_KINDS, build_shard_table, comm_time
                                   round_shards, single_segment)
 from shardplan.graph_ir import graph_from_dict
 from shardplan.load_balancer import SegmentProblem, build_lp, solve_lp
-from shardplan.synthesizer import enumerate_programs
 
 
 def _cli(argv):
@@ -65,6 +67,9 @@ def test_criterion_01_plan_cost_equals_enumerated_minimum(tmp_path):
         plan_cost = json.loads(open(out).read())["estimate"]["total_s"]
         rc, stdout, err = _cli(["enumerate", paths[name], paths["homog2"]])
         assert rc == 0, f"{name}: enumerate failed: {err}"
+        counts = re.search(r"explored (\d+) states, (\d+) complete", stdout)
+        assert tuple(map(int, counts.groups())) == corpus.ENUMERATION_COUNTS[name], \
+            f"{name}: {counts.group(0)}"
         enum_cost = float(re.search(r"minimum cost: (\S+) s", stdout).group(1))
         assert plan_cost == enum_cost, \
             f"{name}: plan cost {plan_cost!r} != enumerated minimum {enum_cost!r}"
@@ -111,15 +116,21 @@ def test_criterion_03_every_derived_triple_is_sound():
 
 
 def test_criterion_04_completion_heuristic_is_admissible():
+    # every state of every corpus graph's enumeration, at slack 0; the state
+    # graph has as many states as the enumeration criterion 01 runs
+    started = time.perf_counter()
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
-    for name, g in corpus.corpus_graphs():
-        th = build_theory(g, spec.m, guards=False, fuse=False)
-        res = enumerate_programs(g, th, spec, B, audit=True)
-        bad = oracles.admissibility_violations(
-            g, spec, B, res, assignment=single_segment(g), slack=0.0)
-        assert not bad, f"{name}: ecost overestimates completion: {bad[:3]}"
-        del res  # audit graphs for the larger corpus entries are sizable
+    with oracles.collector_paused():
+        for name, g in corpus.corpus_graphs():
+            th = build_theory(g, spec.m, guards=False, fuse=False)
+            graph = oracles.state_graph(g, th, spec, B)
+            assert (graph.explored, graph.complete_states) == \
+                corpus.ENUMERATION_COUNTS[name], name
+            bad = oracles.admissibility_violations(g, spec, B, graph, slack=0.0)
+            assert not bad, f"{name}: ecost overestimates completion: {bad[:3]}"
+            del graph  # the larger graphs hold 300,000 nodes
+    assert time.perf_counter() - started < 60.0
 
 
 def test_criterion_05_ratio_lp_matches_grid_and_analytic_minima():

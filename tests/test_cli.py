@@ -167,6 +167,22 @@ def test_malformed_inputs_exit_2(files, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: nodes[0] (id='x'):"), err
+    # a byte count beyond float range: one element's, or one tensor's
+    wide = _write(files["tmp"], "wide.json", {**corpus.HOMOG2, "bytes_per_element": 10**400})
+    for argv in (["plan", files["graph"], wide], ["enumerate", files["graph"], wide]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'bytes_per_element' must be"), err
+    mix = _write(files["tmp"], "mix.json", corpus.mix_graph(2, 32, 32))
+    wide = _write(files["tmp"], "wide.json", {**corpus.HETERO2, "bytes_per_element": 10**307})
+    for argv in (["plan", mix, wide], ["plan", files["graph"], wide],
+                 ["verify", _plan(files), files["graph"], wide],
+                 ["enumerate", files["graph"], wide]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: tensor ") and "float range" in err, err
 
 
 def _rows(n):

@@ -249,7 +249,7 @@ def test_ecost_charges_each_device_its_least_share_of_unrealized_ancestors():
     spec = corpus.homog2()                           # latency 2^-16 s, 2^33 B/s
     B = ShardingRatios(((0.25, 0.75),))
     partial = types.SimpleNamespace(
-        complete=False, computed=frozenset({"x", "w", "h"}),
+        complete=False,
         instrs=(_comm("all_reduce", "h", 16), _comp("h", flops=128, sharded=True)))
     assert ecost(partial, g, spec, B) == \
         COMPLETION_SCALE * (2.0 ** -16 + 2.0 ** -27 + (96 + 16 * 0.75) / 2.0 ** 30)

@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 
 import corpus
 from shardplan import (BudgetExhaustedError, ClusterSpec, LoopConfig, ShardingRatios,
-                       alternate, iteration_time)
+                       alternate, iteration_time, synthesize)
 from shardplan.graph_ir import graph_from_dict
 from shardplan.optimizer_loop import _default_synth
 from shardplan.synthesizer import SearchInvariantError, SynthesisResult
@@ -189,3 +191,34 @@ def test_scaled_cluster_keeps_the_ratio_step_of_a_mix_plan():
     # the ratio step's 25% gain is 6.8e-13 s here; an absolute tolerance of
     # 1e-12 s kept the speed-proportional ratios at a 33% higher cost
     _assert_scale_invariant(corpus.mix_graph(2, 32, 32), corpus.HETERO2, 20)
+
+
+METAMORPHIC_CLUSTERS = ("HETERO2", "SKEW2", "SLOWHET2", "HOMOG3")
+
+
+@pytest.mark.parametrize("cluster", METAMORPHIC_CLUSTERS)
+def test_permuted_devices_permute_the_ratio_columns(cluster):
+    # the planner sees devices only through their speeds, so renaming them
+    # permutes each ratio row and keeps program and cost, bit for bit
+    doc = getattr(corpus, cluster)
+    for graph_doc in corpus.CORPUS.values():
+        g = graph_from_dict(graph_doc)
+        base = alternate(g, ClusterSpec.from_dict(doc))
+        # every permutation but the first, the identity
+        for perm in list(itertools.permutations(range(len(doc["devices"]))))[1:]:
+            spec = ClusterSpec.from_dict({**doc, "devices": [doc["devices"][j] for j in perm]})
+            res = alternate(g, spec)
+            assert res.cost_s == base.cost_s, (perm, res.cost_s, base.cost_s)
+            assert res.program == base.program, perm
+            assert res.ratios.rows == tuple(tuple(row[j] for j in perm)
+                                            for row in base.ratios.rows), perm
+
+
+@pytest.mark.parametrize("cluster", METAMORPHIC_CLUSTERS)
+def test_loop_never_costs_more_than_one_synthesis_at_speed_ratios(cluster):
+    spec = ClusterSpec.from_dict(getattr(corpus, cluster))
+    B = ShardingRatios.proportional_to_flops(spec)
+    for name, doc in corpus.CORPUS.items():
+        g = graph_from_dict(doc)
+        once = synthesize(g, build_theory(g, spec.m), spec, B)
+        assert alternate(g, spec).cost_s <= once.cost_s, name

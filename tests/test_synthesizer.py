@@ -114,42 +114,31 @@ def test_enumeration_agrees_with_unmerged_walk():
                 assert enum.explored < unlimited.explored, name
 
 
-# States and complete states of the unfused homog2 enumeration of every
-# graph the benchmark audits; merging more or fewer programs moves them.
-AUDIT_COUNTS = {
-    "matmul_reduce": (14445, 8378),
-    "binary_add": (5084, 2294),
-    "identity_after_reduce": (4834, 2476),
-    "param_only": (942, 444),
-    "rank1_mul": (212, 78),
-    "wide_matmul": (14445, 8378),
-    "skip_connection": (7011, 3205),
-    "binary_mul_unary": (49577, 22641),
-}
+# The graphs the benchmark audits; criteria 01 and 04 pin all 13.
+AUDITED = ("matmul_reduce", "binary_add", "identity_after_reduce", "param_only",
+           "rank1_mul", "wide_matmul", "skip_connection", "binary_mul_unary")
 
 
 def test_enumeration_state_counts_are_pinned():
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
-    for name, counts in AUDIT_COUNTS.items():
+    for name in AUDITED:
         g = graph_from_dict(corpus.CORPUS[name])
         res = enumerate_programs(g, build_theory(g, 2, guards=False, fuse=False), spec, B)
-        assert (res.explored, res.complete_states) == counts, name
+        assert (res.explored, res.complete_states) == corpus.ENUMERATION_COUNTS[name], name
 
 
-def test_enumeration_records_edges_only_for_audits():
+def test_state_graph_oracle_follows_the_enumeration():
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
     g = graph_from_dict(corpus.CORPUS["identity_after_reduce"])
     th = build_theory(g, 2, guards=False, fuse=False)
-    plain = enumerate_programs(g, th, spec, B)
-    assert plain.nodes is None and plain.edges is None
-    audited = enumerate_programs(g, th, spec, B, audit=True)
-    assert (audited.cost_s, audited.program, audited.explored) == \
-        (plain.cost_s, plain.program, plain.explored)
-    nodes = audited.nodes
-    src, child, delta = audited.edges
-    assert len(nodes) == audited.explored
+    enum = enumerate_programs(g, th, spec, B)
+    graph = oracles.state_graph(g, th, spec, B)
+    nodes = graph.nodes
+    assert (graph.explored, graph.complete_states) == (enum.explored, enum.complete_states)
+    assert min(q.total_s for q in nodes if q.complete) == enum.cost_s
+    src, child, delta = graph.edges
     assert not nodes[0].instrs and 0 in src
     assert len(src) == len(child) == len(delta) > 0
     last = 0
@@ -175,24 +164,31 @@ def test_search_bookkeeping_matches_evaluator_across_segments():
         # times are added up shows in the last bits
         (corpus.hetero2(), ShardingRatios(((0.7, 0.3), (0.4, 0.6)))),
     ]
-    for spec, B in configs:
-        repriced = padded = 0
-        for name in ("matmul_reduce", "identity_after_reduce", "param_only",
-                     "skip_connection"):
-            g = graph_from_dict(corpus.CORPUS[name])
-            assignment = assign_segments(g, 2)
-            res = enumerate_programs(g, build_theory(g, 2, guards=False, fuse=False),
-                                     spec, B, assignment=assignment, audit=True)
-            for q in res.nodes:
-                assert q.total_s == iteration_time(q.instrs, B, spec, assignment).total_s, \
-                    (name, B.rows, q.instrs)
-                comm = q.stage.comm
-                if (comm is not None and q.stage.row is not None
-                        and assignment.row_index(comm.ref) != q.stage.row):
-                    repriced += 1
-                    padded += comm.kind == "all_to_all"
-            assert not oracles.admissibility_violations(g, spec, B, res, assignment), name
-        assert repriced > padded > 0, B.rows
+    # every state's node stays alive until its checks end
+    with oracles.collector_paused():
+        for spec, B in configs:
+            repriced = padded = 0
+            for name in ("matmul_reduce", "identity_after_reduce", "param_only",
+                         "skip_connection"):
+                g = graph_from_dict(corpus.CORPUS[name])
+                assignment = assign_segments(g, 2)
+                th = build_theory(g, 2, guards=False, fuse=False)
+                graph = oracles.state_graph(g, th, spec, B, assignment=assignment)
+                enum = enumerate_programs(g, th, spec, B, assignment=assignment)
+                assert (graph.explored, graph.complete_states) == \
+                    (enum.explored, enum.complete_states), name
+                for q in graph.nodes:
+                    assert q.total_s == \
+                        iteration_time(q.instrs, B, spec, assignment).total_s, \
+                        (name, B.rows, q.instrs)
+                    comm = q.stage.comm
+                    if (comm is not None and q.stage.row is not None
+                            and assignment.row_index(comm.ref) != q.stage.row):
+                        repriced += 1
+                        padded += comm.kind == "all_to_all"
+                assert not oracles.admissibility_violations(g, spec, B, graph, assignment), \
+                    name
+            assert repriced > padded > 0, B.rows
 
 
 def test_batch_contracting_mix_finishes_within_budget_on_hetero2():
