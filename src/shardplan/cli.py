@@ -333,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("SHARDPLAN_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    level = logging.getLevelName(os.environ.get("SHARDPLAN_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:

@@ -20,9 +20,10 @@ naming the ratio row each stage is priced at.  The search's incremental
 bookkeeping, the exhaustive enumeration and `iteration_time` all price
 through it, and every one of them totals a program the same way
 (closed stages + (comm_s + max(comp_s)), one stage at a time), so their
-prices agree bit for bit.  The ratio LP, which chooses B, takes the same
-grouping without prices from `stages` and its collective coefficients from
-`comm_terms`, the affine form that `comm_time` evaluates.
+prices agree bit for bit.  The ratio LP, which chooses B, walks a program
+with `advance` too, through a subclass in `load_balancer` that sums each
+stage's coefficients in place of its price, and takes its collective
+coefficients from `comm_terms`, the affine form that `comm_time` evaluates.
 
 A program runs on integer shards, not on fractional ratios: `round_shards`
 splits one axis's extent by a ratio row, and `build_shard_table` does so for
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .graph_ir import Graph, SegmentAssignment, _is_finite_number
 from .theory import COLLECTIVE_KINDS, Instruction
@@ -197,24 +198,6 @@ def single_segment(g: Graph) -> SegmentAssignment:
     return SegmentAssignment(segment_of={t: 1 for t in g.tensor_ids}, count=1)
 
 
-def stages(instrs, row_of: Callable[[str], int]
-           ) -> Iterator[tuple[int, Instruction | None, tuple[Instruction, ...]]]:
-    """The program's stages without prices, as (ratio row, opening
-    collective, computations).  Every collective opens a stage (the first
-    stage may lack one); a stage is priced at the row of its first
-    computation's segment, or of its collective's if it only communicates."""
-    comm, comps = None, []
-    for instr in instrs:
-        if instr.is_comm:
-            if comm is not None or comps:
-                yield row_of((comps[0] if comps else comm).ref), comm, tuple(comps)
-            comm, comps = instr, []
-        else:
-            comps.append(instr)
-    if comm is not None or comps:
-        yield row_of((comps[0] if comps else comm).ref), comm, tuple(comps)
-
-
 def comm_terms(instr: Instruction, spec: ClusterSpec) -> tuple[float, float, float]:
     """Affine coefficients of one collective: it takes
     const_s + per_max_s * max_j B_j + per_ratio_s * sum_j B_j seconds."""
@@ -228,6 +211,12 @@ def comm_terms(instr: Instruction, spec: ClusterSpec) -> tuple[float, float, flo
         # m separate broadcasts of the actual (unpadded) shards.
         return spec.m * model.latency_s, 0.0, transfer_s
     return model.latency_s, transfer_s, 0.0
+
+
+def replicated_seconds(instr: Instruction, rates) -> tuple[float, ...]:
+    """Per-device seconds of a computation that every device runs in full;
+    sharded work takes as long at a ratio of 1."""
+    return tuple(instr.flops / rate for rate in rates)
 
 
 def comm_time(instr: Instruction, row: tuple[float, ...], spec: ClusterSpec,
@@ -291,7 +280,7 @@ class StagePricer:
             if instr.sharded:
                 cached = tuple(flops * b / rate for b, rate in zip(self.B.row(row), self.rates))
             else:
-                cached = tuple(flops / rate for rate in self.rates)
+                cached = replicated_seconds(instr, self.rates)
             self._comp[row][id(instr)] = cached
             self._held.append(instr)
         return cached

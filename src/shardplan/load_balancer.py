@@ -1,8 +1,10 @@
 """Sharding-ratio optimization for a fixed program.
 
-For each segment the iteration time restricted to that segment's ratio row
-is a small linear program: ratio variables B_j (nonnegative, summing to one),
-one variable M bounding every B_j (gather-style collectives move the largest
+The stages, and the ratio row each is charged to, come from
+`cost_model.StagePricer.advance`, the walk that prices programs.  For each
+segment the iteration time restricted to that segment's ratio row is a small
+linear program: ratio variables B_j (nonnegative, summing to one), one
+variable M bounding every B_j (gather-style collectives move the largest
 shard), and one variable T_i per compute stage bounding each device's affine
 compute time.  Each collective enters through `cost_model.comm_terms`:
 AllReduce contributes only a constant, which no ratio row changes, so the LP
@@ -24,16 +26,15 @@ entry would have computed `0 / p` or `a - f * 0`, which can only flip the
 sign of a zero, and no comparison, quotient or sum the solver forms tells
 -0.0 from 0.0 (the clip in `optimize_ratios` maps it to 0.0).  Both phases
 build their reduced-cost row the same way, subtracting each row into it in
-place on the row's nonzero columns.  With `_array_sum` adding a ratio row
-in numpy's summation order, the ratios are bit-identical to those of the
-same simplex on dense numpy arrays.
+place on the row's nonzero columns.
 """
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
 
-from .cost_model import ClusterSpec, ShardingRatios, comm_terms, single_segment, stages
+from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer, comm_terms,
+                         replicated_seconds, single_segment)
 from .graph_ir import Graph, SegmentAssignment
 
 _TOL = 1e-9
@@ -164,27 +165,49 @@ class SegmentProblem:
         return not self.comp_a and self.slope_M <= 0.0 and not any(self.linear_B)
 
 
+class _CoefficientWalk(StagePricer):
+    """`StagePricer.advance` with LP coefficients in place of prices.  A
+    stage's `comp_s` holds 2m sums: the per-device seconds of its sharded
+    work at a ratio of 1, then those of its replicated work.  Collectives
+    cost nothing here; `segment_problems` takes their terms from
+    `comm_terms`.  The stage row stays open until a computation names it,
+    even with one ratio row, so a stage whose `row` is None only
+    communicates.  It sets only what `advance` reads: no ratios, no price
+    caches."""
+
+    def __init__(self, spec: ClusterSpec, assignment: SegmentAssignment):
+        self.rates = [d.flops_per_second for d in spec.devices]
+        self.row_of = assignment.row_index
+        self.one_row = False
+        self.zeros = (0.0,) * spec.m
+        self.empty = StageCost(0.0, self.zeros * 2, None, None)
+
+    def comp(self, instr, row: int) -> tuple[float, ...]:
+        seconds = replicated_seconds(instr, self.rates)
+        return seconds + self.zeros if instr.sharded else self.zeros + seconds
+
+    def comm(self, instr, row: int) -> float:
+        return 0.0
+
+
 def segment_problems(instrs, spec: ClusterSpec,
                      assignment: SegmentAssignment) -> list[SegmentProblem]:
-    """Split the program's stages into per-segment LP coefficient sets."""
+    """Split the program's stages into per-segment LP coefficient sets.  A
+    stage charges its first computation's row, or its collective's row if
+    it only communicates."""
     m = spec.m
     probs = [SegmentProblem(row_index=r, m=m) for r in range(assignment.count)]
-    rates = [d.flops_per_second for d in spec.devices]
-    for row, comm, comps in stages(instrs, assignment.row_index):
-        prob = probs[row]
+    walk = _CoefficientWalk(spec, assignment)
+    closed, last = walk.advance(walk.empty, instrs)
+    for _, comp, row, comm in closed + (last,):
         if comm is not None:
             _, per_max_s, per_ratio_s = comm_terms(comm, spec)
+            prob = probs[assignment.row_index(comm.ref) if row is None else row]
             prob.slope_M += per_max_s
             prob.linear_B = [v + per_ratio_s for v in prob.linear_B]
-        if comps:
-            a = [0.0] * m
-            cvec = [0.0] * m
-            for instr in comps:
-                target = a if instr.sharded else cvec
-                for j in range(m):
-                    target[j] += instr.flops / rates[j]
-            prob.comp_a.append(a)
-            prob.comp_c.append(cvec)
+        if row is not None:
+            probs[row].comp_a.append(list(comp[:m]))
+            probs[row].comp_c.append(list(comp[m:]))
     return probs
 
 
@@ -238,28 +261,6 @@ def build_lp(prob: SegmentProblem) -> tuple[list, ...]:
     return c, rows, rhs, A_eq, [1.0]
 
 
-def _array_sum(xs: list[float]) -> float:
-    """Sum in numpy's pairwise order: sequential below 8 elements; up to 128,
-    eight running sums combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
-    then the tail; beyond that, the two halves split at a multiple of 8."""
-    n = len(xs)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _array_sum(xs[:half]) + _array_sum(xs[half:])
-    if n < 8:
-        total = 0.0
-        for v in xs:
-            total += v
-        return total
-    r = xs[:8]
-    for i in range(8, n - n % 8, 8):
-        r = [a + b for a, b in zip(r, xs[i:i + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in xs[n - n % 8:]:
-        total += v
-    return total
-
-
 def optimize_ratios(program, g: Graph, spec: ClusterSpec,
                     assignment: SegmentAssignment | None = None) -> ShardingRatios:
     """Best ratio rows for a fixed program, one independent LP per segment.
@@ -280,9 +281,6 @@ def optimize_ratios(program, g: Graph, spec: ClusterSpec,
                                f"for segment {prob.row_index}")
         # Negative and signed-zero solutions clip to 0.0.
         row = [0.0 if v <= 0.0 else v for v in sol.x[:m]]
-        total = _array_sum(row)
-        if total <= _TOL:
-            out_rows.append(tuple(1.0 / m for _ in range(m)))
-        else:
-            out_rows.append(tuple(v / total for v in row))
+        total = sum(row)
+        out_rows.append(tuple(v / total for v in row))
     return ShardingRatios(rows=tuple(out_rows))

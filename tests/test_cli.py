@@ -1,10 +1,14 @@
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
 import corpus
+import shardplan
 from shardplan import (DistributedProgram, SegmentAssignment, ShardingRatios,
                        build_shard_table, iteration_time)
 from shardplan.cli import main
@@ -221,6 +225,21 @@ def test_huge_extent_plans_and_verify_refuses_it(files, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "the graph's tensors" in err, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("level, logged", [("debug", True), ("bogus", False),
+                                           ("basic_format", False)])
+def test_log_level_names_fall_back_to_warning(files, level, logged):
+    # In a fresh process: under pytest the root logger already has handlers,
+    # and logging.basicConfig then ignores its level argument.
+    src = os.path.dirname(os.path.dirname(shardplan.__file__))
+    env = dict(os.environ, SHARDPLAN_LOG=level, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "shardplan.cli", "plan", files["graph"],
+                           files["hetero2"], "-o", str(files["tmp"] / "plan.json")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ("shardplan.synthesizer: expand #1 " in proc.stderr) == logged
 
 
 def test_exhausted_budget_exits_3(files, capsys):

@@ -9,10 +9,9 @@ import corpus
 import oracles
 from shardplan import (ClusterSpec, DistributedProgram, Instruction, ShardingRatios,
                        alternate, build_theory, optimize_ratios, synthesize)
-from shardplan.cost_model import round_shards
+from shardplan.cost_model import comm_terms, iteration_time, round_shards
 from shardplan.graph_ir import SegmentAssignment, graph_from_dict
-from shardplan.load_balancer import (SegmentProblem, _array_sum, build_lp, segment_problems,
-                                     solve_lp)
+from shardplan.load_balancer import SegmentProblem, build_lp, segment_problems, solve_lp
 
 
 def test_simplex_basics():
@@ -122,15 +121,6 @@ def test_ratio_lp_matches_grid_oracle():
         assert objective >= grid - 0.05        # grid is only 1e-2 fine
 
 
-def test_array_sum_adds_in_numpys_order():
-    # optimize_ratios normalizes its rows by this sum; a different order
-    # moves some 8-device ratios by one ulp.
-    rng = random.Random(0)
-    for n in range(300):
-        xs = [rng.random() * 10.0 ** rng.randint(-8, 8) for _ in range(n)]
-        assert _array_sum(xs).hex() == float(np.array(xs).sum()).hex(), n
-
-
 def test_segment_problem_coefficients():
     spec = corpus.homog2()
     rate = 2.0 ** 30
@@ -154,6 +144,78 @@ def test_segment_problem_coefficients():
     assert p.comp_c == [[0.0, 0.0], [10 / rate] * 2]
     assert not p.trivial
     assert SegmentProblem(row_index=0, m=2).trivial
+
+
+def test_segment_problems_charge_each_stage_to_its_row():
+    spec = corpus.homog2()          # 2^30 flops/s, 2^33 B/s, 4 B/elt
+    a = Instruction("matmul", "a", operands=("a@x", "a@y"), output="a@z",
+                    sharded=True, flops=64)
+    b = Instruction("reduce", "b", operands=("b@full",), output="b@full",
+                    dims=(0,), flops=32)
+    ag = Instruction("all_gather", "a", operands=("a@shard0",), output="a@full",
+                     axis=0, elements=32)
+    gb = Instruction("grouped_broadcast", "b", operands=("b@shard0",), output="b@full",
+                     axis=0, elements=8)
+    a_s, b_s = [2.0 ** -24] * 2, [2.0 ** -25] * 2
+    two = SegmentAssignment(segment_of={"a": 1, "b": 2}, count=2)
+
+    def coefficients(instrs, assignment=two):
+        return [(p.comp_a, p.comp_c, p.slope_M, p.linear_B)
+                for p in segment_problems(instrs, spec, assignment)]
+
+    nothing = ([], [], 0.0, [0.0, 0.0])
+    assert coefficients(()) == [nothing, nothing]
+    assert coefficients((a, b)) == [([a_s], [b_s], 0.0, [0.0, 0.0]), nothing]
+    # a stage takes its first computation's row, and so does its collective
+    assert coefficients((a, ag, b)) == [([a_s], [[0.0, 0.0]], 0.0, [0.0, 0.0]),
+                                        ([[0.0, 0.0]], [b_s], 2.0 ** -26, [0.0, 0.0])]
+    # a leading collective opens the first stage instead of closing one
+    assert coefficients((ag, b)) == [nothing, ([[0.0, 0.0]], [b_s], 2.0 ** -26, [0.0, 0.0])]
+    # a stage that only communicates takes its collective's row
+    assert coefficients((ag, gb)) == [([], [], 2.0 ** -26, [0.0, 0.0]),
+                                      ([], [], 0.0, [2.0 ** -28] * 2)]
+    # with one row too, a computation without flops still gets its stage
+    # variable, and a stage that only communicates gets none
+    one = SegmentAssignment(segment_of={"a": 1, "b": 1}, count=1)
+    idle = b._replace(flops=0)
+    assert coefficients((ag, idle), one) == [([[0.0, 0.0]], [[0.0, 0.0]], 2.0 ** -26,
+                                              [0.0, 0.0])]
+    assert coefficients((ag,), one) == [([], [], 2.0 ** -26, [0.0, 0.0])]
+    ar = ag._replace(kind="all_reduce")
+    assert not segment_problems((ar, idle), spec, one)[0].trivial
+    assert segment_problems((ar,), spec, one)[0].trivial
+
+
+def test_ratio_lp_prices_what_the_model_prices():
+    """At the planned ratios, the collectives' constant terms plus every
+    segment's LP objective equal `iteration_time` with one segment, and
+    exceed it by no more than rounding with more: the model pads a boundary reshard to the
+    larger of two rows, where the LP charges the stage row alone.  The
+    hetero2 `mix` plans hold no collective and take seconds each, so the
+    `mix` graphs run on the other clusters."""
+    graphs = [g for _, g in corpus.corpus_graphs()]
+    graphs += [graph_from_dict(corpus.chain_graph(blocks)) for blocks in (1, 2, 3)]
+    mix = [graph_from_dict(corpus.mix_graph(2, batch, width))
+           for batch in (32, 64) for width in (32, 64)]
+    clusters = ("homog2", "homog3", "hetero2", "skew2", "slowhet2")
+    cases = [(g, cname) for g in graphs for cname in clusters]
+    cases += [(g, cname) for g in mix for cname in clusters if cname != "hetero2"]
+    collectives = 0
+    for g, cname in cases:
+        spec = getattr(corpus, cname)()
+        for segments in (1, 2):
+            res = alternate(g, spec, segments=segments)
+            instrs = res.program.instrs
+            model = iteration_time(instrs, res.ratios, spec, res.assignment).total_s
+            lp = sum(comm_terms(i, spec)[0] for i in instrs if i.is_comm)
+            for k, prob in enumerate(segment_problems(instrs, spec, res.assignment)):
+                lp += oracles.segment_objective(prob, res.ratios.row(k))
+            if res.assignment.count == 1:
+                assert abs(lp - model) <= 1e-12 * model, (cname, segments)
+            else:
+                assert lp <= model * (1 + 1e-12), (cname, segments)
+            collectives += any(i.is_comm for i in instrs)
+    assert collectives == 32
 
 
 def test_optimize_ratios_balances_heterogeneous_devices():

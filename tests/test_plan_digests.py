@@ -5,10 +5,16 @@ corpus graph on the homog2, hetero2 and skew2 clusters with 1 and 2
 segments, for the residual chains of 1 to 3 blocks, and for five one-segment
 `mix_graph` plans (`MIX_PINS`).  A plan file holds the answer and not the
 search effort spent finding it, so a change that is meant to leave answers
-alone must leave every digest alone.  One that moves a plan on purpose
-regenerates the file with
+alone must leave every digest alone.
 
-    PYTHONPATH=src python tests/test_plan_digests.py > tests/data/plan_digests.json
+`tests/data/ratio_digests.json` pins, for the same plans, the sha256 of every
+ratio row `optimize_ratios` returns while `alternate` plans them, written in
+`float.hex`: a row can move by an ulp and leave the plan's bytes alone.  These
+pins are all on 2-device clusters, so a change to the ratio LP still needs a
+sweep over wider clusters.  A change that moves plans or rows on purpose
+regenerates both files with
+
+    PYTHONPATH=src python tests/test_plan_digests.py
 
 None of the corpus plans holds a collective, so three of the `mix_graph`
 plans pin the collective each must use.  The two hetero2 ones are plans
@@ -21,11 +27,12 @@ import pathlib
 import pytest
 
 import corpus
-from shardplan import alternate
+from shardplan import alternate, optimize_ratios
 from shardplan.cli import load_plan, plan_document
 from shardplan.graph_ir import graph_from_dict
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "plan_digests.json"
+RATIO_DIGESTS = DIGESTS.with_name("ratio_digests.json")
 
 CLUSTERS = ("homog2", "hetero2", "skew2")
 
@@ -53,15 +60,25 @@ def _graphs():
 
 
 def pinned_plans():
-    """(key, graph, cluster, planned program, plan text) of every pinned plan."""
+    """(key, graph, cluster, planned program, plan text, ratio rows) of every
+    pinned plan; the rows are those of each `optimize_ratios` call, in
+    `float.hex`, one line per row."""
     for name, doc, cnames, segment_counts in _graphs():
         g = graph_from_dict(doc)
         for cname in cnames:
             spec = getattr(corpus, cname)()
             for segments in segment_counts:
-                result = alternate(g, spec, segments=segments)
+                rows = []
+
+                def balance(program, g, spec, assignment):
+                    B = optimize_ratios(program, g, spec, assignment)
+                    rows.extend(" ".join(v.hex() for v in row) for row in B.rows)
+                    return B
+
+                result = alternate(g, spec, segments=segments, balance_fn=balance)
                 text = json.dumps(plan_document(g, spec, result), indent=2) + "\n"
-                yield f"{name}.{cname}.s{segments}", g, spec, result.program, text
+                yield (f"{name}.{cname}.s{segments}", g, spec, result.program, text,
+                       "\n".join(rows))
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +88,12 @@ def plans():
 
 def plan_digests(plans) -> dict[str, str]:
     return {key: hashlib.sha256(text.encode()).hexdigest()
-            for key, _, _, _, text in plans}
+            for key, _, _, _, text, _ in plans}
+
+
+def ratio_digests(plans) -> dict[str, str]:
+    return {key: hashlib.sha256(rows.encode()).hexdigest()
+            for key, _, _, _, _, rows in plans}
 
 
 def test_plan_bytes_match_pinned_digests(plans):
@@ -83,7 +105,7 @@ def test_plan_bytes_match_pinned_digests(plans):
 
 
 def test_every_pinned_plan_loads_to_its_program(plans):
-    for key, g, spec, program, text in plans:
+    for key, g, spec, program, text, _ in plans:
         loaded = load_plan(json.loads(text), g, spec.m).program
         assert loaded == program, key
         assert json.dumps(loaded.to_json()) == json.dumps(program.to_json()), key
@@ -91,7 +113,7 @@ def test_every_pinned_plan_loads_to_its_program(plans):
 
 
 def test_collective_forcing_plans_use_their_collectives(plans):
-    texts = {key: text for key, _, _, _, text in plans}
+    texts = {key: text for key, _, _, _, text, _ in plans}
     for (batch, width, cname), collective in MIX_PINS.items():
         if collective is not None:
             key = f"mix{batch}x{width}.{cname}.s1"
@@ -111,5 +133,16 @@ def test_dominance_pruned_plans_match_pinned_digests(plans):
         assert got[key] == pinned[key], f"plan bytes changed for {key}"
 
 
+def test_ratio_rows_match_pinned_digests(plans):
+    pinned = json.loads(RATIO_DIGESTS.read_text())
+    got = ratio_digests(plans)
+    assert sorted(got) == sorted(pinned)
+    moved = sorted(k for k in pinned if got[k] != pinned[k])
+    assert not moved, f"ratio rows changed for {moved}"
+
+
 if __name__ == "__main__":
-    print(json.dumps(plan_digests(pinned_plans()), indent=1, sort_keys=True))
+    plans = list(pinned_plans())
+    for path, digests in ((DIGESTS, plan_digests(plans)),
+                          (RATIO_DIGESTS, ratio_digests(plans))):
+        path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
