@@ -8,11 +8,11 @@ synchronize at stage boundaries, so one iteration costs
 
 with per-device computation affine in the device's sharding ratio and
 communication priced by a fitted latency/bandwidth model per collective kind.
-Sharded collectives (AllGather, ReduceScatter, AllToAll) are padded to the
-largest shard, so their cost is linear in max_j B[j]; GroupedBroadcast is m
-back-to-back broadcasts of the actual shards, which beats padding under
-skewed ratios and pays m latencies under even ones; AllReduce always moves
-the full tensor.
+Every collective costs a constant plus a slope times the largest shard,
+max_j B[j]: sharded collectives (AllGather, ReduceScatter, AllToAll) are
+padded to it; GroupedBroadcast is m back-to-back broadcasts of the actual
+shards, the whole tensor at any ratios, so it pays m latencies and no
+padding; AllReduce always moves the full tensor.
 
 `StagePricer.advance` is the one implementation of this model: it walks a
 program instruction by instruction, closing a stage at each collective and
@@ -22,8 +22,8 @@ through it, and every one of them totals a program the same way
 (closed stages + (comm_s + max(comp_s)), one stage at a time), so their
 prices agree bit for bit.  The ratio LP, which chooses B, walks a program
 with `advance` too, through a subclass in `load_balancer` that sums each
-stage's coefficients in place of its price, and takes its collective
-coefficients from `comm_terms`, the affine form that `comm_time` evaluates.
+stage's coefficients in place of its price, and takes each collective's
+slope from `comm_terms`, the constant and slope that `comm_time` evaluates.
 
 A program runs on integer shards, not on fractional ratios: `round_shards`
 splits one axis's extent by a ratio row, and `build_shard_table` does so for
@@ -198,19 +198,19 @@ def single_segment(g: Graph) -> SegmentAssignment:
     return SegmentAssignment(segment_of={t: 1 for t in g.tensor_ids}, count=1)
 
 
-def comm_terms(instr: Instruction, spec: ClusterSpec) -> tuple[float, float, float]:
+def comm_terms(instr: Instruction, spec: ClusterSpec) -> tuple[float, float]:
     """Affine coefficients of one collective: it takes
-    const_s + per_max_s * max_j B_j + per_ratio_s * sum_j B_j seconds."""
+    const_s + per_max_s * max_j B_j seconds."""
     if not instr.is_comm:
         raise ValueError(f"{instr.kind} is not a communication instruction")
     model = spec.collectives[instr.kind]
     transfer_s = instr.elements * spec.bytes_per_element / model.bytes_per_second
     if instr.kind == "all_reduce":
-        return model.latency_s + transfer_s, 0.0, 0.0
+        return model.latency_s + transfer_s, 0.0
     if instr.kind == "grouped_broadcast":
-        # m separate broadcasts of the actual (unpadded) shards.
-        return spec.m * model.latency_s, 0.0, transfer_s
-    return model.latency_s, transfer_s, 0.0
+        # m broadcasts of the actual shards: the whole tensor at any ratios.
+        return spec.m * model.latency_s + transfer_s, 0.0
+    return model.latency_s, transfer_s
 
 
 def replicated_seconds(instr: Instruction, rates) -> tuple[float, ...]:
@@ -223,9 +223,8 @@ def comm_time(instr: Instruction, row: tuple[float, ...], spec: ClusterSpec,
               max_ratio: float | None = None) -> float:
     """Seconds for one collective on a tensor sharded by `row`; `max_ratio`
     overrides the largest shard a padded collective moves."""
-    const_s, per_max_s, per_ratio_s = comm_terms(instr, spec)
-    x = max(row) if max_ratio is None else max_ratio
-    return const_s + per_max_s * x + per_ratio_s * sum(row)
+    const_s, per_max_s = comm_terms(instr, spec)
+    return const_s + per_max_s * (max(row) if max_ratio is None else max_ratio)
 
 
 class StageCost(NamedTuple):

@@ -6,13 +6,12 @@ segment the iteration time restricted to that segment's ratio row is a small
 linear program: ratio variables B_j (nonnegative, summing to one), one
 variable M bounding every B_j (gather-style collectives move the largest
 shard), and one variable T_i per compute stage bounding each device's affine
-compute time.  Each collective enters through `cost_model.comm_terms`:
-AllReduce contributes only a constant, which no ratio row changes, so the LP
-leaves it out; grouped broadcast is linear in the B_j directly; the padded
-collectives are linear in M.  Rows never interact except through segment-boundary
-reshards, which are charged here against the segment's own M (the exact
-evaluator uses the max over both rows, so the loop re-checks candidates
-against the true model before accepting them).
+compute time.  Each collective enters through `cost_model.comm_terms` as a
+constant, which no ratio row changes and the LP leaves out, plus a slope in
+M, zero for AllReduce and grouped broadcast.  Rows never interact except
+through segment-boundary reshards, which are charged here against the
+segment's own M (the exact evaluator uses the max over both rows, so the
+loop re-checks candidates against the true model before accepting them).
 
 The solver is a two-phase simplex with Bland's rule, run on Python lists of
 floats so that planning needs only the standard library: the tableaux have
@@ -148,28 +147,26 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LpSolution:
 class SegmentProblem:
     """LP coefficients for one segment's ratio row, filled in place by
     `segment_problems`."""
-    __slots__ = ("row_index", "m", "comp_a", "comp_c", "slope_M", "linear_B")
+    __slots__ = ("row_index", "m", "comp_a", "comp_c", "slope_M")
 
     def __init__(self, row_index: int, m: int, comp_a: list[list[float]] | None = None,
-                 comp_c: list[list[float]] | None = None, slope_M: float = 0.0,
-                 linear_B: list[float] | None = None):
+                 comp_c: list[list[float]] | None = None, slope_M: float = 0.0):
         self.row_index = row_index
         self.m = m
         self.comp_a = [] if comp_a is None else comp_a      # sharded s/B_j
         self.comp_c = [] if comp_c is None else comp_c      # replicated s
         self.slope_M = slope_M
-        self.linear_B = [0.0] * m if linear_B is None else linear_B
 
     @property
     def trivial(self) -> bool:
-        return not self.comp_a and self.slope_M <= 0.0 and not any(self.linear_B)
+        return not self.comp_a and self.slope_M <= 0.0
 
 
 class _CoefficientWalk(StagePricer):
     """`StagePricer.advance` with LP coefficients in place of prices.  A
     stage's `comp_s` holds 2m sums: the per-device seconds of its sharded
     work at a ratio of 1, then those of its replicated work.  Collectives
-    cost nothing here; `segment_problems` takes their terms from
+    cost nothing here; `segment_problems` takes their slopes from
     `comm_terms`.  The stage row stays open until a computation names it,
     even with one ratio row, so a stage whose `row` is None only
     communicates.  It sets only what `advance` reads: no ratios, no price
@@ -201,10 +198,8 @@ def segment_problems(instrs, spec: ClusterSpec,
     closed, last = walk.advance(walk.empty, instrs)
     for _, comp, row, comm in closed + (last,):
         if comm is not None:
-            _, per_max_s, per_ratio_s = comm_terms(comm, spec)
             prob = probs[assignment.row_index(comm.ref) if row is None else row]
-            prob.slope_M += per_max_s
-            prob.linear_B = [v + per_ratio_s for v in prob.linear_B]
+            prob.slope_M += comm_terms(comm, spec)[1]
         if row is not None:
             probs[row].comp_a.append(list(comp[:m]))
             probs[row].comp_c.append(list(comp[m:]))
@@ -218,8 +213,8 @@ def build_lp(prob: SegmentProblem) -> tuple[list, ...]:
     Variables are [B_1..B_m, M, T_1..T_k]: M >= B_j models gather-style
     collectives that wait for the largest shard, and T_s >= a_sj*B_j + c_sj
     models stage s finishing when its slowest device does.  The objective is
-    linear_B @ B + slope_M * M + sum(T); collective latencies and other terms
-    that no choice of ratios changes are left out.
+    slope_M * M + sum(T); the collectives' constants, which no choice of
+    ratios changes, are left out.
 
     Worked examples (m=2):
       * one stage with per-device slopes (1, 2), no communication
@@ -237,11 +232,10 @@ def build_lp(prob: SegmentProblem) -> tuple[list, ...]:
     """
     m = prob.m
     k = len(prob.comp_a)
-    peak = max([prob.slope_M, 0.0, *map(abs, prob.linear_B)]
-               + [v for vec in prob.comp_a + prob.comp_c for v in vec])
+    peak = max([prob.slope_M, 0.0] + [v for vec in prob.comp_a + prob.comp_c for v in vec])
     scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak > 0.0 else 1.0
     nv = m + 1 + k
-    c = [v / scale for v in prob.linear_B] + [prob.slope_M / scale] + [1.0] * k
+    c = [0.0] * m + [prob.slope_M / scale] + [1.0] * k
     A_eq = [[1.0] * m + [0.0] * (k + 1)]
     rows = []
     rhs = []

@@ -291,14 +291,17 @@ def derive_theory(g: Graph, m: int) -> Theory:
 
 
 def fuse_empty_preconditions(t: Theory) -> Theory:
-    """Fold empty-precondition triples into their consumers.
+    """Fold source rules into their consumers.
 
-    One walk over the triples, fused ones included: each triple T1 with empty
-    pre that has at least one consumer (a triple T2 with post(T1) <= pre(T2))
-    is replaced by the fused triples {pre(T2) \\ post(T1)} [T1;T2]
-    {post(T1) | post(T2)}.  A fused pre is a subset of its consumer's pre, so
-    no triple already walked gains a consumer.  Empty-pre triples without
-    consumers survive; the search fires them directly.
+    One walk over the triples, fused ones included: each source rule T1
+    (empty pre, one post property) that has at least one consumer (a triple
+    T2 with post(T1) <= pre(T2)) is replaced by the fused triples
+    {pre(T2) \\ post(T1)} [T1;T2] {post(T1) | post(T2)}.  A fused pre is a
+    subset of its consumer's pre, so no triple already walked gains a
+    consumer.  The search fires the rest directly, fused triples included:
+    a source costs nothing, so fusing it keeps the minimum, but folding a
+    fused triple would make each consumer of its source pay for the
+    consumer fused with it.
 
     Consumers are found through an index from each property to the triples,
     in list order, whose pre holds it; fused triples join it as they are
@@ -313,9 +316,9 @@ def fuse_empty_preconditions(t: Theory) -> Theory:
             readers.setdefault(p, []).append(tr)
     kept: list[HoareTriple] = []
     for tr in triples:          # also walks the fused triples appended below
-        consumers = [] if tr.pre else [
-            c for c in min((readers.get(p, ()) for p in tr.post), key=len)
-            if tr.post <= c.pre]
+        # A source rule's consumers are the readers of its one property; no
+        # triple fused below reads it, so the list does not grow meanwhile.
+        consumers = [] if tr.pre or len(tr.post) != 1 else readers.get(next(iter(tr.post)), [])
         if not consumers:
             kept.append(tr)
             continue

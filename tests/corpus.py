@@ -8,6 +8,8 @@ optimality tests compare search and enumeration costs with zero tolerance.
 """
 from __future__ import annotations
 
+import random
+
 from shardplan import ClusterSpec, Graph
 from shardplan.graph_ir import graph_from_dict
 
@@ -170,6 +172,18 @@ CORPUS: dict[str, dict] = {
 }
 
 
+def dead_branch() -> dict:
+    """A source read by two consumers, one of them off the loss path: fusing
+    the source with the first consumer must not tie the second to it."""
+    return _graph({
+        "x": _node("Placeholder", [4, 8]),
+        "a": _node("ElemwiseUnary", [4, 8], ["x"], tag="exp"),
+        "d": _node("ElemwiseBinary", [4, 8], ["a", "x"], tag="mul"),
+        "c": _node("ElemwiseUnary", [4, 8], ["a"], tag="neg"),
+        "loss": _node("Reduce", [], ["c"], dims="all"),
+    }, "loss")
+
+
 # States and complete states of the enumeration of every corpus graph under
 # the unfused, unguarded theory, on homog2 at uniform ratios: what
 # `shardplan enumerate GRAPH homog2` prints.  Merging more or fewer programs
@@ -249,6 +263,21 @@ SKEW2 = _cluster([100e9, 1e9], 2e-5, 12e9)
 SLOWHET2 = _cluster([2.0 ** 31, 2.0 ** 30], 2.0 ** -16, 2.0 ** 33)
 
 
+def _seeded_cluster(m: int, seed: str) -> dict:
+    """m devices whose rates, and one latency and bandwidth for every
+    collective, a seeded generator draws from fixed menus."""
+    rng = random.Random(seed)
+    rates = [rng.choice((25e9, 50e9, 75e9, 100e9, 175e9)) for _ in range(m)]
+    return _cluster(rates, rng.choice((2e-6, 2e-5)), rng.choice((12e9, 50e9)))
+
+
+# Rates (25, 100, 25, 100) GFLOP/s, latency 2e-5 s, bandwidth 50e9 B/s.
+HETERO4 = _seeded_cluster(4, "hetero4")
+# Rates (75, 100, 50, 50, 25, 175, 25, 100) GFLOP/s, latency 2e-6 s,
+# bandwidth 50e9 B/s.
+HETERO8 = _seeded_cluster(8, "hetero8")
+
+
 def scaled(cluster: dict, k: int) -> dict:
     """The cluster with rates and bandwidths multiplied by 2**k, latencies divided."""
     f = 2.0 ** k
@@ -276,3 +305,11 @@ def skew2() -> ClusterSpec:
 
 def slowhet2() -> ClusterSpec:
     return ClusterSpec.from_dict(SLOWHET2)
+
+
+def hetero4() -> ClusterSpec:
+    return ClusterSpec.from_dict(HETERO4)
+
+
+def hetero8() -> ClusterSpec:
+    return ClusterSpec.from_dict(HETERO8)

@@ -57,7 +57,7 @@ def segment_objective(prob: SegmentProblem, row) -> float:
     """Evaluate one segment's time at a fixed ratio row (same algebra as the
     LP, computed directly)."""
     row = np.asarray(row, dtype=float)
-    total = float(np.asarray(prob.linear_B) @ row) + prob.slope_M * float(row.max())
+    total = prob.slope_M * float(row.max())
     for a, c in zip(prob.comp_a, prob.comp_c):
         total += float(np.max(np.asarray(a) * row + np.asarray(c)))
     return total
@@ -299,14 +299,15 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
 
 
 def fuse_by_scan(theory) -> tuple:
-    """The triples of `theory.fuse_empty_preconditions`, each empty-pre
-    producer's consumers found by scanning every triple, fused ones included,
-    in list order."""
+    """The triples of `theory.fuse_empty_preconditions`, each source rule's
+    (empty pre, one post property) consumers found by scanning every triple,
+    fused ones included, in list order."""
     triples = list(theory.triples)
     seen = set(triples)
     kept = []
     for tr in triples:          # also walks the fused triples appended below
-        consumers = [] if tr.pre else [c for c in triples if tr.post <= c.pre]
+        consumers = [] if tr.pre or len(tr.post) != 1 else [
+            c for c in triples if tr.post <= c.pre]
         if not consumers:
             kept.append(tr)
             continue

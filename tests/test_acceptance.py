@@ -155,8 +155,7 @@ def test_criterion_05_ratio_lp_matches_grid_and_analytic_minima():
             row_index=0, m=m,
             comp_a=[rng.uniform(0.0, 4.0, m).tolist() for _ in range(stages)],
             comp_c=[rng.uniform(0.0, 1.0, m).tolist() for _ in range(stages)],
-            slope_M=float(rng.uniform(0.0, 3.0)) if i % 3 else 0.0,
-            linear_B=rng.uniform(0.0, 2.0, m).tolist())
+            slope_M=float(rng.uniform(0.0, 3.0)) if i % 3 else 0.0)
         sol = solve_lp(*build_lp(prob))
         assert sol.status == "optimal"
         objective = oracles.segment_objective(prob, sol.x[:m])

@@ -9,6 +9,7 @@ import corpus
 from oracles import COMPLETION_SCALE, ecost
 from shardplan import (ClusterFormatError, ClusterSpec, Instruction,
                        ShardingRatios, build_theory, iteration_time, synthesize)
+from shardplan.cli import _canon_rows
 from shardplan.cost_model import (StageCost, StagePricer, comm_terms, comm_time,
                                   single_segment)
 from shardplan.graph_ir import SegmentAssignment, graph_from_dict, node_flops
@@ -165,6 +166,9 @@ def test_collective_prices():
     assert even == 2.0 ** -15 + 2.0 ** -26
     assert comm_time(gb, (0.75, 0.25), spec) == even
     assert comm_time(gb, (1.0, 0.0), spec) == even
+    # a row sums to 1 only within 1e-9, and the price does not follow its sum
+    assert ShardingRatios(((0.3, 0.7000000001),)).m == 2
+    assert comm_time(gb, (0.3, 0.7000000001), spec) == even
     with pytest.raises(ValueError):
         comm_time(_comp("x"), (0.5, 0.5), spec)
 
@@ -172,12 +176,25 @@ def test_collective_prices():
 def test_comm_terms_split_each_price_by_what_it_depends_on():
     spec = corpus.homog2()          # latency 2^-16 s, 128 bytes move in 2^-26 s
     lat, move = 2.0 ** -16, 2.0 ** -26
-    assert comm_terms(_comm("all_reduce", "x", 32), spec) == (lat + move, 0.0, 0.0)
+    assert comm_terms(_comm("all_reduce", "x", 32), spec) == (lat + move, 0.0)
     for kind in ("all_gather", "reduce_scatter", "all_to_all"):
-        assert comm_terms(_comm(kind, "x", 32), spec) == (lat, move, 0.0)
-    assert comm_terms(_comm("grouped_broadcast", "x", 32), spec) == (2 * lat, 0.0, move)
+        assert comm_terms(_comm(kind, "x", 32), spec) == (lat, move)
+    # m broadcasts of the actual shards move the whole tensor at any ratios
+    assert comm_terms(_comm("grouped_broadcast", "x", 32), spec) == (2 * lat + move, 0.0)
     with pytest.raises(ValueError):
         comm_terms(_comp("x"), spec)
+
+
+def test_grouped_broadcast_prices_a_plan_files_rows_as_the_loops():
+    # a plan file's 12-digit rows: its three thirds sum to 1 - 1e-12
+    spec = corpus.homog3()
+    gb = _comm("grouped_broadcast", "x", 32)
+    B = ShardingRatios.uniform(3)
+    canon = _canon_rows(B)
+    assert sum(canon.row(0)) != sum(B.row(0))
+    program = (gb, _comp("x", flops=64))
+    one = SegmentAssignment(segment_of={"x": 1}, count=1)
+    assert iteration_time(program, canon, spec, one) == iteration_time(program, B, spec, one)
 
 
 def test_boundary_reshard_pads_to_wider_row():

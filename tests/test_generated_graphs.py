@@ -1,0 +1,117 @@
+"""Generated graphs: the planner's claims on graphs nobody wrote by hand.
+
+A strategy draws graphs of 3 to 5 nodes over the seven ops (rank at most 2,
+extents 1 to 4), whose nodes may branch off the loss path, and clusters
+of 2 or 3 devices with their own rate per device and latency and bandwidth
+per collective.  Each plan must cost the enumerated minimum at its own
+ratios, compute the loss on random inputs, and load back to its program.
+The examples are derandomized, so every run checks the same graphs.
+"""
+import json
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from shardplan import ClusterSpec, alternate, build_theory
+from shardplan.cli import _canon, load_plan, plan_document
+from shardplan.cost_model import build_shard_table
+from shardplan.graph_ir import BINARY_TAGS, UNARY_TAGS, graph_from_dict
+from shardplan.interpreter import check_equivalence
+from shardplan.synthesizer import enumerate_programs
+from shardplan.theory import COLLECTIVE_KINDS
+
+MAX_NODES = 5
+# A tensor of rank r has r + 2 forms (full, each sharded axis, partial).
+# The enumeration explores up to 20,000 states for graphs of 15 forms, but
+# up to 65,000 for 16 and 300,000 for 18, which take seconds each.
+MAX_FORMS = 15
+
+
+@st.composite
+def graphs(draw) -> dict:
+    """Sources first, then computations on any earlier nodes, then the
+    loss: a Reduce of every axis of one earlier non-scalar node, so the
+    other computations may hang off the loss path.  Each draw's simplest
+    choice is the larger graph, the rank-2 source and MatMul."""
+    n = MAX_NODES - draw(st.integers(0, 2))
+    # Sources draw their extents from two per graph, so that MatMul and
+    # ElemwiseBinary often find operands of matching shapes.
+    pool = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2))
+    nodes: list[dict] = []
+    shapes: list[tuple[int, ...]] = []
+
+    def add(op, shape, inputs=(), **attrs):
+        node = {"id": f"t{len(nodes)}", "op": op, "shape": list(shape),
+                "inputs": [f"t{i}" for i in inputs]}
+        if attrs:
+            node["attrs"] = attrs
+        nodes.append(node)
+        shapes.append(tuple(shape))
+
+    for _ in range(draw(st.integers(1, n - 2))):
+        rank = 2 - draw(st.integers(0, 1))
+        add(draw(st.sampled_from(("Placeholder", "Parameter"))),
+            [draw(st.sampled_from(pool)) for _ in range(rank)])
+    while len(nodes) < n - 1:
+        earlier = range(len(nodes))
+        pairs = [(i, j) for i in earlier for j in earlier
+                 if len(shapes[i]) == len(shapes[j]) == 2 and shapes[i][1] == shapes[j][0]]
+        ops = ["MatMul"] * bool(pairs) + ["ElemwiseBinary", "ElemwiseUnary", "Identity", "Reduce"]
+        op = draw(st.sampled_from(ops))
+        if op == "MatMul":
+            i, j = draw(st.sampled_from(pairs))
+            add(op, (shapes[i][0], shapes[j][1]), (i, j))
+            continue
+        i = draw(st.sampled_from([i for i in earlier if shapes[i] or op != "Reduce"]))
+        if op == "Identity":
+            add(op, shapes[i], (i,))
+        elif op == "ElemwiseUnary":
+            add(op, shapes[i], (i,), tag=draw(st.sampled_from(UNARY_TAGS)))
+        elif op == "ElemwiseBinary":
+            j = draw(st.sampled_from([j for j in earlier if shapes[j] == shapes[i]]))
+            add(op, shapes[i], (i, j), tag=draw(st.sampled_from(BINARY_TAGS)))
+        else:
+            rank = len(shapes[i])
+            dims = draw(st.lists(st.integers(0, rank - 1), min_size=1, max_size=rank,
+                                 unique=True))
+            add(op, [x for d, x in enumerate(shapes[i]) if d not in dims], (i,),
+                dims=sorted(dims))
+    i = draw(st.sampled_from([i for i in range(len(nodes)) if shapes[i]]))
+    add("Reduce", (), (i,), dims="all")
+    assume(sum(len(shape) + 2 for shape in shapes) <= MAX_FORMS)
+    return {"nodes": nodes, "loss": nodes[-1]["id"]}
+
+
+@st.composite
+def clusters(draw) -> dict:
+    """Devices up to 7 times apart in speed, each collective with its own
+    latency and bandwidth."""
+    m = draw(st.integers(2, 3))
+    base = draw(st.sampled_from((2.0 ** 20, 1e9, 25e9)))
+    return {
+        "devices": [{"flops": base * draw(st.sampled_from((1, 2, 3, 7)))} for _ in range(m)],
+        "collectives": {kind: {"latency_s": draw(st.sampled_from((2e-6, 2e-5, 2.0 ** -16))),
+                               "bw_Bps": draw(st.sampled_from((12e9, 50e9, 2.0 ** 33)))}
+                        for kind in COLLECTIVE_KINDS},
+        "bytes_per_element": 4,
+    }
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(graphs(), clusters())
+def test_generated_plans_are_optimal_sound_and_load_back(graph_doc, cluster_doc):
+    g = graph_from_dict(graph_doc)
+    spec = ClusterSpec.from_dict(cluster_doc)
+    result = alternate(g, spec)
+    assert result.optimal
+    doc = json.loads(json.dumps(plan_document(g, spec, result)))
+    plan = load_plan(doc, g, spec.m)
+    assert plan.program == result.program
+
+    enum = enumerate_programs(g, build_theory(g, spec.m, guards=False, fuse=False),
+                              spec, plan.ratios, assignment=plan.assignment)
+    assert doc["estimate"]["total_s"] == _canon(enum.cost_s)
+
+    table = build_shard_table(g, plan.ratios, plan.assignment)
+    assert check_equivalence(g, plan.program, spec.m, table, trials=5).passed

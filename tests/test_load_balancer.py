@@ -110,8 +110,7 @@ def test_ratio_lp_matches_grid_oracle():
             comp_a=[rng.uniform(0.0, 2.0, size=2).tolist()
                     for _ in range(int(rng.integers(1, 3)))],
             comp_c=[rng.uniform(0.0, 0.5, size=2).tolist() for _ in range(2)][:1],
-            slope_M=float(rng.uniform(0.0, 2.0)),
-            linear_B=rng.uniform(0.0, 1.0, size=2).tolist())
+            slope_M=float(rng.uniform(0.0, 2.0)))
         prob.comp_c = prob.comp_c * len(prob.comp_a)
         sol = solve_lp(*build_lp(prob))
         assert sol.status == "optimal"
@@ -138,7 +137,7 @@ def test_segment_problem_coefficients():
     probs = segment_problems(instrs, spec, assignment)
     assert len(probs) == 1
     p = probs[0]
-    assert p.linear_B == [64 / bw, 64 / bw]
+    # all_reduce and grouped_broadcast cost constants, which the LP leaves out
     assert p.slope_M == 32 / bw
     assert p.comp_a == [[128 / rate] * 2, [0.0, 0.0]]
     assert p.comp_c == [[0.0, 0.0], [10 / rate] * 2]
@@ -154,33 +153,31 @@ def test_segment_problems_charge_each_stage_to_its_row():
                     dims=(0,), flops=32)
     ag = Instruction("all_gather", "a", operands=("a@shard0",), output="a@full",
                      axis=0, elements=32)
-    gb = Instruction("grouped_broadcast", "b", operands=("b@shard0",), output="b@full",
+    rs = Instruction("reduce_scatter", "b", operands=("b@partial",), output="b@shard0",
                      axis=0, elements=8)
     a_s, b_s = [2.0 ** -24] * 2, [2.0 ** -25] * 2
     two = SegmentAssignment(segment_of={"a": 1, "b": 2}, count=2)
 
     def coefficients(instrs, assignment=two):
-        return [(p.comp_a, p.comp_c, p.slope_M, p.linear_B)
+        return [(p.comp_a, p.comp_c, p.slope_M)
                 for p in segment_problems(instrs, spec, assignment)]
 
-    nothing = ([], [], 0.0, [0.0, 0.0])
+    nothing = ([], [], 0.0)
     assert coefficients(()) == [nothing, nothing]
-    assert coefficients((a, b)) == [([a_s], [b_s], 0.0, [0.0, 0.0]), nothing]
+    assert coefficients((a, b)) == [([a_s], [b_s], 0.0), nothing]
     # a stage takes its first computation's row, and so does its collective
-    assert coefficients((a, ag, b)) == [([a_s], [[0.0, 0.0]], 0.0, [0.0, 0.0]),
-                                        ([[0.0, 0.0]], [b_s], 2.0 ** -26, [0.0, 0.0])]
+    assert coefficients((a, ag, b)) == [([a_s], [[0.0, 0.0]], 0.0),
+                                        ([[0.0, 0.0]], [b_s], 2.0 ** -26)]
     # a leading collective opens the first stage instead of closing one
-    assert coefficients((ag, b)) == [nothing, ([[0.0, 0.0]], [b_s], 2.0 ** -26, [0.0, 0.0])]
+    assert coefficients((ag, b)) == [nothing, ([[0.0, 0.0]], [b_s], 2.0 ** -26)]
     # a stage that only communicates takes its collective's row
-    assert coefficients((ag, gb)) == [([], [], 2.0 ** -26, [0.0, 0.0]),
-                                      ([], [], 0.0, [2.0 ** -28] * 2)]
+    assert coefficients((ag, rs)) == [([], [], 2.0 ** -26), ([], [], 2.0 ** -28)]
     # with one row too, a computation without flops still gets its stage
     # variable, and a stage that only communicates gets none
     one = SegmentAssignment(segment_of={"a": 1, "b": 1}, count=1)
     idle = b._replace(flops=0)
-    assert coefficients((ag, idle), one) == [([[0.0, 0.0]], [[0.0, 0.0]], 2.0 ** -26,
-                                              [0.0, 0.0])]
-    assert coefficients((ag,), one) == [([], [], 2.0 ** -26, [0.0, 0.0])]
+    assert coefficients((ag, idle), one) == [([[0.0, 0.0]], [[0.0, 0.0]], 2.0 ** -26)]
+    assert coefficients((ag,), one) == [([], [], 2.0 ** -26)]
     ar = ag._replace(kind="all_reduce")
     assert not segment_problems((ar, idle), spec, one)[0].trivial
     assert segment_problems((ar,), spec, one)[0].trivial

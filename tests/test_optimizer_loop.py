@@ -7,7 +7,8 @@ from shardplan import (BudgetExhaustedError, ClusterSpec, LoopConfig, ShardingRa
                        alternate, iteration_time, synthesize)
 from shardplan.graph_ir import graph_from_dict
 from shardplan.optimizer_loop import _default_synth
-from shardplan.synthesizer import SearchInvariantError, SynthesisResult
+from shardplan.synthesizer import (SearchInvariantError, SynthesisResult,
+                                   enumerate_programs)
 from shardplan.theory import build_theory, derive_theory
 
 
@@ -42,6 +43,19 @@ def test_extreme_skew_keeps_work_on_the_fast_device():
     res = alternate(g, corpus.skew2())
     assert res.ratios.rows[0] == pytest.approx((100 / 101, 1 / 101), abs=1e-9)
     assert res.cost_s == pytest.approx(144 * (100 / 101) / 100e9, rel=1e-9)
+
+
+@pytest.mark.parametrize("cluster", ["homog2", "hetero2", "homog3"])
+def test_plan_with_a_dead_branch_costs_the_enumerated_minimum(cluster):
+    # fusing [x; a] into d, a consumer off the loss path, would make c pay
+    # for d: a third more than the enumerated minimum
+    g = graph_from_dict(corpus.dead_branch())
+    spec = getattr(corpus, cluster)()
+    res = alternate(g, spec)
+    enum = enumerate_programs(g, build_theory(g, spec.m, guards=False, fuse=False),
+                              spec, res.ratios, assignment=res.assignment)
+    assert res.cost_s == enum.cost_s
+    assert "d" not in {i.ref for i in res.program.instrs}
 
 
 def test_multi_segment_loop():

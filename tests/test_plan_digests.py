@@ -1,18 +1,17 @@
 """Byte-identical plans: the sha256 of every plan file the corpus produces.
 
 `tests/data/plan_digests.json` pins the bytes `shardplan plan` writes for each
-corpus graph on the homog2, hetero2 and skew2 clusters with 1 and 2
-segments, for the residual chains of 1 to 3 blocks, and for five one-segment
-`mix_graph` plans (`MIX_PINS`).  A plan file holds the answer and not the
-search effort spent finding it, so a change that is meant to leave answers
-alone must leave every digest alone.
+corpus graph on the homog2, hetero2, skew2, hetero4 and hetero8 clusters
+with 1 and 2 segments, for the residual chains of 1 to 3 blocks on the three
+2-device clusters, and for five one-segment `mix_graph` plans (`MIX_PINS`).
+A plan file holds the answer and not the search effort spent finding it, so
+a change that is meant to leave answers alone must leave every digest alone.
 
 `tests/data/ratio_digests.json` pins, for the same plans, the sha256 of every
 ratio row `optimize_ratios` returns while `alternate` plans them, written in
-`float.hex`: a row can move by an ulp and leave the plan's bytes alone.  These
-pins are all on 2-device clusters, so a change to the ratio LP still needs a
-sweep over wider clusters.  A change that moves plans or rows on purpose
-regenerates both files with
+`float.hex`: a row can move by an ulp and leave the plan's bytes alone.  The
+4- and 8-device pins hold rows that no 2-device LP forms.  A change that
+moves plans or rows on purpose regenerates both files with
 
     PYTHONPATH=src python tests/test_plan_digests.py
 
@@ -35,6 +34,7 @@ DIGESTS = pathlib.Path(__file__).parent / "data" / "plan_digests.json"
 RATIO_DIGESTS = DIGESTS.with_name("ratio_digests.json")
 
 CLUSTERS = ("homog2", "hetero2", "skew2")
+WIDE_CLUSTERS = ("hetero4", "hetero8")
 
 # (batch, width, cluster) of a 2-block `mix_graph`: the collective its plan
 # must use, or None.
@@ -52,7 +52,7 @@ MIX_PINS = {
 def _graphs():
     """(key prefix, graph document, cluster names, segment counts)."""
     for name, doc in corpus.CORPUS.items():
-        yield name, doc, CLUSTERS, (1, 2)
+        yield name, doc, CLUSTERS + WIDE_CLUSTERS, (1, 2)
     for blocks in (1, 2, 3):
         yield f"chain{blocks}", corpus.chain_graph(blocks), CLUSTERS, (1, 2)
     for (batch, width, cname) in MIX_PINS:

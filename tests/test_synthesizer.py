@@ -74,8 +74,11 @@ def test_search_on_comm_free_graph():
 def test_fusion_and_guards_preserve_the_optimum():
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
-    for name in ("rank1_mul", "param_only", "identity_after_reduce"):
-        g = graph_from_dict(corpus.CORPUS[name])
+    docs = {name: corpus.CORPUS[name]
+            for name in ("rank1_mul", "param_only", "identity_after_reduce")}
+    docs["dead_branch"] = corpus.dead_branch()
+    for name, doc in docs.items():
+        g = graph_from_dict(doc)
         raw = synthesize(g, derive_theory(g, 2), spec, B)
         fused = synthesize(g, build_theory(g, 2), spec, B)
         assert raw.cost_s == fused.cost_s, name
