@@ -345,18 +345,25 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     """Exhaustive enumeration of every program of at most max_len
     instructions; returns the cheapest complete one.
 
-    A state is the integer triple (props id, stage id, length): an interned
-    property set, an interned open stage (a `StageCost`: collective price,
-    per-device accrued compute, ratio row, collective) and the instruction
-    count.  Programs reaching the same state are merged, keeping the one
-    with the cheapest closed stages (exact, not heuristic: what a state can
-    still become and cost depends on nothing else).  Property transitions
-    and stage steps (`StagePricer.advance`) are memoized separately, since
-    far fewer property sets and open stages occur than states; each state
-    keeps its closed cost and a pointer to its best parent, and the winning
-    program is rebuilt from those pointers.  States are expanded in
-    ascending length, so every path into a state is recorded before the
-    state itself is expanded."""
+    A state is an interned property set, an interned open stage (a
+    `StageCost`: collective price, per-device accrued compute, ratio row,
+    collective) and the instruction count.  Programs reaching the same state
+    are merged, keeping the one with the cheapest closed stages (exact, not
+    heuristic: what a state can still become and cost depends on nothing
+    else).  Each state keeps its closed cost and a pointer to its best
+    parent, and the winning program is rebuilt from those pointers.  States
+    are expanded in ascending length, so every path into a state is
+    recorded before the state itself is expanded, and the walk ends with
+    the last length that holds a state.
+
+    The states of one length are grouped by property set, as
+    `{props id: {stage id: state}}`, and each group's property transitions
+    are memoized.  A triple whose first instruction is a collective closes
+    the open stage as it is and opens one that does not depend on it, so it
+    is priced once per group: its stage step (`StagePricer.advance`) is
+    taken once, from the empty stage, and only the group's state with the
+    cheapest closed stages plus open stage fires it.  Every other triple
+    steps each state's open stage, memoized per stage and triple."""
     if max_len is None:
         max_len = 2 * len(g.nodes) + 4
     ctx = SearchContext(g, theory, spec, B, assignment)
@@ -364,86 +371,117 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     tlen = [len(tr.instrs) for tr in ctx.triples]
     max_step = max(tlen, default=1)
 
+    stages = _Interner()
+    stage_tail: list[float] = []     # per stage id
+    # per stage id, by triple index: (stage id after it, closed stage times)
+    stage_next: list[dict[int, tuple[int, tuple[float, ...]]]] = []
+
+    def intern_stage(stage: StageCost) -> int:
+        sid = stages(stage)
+        if sid == len(stage_tail):
+            stage_tail.append(stage.time_s)
+            stage_next.append({})
+        return sid
+
+    intern_stage(root.stage)
+    # Triples that open with a collective and close no other stage, with
+    # the stage each leaves open.  From any open stage such a triple closes
+    # that stage, charging its `stage_tail` (0.0 for the empty root stage),
+    # and leaves open what it leaves open after the empty stage.  A triple
+    # that closes a second stage is left out: its charges, added in another
+    # order, could round otherwise.
+    opened: dict[int, int] = {}
+    for ti, tr in enumerate(ctx.triples):
+        if tr.instrs[0].is_comm:
+            closes, stage = ctx.pricer.advance(root.stage, tr.instrs)
+            if not closes:
+                opened[ti] = intern_stage(stage)
+
+    def stage_successor(sid: int, ti: int) -> tuple[int, tuple[float, ...]]:
+        nsid = opened.get(ti)
+        if nsid is not None:
+            out = stage_next[sid][ti] = (nsid, (stage_tail[sid],))
+            return out
+        closes, stage = ctx.pricer.advance(stages.values[sid], ctx.triples[ti].instrs)
+        charges = tuple(done.time_s for done in closes) if closes else ()
+        out = stage_next[sid][ti] = (intern_stage(stage), charges)
+        return out
+
     props = _Interner()
     props(root.props)
     props_done = [ctx.loss_prop_id in root.props]     # per props id
-    props_succ: list = [None]     # per props id: ((ti, props id', length step), ...)
+    # per props id: ((ti, props id', length step), ...) of every applicable
+    # triple, and of those not in `opened`
+    props_succ: list = [None]
 
-    def props_successors(pid: int) -> tuple[tuple[int, int, int], ...]:
+    def props_successors(pid: int) -> tuple[tuple, tuple]:
         ps = props.values[pid]
-        succ = tuple((ti, props((ps | ctx.tpost[ti]) - ctx.tretire[ti]), tlen[ti])
-                     for ti in ctx.applicable(ps))
+        steps = tuple((ti, props((ps | ctx.tpost[ti]) - ctx.tretire[ti]), tlen[ti])
+                      for ti in ctx.applicable(ps))
         for fresh in props.values[len(props_done):]:
             props_done.append(ctx.loss_prop_id in fresh)
             props_succ.append(None)
-        props_succ[pid] = succ
+        succ = props_succ[pid] = (steps, tuple(st for st in steps if st[0] not in opened))
         return succ
-
-    stages = _Interner()
-    stages(root.stage)
-    stage_tail = [root.stage.time_s]     # per stage id
-    stage_next: list[dict[int, tuple[int, tuple[float, ...]]]] = [{}]   # per stage id, by ti
-
-    def stage_successor(sid: int, ti: int) -> tuple[int, tuple[float, ...]]:
-        closes, stage = ctx.pricer.advance(stages.values[sid], ctx.triples[ti].instrs)
-        nsid = stages(stage)
-        if nsid == len(stage_tail):
-            stage_tail.append(stage.time_s)
-            stage_next.append({})
-        charges = tuple(done.time_s for done in closes) if closes else ()
-        out = stage_next[sid][ti] = (nsid, charges)
-        return out
 
     closed = array("d", [root.closed_s])
     parent = array("q", [-1])
     via = array("q", [-1])
-    layers: dict[int, dict[tuple[int, int], int]] = {0: {(0, 0): 0}}
+    layers: dict[int, dict[int, dict[int, int]]] = {0: {0: {0: 0}}}
     best_total = math.inf
     best_at: tuple[int, int] | None = None     # (parent state, triple index)
     complete_states = 0
 
-    length = 0
-    while length <= max_len:
+    length = -1
+    while layers:
+        length += 1
         layer = layers.pop(length, None)
         if not layer or length >= max_len:
-            length += 1
             continue
         targets = [None] + [layers.setdefault(length + step, {})
                             for step in range(1, max_step + 1)]
-        for (pid, sid), s in layer.items():
+        for pid, group in layer.items():
             if props_done[pid]:
                 continue
-            base = closed[s]
-            succs = props_succ[pid]
-            if succs is None:
-                succs = props_successors(pid)
-            nexts = stage_next[sid]
-            for ti, npid, step in succs:
-                nsid, closes = nexts.get(ti) or stage_successor(sid, ti)
-                c = base
-                for charge in closes:
-                    c += charge
-                target = targets[step]
-                t = target.get((npid, nsid))
-                if t is None:
-                    t = target[npid, nsid] = len(closed)
-                    closed.append(c)
-                    parent.append(s)
-                    via.append(ti)
-                    if props_done[npid]:
-                        complete_states += 1
-                        total = c + stage_tail[nsid]
-                        if best_at is None or total < best_total:
-                            best_total, best_at = total, (s, ti)
-                elif c < closed[t]:
-                    closed[t] = c
-                    parent[t] = s
-                    via[t] = ti
-                    if props_done[npid]:
-                        total = c + stage_tail[nsid]
-                        if total < best_total:
-                            best_total, best_at = total, (s, ti)
-        length += 1
+            steps, others = props_succ[pid] or props_successors(pid)
+            # Only the state that closes its stage cheapest fires the
+            # triples in `opened`: they reach one target from every state.
+            best = -1
+            if len(steps) > len(others):
+                best_c = math.inf
+                for sid, s in group.items():
+                    c = closed[s] + stage_tail[sid]
+                    if c < best_c:
+                        best_c, best = c, s
+            for sid, s in group.items():
+                base = closed[s]
+                nexts = stage_next[sid]
+                for ti, npid, step in (steps if s == best else others):
+                    nsid, closes = nexts.get(ti) or stage_successor(sid, ti)
+                    c = base
+                    for charge in closes:
+                        c += charge
+                    target = targets[step]
+                    target = target.get(npid) or target.setdefault(npid, {})
+                    t = target.get(nsid)
+                    if t is None:
+                        t = target[nsid] = len(closed)
+                        closed.append(c)
+                        parent.append(s)
+                        via.append(ti)
+                        if props_done[npid]:
+                            complete_states += 1
+                            total = c + stage_tail[nsid]
+                            if best_at is None or total < best_total:
+                                best_total, best_at = total, (s, ti)
+                    elif c < closed[t]:
+                        closed[t] = c
+                        parent[t] = s
+                        via[t] = ti
+                        if props_done[npid]:
+                            total = c + stage_tail[nsid]
+                            if total < best_total:
+                                best_total, best_at = total, (s, ti)
 
     if best_at is None:
         raise NoCompleteProgramError(

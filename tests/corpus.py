@@ -184,6 +184,25 @@ def dead_branch() -> dict:
     }, "loss")
 
 
+def gram() -> dict:
+    """h = exp(x), then h @ h: the product contracts h's batch axis, so
+    every program holds h both sharded and in full.  On a cluster whose
+    compute is slow next to its collectives (`SLOW2`), gathering h costs
+    less than computing it twice."""
+    return _graph({
+        "x": _node("Placeholder", [4, 4]),
+        "h": _node("ElemwiseUnary", [4, 4], ["x"], tag="exp"),
+        "z": _node("MatMul", [4, 4], ["h", "h"]),
+        "loss": _node("Reduce", [], ["z"], dims="all"),
+    }, "loss")
+
+
+# The corpus graphs the benchmark's `audit` workload enumerates; criteria 01
+# and 04 pin all 13.
+AUDITED = ("matmul_reduce", "binary_add", "identity_after_reduce", "param_only",
+           "rank1_mul", "wide_matmul", "skip_connection", "binary_mul_unary")
+
+
 # States and complete states of the enumeration of every corpus graph under
 # the unfused, unguarded theory, on homog2 at uniform ratios: what
 # `shardplan enumerate GRAPH homog2` prints.  Merging more or fewer programs
@@ -261,6 +280,9 @@ HETERO2 = _cluster([175e9, 75e9], 2e-5, 12e9)
 SKEW2 = _cluster([100e9, 1e9], 2e-5, 12e9)
 # Dyadic and 2:1 heterogeneous.
 SLOWHET2 = _cluster([2.0 ** 31, 2.0 ** 30], 2.0 ** -16, 2.0 ** 33)
+# Dyadic, 1:3 heterogeneous, and so slow to compute that a collective on a
+# small tensor costs less than a few hundred flops.
+SLOW2 = _cluster([2.0 ** 20, 3 * 2.0 ** 20], 2.0 ** -19, 2.0 ** 33)
 
 
 def _seeded_cluster(m: int, seed: str) -> dict:
@@ -305,6 +327,10 @@ def skew2() -> ClusterSpec:
 
 def slowhet2() -> ClusterSpec:
     return ClusterSpec.from_dict(SLOWHET2)
+
+
+def slow2() -> ClusterSpec:
+    return ClusterSpec.from_dict(SLOW2)
 
 
 def hetero4() -> ClusterSpec:

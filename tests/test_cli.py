@@ -4,6 +4,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -227,19 +228,39 @@ def test_huge_extent_plans_and_verify_refuses_it(files, capsys):
     assert "Traceback" not in err
 
 
+def _run_cli(argv, timeout=60, **env):
+    """`shardplan ARGV` in a fresh process, with `env` added to its environment."""
+    src = os.path.dirname(os.path.dirname(shardplan.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "shardplan.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 @pytest.mark.parametrize("level, logged", [("debug", True), ("bogus", False),
                                            ("basic_format", False)])
 def test_log_level_names_fall_back_to_warning(files, level, logged):
     # In a fresh process: under pytest the root logger already has handlers,
     # and logging.basicConfig then ignores its level argument.
-    src = os.path.dirname(os.path.dirname(shardplan.__file__))
-    env = dict(os.environ, SHARDPLAN_LOG=level, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-m", "shardplan.cli", "plan", files["graph"],
-                           files["hetero2"], "-o", str(files["tmp"] / "plan.json")],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = _run_cli(["plan", files["graph"], files["hetero2"],
+                     "-o", str(files["tmp"] / "plan.json")], SHARDPLAN_LOG=level)
     assert proc.returncode == 0, proc.stderr
     assert ("shardplan.synthesizer: expand #1 " in proc.stderr) == logged
+
+
+def test_enumerate_time_does_not_grow_with_max_len(files):
+    # The enumeration stops with its last nonempty layer, so a length bound
+    # far past every program prints the default answer in the default time.
+    def timed(*extra):
+        started = time.perf_counter()
+        proc = _run_cli(["enumerate", files["graph"], files["hetero2"], *extra], timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, time.perf_counter() - started
+
+    default, default_s = timed()
+    far, far_s = timed("--max-len", str(10**18))
+    assert far == default
+    assert far_s < 2 * default_s + 1.0
 
 
 def test_exhausted_budget_exits_3(files, capsys):

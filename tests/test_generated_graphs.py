@@ -5,7 +5,9 @@ extents 1 to 4), whose nodes may branch off the loss path, and clusters
 of 2 or 3 devices with their own rate per device and latency and bandwidth
 per collective.  Each plan must cost the enumerated minimum at its own
 ratios, compute the loss on random inputs, and load back to its program.
-The examples are derandomized, so every run checks the same graphs.
+A second strategy draws a batch contraction on slow clusters, so that some
+plans hold a collective.  The examples are derandomized, so every run
+checks the same graphs.
 """
 import json
 
@@ -17,7 +19,7 @@ from shardplan.cli import _canon, load_plan, plan_document
 from shardplan.cost_model import build_shard_table
 from shardplan.graph_ir import BINARY_TAGS, UNARY_TAGS, graph_from_dict
 from shardplan.interpreter import check_equivalence
-from shardplan.synthesizer import enumerate_programs
+from shardplan.synthesizer import DistributedProgram, enumerate_programs
 from shardplan.theory import COLLECTIVE_KINDS
 
 MAX_NODES = 5
@@ -83,11 +85,11 @@ def graphs(draw) -> dict:
 
 
 @st.composite
-def clusters(draw) -> dict:
-    """Devices up to 7 times apart in speed, each collective with its own
-    latency and bandwidth."""
+def clusters(draw, bases=(2.0 ** 20, 1e9, 25e9)) -> dict:
+    """Devices up to 7 times apart in speed from a base rate drawn from
+    `bases`, each collective with its own latency and bandwidth."""
     m = draw(st.integers(2, 3))
-    base = draw(st.sampled_from((2.0 ** 20, 1e9, 25e9)))
+    base = draw(st.sampled_from(bases))
     return {
         "devices": [{"flops": base * draw(st.sampled_from((1, 2, 3, 7)))} for _ in range(m)],
         "collectives": {kind: {"latency_s": draw(st.sampled_from((2e-6, 2e-5, 2.0 ** -16))),
@@ -97,10 +99,29 @@ def clusters(draw) -> dict:
     }
 
 
-@settings(derandomize=True, max_examples=120, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(graphs(), clusters())
-def test_generated_plans_are_optimal_sound_and_load_back(graph_doc, cluster_doc):
+@st.composite
+def contracting_graphs(draw) -> dict:
+    """A batch-contracting MatMul, as in the benchmark's mix graphs: z =
+    h @ h contracts the batch axis of h[b, b], computed from a source x,
+    then the loss reduces z.  The plan needs h both sharded and in full,
+    and on a slow cluster gathering h can cost less than computing it
+    twice.  (A contraction by a source never needs a collective in so small
+    a graph: h can be sharded on its other axis.)"""
+    b = draw(st.integers(3, 4))
+    op = draw(st.sampled_from(("Identity", "ElemwiseUnary")))
+    h = {"id": "h", "op": op, "shape": [b, b], "inputs": ["x"]}
+    if op == "ElemwiseUnary":
+        h["attrs"] = {"tag": draw(st.sampled_from(UNARY_TAGS))}
+    return {"nodes": [
+        {"id": "x", "op": draw(st.sampled_from(("Placeholder", "Parameter"))), "shape": [b, b]},
+        h,
+        {"id": "z", "op": "MatMul", "shape": [b, b], "inputs": ["h", "h"]},
+        {"id": "loss", "op": "Reduce", "shape": [], "inputs": ["z"], "attrs": {"dims": "all"}},
+    ], "loss": "loss"}
+
+
+def _plan_is_optimal_sound_and_loads_back(graph_doc, cluster_doc) -> DistributedProgram:
+    """The plan's program, once its claims are checked."""
     g = graph_from_dict(graph_doc)
     spec = ClusterSpec.from_dict(cluster_doc)
     result = alternate(g, spec)
@@ -115,3 +136,27 @@ def test_generated_plans_are_optimal_sound_and_load_back(graph_doc, cluster_doc)
 
     table = build_shard_table(g, plan.ratios, plan.assignment)
     assert check_equivalence(g, plan.program, spec.m, table, trials=5).passed
+    return plan.program
+
+
+EXAMPLES = settings(derandomize=True, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(EXAMPLES, max_examples=120)
+@given(graphs(), clusters())
+def test_generated_plans_are_optimal_sound_and_load_back(graph_doc, cluster_doc):
+    _plan_is_optimal_sound_and_loads_back(graph_doc, cluster_doc)
+
+
+def test_batch_contracting_plans_are_optimal_and_some_use_a_collective():
+    collectives = []
+
+    @settings(EXAMPLES, max_examples=30)
+    @given(contracting_graphs(), clusters(bases=(2.0 ** 20,)))
+    def check(graph_doc, cluster_doc):
+        program = _plan_is_optimal_sound_and_loads_back(graph_doc, cluster_doc)
+        collectives.append(sum(instr.is_comm for instr in program.instrs))
+
+    check()
+    assert any(collectives), collectives

@@ -15,6 +15,13 @@ moves plans or rows on purpose regenerates both files with
 
     PYTHONPATH=src python tests/test_plan_digests.py
 
+which writes the enumeration digests too.
+
+`tests/data/enumeration_digests.json` pins the whole answer of
+`enumerate_programs` (`ENUMERATION_CASES`): the sha256 of its cost in
+`float.hex`, its state and complete-state counts and its program as canonical
+JSON.  The counts alone would let a changed tie-break of the program go by.
+
 None of the corpus plans holds a collective, so three of the `mix_graph`
 plans pin the collective each must use.  The two hetero2 ones are plans
 whose searches drop dominated nodes in every synthesis call.
@@ -26,12 +33,14 @@ import pathlib
 import pytest
 
 import corpus
-from shardplan import alternate, optimize_ratios
+from shardplan import ShardingRatios, alternate, build_theory, optimize_ratios
 from shardplan.cli import load_plan, plan_document
-from shardplan.graph_ir import graph_from_dict
+from shardplan.graph_ir import assign_segments, graph_from_dict
+from shardplan.synthesizer import enumerate_programs
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "plan_digests.json"
 RATIO_DIGESTS = DIGESTS.with_name("ratio_digests.json")
+ENUMERATION_DIGESTS = DIGESTS.with_name("enumeration_digests.json")
 
 CLUSTERS = ("homog2", "hetero2", "skew2")
 WIDE_CLUSTERS = ("hetero4", "hetero8")
@@ -79,6 +88,42 @@ def pinned_plans():
                 text = json.dumps(plan_document(g, spec, result), indent=2) + "\n"
                 yield (f"{name}.{cname}.s{segments}", g, spec, result.program, text,
                        "\n".join(rows))
+
+
+# The audited graphs but binary_mul_unary, whose enumerations on hetero2
+# take the longest.
+SMALL_AUDITED = corpus.AUDITED[:-1]
+
+# (key prefix, cluster, ratio rows, graphs, theory options, max_len) of the
+# pinned enumerations: what `shardplan enumerate GRAPH homog2` computes for
+# each audited graph; hetero2 at (0.7, 0.3), and with a second segment at
+# (0.4, 0.6), so that collectives wait for their stage's row; the guarded,
+# fused theory the planner searches; and a length bound that cuts programs.
+RAW = {"guards": False, "fuse": False}
+ENUMERATION_CASES = (
+    ("raw.homog2.s1", "homog2", ((0.5, 0.5),), corpus.AUDITED, RAW, None),
+    ("raw.hetero2.s1", "hetero2", ((0.7, 0.3),), SMALL_AUDITED, RAW, None),
+    ("raw.hetero2.s2", "hetero2", ((0.7, 0.3), (0.4, 0.6)), SMALL_AUDITED, RAW, None),
+    ("fused.homog2.s1", "homog2", ((0.5, 0.5),), corpus.AUDITED, {}, None),
+    ("fused.hetero2.s2", "hetero2", ((0.7, 0.3), (0.4, 0.6)), corpus.AUDITED, {}, None),
+    ("raw.homog2.s1.len5", "homog2", ((0.5, 0.5),), corpus.AUDITED, RAW, 5),
+    ("raw.hetero2.s2.len5", "hetero2", ((0.7, 0.3), (0.4, 0.6)), corpus.AUDITED, RAW, 5),
+)
+
+
+def enumeration_digests() -> dict[str, str]:
+    out = {}
+    for prefix, cname, rows, names, options, max_len in ENUMERATION_CASES:
+        spec = getattr(corpus, cname)()
+        B = ShardingRatios(rows)
+        for name in names:
+            g = graph_from_dict(corpus.CORPUS[name])
+            res = enumerate_programs(g, build_theory(g, spec.m, **options), spec, B,
+                                     assignment=assign_segments(g, B.g), max_len=max_len)
+            text = "\n".join((res.cost_s.hex(), str(res.explored), str(res.complete_states),
+                              json.dumps(res.program.to_json(), sort_keys=True)))
+            out[f"{name}.{prefix}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +186,17 @@ def test_ratio_rows_match_pinned_digests(plans):
     assert not moved, f"ratio rows changed for {moved}"
 
 
+def test_enumerations_match_pinned_digests():
+    pinned = json.loads(ENUMERATION_DIGESTS.read_text())
+    got = enumeration_digests()
+    assert sorted(got) == sorted(pinned)
+    moved = sorted(k for k in pinned if got[k] != pinned[k])
+    assert not moved, f"enumeration results changed for {moved}"
+
+
 if __name__ == "__main__":
     plans = list(pinned_plans())
     for path, digests in ((DIGESTS, plan_digests(plans)),
-                          (RATIO_DIGESTS, ratio_digests(plans))):
+                          (RATIO_DIGESTS, ratio_digests(plans)),
+                          (ENUMERATION_DIGESTS, enumeration_digests())):
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

@@ -8,11 +8,12 @@ import corpus
 import oracles
 from shardplan import (Instruction, NoCompleteProgramError, SearchConfig,
                        ShardingRatios, build_theory, iteration_time, synthesize)
-from shardplan.cost_model import StageCost, single_segment
+from shardplan.cost_model import StageCost, StagePricer, single_segment
 from shardplan.graph_ir import assign_segments, graph_from_dict
 from shardplan.synthesizer import (PartialProgram, SearchContext, _priority,
                                    apply_triple, dominates, enumerate_programs)
-from shardplan.theory import derive_theory
+from shardplan.theory import (HoareTriple, Property, Theory, all_gather, all_reduce,
+                              derive_theory)
 
 
 def _ctx(name, theory_fn=build_theory, spec=None):
@@ -117,15 +118,10 @@ def test_enumeration_agrees_with_unmerged_walk():
                 assert enum.explored < unlimited.explored, name
 
 
-# The graphs the benchmark audits; criteria 01 and 04 pin all 13.
-AUDITED = ("matmul_reduce", "binary_add", "identity_after_reduce", "param_only",
-           "rank1_mul", "wide_matmul", "skip_connection", "binary_mul_unary")
-
-
 def test_enumeration_state_counts_are_pinned():
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
-    for name in AUDITED:
+    for name in corpus.AUDITED:
         g = graph_from_dict(corpus.CORPUS[name])
         res = enumerate_programs(g, build_theory(g, 2, guards=False, fuse=False), spec, B)
         assert (res.explored, res.complete_states) == corpus.ENUMERATION_COUNTS[name], name
@@ -155,6 +151,129 @@ def test_state_graph_oracle_follows_the_enumeration():
         assert d >= 0.0
         # a merged state keeps its cheapest way in
         assert nodes[t].closed_s <= (nodes[s].closed_s + d) * (1 + 1e-12)
+
+
+def _matches_state_graph(g, th, spec, B, assignment=None):
+    """The oracle's state graph, once the enumeration's counts and cost bits
+    are checked against it."""
+    graph = oracles.state_graph(g, th, spec, B, assignment=assignment)
+    enum = enumerate_programs(g, th, spec, B, assignment=assignment)
+    assert (graph.explored, graph.complete_states) == (enum.explored, enum.complete_states)
+    assert min(q.total_s for q in graph.nodes if q.complete).hex() == enum.cost_s.hex()
+    return graph
+
+
+def _rules(g) -> dict[str, HoareTriple]:
+    """The graph's derived triples by their instruction's canonical text."""
+    return {tr.instrs[0].canonical(): tr for tr in derive_theory(g, 2).triples}
+
+
+def test_collective_fired_from_the_empty_root_stage_closes_it_free():
+    # with h's row shards given, the cheapest program gathers h first; the
+    # empty stage that all_gather closes charges nothing
+    g = graph_from_dict(corpus.gram())
+    th = derive_theory(g, 2)._replace(initial_props=frozenset({all_gather("h", 0)}))
+    graph = _matches_state_graph(g, th, corpus.slow2(), ShardingRatios(((0.25, 0.75),)))
+    first = [q for q in graph.nodes if len(q.instrs) == 1 and q.instrs[0].is_comm]
+    assert {q.instrs[0].kind for q in first} == {"all_gather", "grouped_broadcast",
+                                                  "all_to_all"}
+    assert all(q.closed_s == 0.0 for q in first)
+    best = min((q for q in graph.nodes if q.complete), key=lambda q: q.total_s)
+    assert best.instrs[0].kind == "all_gather"
+
+
+def test_collective_stage_waiting_for_its_row_matches_the_state_graph():
+    # with two segments a collective's stage is priced at its own row until
+    # a computation names the stage's row: the cheapest program gathers h
+    # at h's row, then its matmul prices the stage at z's
+    g = graph_from_dict(corpus.gram())
+    assignment = assign_segments(g, 2)
+    with oracles.collector_paused():
+        graph = _matches_state_graph(g, derive_theory(g, 2), corpus.slow2(),
+                                     ShardingRatios(((0.5, 0.5), (0.25, 0.75))), assignment)
+        waiting = [q for q in graph.nodes if q.stage.comm is not None and q.stage.row is None]
+        repriced = [q for q in graph.nodes if q.stage.comm is not None
+                    and q.stage.row not in (None, assignment.row_index(q.stage.comm.ref))]
+        assert waiting and repriced
+        best = min((q for q in graph.nodes if q.complete), key=lambda q: q.total_s)
+        assert best.stage.comm.kind == "all_gather"
+        assert best.stage.row == assignment.row_index("z") != assignment.row_index("h")
+
+
+def test_collective_fires_from_the_state_that_closes_its_stage_cheapest():
+    # A hand-built theory fires a sharded and a replicated matmul, x's
+    # all_gather after the sharded one, w's after all three, then the loss.
+    # At (0.1, 0.9) the sharded matmul peaks on the fast device and the
+    # replicated one on the slow device.  Running both before x's gather
+    # closes a dearer stage than running the replicated one after it, but
+    # is cheaper once w's gather closes the stage x's opened: only that
+    # state may fire w's gather.
+    g = graph_from_dict(corpus.CORPUS["matmul_reduce"])
+    rule = _rules(g).__getitem__
+    sharded, replicated, gather_x, gather_w, reduce = (rule(c).instrs for c in (
+        "h@shard0<-matmul/h(x@shard0,w@full)", "h@full<-matmul/h(x@full,w@full)",
+        "x@full<-all_gather/x/d=0(x@shard0)", "w@full<-all_gather/w/d=0(w@shard0)",
+        "loss@partial<-reduce/loss(h@shard0)"))
+    a, b, c1, c2 = (frozenset({Property(f"step{i}", "done")}) for i in range(4))
+    th = Theory(triples=(HoareTriple(frozenset(), sharded, a),
+                         HoareTriple(frozenset(), replicated, b),
+                         HoareTriple(a, gather_x, c1),
+                         HoareTriple(a | b | c1, gather_w, c2),
+                         HoareTriple(c2, reduce, frozenset({all_reduce("loss")}))),
+                loss="loss", tensor_ids=g.tensor_ids, source_ids=frozenset())
+    spec, B = corpus.slow2(), ShardingRatios(((0.1, 0.9),))
+    _matches_state_graph(g, th, spec, B)
+    program = enumerate_programs(g, th, spec, B).program.instrs
+    assert program == sharded + replicated + gather_x + gather_w + reduce
+
+
+def _chain(*triples: HoareTriple) -> HoareTriple:
+    """One triple that fires `triples` in turn."""
+    pre, post = frozenset(), frozenset()
+    for tr in triples:
+        pre |= tr.pre - post
+        post |= tr.post
+    return HoareTriple(pre, tuple(i for tr in triples for i in tr.instrs), post)
+
+
+@pytest.mark.parametrize("segments", [1, 2])
+def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
+    # [all_gather x; matmul] closes only the open stage; [all_to_all x;
+    # matmul; reduce_scatter h; reduce] closes its all_to_all's stage too,
+    # so the enumeration must step it from each state's own stage: on this
+    # slow cluster, skipping that stage's charge would make the second
+    # chain the cheapest way to the loss.  Each triple posts a property of
+    # its own: a property set then tells which triples fired, and so its
+    # length, as the state graph oracle requires.
+    g = graph_from_dict(corpus.CORPUS["matmul_reduce"])
+    raw = derive_theory(g, 2)
+    rule = _rules(g).__getitem__
+    chains = (_chain(rule("x@full<-all_gather/x/d=0(x@shard0)"),
+                     rule("h@full<-matmul/h(x@full,w@full)")),
+              _chain(rule("x@shard1<-all_to_all/x/d=0/d2=1(x@shard0)"),
+                     rule("h@partial<-matmul/h(x@shard1,w@shard0)"),
+                     rule("h@shard0<-reduce_scatter/h/d=0(h@partial)"),
+                     rule("loss@partial<-reduce/loss(h@shard0)")))
+    triples = [rule(c) for c in (
+        "x@shard0<-placeholder_shard/x/d=0()", "x@shard1<-placeholder_shard/x/d=1()",
+        "w@full<-parameter/w()", "w@shard0<-parameter_shard/w/d=0()",
+        "h@shard0<-matmul/h(x@shard0,w@full)", "h@partial<-matmul/h(x@shard1,w@shard0)",
+        "h@full<-matmul/h(x@full,w@full)", "loss@partial<-reduce/loss(h@shard0)",
+        "loss@partial<-reduce/loss(h@partial)", "x@full<-all_gather/x/d=0(x@shard0)",
+        "x@shard1<-all_to_all/x/d=0/d2=1(x@shard0)",
+        "h@shard0<-reduce_scatter/h/d=0(h@partial)", "h@full<-all_gather/h/d=0(h@shard0)")]
+    th = raw._replace(triples=tuple(
+        tr._replace(post=tr.post | {Property(tr.instrs[-1].ref, f"fired{i}")})
+        for i, tr in enumerate(triples + list(chains))))
+    spec = corpus.slow2()
+    B = ShardingRatios(((0.7, 0.3), (0.4, 0.6))[:segments])
+    assignment = assign_segments(g, segments)
+    pricer = StagePricer(spec, B, assignment)
+    assert [len(pricer.advance(pricer.empty, tr.instrs)[0]) for tr in chains] == [0, 1]
+    with oracles.collector_paused():
+        graph = _matches_state_graph(g, th, spec, B, assignment)
+        for tr in chains:
+            assert any(q.instrs[-len(tr.instrs):] == tr.instrs for q in graph.nodes)
 
 
 def test_search_bookkeeping_matches_evaluator_across_segments():
