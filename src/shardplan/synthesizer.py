@@ -1,19 +1,30 @@
 """Program synthesis: best-first search for the cheapest distributed program.
 
-Search nodes are partial programs.  Applying a triple whose precondition is
-satisfied (and whose postcondition adds something new) appends its
-instructions and merges its postcondition.  A program is complete once the
-loss carries the AllReduce-form property.
+Search nodes are partial programs, holding only what the search reads:
+property set, closed cost, open stage, remaining flops, computed tensors,
+path of triples, depth and score.  Applying a triple whose precondition is
+satisfied (and whose postcondition adds something new) merges its
+postcondition and appends the triple to the path.  A program is complete once
+the loss carries the AllReduce-form property; the winner's is rebuilt from
+its path.
 
 The priority is cost + ecost where cost counts closed stages only and ecost
 is an admissible, consistent underestimate of everything still missing, so
 popped scores never decrease and the first pop at or above the best complete
-cost proves optimality.  ecost (`SearchContext.score`) is the open stage's
-collective plus its slowest device, which holds its accrued compute and its
-least share of every remaining loss-ancestor flop.  Pruning: among nodes
-with the same property set, a node at no greater cost vector makes another
-redundant, so it is not pushed.  A node's property set is exactly the state
-`enumerate_programs` walks.
+cost proves optimality.  ecost is the open stage's collective plus its
+slowest device, which holds its accrued compute and its least share of every
+remaining loss-ancestor flop.  Pruning: among nodes with the same property
+set, a node at no greater cost vector makes another redundant, so it is not
+pushed.  A node's property set is exactly the state `enumerate_programs`
+walks.
+
+`SearchContext.step` builds every node, for the search and the test oracles
+alike, priced bit for bit as `StagePricer.advance` prices it, with two
+shortcuts.  A triple that opens with a collective closes the open stage as
+it is and opens the stage it opens from any stage (`opened_stage`, memoized
+per triple and shared with the enumeration).  One that only computes, with
+one instruction with flops or none, adds its per-device seconds to a stage
+with a row (a source adds 0.0, which changes no sum).
 """
 from __future__ import annotations
 
@@ -22,13 +33,14 @@ import logging
 import math
 from array import array
 from itertools import chain
+from operator import add, le
 from typing import NamedTuple
 
 from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
                          single_segment)
 from .graph_ir import Graph, SegmentAssignment, node_flops
-from .theory import (COMMUNICATED, Instruction, Property, Theory, all_reduce,
-                     not_communicated)
+from .theory import (COLLECTIVE_KINDS, COMMUNICATED, GUARD_KINDS, Instruction, Property,
+                     Theory, all_reduce, not_communicated)
 
 _logger = logging.getLogger("shardplan.synthesizer")
 
@@ -84,32 +96,21 @@ class SearchConfig(NamedTuple):
 
 
 class PartialProgram(NamedTuple):
-    """A search node.  `props` are interned property ids; cost bookkeeping
-    follows the stage model incrementally (the cost of the closed stages and
-    the open stage, as `StagePricer.advance` leaves them)."""
-    instrs: tuple[Instruction, ...]
+    """A search node.  `props` are interned property ids; the closed stages'
+    cost and the open stage are those `StagePricer.advance` leaves."""
     props: frozenset[int]
     computed: frozenset[str]
     closed_s: float
     stage: StageCost
     remaining: float          # flops of loss ancestors without any property
-    complete: bool
     score_s: float
     path: tuple[int, ...]     # applied triple indices (deterministic tie-break)
-
-    @property
-    def total_s(self) -> float:
-        return self.closed_s + self.stage.time_s
-
-
-# Builds a PartialProgram from a 9-tuple, as `cost_model._stage_cost` builds
-# a StageCost: every successor the search generates is one.
-_partial_program = tuple.__new__
+    depth: int                # instruction count
 
 
 class SearchContext:
     """Theory, cluster and ratio data prepared for fast expansion; every
-    instruction is priced by one `StagePricer`."""
+    instruction is priced by one `StagePricer`.  `root` is the empty program."""
 
     def __init__(self, g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                  assignment: SegmentAssignment | None = None):
@@ -118,30 +119,21 @@ class SearchContext:
         assignment = assignment or single_segment(g)
         if B.g != assignment.count:
             raise ValueError(f"ratio rows {B.g} != segment count {assignment.count}")
-        self.theory = theory
-        self.spec = spec
-        self.B = B
+        self.theory, self.spec, self.B = theory, spec, B
         self.pricer = StagePricer(spec, B, assignment)
-        # Least seconds a remaining flop puts on each device: a B[r][j] share
-        # of it if it runs sharded, all of it if replicated.
-        self.floor_s = tuple(min(row[j] for row in B.rows) / rate
-                             for j, rate in enumerate(self.pricer.rates))
 
         # Property ids in order of first appearance: the loss property, then
         # each triple's pre, post and retired guards.
         self.triples = triples = theory.triples
-        retired = [[not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED]
-                   for tr in triples]
-        order = dict.fromkeys(chain((all_reduce(theory.loss),), chain.from_iterable(
-            chain(tr.pre, tr.post, ret) for tr, ret in zip(triples, retired))))
-        self._ids: dict[Property, int] = dict(zip(order, range(len(order))))
-        self.loss_prop_id = 0
-        intern = self._ids.__getitem__
-        self.tpre = [frozenset(map(intern, tr.pre)) for tr in triples]
-        self.tpost = [frozenset(map(intern, tr.post)) for tr in triples]
-        self.tretire = [frozenset(map(intern, ret)) for ret in retired]
-        self.tnew_refs = [tuple(sorted({p.ref for p in tr.post if not p.is_guard}))
-                          for tr in triples]
+        ids: dict[Property, int] = {all_reduce(theory.loss): 0}
+        self._ids, self.loss_prop_id = ids, 0
+        intern = ids.setdefault         # with len(ids): a new property's id
+        self.tpre, self.tpost, self.tretire = [], [], []
+        for tr in triples:
+            self.tpre.append(frozenset([intern(p, len(ids)) for p in tr.pre]))
+            self.tpost.append(frozenset([intern(p, len(ids)) for p in tr.post]))
+            self.tretire.append(frozenset([intern(not_communicated(p.ref), len(ids))
+                                           for p in tr.post if p.kind == COMMUNICATED]))
 
         self.by_elem: dict[int, list[int]] = {}
         self.empty_pre: list[int] = []
@@ -150,87 +142,102 @@ class SearchContext:
                 self.empty_pre.append(ti)
             for p in pre:
                 self.by_elem.setdefault(p, []).append(ti)
+        self.initial_props = frozenset([intern(p, len(ids)) for p in theory.initial_props])
+        self.root, self.opened_stage, self.step = self._closures(g)
 
-        self.flops_map = {n.id: node_flops(g, n) for n in g.nodes}
-        self.ancestors = g.loss_ancestors
-        self.initial_remaining = float(sum(self.flops_map[r] for r in self.ancestors))
-        self.initial_props = frozenset(map(self._intern, theory.initial_props))
-
-    def _intern(self, p: Property) -> int:
-        pid = self._ids.get(p)
-        if pid is None:
-            pid = self._ids[p] = len(self._ids)
-        return pid
-
-    def initial(self) -> PartialProgram:
-        return PartialProgram(
-            instrs=(), props=self.initial_props, computed=frozenset(), closed_s=0.0,
-            stage=self.pricer.empty, remaining=self.initial_remaining, complete=False,
-            score_s=self.score(0.0, self.pricer.empty, self.initial_remaining), path=())
-
-    def score(self, closed_s: float, stage: StageCost, remaining: float) -> float:
-        """Lower bound on every completion: the closed stages, the open
-        collective once its row is fixed, and the slowest device's accrued
-        compute plus `floor_s` per remaining flop (each later stage takes at
-        least its slowest device, so all of them at least any one device)."""
-        comm_s, comp, row, _ = stage
-        worst = 0.0             # a loop: max() over a generator takes twice as long
-        for c, f in zip(comp, self.floor_s):
-            c += remaining * f
-            if c > worst:
-                worst = c
-        return closed_s + COMPLETION_SCALE * ((0.0 if row is None else comm_s) + worst)
+    def instructions(self, path) -> tuple[Instruction, ...]:
+        """The program that fires the triples of `path` in turn."""
+        return tuple(chain.from_iterable(self.triples[ti].instrs for ti in path))
 
     def applicable(self, props: frozenset[int]) -> tuple[int, ...]:
-        out = [ti for ti in self.empty_pre if not self.tpost[ti] <= props]
-        seen = set(out)
+        near = set(self.empty_pre)
         for p in props:
-            for ti in self.by_elem.get(p, ()):
-                if ti not in seen:
-                    seen.add(ti)
-                    if self.tpre[ti] <= props and not self.tpost[ti] <= props:
-                        out.append(ti)
-        out.sort()
-        return tuple(out)
+            near.update(self.by_elem.get(p, ()))
+        tpre, tpost = self.tpre, self.tpost
+        return tuple(sorted(ti for ti in near if tpre[ti] <= props and not tpost[ti] <= props))
 
+    def _closures(self, g: Graph):
+        """The root node, `opened_stage` and `step`: closures over this
+        context's tables, not over the context, which holds them."""
+        pricer, tpost, tretire = self.pricer, self.tpost, self.tretire
+        advance, comp_s, empty, new = pricer.advance, pricer.comp, pricer.empty, tuple.__new__
+        instrs = [tr.instrs for tr in self.triples]
+        # `opened_stage`'s memo: None until a collective-first triple fires
+        opened = [None if seq[0].kind in COLLECTIVE_KINDS else False for seq in instrs]
+        tlen = [len(seq) for seq in instrs]
+        tnew_refs = [sorted({p.ref for p in tr.post if p.kind not in GUARD_KINDS})
+                     for tr in self.triples]
+        flops_map = {n.id: node_flops(g, n) for n in g.nodes}
+        ancestors = g.loss_ancestors
+        # Least seconds a remaining flop puts on each device: a B[r][j] share
+        # of it if it runs sharded, all of it if replicated.
+        floor_s = tuple(min(row[j] for row in self.B.rows) / rate
+                        for j, rate in enumerate(pricer.rates))
+        # Per triple: False if it communicates or computes twice, else its
+        # one instruction with flops, None if it has none.
+        busy = [[i for i in seq if i.flops or i.kind in COLLECTIVE_KINDS] for seq in instrs]
+        work = [b[0] if len(b) == 1 and b[0].kind not in COLLECTIVE_KINDS else False if b else None
+                for b in busy]
 
-def apply_triple(q: PartialProgram, ti: int, ctx: SearchContext) -> PartialProgram:
-    """Successor of q after firing triple index ti (precondition assumed met)."""
-    tri = ctx.triples[ti]
-    closes, stage = ctx.pricer.advance(q.stage, tri.instrs)
-    closed = q.closed_s
-    for done in closes:
-        closed += done.time_s
+        def score(closed_s, stage, remaining):
+            """Lower bound on every completion, closed + ecost: each later
+            stage takes at least its slowest device, so all at least any one."""
+            comm_s, comp, row, _ = stage
+            worst = 0.0         # a loop: max() over a generator takes twice as long
+            for c, f in zip(comp, floor_s):
+                c += remaining * f
+                if c > worst:
+                    worst = c
+            return closed_s + COMPLETION_SCALE * ((0.0 if row is None else comm_s) + worst)
 
-    props = q.props | ctx.tpost[ti]
-    if ctx.tretire[ti]:
-        props -= ctx.tretire[ti]
-    computed = q.computed
-    remaining = q.remaining
-    fresh = [r for r in ctx.tnew_refs[ti] if r not in computed]
-    if fresh:
-        computed = computed | frozenset(fresh)
-        for r in fresh:
-            if r in ctx.ancestors:
-                remaining -= ctx.flops_map[r]
-    complete = ctx.loss_prop_id in props
+        def opened_stage(ti):
+            """The stage triple ti leaves open from any open stage, if it
+            opens with a collective, which closes that stage as it is, and
+            closes no other stage; else None, and `advance` walks it: two
+            stages' charges added in another order could round otherwise."""
+            stage = opened[ti]
+            if stage is None:
+                closes, stage = advance(empty, instrs[ti])
+                stage = opened[ti] = not closes and stage
+            return stage or None
 
-    return _partial_program(PartialProgram, (
-        q.instrs + tri.instrs, props, computed, closed, stage, remaining, complete,
-        closed if complete else ctx.score(closed, stage, remaining), q.path + (ti,)))
+        last, tail = None, 0.0      # a node and its open stage's seconds
 
+        def step(q, ti):
+            """Successor of q after firing triple index ti (precondition
+            assumed met), priced bit for bit as `advance` prices it."""
+            nonlocal last, tail
+            props, computed, closed, stage, remaining, _, path, depth = q
+            after = opened_stage(ti) if opened[ti] is None else opened[ti]
+            how = work[ti]
+            if after:
+                if q is not last:
+                    last, tail = q, stage.time_s
+                closed += tail          # 0.0 s for the empty root stage
+                stage = after
+            elif how is False or stage.row is None:
+                closes, stage = advance(stage, instrs[ti])
+                for done in closes:
+                    closed += done.time_s
+            elif how is not None:       # a source adds 0.0 s, which moves no sum
+                comm_s, comp, row, comm = stage
+                stage = new(StageCost, (comm_s, tuple(map(add, comp, comp_s(how, row))), row, comm))
+            props = props | tpost[ti]
+            if tretire[ti]:
+                props -= tretire[ti]
+            if not computed.issuperset(tnew_refs[ti]):
+                fresh = [r for r in tnew_refs[ti] if r not in computed]
+                computed = computed | frozenset(fresh)
+                for r in fresh:
+                    if r in ancestors:
+                        remaining -= flops_map[r]
+            return new(PartialProgram, (props, computed, closed, stage, remaining, score(
+                closed, stage, remaining), path + (ti,), depth + tlen[ti]))
 
-def dominates(a: PartialProgram, b: PartialProgram) -> bool:
-    """True iff a renders b redundant, given equal property sets: a is at
-    most as expensive in every cost component (closed stages, the open
-    stage's collective, per-device accrued compute), and both open stages
-    wait for a row on the same collective, or neither does."""
-    s, t = a.stage, b.stage
-    if a.closed_s > b.closed_s or s.comm_s > t.comm_s:
-        return False
-    if any(x > y for x, y in zip(s.comp_s, t.comp_s)):
-        return False
-    return (s.comm if s.row is None else None) == (t.comm if t.row is None else None)
+        remaining = float(sum(flops_map[r] for r in ancestors))
+        root = PartialProgram(self.initial_props, frozenset(), 0.0, empty, remaining,
+                              score(0.0, empty, remaining), (), 0)
+        return root, opened_stage, step
 
 
 class SynthesisResult(NamedTuple):
@@ -248,16 +255,17 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
     """Minimum-cost complete program for the graph under fixed ratios B."""
     cfg = cfg or SearchConfig()
     ctx = SearchContext(g, theory, spec, B, assignment)
-    root = ctx.initial()
+    step, applicable, loss, root = ctx.step, ctx.applicable, ctx.loss_prop_id, ctx.root
 
     # Equal scores are common (fully sharded instructions leave the score
     # unchanged), so ties prefer the deeper node, then the lower triple path:
     # the search dives to a completion and the bound then retires the rest
     # of the plateau.  Paths are unique, so no entry compares past its path.
-    heap: list = []
-    heapq.heappush(heap, (_priority(root.score_s), -len(root.instrs), root.path, root))
+    heap: list = [(_priority(root.score_s), 0, root.path, root)]
     # One bucket per exact property set holds every node pushed with it; a
-    # successor some node in its bucket dominates is dropped (`purged`).
+    # successor is dropped (`purged`) when a node in its bucket costs no more
+    # in any component (closed stages, the open stage's collective, each
+    # device's compute) and waits for a row on the same collective, or none.
     buckets: dict[frozenset[int], list[PartialProgram]] = {root.props: [root]}
     best: PartialProgram | None = None
     best_s = bound = math.inf       # best complete cost; scores it cuts off
@@ -280,35 +288,40 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
         expansions += 1
         if trace:
             _logger.debug("expand #%d score=%.6g instrs=%d props=%d",
-                          expansions, q.score_s, len(q.instrs), len(q.props))
+                          expansions, q.score_s, q.depth, len(q.props))
 
-        for ti in ctx.applicable(q.props):
-            succ = apply_triple(q, ti, ctx)
+        for ti in applicable(q.props):
+            succ = step(q, ti)
             generated += 1
+            props, _, closed, stage, _, score, _, _ = succ
 
-            if succ.complete:
-                total = succ.total_s
+            if loss in props:
+                total = closed + stage.time_s
                 if total < best_s:
                     best, best_s = succ, total
                     bound = best_s - OPTIMALITY_MARGIN * abs(best_s)
                 continue
-            if succ.score_s >= bound:
+            if score >= bound:
                 continue
 
-            bucket = buckets.get(succ.props)
-            if bucket is None:
-                buckets[succ.props] = [succ]
-            else:
-                if any(dominates(other, succ) for other in bucket):
+            bucket = buckets.setdefault(props, [])
+            comm_s, comp, row, comm = stage
+            waits = comm if row is None else None
+            for other in bucket:
+                o_comm_s, o_comp, o_row, o_comm = other[3]
+                if (other[2] <= closed and o_comm_s <= comm_s and all(map(le, o_comp, comp))
+                        and (o_comm if o_row is None else None) == waits):
                     purged += 1
-                    continue
+                    break
+            else:
                 bucket.append(succ)
-            heapq.heappush(heap, (_priority(succ.score_s), -len(succ.instrs), succ.path, succ))
+                heapq.heappush(heap, (_priority(score), -succ.depth, succ.path, succ))
 
     if best is None and not exhausted:
         raise NoCompleteProgramError(
             f"no complete program reachable for loss {theory.loss!r}")
-    program = None if best is None else DistributedProgram(instrs=best.instrs, loss=theory.loss)
+    program = None if best is None else DistributedProgram(
+        instrs=ctx.instructions(best.path), loss=theory.loss)
     return SynthesisResult(program=program, cost_s=best_s, exhausted=exhausted,
                            expansions=expansions, generated=generated, purged=purged)
 
@@ -324,18 +337,16 @@ class EnumerationResult(NamedTuple):
     complete_states: int
 
 
-class _Interner:
-    """Values stored once and referred to by dense integer ids."""
+class _Interner(dict):
+    """Values stored once: `interner[value]` is its dense integer id, and
+    `values[id]` the value."""
 
     def __init__(self):
-        self.ids: dict = {}
         self.values: list = []
 
-    def __call__(self, value) -> int:
-        vid = self.ids.get(value)
-        if vid is None:
-            vid = self.ids[value] = len(self.values)
-            self.values.append(value)
+    def __missing__(self, value) -> int:
+        self.values.append(value)
+        vid = self[value] = len(self)
         return vid
 
 
@@ -360,14 +371,14 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     `{props id: {stage id: state}}`, and each group's property transitions
     are memoized.  A triple whose first instruction is a collective closes
     the open stage as it is and opens one that does not depend on it, so it
-    is priced once per group: its stage step (`StagePricer.advance`) is
-    taken once, from the empty stage, and only the group's state with the
+    is priced once per group: the stage it opens is the search's
+    (`SearchContext.opened_stage`), and only the group's state with the
     cheapest closed stages plus open stage fires it.  Every other triple
     steps each state's open stage, memoized per stage and triple."""
     if max_len is None:
         max_len = 2 * len(g.nodes) + 4
     ctx = SearchContext(g, theory, spec, B, assignment)
-    root = ctx.initial()
+    root = ctx.root
     tlen = [len(tr.instrs) for tr in ctx.triples]
     max_step = max(tlen, default=1)
 
@@ -377,51 +388,37 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     stage_next: list[dict[int, tuple[int, tuple[float, ...]]]] = []
 
     def intern_stage(stage: StageCost) -> int:
-        sid = stages(stage)
+        sid = stages[stage]
         if sid == len(stage_tail):
             stage_tail.append(stage.time_s)
             stage_next.append({})
         return sid
 
     intern_stage(root.stage)
-    # Triples that open with a collective and close no other stage, with
-    # the stage each leaves open.  From any open stage such a triple closes
-    # that stage, charging its `stage_tail` (0.0 for the empty root stage),
-    # and leaves open what it leaves open after the empty stage.  A triple
-    # that closes a second stage is left out: its charges, added in another
-    # order, could round otherwise.
-    opened: dict[int, int] = {}
-    for ti, tr in enumerate(ctx.triples):
-        if tr.instrs[0].is_comm:
-            closes, stage = ctx.pricer.advance(root.stage, tr.instrs)
-            if not closes:
-                opened[ti] = intern_stage(stage)
 
     def stage_successor(sid: int, ti: int) -> tuple[int, tuple[float, ...]]:
-        nsid = opened.get(ti)
-        if nsid is not None:
-            out = stage_next[sid][ti] = (nsid, (stage_tail[sid],))
-            return out
         closes, stage = ctx.pricer.advance(stages.values[sid], ctx.triples[ti].instrs)
         charges = tuple(done.time_s for done in closes) if closes else ()
         out = stage_next[sid][ti] = (intern_stage(stage), charges)
         return out
 
     props = _Interner()
-    props(root.props)
+    props[root.props]
     props_done = [ctx.loss_prop_id in root.props]     # per props id
-    # per props id: ((ti, props id', length step), ...) of every applicable
-    # triple, and of those not in `opened`
+    # per props id: ((ti, props id', length step, opened stage id), ...) of every
+    # applicable triple, and of those whose `ctx.opened_stage` is None (id -1)
     props_succ: list = [None]
 
     def props_successors(pid: int) -> tuple[tuple, tuple]:
         ps = props.values[pid]
-        steps = tuple((ti, props((ps | ctx.tpost[ti]) - ctx.tretire[ti]), tlen[ti])
+        steps = tuple((ti, props[(ps | ctx.tpost[ti]) - ctx.tretire[ti]], tlen[ti],
+                       -1 if (opened := ctx.opened_stage(ti)) is None
+                       else intern_stage(opened))
                       for ti in ctx.applicable(ps))
         for fresh in props.values[len(props_done):]:
             props_done.append(ctx.loss_prop_id in fresh)
             props_succ.append(None)
-        succ = props_succ[pid] = (steps, tuple(st for st in steps if st[0] not in opened))
+        succ = props_succ[pid] = (steps, tuple(st for st in steps if st[3] < 0))
         return succ
 
     closed = array("d", [root.closed_s])
@@ -445,7 +442,8 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
                 continue
             steps, others = props_succ[pid] or props_successors(pid)
             # Only the state that closes its stage cheapest fires the
-            # triples in `opened`: they reach one target from every state.
+            # triples that open a stage of their own: they reach one target
+            # from every state, at that state's closed stages plus open stage.
             best = -1
             if len(steps) > len(others):
                 best_c = math.inf
@@ -456,11 +454,14 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
             for sid, s in group.items():
                 base = closed[s]
                 nexts = stage_next[sid]
-                for ti, npid, step in (steps if s == best else others):
-                    nsid, closes = nexts.get(ti) or stage_successor(sid, ti)
-                    c = base
-                    for charge in closes:
-                        c += charge
+                for ti, npid, step, nsid in (steps if s == best else others):
+                    if nsid < 0:
+                        nsid, closes = nexts.get(ti) or stage_successor(sid, ti)
+                        c = base
+                        for charge in closes:
+                            c += charge
+                    else:
+                        c = best_c
                     target = targets[step]
                     target = target.get(npid) or target.setdefault(npid, {})
                     t = target.get(nsid)
@@ -491,7 +492,6 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     while s > 0:
         path.append(via[s])
         s = parent[s]
-    instrs = tuple(instr for ti in reversed(path) for instr in ctx.triples[ti].instrs)
-    program = DistributedProgram(instrs=instrs, loss=theory.loss)
+    program = DistributedProgram(instrs=ctx.instructions(reversed(path)), loss=theory.loss)
     return EnumerationResult(cost_s=best_total, program=program, explored=len(closed),
                              complete_states=complete_states)

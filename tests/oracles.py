@@ -5,10 +5,12 @@ exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
 points, except the search-space walks and the reference forms of two of the
 package's shortcuts: triple fusion by a scan over every triple, and the
-simplex with dense pivots.  The walks step the package's own `apply_triple`
-to list programs; the enumeration's state graph also takes the applicable
-triples and their property changes from `SearchContext`, and the stage
-steps from `StagePricer.advance`.
+simplex with dense pivots.  The walks step with `SearchContext.step`, the
+one step function the search itself takes, to list programs; the
+enumeration's state graph also takes the applicable triples and their
+property changes from `SearchContext`, and the stage steps from
+`StagePricer.advance`.  A search node holds no instructions: `program`
+rebuilds them from its path.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from shardplan.interpreter import (EquivalenceReport, ExecutionError,
                                    random_inputs, run_distributed, run_single,
                                    table_sizes)
 from shardplan.load_balancer import SegmentProblem
-from shardplan.synthesizer import SearchContext, apply_triple
+from shardplan.synthesizer import SearchContext
 from shardplan.theory import (ALL_GATHER, ALL_REDUCE, IDENTITY, HoareTriple,
                               dist_id, form_of_dist_id)
 
@@ -323,9 +325,39 @@ def fuse_by_scan(theory) -> tuple:
 # search-space walks
 
 
+class Program(NamedTuple):
+    """A search node's program and whether it is complete."""
+    instrs: tuple
+    complete: bool
+
+
+def program(q, ctx) -> Program:
+    """The program of search node q, rebuilt from its path."""
+    return Program(ctx.instructions(q.path), ctx.loss_prop_id in q.props)
+
+
+def total_s(q) -> float:
+    """A search node's price: its closed stages and its open stage."""
+    return q.closed_s + q.stage.time_s
+
+
 def expand(q, ctx) -> list:
     """All successors of q under applicable, non-vacuous triples."""
-    return [apply_triple(q, ti, ctx) for ti in ctx.applicable(q.props)]
+    return [ctx.step(q, ti) for ti in ctx.applicable(q.props)]
+
+
+def dominates(a, b) -> bool:
+    """The search's pruning rule, for nodes of one property set: a renders b
+    redundant when it is at most as expensive in every cost component
+    (closed stages, the open stage's collective, per-device accrued
+    compute), and both open stages wait for a row on the same collective,
+    or neither does."""
+    s, t = a.stage, b.stage
+    if a.closed_s > b.closed_s or s.comm_s > t.comm_s:
+        return False
+    if any(x > y for x, y in zip(s.comp_s, t.comp_s)):
+        return False
+    return (s.comm if s.row is None else None) == (t.comm if t.row is None else None)
 
 
 def enumerate_all_complete(g, theory, spec, B, max_len: int, assignment=None) -> set:
@@ -333,13 +365,13 @@ def enumerate_all_complete(g, theory, spec, B, max_len: int, assignment=None) ->
     (no merging; exponential, so only for tiny graphs)."""
     ctx = SearchContext(g, theory, spec, B, assignment)
     out = set()
-    stack = [ctx.initial()]
+    stack = [ctx.root]
     while stack:
         q = stack.pop()
-        if q.complete:
-            out.add(q.instrs)
+        if ctx.loss_prop_id in q.props:
+            out.add(ctx.instructions(q.path))
             continue
-        if len(q.instrs) >= max_len:
+        if q.depth >= max_len:
             continue
         stack.extend(expand(q, ctx))
     return out
@@ -366,13 +398,21 @@ def collector_paused():
 
 class StateGraph(NamedTuple):
     """Every state of the exhaustive enumeration and every transition
-    between states.  `nodes[s]` is state s's cheapest program (state 0 is
-    the root); `edges` holds three flat arrays: source state, child state
-    and closed-cost delta of every transition, in expansion order."""
+    between states.  `nodes[s]` is the search node of state s's cheapest
+    program (state 0 is the root), as `ctx.step` builds it; `edges` holds
+    three flat arrays: source state, child state and closed-cost delta of
+    every transition, in expansion order."""
     nodes: list
     edges: tuple[array, array, array]
     explored: int
     complete_states: int
+    ctx: SearchContext
+
+    def complete(self, q) -> bool:
+        return self.ctx.loss_prop_id in q.props
+
+    def instrs(self, q) -> tuple:
+        return self.ctx.instructions(q.path)
 
 
 def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
@@ -387,11 +427,11 @@ def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
     length; complete ones, and those of 2 * nodes + 4 or more instructions,
     are not.  Property successors are memoized per property set, and stage
     steps (`StagePricer.advance`) per open stage and triple.  Before a state
-    is expanded, its node is rebuilt by `apply_triple` from its cheapest
-    parent's node, and must agree with the state and its closed cost."""
+    is expanded, its node is rebuilt by `ctx.step` from its cheapest parent's
+    node, and must agree with the state and its closed cost."""
     max_len = 2 * len(g.nodes) + 4
     ctx = SearchContext(g, theory, spec, B, assignment)
-    root = ctx.initial()
+    root = ctx.root
     triples = ctx.triples
 
     prop_ids = {root.props: 0}
@@ -447,12 +487,12 @@ def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
             pid, sid = keys[s]
             node = nodes[s]
             if node is None:
-                node = nodes[s] = apply_triple(nodes[parent[s]], via[s], ctx)
+                node = nodes[s] = ctx.step(nodes[parent[s]], via[s])
                 if (node.closed_s != closed[s] or node.props != prop_sets[pid]
-                        or node.stage != stages[sid] or len(node.instrs) != length):
+                        or node.stage != stages[sid] or node.depth != length):
                     raise AssertionError(
                         f"state {s}: the rebuilt program disagrees with the state")
-            if node.complete or length >= max_len:
+            if ctx.loss_prop_id in node.props or length >= max_len:
                 continue
             base = closed[s]
             succs = prop_next[pid]
@@ -484,7 +524,7 @@ def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
                 delta.append(c - base)
         length += 1
     return StateGraph(nodes=nodes, edges=(src, child, delta), explored=len(nodes),
-                      complete_states=complete_states)
+                      complete_states=complete_states, ctx=ctx)
 
 
 # The search scales its completion bound by this factor so that float
@@ -541,7 +581,8 @@ def ecost(partial, g, spec, B, assignment=None) -> float:
     (b) every loss ancestor that no instruction has realized a property of,
     at the least share of its flops any ratio row gives that device.
     Complete programs cost nothing more.  The search keeps the same quantity
-    incrementally, as a node's score less its closed cost.
+    incrementally, as a node's score less its closed cost.  `partial` is a
+    `Program`; `program` gives a search node's.
     """
     if partial.complete:
         return 0.0
@@ -549,12 +590,13 @@ def ecost(partial, g, spec, B, assignment=None) -> float:
                              assignment or single_segment(g))
 
 
-def future_costs(nodes, edges) -> list[float]:
+def future_costs(graph: StateGraph) -> list[float]:
     """Cheapest completion cost from each enumeration state.  A child is
     expanded after its parents, so its out-edges come later in the edge
     arrays, and one reverse sweep over them suffices."""
-    future = [q.total_s - q.closed_s if q.complete else math.inf for q in nodes]
-    src, child, delta = edges
+    future = [total_s(q) - q.closed_s if graph.complete(q) else math.inf
+              for q in graph.nodes]
+    src, child, delta = graph.edges
     for i in range(len(src) - 1, -1, -1):
         cand = delta[i] + future[child[i]]
         if cand < future[src[i]]:
@@ -572,17 +614,17 @@ def admissibility_violations(g, spec, B, graph: StateGraph, assignment=None,
     assignment = assignment or single_segment(g)
     bounds: dict = {}
     bad: list[str] = []
-    for q, best in zip(graph.nodes, future_costs(graph.nodes, graph.edges)):
-        if q.complete:
+    for q, best in zip(graph.nodes, future_costs(graph)):
+        if graph.complete(q):
             h = ref = 0.0
         else:
             h = q.score_s - q.closed_s
-            key = _completion_key(q.instrs)
+            key = _completion_key(graph.instrs(q))
             ref = bounds.get(key)
             if ref is None:
                 ref = bounds[key] = _completion_bound(*key, g, spec, B, assignment)
         if abs(h - ref) > 1e-12 * q.score_s:
-            bad.append(f"state len={len(q.instrs)} estimate={h!r} != reference ecost {ref!r}")
+            bad.append(f"state len={q.depth} estimate={h!r} != reference ecost {ref!r}")
         if best != math.inf and h > best + slack:
-            bad.append(f"state len={len(q.instrs)} ecost={h!r} > future={best!r}")
+            bad.append(f"state len={q.depth} ecost={h!r} > future={best!r}")
     return bad

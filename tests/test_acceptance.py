@@ -5,8 +5,9 @@ tolerance; the oracles (exhaustive enumeration, grids, vertex enumeration,
 integer compositions, direct interpretation) live in oracles.py.  They share
 no algorithmic code with the package but for the enumeration's state graph,
 which criterion 04 audits: it produces its states with the package's
-`SearchContext` (applicable triples and their property changes),
-`StagePricer.advance` and `apply_triple`.
+`SearchContext` (applicable triples, their property changes and the
+search's own step function, `SearchContext.step`) and
+`StagePricer.advance`.
 """
 import gc
 import io

@@ -6,7 +6,7 @@ import types
 import pytest
 
 import corpus
-from oracles import COMPLETION_SCALE, ecost
+from oracles import COMPLETION_SCALE, ecost, program
 from shardplan import (ClusterFormatError, ClusterSpec, Instruction,
                        ShardingRatios, build_theory, iteration_time, synthesize)
 from shardplan.cli import _canon_rows
@@ -243,14 +243,14 @@ def test_ecost_charges_each_device_its_least_share_of_unrealized_ancestors():
     B = ShardingRatios.uniform(2)
     ctx = SearchContext(g, build_theory(g, 2), spec, B)
     # nothing computed yet: half of every loss-ancestor flop on each device
-    assert ecost(ctx.initial(), g, spec, B) == COMPLETION_SCALE * 144 / 2.0 ** 31
+    assert ecost(program(ctx.root, ctx), g, spec, B) == COMPLETION_SCALE * 144 / 2.0 ** 31
     assert ecost(types.SimpleNamespace(complete=True), g, spec, B) == 0.0
     # on unequal devices the slower one bounds the completion, above every
     # flop spread over the whole cluster at its summed rate
     spec = corpus.hetero2()                          # 175e9 and 75e9 flops/s
     ctx = SearchContext(g, build_theory(g, 2), spec, B)
-    assert ecost(ctx.initial(), g, spec, B) == COMPLETION_SCALE * (144 * 0.5 / 75e9)
-    assert ecost(ctx.initial(), g, spec, B) > 144 / spec.total_rate
+    assert ecost(program(ctx.root, ctx), g, spec, B) == COMPLETION_SCALE * (144 * 0.5 / 75e9)
+    assert ecost(program(ctx.root, ctx), g, spec, B) > 144 / spec.total_rate
     # the open stage's collective counts in full, its accrued compute stays
     # on its device, and each remaining flop adds that device's share
     spec = corpus.homog2()                           # latency 2^-16 s, 2^33 B/s
@@ -276,5 +276,5 @@ def test_ecost_ignores_dead_branches():
     ctx = SearchContext(g, build_theory(g, 2), spec, B)
     live = sum(node_flops(g, nd) for nd in g.nodes if nd.id in g.loss_ancestors)
     assert live == 32
-    assert ecost(ctx.initial(), g, spec, B) == COMPLETION_SCALE * live / 2.0 ** 31
+    assert ecost(program(ctx.root, ctx), g, spec, B) == COMPLETION_SCALE * live / 2.0 ** 31
 

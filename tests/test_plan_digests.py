@@ -15,7 +15,12 @@ moves plans or rows on purpose regenerates both files with
 
     PYTHONPATH=src python tests/test_plan_digests.py
 
-which writes the enumeration digests too.
+which writes the search counts and the enumeration digests too.
+
+`tests/data/search_counts.json` pins the search's effort behind the same
+plans: the expansions, generated and purged nodes of each plan's first
+`synthesize` call.  The plan bytes hold only the answer, so a change to the
+search order that happens to keep every plan would go by without them.
 
 `tests/data/enumeration_digests.json` pins the whole answer of
 `enumerate_programs` (`ENUMERATION_CASES`): the sha256 of its cost in
@@ -36,11 +41,12 @@ import corpus
 from shardplan import ShardingRatios, alternate, build_theory, optimize_ratios
 from shardplan.cli import load_plan, plan_document
 from shardplan.graph_ir import assign_segments, graph_from_dict
-from shardplan.synthesizer import enumerate_programs
+from shardplan.synthesizer import SearchConfig, enumerate_programs, synthesize
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "plan_digests.json"
 RATIO_DIGESTS = DIGESTS.with_name("ratio_digests.json")
 ENUMERATION_DIGESTS = DIGESTS.with_name("enumeration_digests.json")
+SEARCH_COUNTS = DIGESTS.with_name("search_counts.json")
 
 CLUSTERS = ("homog2", "hetero2", "skew2")
 WIDE_CLUSTERS = ("hetero4", "hetero8")
@@ -69,25 +75,33 @@ def _graphs():
 
 
 def pinned_plans():
-    """(key, graph, cluster, planned program, plan text, ratio rows) of every
-    pinned plan; the rows are those of each `optimize_ratios` call, in
-    `float.hex`, one line per row."""
+    """(key, graph, cluster, planned program, plan text, ratio rows, search
+    counts) of every pinned plan; the rows are those of each
+    `optimize_ratios` call, in `float.hex`, one line per row, and the counts
+    are the first synthesis's [expansions, generated, purged]."""
     for name, doc, cnames, segment_counts in _graphs():
         g = graph_from_dict(doc)
         for cname in cnames:
             spec = getattr(corpus, cname)()
             for segments in segment_counts:
-                rows = []
+                rows, counts = [], []
+
+                def synth(g, theory, spec, B, assignment, cfg):
+                    res = synthesize(g, theory, spec, B, assignment=assignment,
+                                     cfg=SearchConfig(max_expansions=cfg.max_expansions))
+                    counts.append([res.expansions, res.generated, res.purged])
+                    return res
 
                 def balance(program, g, spec, assignment):
                     B = optimize_ratios(program, g, spec, assignment)
                     rows.extend(" ".join(v.hex() for v in row) for row in B.rows)
                     return B
 
-                result = alternate(g, spec, segments=segments, balance_fn=balance)
+                result = alternate(g, spec, segments=segments, synth_fn=synth,
+                                   balance_fn=balance)
                 text = json.dumps(plan_document(g, spec, result), indent=2) + "\n"
                 yield (f"{name}.{cname}.s{segments}", g, spec, result.program, text,
-                       "\n".join(rows))
+                       "\n".join(rows), counts[0])
 
 
 # The audited graphs but binary_mul_unary, whose enumerations on hetero2
@@ -133,12 +147,12 @@ def plans():
 
 def plan_digests(plans) -> dict[str, str]:
     return {key: hashlib.sha256(text.encode()).hexdigest()
-            for key, _, _, _, text, _ in plans}
+            for key, _, _, _, text, _, _ in plans}
 
 
 def ratio_digests(plans) -> dict[str, str]:
     return {key: hashlib.sha256(rows.encode()).hexdigest()
-            for key, _, _, _, _, rows in plans}
+            for key, _, _, _, _, rows, _ in plans}
 
 
 def test_plan_bytes_match_pinned_digests(plans):
@@ -150,7 +164,7 @@ def test_plan_bytes_match_pinned_digests(plans):
 
 
 def test_every_pinned_plan_loads_to_its_program(plans):
-    for key, g, spec, program, text, _ in plans:
+    for key, g, spec, program, text, _, _ in plans:
         loaded = load_plan(json.loads(text), g, spec.m).program
         assert loaded == program, key
         assert json.dumps(loaded.to_json()) == json.dumps(program.to_json()), key
@@ -158,7 +172,7 @@ def test_every_pinned_plan_loads_to_its_program(plans):
 
 
 def test_collective_forcing_plans_use_their_collectives(plans):
-    texts = {key: text for key, _, _, _, text, _ in plans}
+    texts = {key: text for key, _, _, _, text, _, _ in plans}
     for (batch, width, cname), collective in MIX_PINS.items():
         if collective is not None:
             key = f"mix{batch}x{width}.{cname}.s1"
@@ -186,6 +200,15 @@ def test_ratio_rows_match_pinned_digests(plans):
     assert not moved, f"ratio rows changed for {moved}"
 
 
+def test_search_counts_match_pins(plans):
+    pinned = json.loads(SEARCH_COUNTS.read_text())
+    got = {key: counts for key, *_, counts in plans}
+    assert sorted(got) == sorted(pinned)
+    moved = sorted(k for k in pinned if got[k] != pinned[k])
+    assert not moved, f"search counts changed for {moved}: " + ", ".join(
+        f"{k} {pinned[k]} -> {got[k]}" for k in moved[:3])
+
+
 def test_enumerations_match_pinned_digests():
     pinned = json.loads(ENUMERATION_DIGESTS.read_text())
     got = enumeration_digests()
@@ -198,5 +221,6 @@ if __name__ == "__main__":
     plans = list(pinned_plans())
     for path, digests in ((DIGESTS, plan_digests(plans)),
                           (RATIO_DIGESTS, ratio_digests(plans)),
+                          (SEARCH_COUNTS, {key: counts for key, *_, counts in plans}),
                           (ENUMERATION_DIGESTS, enumeration_digests())):
         path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

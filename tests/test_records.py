@@ -36,7 +36,7 @@ def records() -> dict:
         g, res.assignment, EquivalenceReport(trials=1, max_rel_err=0.0, passed=True),
         solve_lp([1.0], A_eq=[[1.0]], b_eq=[1.0]), LoopConfig(), res.rounds[0],
         LoopResult(res.program, res.ratios, res.assignment, res.cost_s), res.program,
-        SearchConfig(), SearchContext(g, theory, spec, B).initial(),
+        SearchConfig(), SearchContext(g, theory, spec, B).root,
         synthesize(g, theory, spec, B),
         enumerate_programs(g, build_theory(g, spec.m, guards=False, fuse=False), spec, B),
         theory,

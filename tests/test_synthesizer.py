@@ -1,4 +1,8 @@
+import heapq
 import logging
+import math
+import operator
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -10,8 +14,8 @@ from shardplan import (Instruction, NoCompleteProgramError, SearchConfig,
                        ShardingRatios, build_theory, iteration_time, synthesize)
 from shardplan.cost_model import StageCost, StagePricer, single_segment
 from shardplan.graph_ir import assign_segments, graph_from_dict
-from shardplan.synthesizer import (PartialProgram, SearchContext, _priority,
-                                   apply_triple, dominates, enumerate_programs)
+from shardplan.synthesizer import (OPTIMALITY_MARGIN, PartialProgram, SearchContext,
+                                   _priority, enumerate_programs)
 from shardplan.theory import (HoareTriple, Property, Theory, all_gather, all_reduce,
                               derive_theory)
 
@@ -27,29 +31,50 @@ def test_root_fanout_is_one_per_source_form():
     # unfused theory: the only applicable triples at the root are the source
     # rules, one per tensor form (full + one shard per axis)
     _, ctx = _ctx("matmul_reduce", derive_theory)
-    assert len(oracles.expand(ctx.initial(), ctx)) == 6        # two rank-2 sources
+    assert len(oracles.expand(ctx.root, ctx)) == 6             # two rank-2 sources
     _, ctx = _ctx("rank1_mul", derive_theory)
-    assert len(oracles.expand(ctx.initial(), ctx)) == 4        # two rank-1 sources
+    assert len(oracles.expand(ctx.root, ctx)) == 4             # two rank-1 sources
 
 
 def test_applicable_refuses_vacuous_triples():
     _, ctx = _ctx("param_only")
-    root = ctx.initial()
+    root = ctx.root
     ti = ctx.applicable(root.props)[0]
-    succ = apply_triple(root, ti, ctx)
+    succ = ctx.step(root, ti)
     assert ti not in ctx.applicable(succ.props)        # its post is realized
 
 
 def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0), pending=None):
     # a collective waits for its stage's row while no computation names it
     stage = StageCost(comm, acc, None if pending else 0, pending)
-    return PartialProgram(instrs=(), props=frozenset(props), computed=frozenset(),
-                          closed_s=closed, stage=stage, remaining=0.0,
-                          complete=False, score_s=0.0, path=())
+    return PartialProgram(props=frozenset(props), computed=frozenset(), closed_s=closed,
+                          stage=stage, remaining=0.0, score_s=0.0, path=(), depth=0)
+
+
+def _search_pushes(g, th, spec, B, assignment=None):
+    """The result of one search, every successor its step built, in order,
+    every node it pushed, its root and its context's loss property id."""
+    built, seen = [], {}
+    closures = SearchContext._closures
+
+    def recording(ctx, g):
+        root, opened_stage, step = closures(ctx, g)
+        seen["root"], seen["loss"] = root, ctx.loss_prop_id
+
+        def record(q, ti):
+            built.append(step(q, ti))
+            return built[-1]
+        return root, opened_stage, record
+
+    with mock.patch.object(SearchContext, "_closures", recording), \
+            mock.patch("heapq.heappush", wraps=heapq.heappush) as push:
+        res = synthesize(g, th, spec, B, assignment=assignment)
+    return res, built, [c.args[1][3] for c in push.call_args_list], seen["root"], seen["loss"]
 
 
 def test_dominance_is_componentwise():
     # the search compares nodes of one property set only
+    dominates = oracles.dominates
     a = _partial({1, 2}, closed=1.0, acc=(0.1, 0.1))
     b = _partial({1, 2}, closed=1.0, acc=(0.2, 0.2))
     assert dominates(a, b) and not dominates(b, a)
@@ -58,6 +83,33 @@ def test_dominance_is_componentwise():
     assert not dominates(_partial({1, 2}, acc=(0.3, 0.0)), b)      # one device behind
     assert not dominates(_partial({1, 2}, comm=0.5), b)            # pending comm
     assert not dominates(_partial({1, 2}, pending="k"), b)         # different stage row
+    # The search's own comparison keeps and drops what this rule does: replay
+    # its successors through the rule, with its bound, and push the same
+    # nodes.  The two-segment case holds stages that wait for their row.
+    mix = graph_from_dict(corpus.mix_graph(2, 32, 32))
+    gram = graph_from_dict(corpus.gram())
+    for g, spec, B, segments in (
+            (mix, corpus.hetero2(), ShardingRatios.proportional_to_flops(corpus.hetero2()), 1),
+            (gram, corpus.slow2(), ShardingRatios(((0.5, 0.5), (0.25, 0.75))), 2)):
+        assignment = assign_segments(g, segments)
+        res, built, pushed, root, loss = _search_pushes(g, build_theory(g, 2), spec, B,
+                                                        assignment)
+        best_s = bound = math.inf
+        buckets, kept, purged = {root.props: [root]}, [], 0
+        for succ in built:
+            if loss in succ.props:
+                if oracles.total_s(succ) < best_s:
+                    best_s = oracles.total_s(succ)
+                    bound = best_s - OPTIMALITY_MARGIN * abs(best_s)
+            elif succ.score_s < bound:
+                bucket = buckets.setdefault(succ.props, [])
+                if any(dominates(other, succ) for other in bucket):
+                    purged += 1
+                else:
+                    bucket.append(succ)
+                    kept.append(succ)
+        assert res.purged == purged > 0 and res.cost_s == best_s
+        assert len(pushed) == len(kept) and all(map(operator.is_, pushed, kept))
 
 
 def test_search_on_comm_free_graph():
@@ -136,18 +188,18 @@ def test_state_graph_oracle_follows_the_enumeration():
     graph = oracles.state_graph(g, th, spec, B)
     nodes = graph.nodes
     assert (graph.explored, graph.complete_states) == (enum.explored, enum.complete_states)
-    assert min(q.total_s for q in nodes if q.complete) == enum.cost_s
+    assert min(oracles.total_s(q) for q in nodes if graph.complete(q)) == enum.cost_s
     src, child, delta = graph.edges
-    assert not nodes[0].instrs and 0 in src
+    assert not graph.instrs(nodes[0]) and 0 in src
     assert len(src) == len(child) == len(delta) > 0
     last = 0
     for s, t, d in zip(src, child, delta):
         # edges leave states in expansion order: ascending length
-        assert len(nodes[s].instrs) >= last
-        last = len(nodes[s].instrs)
-        assert len(nodes[t].instrs) > len(nodes[s].instrs)
+        assert nodes[s].depth >= last
+        last = nodes[s].depth
+        assert nodes[t].depth > nodes[s].depth == len(graph.instrs(nodes[s]))
         # complete states are never expanded
-        assert not nodes[s].complete
+        assert not graph.complete(nodes[s])
         assert d >= 0.0
         # a merged state keeps its cheapest way in
         assert nodes[t].closed_s <= (nodes[s].closed_s + d) * (1 + 1e-12)
@@ -159,7 +211,8 @@ def _matches_state_graph(g, th, spec, B, assignment=None):
     graph = oracles.state_graph(g, th, spec, B, assignment=assignment)
     enum = enumerate_programs(g, th, spec, B, assignment=assignment)
     assert (graph.explored, graph.complete_states) == (enum.explored, enum.complete_states)
-    assert min(q.total_s for q in graph.nodes if q.complete).hex() == enum.cost_s.hex()
+    best = min(oracles.total_s(q) for q in graph.nodes if graph.complete(q))
+    assert best.hex() == enum.cost_s.hex()
     return graph
 
 
@@ -174,12 +227,12 @@ def test_collective_fired_from_the_empty_root_stage_closes_it_free():
     g = graph_from_dict(corpus.gram())
     th = derive_theory(g, 2)._replace(initial_props=frozenset({all_gather("h", 0)}))
     graph = _matches_state_graph(g, th, corpus.slow2(), ShardingRatios(((0.25, 0.75),)))
-    first = [q for q in graph.nodes if len(q.instrs) == 1 and q.instrs[0].is_comm]
-    assert {q.instrs[0].kind for q in first} == {"all_gather", "grouped_broadcast",
-                                                  "all_to_all"}
+    first = [q for q in graph.nodes if q.depth == 1 and graph.instrs(q)[0].is_comm]
+    assert {graph.instrs(q)[0].kind for q in first} == {"all_gather", "grouped_broadcast",
+                                                         "all_to_all"}
     assert all(q.closed_s == 0.0 for q in first)
-    best = min((q for q in graph.nodes if q.complete), key=lambda q: q.total_s)
-    assert best.instrs[0].kind == "all_gather"
+    best = min((q for q in graph.nodes if graph.complete(q)), key=oracles.total_s)
+    assert graph.instrs(best)[0].kind == "all_gather"
 
 
 def test_collective_stage_waiting_for_its_row_matches_the_state_graph():
@@ -195,7 +248,7 @@ def test_collective_stage_waiting_for_its_row_matches_the_state_graph():
         repriced = [q for q in graph.nodes if q.stage.comm is not None
                     and q.stage.row not in (None, assignment.row_index(q.stage.comm.ref))]
         assert waiting and repriced
-        best = min((q for q in graph.nodes if q.complete), key=lambda q: q.total_s)
+        best = min((q for q in graph.nodes if graph.complete(q)), key=oracles.total_s)
         assert best.stage.comm.kind == "all_gather"
         assert best.stage.row == assignment.row_index("z") != assignment.row_index("h")
 
@@ -273,7 +326,76 @@ def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
     with oracles.collector_paused():
         graph = _matches_state_graph(g, th, spec, B, assignment)
         for tr in chains:
-            assert any(q.instrs[-len(tr.instrs):] == tr.instrs for q in graph.nodes)
+            assert any(graph.instrs(q)[-len(tr.instrs):] == tr.instrs for q in graph.nodes)
+
+
+# Corpus graphs whose state graphs stay small on every cluster below (on
+# slowhet2 they reach 54 to 558 distinct open stages); their reduce leaves
+# partial sums that all_reduce and reduce_scatter read.
+STEP_GRAPHS = ("rank1_mul", "param_only", "identity_after_reduce")
+
+
+@pytest.mark.parametrize("segments", [1, 2])
+@pytest.mark.parametrize("cluster", ["homog2", "hetero2", "slowhet2"])
+def test_step_prices_every_triple_as_advance_does(cluster, segments):
+    # From every open stage the state graph reaches, every triple of the raw
+    # theory and the fused ones of the planner's theory, plus chains that
+    # take the general path (two computations with flops, a collective after
+    # a computation, two collectives), must leave the stage and closed cost
+    # `advance` gives, bit for bit.  A triple that only computes takes one
+    # add when the stage has a row, a collective-first triple its memoized
+    # stage; everything else, and every stage still waiting for its row,
+    # must walk `advance`.
+    spec = getattr(corpus, cluster)()
+    B = ShardingRatios(((0.7, 0.3), (0.4, 0.6))[:segments])
+    real = StagePricer.advance
+    paths = {"advance": 0, "one add": 0, "opened": 0, "waiting": 0}
+    for name in STEP_GRAPHS:
+        g = graph_from_dict(corpus.CORPUS[name])
+        assignment = assign_segments(g, segments)
+        raw = derive_theory(g, 2)
+        busy = [tr for tr in raw.triples if tr.instrs[0].flops]
+        comm = [tr for tr in raw.triples if tr.instrs[0].is_comm]
+        chains = (_chain(busy[0], busy[-1]), _chain(busy[0], comm[0]),
+                  _chain(comm[0], busy[0]), _chain(comm[0], busy[0], comm[-1]))
+        fused = tuple(tr for tr in build_theory(g, 2).triples if len(tr.instrs) > 1)
+        th = raw._replace(triples=raw.triples + fused + chains)
+        calls = []
+
+        def counting(pricer, stage, instrs):
+            calls.append(stage)
+            return real(pricer, stage, instrs)
+        with mock.patch.object(StagePricer, "advance", counting):
+            ctx = SearchContext(g, th, spec, B, assignment)
+        pricer = ctx.pricer
+        # per triple: whether it walks `advance` from a stage with a row
+        walks = [bool(real(pricer, pricer.empty, tr.instrs)[0]) if tr.instrs[0].is_comm
+                 else sum(bool(i.flops) for i in tr.instrs) > 1
+                 or any(i.is_comm for i in tr.instrs) for tr in th.triples]
+        with oracles.collector_paused():
+            graph = oracles.state_graph(g, raw, spec, B, assignment)
+        for q in {q.stage: q for q in reversed(graph.nodes)}.values():
+            waiting = q.stage.row is None
+            for ti, tr in enumerate(th.triples):
+                closes, stage = real(pricer, q.stage, tr.instrs)
+                closed = q.closed_s
+                for done in closes:
+                    closed += done.time_s
+                start = len(calls)
+                succ = ctx.step(q, ti)
+                general = walks[ti] or waiting and not tr.instrs[0].is_comm
+                assert any(st is q.stage for st in calls[start:]) == general, \
+                    (name, q.stage, tr.instrs)
+                assert succ.closed_s.hex() == closed.hex(), (name, q.stage, tr.instrs)
+                assert list(map(float.hex, (succ.stage.comm_s, *succ.stage.comp_s))) == \
+                    list(map(float.hex, (stage.comm_s, *stage.comp_s)))
+                assert succ.stage[2:] == stage[2:], (name, q.stage, tr.instrs)
+                paths["advance"] += general
+                paths["opened"] += not general and tr.instrs[0].is_comm
+                paths["one add"] += not general and any(i.flops for i in tr.instrs)
+                paths["waiting"] += general and q.stage.comm is not None and waiting
+    assert paths["advance"] and paths["one add"] and paths["opened"], paths
+    assert bool(paths["waiting"]) == (segments == 2), paths
 
 
 def test_search_bookkeeping_matches_evaluator_across_segments():
@@ -300,9 +422,10 @@ def test_search_bookkeeping_matches_evaluator_across_segments():
                 assert (graph.explored, graph.complete_states) == \
                     (enum.explored, enum.complete_states), name
                 for q in graph.nodes:
-                    assert q.total_s == \
-                        iteration_time(q.instrs, B, spec, assignment).total_s, \
-                        (name, B.rows, q.instrs)
+                    instrs = graph.instrs(q)
+                    assert oracles.total_s(q) == \
+                        iteration_time(instrs, B, spec, assignment).total_s, \
+                        (name, B.rows, instrs)
                     comm = q.stage.comm
                     if (comm is not None and q.stage.row is not None
                             and assignment.row_index(comm.ref) != q.stage.row):

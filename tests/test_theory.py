@@ -6,7 +6,7 @@ from shardplan import (ShardingRatios, build_shard_table, build_theory,
                        iteration_time)
 from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
-from shardplan.synthesizer import SearchContext, apply_triple
+from shardplan.synthesizer import SearchContext
 from shardplan.theory import (Instruction, all_gather, all_reduce,
                               communicated, derive_theory,
                               fuse_empty_preconditions, identity,
@@ -145,12 +145,12 @@ def test_communicating_a_tensor_retires_its_guard():
     g = graph_from_dict(corpus.matmul_reduce())
     ctx = SearchContext(g, build_theory(g, 2, fuse=False), corpus.homog2(),
                         ShardingRatios.uniform(2))
-    q = ctx.initial()
+    q = ctx.root
     for output in ("x@shard0", "w@full", "h@shard0", "h@full"):
         assert not_communicated("h") in _props_of(ctx, q.props)
-        q = apply_triple(q, next(ti for ti in ctx.applicable(q.props)
-                                 if ctx.triples[ti].instrs[-1].output == output), ctx)
-    assert q.instrs[-1].kind == "all_gather"
+        q = ctx.step(q, next(ti for ti in ctx.applicable(q.props)
+                             if ctx.triples[ti].instrs[-1].output == output))
+    assert ctx.instructions(q.path)[-1].kind == "all_gather"
     after = _props_of(ctx, q.props)
     assert communicated("h") in after
     assert not_communicated("h") not in after
