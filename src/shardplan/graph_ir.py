@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 SUPPORTED_OPS = (
@@ -246,26 +247,31 @@ def parse_graph(text: str) -> Graph:
     return graph_from_dict(doc)
 
 
-def graph_to_dict(g: Graph) -> dict:
-    nodes = []
-    for n in g.nodes:
-        attrs: dict = {}
-        if n.op in ("ElemwiseUnary", "ElemwiseBinary"):
-            attrs["tag"] = n.tag
-        elif n.op == "Reduce":
-            attrs["dims"] = list(n.dims or ())
-        nodes.append({
-            "id": n.id,
-            "op": n.op,
-            "inputs": list(n.inputs),
-            "shape": list(n.shape),
-            "attrs": attrs,
-        })
-    return {"nodes": nodes, "loss": g.loss}
+def _json_list(items: list[str], indent: int) -> str:
+    """Encoded `items` as a JSON array that `json.dumps(indent=2)` indents by `indent`."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return f"[{pad}{(',' + pad).join(items)}\n{' ' * indent}]"
 
 
 def serialize_graph(g: Graph) -> str:
-    return json.dumps(graph_to_dict(g), indent=2) + "\n"
+    """`json.dumps(doc, indent=2) + "\\n"` of the graph document, built directly:
+    strings encoded as json encodes them, ints by repr."""
+    q = encode_basestring_ascii
+    nodes = []
+    for n in g.nodes:
+        if n.op in ("ElemwiseUnary", "ElemwiseBinary"):
+            attrs = f'{{\n        "tag": {q(n.tag)}\n      }}'
+        elif n.op == "Reduce":
+            attrs = f'{{\n        "dims": {_json_list(list(map(repr, n.dims or ())), 8)}\n      }}'
+        else:
+            attrs = "{}"
+        nodes.append(f'{{\n      "id": {q(n.id)},\n      "op": {q(n.op)},\n'
+                     f'      "inputs": {_json_list(list(map(q, n.inputs)), 6)},\n'
+                     f'      "shape": {_json_list(list(map(repr, n.shape)), 6)},\n'
+                     f'      "attrs": {attrs}\n    }}')
+    return f'{{\n  "nodes": {_json_list(nodes, 2)},\n  "loss": {q(g.loss)}\n}}\n'
 
 
 class SegmentAssignment(NamedTuple):

@@ -39,8 +39,8 @@ from typing import NamedTuple
 from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
                          single_segment)
 from .graph_ir import Graph, SegmentAssignment, node_flops
-from .theory import (COLLECTIVE_KINDS, COMMUNICATED, GUARD_KINDS, Instruction, Property,
-                     Theory, all_reduce, not_communicated)
+from .theory import (COLLECTIVE_KINDS, COMMUNICATED, GUARD_KINDS, Instruction, Theory,
+                     all_reduce, not_communicated)
 
 _logger = logging.getLogger("shardplan.synthesizer")
 
@@ -122,18 +122,22 @@ class SearchContext:
         self.theory, self.spec, self.B = theory, spec, B
         self.pricer = StagePricer(spec, B, assignment)
 
-        # Property ids in order of first appearance: the loss property, then
-        # each triple's pre, post and retired guards.
+        # Property ids in order of first appearance: the loss property, each
+        # triple's pre and post, then any guard a post retires that no triple
+        # holds (so `refs` covers every post).  Per triple, from each
+        # property's facts: the guards it retires (NotCommunicated(e) for each
+        # Communicated(e)) and the refs it newly computes, sorted.
         self.triples = triples = theory.triples
-        ids: dict[Property, int] = {all_reduce(theory.loss): 0}
-        self._ids, self.loss_prop_id = ids, 0
-        intern = ids.setdefault         # with len(ids): a new property's id
-        self.tpre, self.tpost, self.tretire = [], [], []
-        for tr in triples:
-            self.tpre.append(frozenset([intern(p, len(ids)) for p in tr.pre]))
-            self.tpost.append(frozenset([intern(p, len(ids)) for p in tr.post]))
-            self.tretire.append(frozenset([intern(not_communicated(p.ref), len(ids))
-                                           for p in tr.post if p.kind == COMMUNICATED]))
+        self._ids = ids = _Interner()
+        self.loss_prop_id = ids[all_reduce(theory.loss)]
+        get = ids.__getitem__
+        self.tpre = [frozenset(map(get, tr.pre)) for tr in triples]
+        self.tpost = tpost = [frozenset(map(get, tr.post)) for tr in triples]
+        props, unset = ids.values, frozenset((None,))
+        refs = [None if p.kind in GUARD_KINDS else p.ref for p in props]
+        retire = [get(not_communicated(p.ref)) if p.kind == COMMUNICATED else None for p in props]
+        self.tretire = [frozenset(map(retire.__getitem__, post)) - unset for post in tpost]
+        self.tnew_refs = [sorted(set(map(refs.__getitem__, post)) - unset) for post in tpost]
 
         self.by_elem: dict[int, list[int]] = {}
         self.empty_pre: list[int] = []
@@ -142,7 +146,7 @@ class SearchContext:
                 self.empty_pre.append(ti)
             for p in pre:
                 self.by_elem.setdefault(p, []).append(ti)
-        self.initial_props = frozenset([intern(p, len(ids)) for p in theory.initial_props])
+        self.initial_props = frozenset(map(get, theory.initial_props))
         self.root, self.opened_stage, self.step = self._closures(g)
 
     def instructions(self, path) -> tuple[Instruction, ...]:
@@ -159,14 +163,12 @@ class SearchContext:
     def _closures(self, g: Graph):
         """The root node, `opened_stage` and `step`: closures over this
         context's tables, not over the context, which holds them."""
-        pricer, tpost, tretire = self.pricer, self.tpost, self.tretire
+        pricer, tpost, tretire, tnew_refs = self.pricer, self.tpost, self.tretire, self.tnew_refs
         advance, comp_s, empty, new = pricer.advance, pricer.comp, pricer.empty, tuple.__new__
         instrs = [tr.instrs for tr in self.triples]
         # `opened_stage`'s memo: None until a collective-first triple fires
         opened = [None if seq[0].kind in COLLECTIVE_KINDS else False for seq in instrs]
         tlen = [len(seq) for seq in instrs]
-        tnew_refs = [sorted({p.ref for p in tr.post if p.kind not in GUARD_KINDS})
-                     for tr in self.triples]
         flops_map = {n.id: node_flops(g, n) for n in g.nodes}
         ancestors = g.loss_ancestors
         # Least seconds a remaining flop puts on each device: a B[r][j] share

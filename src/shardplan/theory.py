@@ -16,17 +16,17 @@ reference tensor).
 ``{pre} instr {post}``: source rules, per-operator sharding rules, and
 collective rules for every tensor.  One constructor, ``_rule``, builds every
 one of them: a single instruction that reads the distributed tensor of each
-precondition property and writes the one of the postcondition.
-``fuse_empty_preconditions`` and ``add_communication_guards`` are optional
-theory rewrites that shrink the search space without changing the reachable
-minimum cost.
+precondition property and writes the one of the postcondition.  The guards
+are derived in the same pass, and ``fuse_empty_preconditions`` is a rewrite;
+both shrink the search space without changing the reachable minimum cost.
 """
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import NamedTuple
 
-from .graph_ir import Graph, Node, node_flops
+from .graph_ir import SOURCE_OPS, Graph, Node, node_flops
 
 # Property kinds.
 IDENTITY = "Id"
@@ -45,10 +45,6 @@ class Property(NamedTuple):
     ref: str
     kind: str
     axis: int | None = None
-
-    @property
-    def is_guard(self) -> bool:
-        return self.kind in GUARD_KINDS
 
     def __str__(self) -> str:
         if self.kind == ALL_GATHER:
@@ -171,43 +167,57 @@ class HoareTriple(NamedTuple):
 class Theory(NamedTuple):
     triples: tuple[HoareTriple, ...]
     loss: str
-    tensor_ids: tuple[str, ...]
-    source_ids: frozenset[str]
     initial_props: frozenset[Property] = frozenset()
 
 
-def _rule(kind: str, post: Property, pre: tuple[Property, ...] = (), *,
-          axis: int | None = None, axis2: int | None = None,
+class _Forms(NamedTuple):
+    """A tensor's properties, each with its distributed tensor's `dist_id`."""
+    full: tuple[Property, str]
+    partial: tuple[Property, str]
+    shard: tuple[tuple[Property, str], ...]
+
+
+def _forms(ref: str, rank: int) -> _Forms:
+    return _Forms((identity(ref), f"{ref}@full"), (all_reduce(ref), f"{ref}@partial"),
+                  tuple((all_gather(ref, d), f"{ref}@shard{d}") for d in range(rank)))
+
+
+# tuple.__new__ builds a named tuple without the Python call its own __new__ makes.
+_prop, _did, _new = itemgetter(0), itemgetter(1), tuple.__new__
+_UNGUARDED = ((), ())
+
+
+def _rule(kind: str, post: tuple[Property, str], pre: tuple[tuple[Property, str], ...] = (),
+          *, axis: int | None = None, axis2: int | None = None,
           dims: tuple[int, ...] | None = None, tag: str | None = None,
-          sharded: bool = False, flops: int = 0, elements: int = 0) -> HoareTriple:
+          sharded: bool = False, flops: int = 0, elements: int = 0,
+          guard: tuple[tuple[Property, ...], tuple[Property, ...]] = _UNGUARDED) -> HoareTriple:
     """The triple {pre} kind {post}: one instruction on `post`'s reference
-    tensor that reads the distributed tensor of each precondition property and
-    writes the one of the postcondition."""
-    instr = Instruction(kind, post.ref, tuple(map(dist_id, pre)), dist_id(post),
-                        axis, axis2, dims, tag, sharded, flops, elements)
-    return HoareTriple(frozenset(pre), (instr,), frozenset({post}))
+    tensor that reads the distributed tensor of each precondition form and
+    writes the one of the postcondition.  `guard` adds properties to the
+    pre and to the post."""
+    prop, did = post
+    instr = _new(Instruction, (kind, prop.ref, tuple(map(_did, pre)), did,
+                               axis, axis2, dims, tag, sharded, flops, elements))
+    return _new(HoareTriple, (frozenset((*map(_prop, pre), *guard[0])), (instr,),
+                              frozenset((prop, *guard[1]))))
 
 
-def _source_rules(node: Node, g: Graph) -> list[HoareTriple]:
+def _source_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[HoareTriple]:
     base = "placeholder" if node.op == "Placeholder" else "parameter"
-    e = node.id
-    return [_rule(base, identity(e))] + [
-        _rule(f"{base}_shard", all_gather(e, d), axis=d, sharded=True)
-        for d in range(len(node.shape))]
+    e = forms[node.id]
+    return [_rule(base, e.full)] + [_rule(f"{base}_shard", s, axis=d, sharded=True)
+                                    for d, s in enumerate(e.shard)]
 
 
-def _matmul_rules(node: Node, g: Graph) -> list[HoareTriple]:
-    e1, e2 = node.inputs
-    e3 = node.id
+def _matmul_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[HoareTriple]:
+    e1, e2, e3 = forms[node.inputs[0]], forms[node.inputs[1]], forms[node.id]
     f = node_flops(g, node)
     return [
-        _rule("matmul", all_gather(e3, 0), (all_gather(e1, 0), identity(e2)),
-              sharded=True, flops=f),
-        _rule("matmul", all_gather(e3, 1), (identity(e1), all_gather(e2, 1)),
-              sharded=True, flops=f),
-        _rule("matmul", all_reduce(e3), (all_gather(e1, 1), all_gather(e2, 0)),
-              sharded=True, flops=f),
-        _rule("matmul", identity(e3), (identity(e1), identity(e2)), flops=f),  # full replication
+        _rule("matmul", e3.shard[0], (e1.shard[0], e2.full), sharded=True, flops=f),
+        _rule("matmul", e3.shard[1], (e1.full, e2.shard[1]), sharded=True, flops=f),
+        _rule("matmul", e3.partial, (e1.shard[1], e2.shard[0]), sharded=True, flops=f),
+        _rule("matmul", e3.full, (e1.full, e2.full), flops=f),  # full replication
     ]
 
 
@@ -215,36 +225,36 @@ _ELEMWISE_KINDS = {"Identity": "identity", "ElemwiseUnary": "elemwise_unary",
                    "ElemwiseBinary": "elemwise_binary"}
 
 
-def _elemwise_rules(node: Node, g: Graph) -> list[HoareTriple]:
+def _elemwise_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[HoareTriple]:
     """Every operand takes the output's form: the same sharded axis, full
     replication, or partial sums for a linear op."""
     kind = _ELEMWISE_KINDS[node.op]
     f = node_flops(g, node)
-    out = [_rule(kind, all_gather(node.id, d), tuple(all_gather(e, d) for e in node.inputs),
-                 tag=node.tag, sharded=True, flops=f) for d in range(len(node.shape))]
-    out.append(_rule(kind, identity(node.id), tuple(map(identity, node.inputs)), tag=node.tag,
-                     flops=f))
+    ins = [forms[e] for e in node.inputs]
+    out = forms[node.id]
+    rules = [_rule(kind, s, tuple(e.shard[d] for e in ins), tag=node.tag, sharded=True, flops=f)
+             for d, s in enumerate(out.shard)]
+    rules.append(_rule(kind, out.full, tuple(e.full for e in ins), tag=node.tag, flops=f))
     if node.op == "Identity" or node.tag == "add":
         # Identity and addition commute with the cross-device sum; Mul does not.
-        out.append(_rule(kind, all_reduce(node.id), tuple(map(all_reduce, node.inputs)),
-                         tag=node.tag, flops=f))
-    return out
+        rules.append(_rule(kind, out.partial, tuple(e.partial for e in ins), tag=node.tag,
+                           flops=f))
+    return rules
 
 
-def _reduce_rules(node: Node, g: Graph) -> list[HoareTriple]:
-    (e1,) = node.inputs
-    e2 = node.id
+def _reduce_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[HoareTriple]:
+    e1, e2 = forms[node.inputs[0]], forms[node.id]
     f = node_flops(g, node)
     dims = node.dims or ()
-    out = [_rule("reduce", identity(e2), (identity(e1),), dims=dims, flops=f),
-           _rule("reduce", all_reduce(e2), (all_reduce(e1),), dims=dims, flops=f)]
-    for d in range(len(g.tensors[e1].shape)):
+    out = [_rule("reduce", e2.full, (e1.full,), dims=dims, flops=f),
+           _rule("reduce", e2.partial, (e1.partial,), dims=dims, flops=f)]
+    for d, s in enumerate(e1.shard):
         if d in dims:
             # Reducing over the sharded axis leaves per-device partial sums.
-            post = all_reduce(e2)
+            post = e2.partial
         else:
-            post = all_gather(e2, d - sum(1 for r in dims if r < d))
-        out.append(_rule("reduce", post, (all_gather(e1, d),), dims=dims, sharded=True, flops=f))
+            post = e2.shard[d - sum(1 for r in dims if r < d)]
+        out.append(_rule("reduce", post, (s,), dims=dims, sharded=True, flops=f))
     return out
 
 
@@ -259,35 +269,44 @@ _RULES = {
 }
 
 
-def _comm_rules(ref: str, shape: tuple[int, ...]) -> list[HoareTriple]:
-    n = math.prod(shape)
-    full, partial = identity(ref), all_reduce(ref)
-    shards = list(enumerate(all_gather(ref, d) for d in range(len(shape))))
-    return ([_rule("all_reduce", full, (partial,), elements=n)]
-            + [_rule("reduce_scatter", p, (partial,), axis=d, elements=n) for d, p in shards]
-            + [_rule("all_gather", full, (p,), axis=d, elements=n) for d, p in shards]
+def _comm_rules(e: _Forms, n: int, guard: tuple) -> list[HoareTriple]:
+    full, partial = e.full, e.partial
+    shards = list(enumerate(e.shard))
+    return ([_rule("all_reduce", full, (partial,), elements=n, guard=guard)]
+            + [_rule("reduce_scatter", p, (partial,), axis=d, elements=n, guard=guard)
+               for d, p in shards]
+            + [_rule("all_gather", full, (p,), axis=d, elements=n, guard=guard)
+               for d, p in shards]
             # Same contract as AllGather(d); costs differ under skewed ratios.
-            + [_rule("grouped_broadcast", full, (p,), axis=d, elements=n) for d, p in shards]
-            + [_rule("all_to_all", p2, (p1,), axis=d1, axis2=d2, elements=n)
+            + [_rule("grouped_broadcast", full, (p,), axis=d, elements=n, guard=guard)
+               for d, p in shards]
+            + [_rule("all_to_all", p2, (p1,), axis=d1, axis2=d2, elements=n, guard=guard)
                for d1, p1 in shards for d2, p2 in shards if d1 != d2])
 
 
-def derive_theory(g: Graph, m: int) -> Theory:
+def derive_theory(g: Graph, m: int, *, guards: bool = False) -> Theory:
     """All sound triples for `g`; their instructions are the only ones a plan
     for `g` may contain.  The triple set does not depend on `m` (shards of
-    extent zero are legal), but `m` must be a sane device count."""
+    extent zero are legal), but `m` must be a sane device count.  With
+    `guards`, a tensor is communicated at most once: a collective rule on e
+    needs NotCommunicated(e), which every tensor starts with, and posts
+    Communicated(e); sources, whose sharded forms are free, get none."""
     if m < 1:
         raise ValueError(f"device count must be >= 1, got {m}")
+    forms = {node.id: _forms(node.id, len(node.shape)) for node in g.nodes}
     triples: list[HoareTriple] = []
     for node in g.nodes:
-        triples.extend(_RULES[node.op](node, g))
+        triples.extend(_RULES[node.op](node, g, forms))
     for node in g.nodes:
-        triples.extend(_comm_rules(node.id, node.shape))
+        if not guards:
+            triples.extend(_comm_rules(forms[node.id], math.prod(node.shape), _UNGUARDED))
+        elif node.op not in SOURCE_OPS:
+            guard = ((not_communicated(node.id),), (communicated(node.id),))
+            triples.extend(_comm_rules(forms[node.id], math.prod(node.shape), guard))
     for tr in triples:
-        assert tr.post - tr.pre, f"vacuous rule derived: {tr}"
-    sources = frozenset(n.id for n in g.nodes if n.op in ("Placeholder", "Parameter"))
-    return Theory(triples=tuple(triples), loss=g.loss, tensor_ids=g.tensor_ids,
-                  source_ids=sources)
+        assert not tr.post <= tr.pre, f"vacuous rule derived: {tr}"
+    initial = frozenset(map(not_communicated, forms)) if guards else frozenset()
+    return Theory(triples=tuple(triples), loss=g.loss, initial_props=initial)
 
 
 def fuse_empty_preconditions(t: Theory) -> Theory:
@@ -332,36 +351,8 @@ def fuse_empty_preconditions(t: Theory) -> Theory:
     return t._replace(triples=tuple(kept))
 
 
-def add_communication_guards(t: Theory) -> Theory:
-    """Allow at most one communication per reference tensor.
-
-    Every triple containing a communication instruction on tensor e gains
-    NotCommunicated(e) in its pre and Communicated(e) in its post; triples
-    communicating Placeholder/Parameter tensors are dropped outright (their
-    sharded forms come straight from the source rules).  Property sets then
-    start from NotCommunicated for every tensor.
-    """
-    kept: list[HoareTriple] = []
-    for tr in t.triples:
-        comm_refs = [i.ref for i in tr.instrs if i.is_comm]
-        if any(ref in t.source_ids for ref in comm_refs):
-            continue
-        if comm_refs:
-            pre = tr.pre | {not_communicated(r) for r in comm_refs}
-            post = tr.post | {communicated(r) for r in comm_refs}
-            kept.append(HoareTriple(pre, tr.instrs, post))
-        else:
-            kept.append(tr)
-    initial = frozenset(not_communicated(ref) for ref in t.tensor_ids)
-    return t._replace(triples=tuple(kept), initial_props=initial)
-
-
 def build_theory(g: Graph, m: int, *, guards: bool = True, fuse: bool = True) -> Theory:
     """Standard derivation pipeline used by the planner."""
-    t = derive_theory(g, m)
-    if guards:
-        t = add_communication_guards(t)
-    if fuse:
-        t = fuse_empty_preconditions(t)
-    return t
+    t = derive_theory(g, m, guards=guards)
+    return fuse_empty_preconditions(t) if fuse else t
 

@@ -3,14 +3,15 @@
 Everything here is deliberately brute-force: grids, vertex enumeration,
 exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
-points, except the search-space walks and the reference forms of two of the
-package's shortcuts: triple fusion by a scan over every triple, and the
-simplex with dense pivots.  The walks step with `SearchContext.step`, the
-one step function the search itself takes, to list programs; the
-enumeration's state graph also takes the applicable triples and their
-property changes from `SearchContext`, and the stage steps from
-`StagePricer.advance`.  A search node holds no instructions: `program`
-rebuilds them from its path.
+points, except the search-space walks and the reference forms of four of the
+package's shortcuts: the communication guards by rewriting the raw theory,
+triple fusion by a scan over every triple, the simplex with dense pivots,
+and the graph document by the json encoder.  The walks step with
+`SearchContext.step`, the one step function the search itself takes, to
+list programs; the enumeration's state graph also takes the applicable
+triples and their property changes from `SearchContext`, and the stage
+steps from `StagePricer.advance`.  A search node holds no instructions:
+`program` rebuilds them from its path.
 """
 from __future__ import annotations
 
@@ -34,8 +35,9 @@ from shardplan.interpreter import (EquivalenceReport, ExecutionError,
                                    table_sizes)
 from shardplan.load_balancer import SegmentProblem
 from shardplan.synthesizer import SearchContext
-from shardplan.theory import (ALL_GATHER, ALL_REDUCE, IDENTITY, HoareTriple,
-                              dist_id, form_of_dist_id)
+from shardplan.theory import (ALL_GATHER, ALL_REDUCE, GUARD_KINDS, IDENTITY, HoareTriple,
+                              communicated, dist_id, form_of_dist_id,
+                              not_communicated)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,7 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
     for triple in theory.triples:
         env: dict[str, list[np.ndarray]] = {}
         for prop in triple.pre:
-            if prop.is_guard:
+            if prop.kind in GUARD_KINDS:
                 continue
             env[dist_id(prop)] = materialize_property(
                 prop, refs[prop.ref], spec.m, shard_table, rng)
@@ -285,7 +287,7 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
             bad.append(f"{triple}: execution failed: {e}")
             continue
         for prop in triple.post:
-            if prop.is_guard:
+            if prop.kind in GUARD_KINDS:
                 continue
             did = dist_id(prop)
             if did not in env:
@@ -294,6 +296,60 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
             if not check_form(prop, env[did], refs[prop.ref], rtol=rtol):
                 bad.append(f"{triple}: post {prop} does not hold")
     return bad
+
+
+# ---------------------------------------------------------------------------
+# the graph document by the json encoder
+
+
+def graph_to_dict(g) -> dict:
+    """The document `graph_ir.serialize_graph` writes, as a dict:
+    `json.dumps(graph_to_dict(g), indent=2) + "\\n"` is its reference."""
+    nodes = []
+    for n in g.nodes:
+        attrs: dict = {}
+        if n.op in ("ElemwiseUnary", "ElemwiseBinary"):
+            attrs["tag"] = n.tag
+        elif n.op == "Reduce":
+            attrs["dims"] = list(n.dims or ())
+        nodes.append({
+            "id": n.id,
+            "op": n.op,
+            "inputs": list(n.inputs),
+            "shape": list(n.shape),
+            "attrs": attrs,
+        })
+    return {"nodes": nodes, "loss": g.loss}
+
+
+# ---------------------------------------------------------------------------
+# communication guards by rewriting
+
+
+def add_communication_guards(t, g):
+    """The guarded theory that `derive_theory(g, m, guards=True)` derives,
+    made by rewriting the raw theory `t` of graph `g`.
+
+    Every triple containing a communication instruction on tensor e gains
+    NotCommunicated(e) in its pre and Communicated(e) in its post; triples
+    communicating Placeholder/Parameter tensors are dropped outright (their
+    sharded forms come straight from the source rules).  Property sets then
+    start from NotCommunicated for every tensor.
+    """
+    source_ids = frozenset(n.id for n in g.nodes if n.op in ("Placeholder", "Parameter"))
+    kept: list[HoareTriple] = []
+    for tr in t.triples:
+        comm_refs = [i.ref for i in tr.instrs if i.is_comm]
+        if any(ref in source_ids for ref in comm_refs):
+            continue
+        if comm_refs:
+            pre = tr.pre | {not_communicated(r) for r in comm_refs}
+            post = tr.post | {communicated(r) for r in comm_refs}
+            kept.append(HoareTriple(pre, tr.instrs, post))
+        else:
+            kept.append(tr)
+    initial = frozenset(not_communicated(ref) for ref in g.tensor_ids)
+    return t._replace(triples=tuple(kept), initial_props=initial)
 
 
 # ---------------------------------------------------------------------------

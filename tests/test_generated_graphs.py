@@ -21,6 +21,8 @@ from shardplan.graph_ir import BINARY_TAGS, UNARY_TAGS, graph_from_dict
 from shardplan.interpreter import check_equivalence
 from shardplan.synthesizer import DistributedProgram, enumerate_programs
 from shardplan.theory import COLLECTIVE_KINDS
+from test_graph_ir import assert_serialized_as_json_encodes
+from test_theory import assert_guards_match_the_rewrite
 
 MAX_NODES = 5
 # A tensor of rank r has r + 2 forms (full, each sharded axis, partial).
@@ -147,6 +149,14 @@ EXAMPLES = settings(derandomize=True, deadline=None, database=None,
 @given(graphs(), clusters())
 def test_generated_plans_are_optimal_sound_and_load_back(graph_doc, cluster_doc):
     _plan_is_optimal_sound_and_loads_back(graph_doc, cluster_doc)
+
+
+@settings(EXAMPLES, max_examples=60)
+@given(st.one_of(graphs(), contracting_graphs()))
+def test_generated_guards_and_graph_text_match_their_references(graph_doc):
+    g = graph_from_dict(graph_doc)
+    assert_guards_match_the_rewrite(g)
+    assert_serialized_as_json_encodes(g)
 
 
 def test_batch_contracting_plans_are_optimal_and_some_use_a_collective():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import corpus
@@ -5,15 +7,46 @@ import oracles
 from shardplan import GraphFormatError, parse_graph
 from shardplan.cost_model import single_segment
 from shardplan.graph_ir import (assign_segments, flops_of, graph_from_dict,
-                                graph_to_dict, infer_shape, node_flops,
-                                serialize_graph)
+                                infer_shape, node_flops, serialize_graph)
 
 
 def test_parse_round_trip_whole_corpus():
     for name, g in corpus.corpus_graphs():
         again = parse_graph(serialize_graph(g))
-        assert graph_to_dict(again) == graph_to_dict(g), name
+        assert oracles.graph_to_dict(again) == oracles.graph_to_dict(g), name
         assert serialize_graph(again) == serialize_graph(g), name
+
+
+def assert_serialized_as_json_encodes(g, name=""):
+    assert serialize_graph(g) == json.dumps(oracles.graph_to_dict(g), indent=2) + "\n", name
+
+
+def test_graph_text_is_what_the_json_encoder_writes():
+    graphs = corpus.corpus_graphs() + [
+        ("dead_branch", graph_from_dict(corpus.dead_branch())),
+        ("gram", graph_from_dict(corpus.gram()))]
+    graphs += [(f"chain{b}", graph_from_dict(corpus.chain_graph(b))) for b in (1, 3)]
+    graphs += [(f"mix{b}", graph_from_dict(corpus.mix_graph(b, 16, 32))) for b in (1, 2)]
+    for name, g in graphs:
+        assert_serialized_as_json_encodes(g, name)
+
+
+def test_graph_text_escapes_ids_and_tags_as_json_does():
+    # A quote, a backslash, non-ASCII (one BMP and one astral character)
+    # and a control character, in ids and in a tag.
+    ids = ['x"q', "w\\b", "h\u00e9\U0001f600", "u\x01\n", "loss\t"]
+    doc = {"nodes": [
+        {"id": ids[0], "op": "Placeholder", "shape": [2, 3]},
+        {"id": ids[1], "op": "Parameter", "shape": [3, 2]},
+        {"id": ids[2], "op": "MatMul", "inputs": ids[:2]},
+        {"id": ids[3], "op": "ElemwiseUnary", "inputs": [ids[2]], "attrs": {"tag": "relu"}},
+        {"id": ids[4], "op": "Reduce", "inputs": [ids[3]], "attrs": {"dims": "all"}},
+    ], "loss": ids[4]}
+    g = graph_from_dict(doc)
+    assert_serialized_as_json_encodes(g)
+    assert_serialized_as_json_encodes(g._replace(nodes=tuple(
+        n._replace(tag='r"\\\u00e9\x02') if n.tag else n for n in g.nodes)))
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_matmul_shape_inference():

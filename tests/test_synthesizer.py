@@ -273,7 +273,7 @@ def test_collective_fires_from_the_state_that_closes_its_stage_cheapest():
                          HoareTriple(a, gather_x, c1),
                          HoareTriple(a | b | c1, gather_w, c2),
                          HoareTriple(c2, reduce, frozenset({all_reduce("loss")}))),
-                loss="loss", tensor_ids=g.tensor_ids, source_ids=frozenset())
+                loss="loss")
     spec, B = corpus.slow2(), ShardingRatios(((0.1, 0.9),))
     _matches_state_graph(g, th, spec, B)
     program = enumerate_programs(g, th, spec, B).program.instrs

@@ -7,7 +7,7 @@ from shardplan import (ShardingRatios, build_shard_table, build_theory,
 from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
 from shardplan.synthesizer import SearchContext
-from shardplan.theory import (Instruction, all_gather, all_reduce,
+from shardplan.theory import (COMMUNICATED, GUARD_KINDS, Instruction, all_gather, all_reduce,
                               communicated, derive_theory,
                               fuse_empty_preconditions, identity,
                               not_communicated)
@@ -187,6 +187,47 @@ def test_fusion_index_finds_the_consumers_a_scan_finds(guards):
         unfused = build_theory(g, 2, guards=guards, fuse=False)
         fused = fuse_empty_preconditions(unfused).triples
         assert list(map(str, fused)) == list(map(str, oracles.fuse_by_scan(unfused))), name
+
+
+def _guard_graphs():
+    yield from _fusion_graphs()
+    yield "dead_branch", graph_from_dict(corpus.dead_branch())
+    yield "gram", graph_from_dict(corpus.gram())
+
+
+def assert_guards_match_the_rewrite(g, name=""):
+    """The guarded theory, fused or not, equals the raw theory rewritten by
+    `oracles.add_communication_guards`, triple for triple and in order; and
+    the raw theory still derives every source tensor's collectives."""
+    raw = derive_theory(g, 2)
+    reference = oracles.add_communication_guards(raw, g)
+    guarded = build_theory(g, 2, fuse=False)
+    assert guarded.triples == reference.triples, name
+    assert guarded.initial_props == reference.initial_props, name
+    fused = build_theory(g, 2)
+    assert fused.triples == fuse_empty_preconditions(guarded).triples, name
+    assert fused.initial_props == guarded.initial_props, name
+    sources = [n for n in g.nodes if n.op in ("Placeholder", "Parameter")]
+    communicated_refs = {i.ref for tr in raw.triples for i in tr.instrs if i.is_comm}
+    assert {n.id for n in sources} <= communicated_refs, name
+
+
+def test_guards_are_derived_as_the_rewrite_makes_them():
+    for name, g in _guard_graphs():
+        assert_guards_match_the_rewrite(g, name)
+
+
+def test_search_context_reads_each_triples_guards_and_new_refs():
+    # What a triple retires and newly computes, by their definitions over
+    # its post's properties.
+    for name, g in _guard_graphs():
+        for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
+            ctx = SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2))
+            for ti, tr in enumerate(th.triples):
+                assert _props_of(ctx, ctx.tretire[ti]) == {
+                    not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED}, name
+                assert ctx.tnew_refs[ti] == sorted(
+                    {p.ref for p in tr.post if p.kind not in GUARD_KINDS}), name
 
 
 def test_rule_types_are_immutable_tuples():
