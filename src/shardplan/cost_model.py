@@ -391,10 +391,14 @@ def round_shards(extent: int, ratios) -> list[int]:
 def build_shard_table(g: Graph, B: ShardingRatios,
                       assignment: SegmentAssignment) -> dict[tuple[str, int], list[int]]:
     """Integer shard sizes for every (tensor, axis) pair, rounded from the
-    tensor's segment's ratio row."""
+    tensor's segment's ratio row; each distinct (extent, row) is rounded
+    once, and every axis gets its own copy."""
     table: dict[tuple[str, int], list[int]] = {}
+    rounded: dict[tuple[int, int], list[int]] = {}
     for t in g.tensors.values():
-        row = B.row(assignment.row_index(t.id))
+        r = assignment.row_index(t.id)
         for axis, extent in enumerate(t.shape):
-            table[(t.id, axis)] = round_shards(extent, row)
+            if (sizes := rounded.get((extent, r))) is None:
+                sizes = rounded[(extent, r)] = round_shards(extent, B.row(r))
+            table[(t.id, axis)] = sizes.copy()
     return table

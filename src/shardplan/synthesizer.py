@@ -1,12 +1,13 @@
 """Program synthesis: best-first search for the cheapest distributed program.
 
 Search nodes are partial programs, holding only what the search reads:
-property set, closed cost, open stage, remaining flops, computed tensors,
-path of triples, depth and score.  Applying a triple whose precondition is
-satisfied (and whose postcondition adds something new) merges its
-postcondition and appends the triple to the path.  A program is complete once
-the loss carries the AllReduce-form property; the winner's is rebuilt from
-its path.
+property set (an int whose bit i is interned property id i), closed cost,
+open stage, remaining flops, computed tensors, path of triples, depth and
+score.  Applying a triple whose precondition is satisfied (and whose
+postcondition adds something new) sets its postcondition's bits, clears the
+guards it retires and appends the triple to the path.  A program is
+complete once the loss's AllReduce-form bit is set; the winner's is rebuilt
+from its path.
 
 The priority is cost + ecost where cost counts closed stages only and ecost
 is an admissible, consistent underestimate of everything still missing, so
@@ -33,7 +34,8 @@ import logging
 import math
 from array import array
 from itertools import chain
-from operator import add, le
+from functools import reduce
+from operator import add, le, or_
 from typing import NamedTuple
 
 from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
@@ -96,9 +98,10 @@ class SearchConfig(NamedTuple):
 
 
 class PartialProgram(NamedTuple):
-    """A search node.  `props` are interned property ids; the closed stages'
-    cost and the open stage are those `StagePricer.advance` leaves."""
-    props: frozenset[int]
+    """A search node.  `props` is a property set, an int with bit i set for
+    property id i; the closed stages' cost and the open stage are those
+    `StagePricer.advance` leaves."""
+    props: int
     computed: frozenset[str]
     closed_s: float
     stage: StageCost
@@ -109,8 +112,8 @@ class PartialProgram(NamedTuple):
 
 
 class SearchContext:
-    """Theory, cluster and ratio data prepared for fast expansion; every
-    instruction is priced by one `StagePricer`.  `root` is the empty program."""
+    """Theory, cluster and ratio data prepared for fast expansion, property sets
+    as int masks; one `StagePricer` prices every instruction.  `root` is the empty program."""
 
     def __init__(self, g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                  assignment: SegmentAssignment | None = None):
@@ -123,47 +126,45 @@ class SearchContext:
         self.pricer = StagePricer(spec, B, assignment)
 
         # Property ids in order of first appearance: the loss property, each
-        # triple's pre and post, then any guard a post retires that no triple
-        # holds (so `refs` covers every post).  Per triple, from each
-        # property's facts: the guards it retires (NotCommunicated(e) for each
-        # Communicated(e)) and the refs it newly computes, sorted.
+        # triple's pre and post, any guard a post retires that no triple holds
+        # (so `refs` covers every post), then the initial properties.  A
+        # property set is an int with bit i set for property id i.  Per
+        # triple, from each property's facts: the guards it retires, or-ed
+        # (NotCommunicated(e) for each Communicated(e)), and the refs it newly
+        # computes, sorted.
         self.triples = triples = theory.triples
         self._ids = ids = _Interner()
-        self.loss_prop_id = ids[all_reduce(theory.loss)]
         get = ids.__getitem__
-        self.tpre = [frozenset(map(get, tr.pre)) for tr in triples]
-        self.tpost = tpost = [frozenset(map(get, tr.post)) for tr in triples]
-        props, unset = ids.values, frozenset((None,))
+        loss = get(all_reduce(theory.loss))
+        pres = [tuple(map(get, tr.pre)) for tr in triples]
+        posts = [tuple(map(get, tr.post)) for tr in triples]
+        props, unset = ids.values, {None}
         refs = [None if p.kind in GUARD_KINDS else p.ref for p in props]
-        retire = [get(not_communicated(p.ref)) if p.kind == COMMUNICATED else None for p in props]
-        self.tretire = [frozenset(map(retire.__getitem__, post)) - unset for post in tpost]
-        self.tnew_refs = [sorted(set(map(refs.__getitem__, post)) - unset) for post in tpost]
-
-        self.by_elem: dict[int, list[int]] = {}
-        self.empty_pre: list[int] = []
-        for ti, pre in enumerate(self.tpre):
-            if not pre:
-                self.empty_pre.append(ti)
-            for p in pre:
-                self.by_elem.setdefault(p, []).append(ti)
-        self.initial_props = frozenset(map(get, theory.initial_props))
+        rbit = [1 << get(not_communicated(p.ref)) if p.kind == COMMUNICATED else 0 for p in props]
+        initial = tuple(map(get, theory.initial_props))
+        bit = [1 << pid for pid in range(len(props))]
+        self.loss_bit, self.initial_props = bit[loss], sum(map(bit.__getitem__, initial))
+        self.tpre = [sum(map(bit.__getitem__, pre)) for pre in pres]
+        self.tpost = tpost = [sum(map(bit.__getitem__, post)) for post in posts]
+        self.tretire = [reduce(or_, map(rbit.__getitem__, post), 0) for post in posts]
+        self.tnew_refs = [sorted(set(map(refs.__getitem__, post)) - unset) for post in posts]
+        self._scan = tuple(zip(range(len(triples)), self.tpre, tpost))
         self.root, self.opened_stage, self.step = self._closures(g)
 
     def instructions(self, path) -> tuple[Instruction, ...]:
         """The program that fires the triples of `path` in turn."""
         return tuple(chain.from_iterable(self.triples[ti].instrs for ti in path))
 
-    def applicable(self, props: frozenset[int]) -> tuple[int, ...]:
-        near = set(self.empty_pre)
-        for p in props:
-            near.update(self.by_elem.get(p, ()))
-        tpre, tpost = self.tpre, self.tpost
-        return tuple(sorted(ti for ti in near if tpre[ti] <= props and not tpost[ti] <= props))
+    def applicable(self, props: int) -> tuple[int, ...]:
+        """The triples whose pre props holds and whose post it lacks, in order."""
+        return tuple([ti for ti, pre, post in self._scan
+                      if pre & props == pre and post & props != post])
 
     def _closures(self, g: Graph):
         """The root node, `opened_stage` and `step`: closures over this
         context's tables, not over the context, which holds them."""
-        pricer, tpost, tretire, tnew_refs = self.pricer, self.tpost, self.tretire, self.tnew_refs
+        pricer, tpost, tnew_refs = self.pricer, self.tpost, self.tnew_refs
+        keep = [~r for r in self.tretire]
         advance, comp_s, empty, new = pricer.advance, pricer.comp, pricer.empty, tuple.__new__
         instrs = [tr.instrs for tr in self.triples]
         # `opened_stage`'s memo: None until a collective-first triple fires
@@ -224,9 +225,7 @@ class SearchContext:
             elif how is not None:       # a source adds 0.0 s, which moves no sum
                 comm_s, comp, row, comm = stage
                 stage = new(StageCost, (comm_s, tuple(map(add, comp, comp_s(how, row))), row, comm))
-            props = props | tpost[ti]
-            if tretire[ti]:
-                props -= tretire[ti]
+            props = (props | tpost[ti]) & keep[ti]
             if not computed.issuperset(tnew_refs[ti]):
                 fresh = [r for r in tnew_refs[ti] if r not in computed]
                 computed = computed | frozenset(fresh)
@@ -257,7 +256,7 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
     """Minimum-cost complete program for the graph under fixed ratios B."""
     cfg = cfg or SearchConfig()
     ctx = SearchContext(g, theory, spec, B, assignment)
-    step, applicable, loss, root = ctx.step, ctx.applicable, ctx.loss_prop_id, ctx.root
+    step, applicable, loss, root = ctx.step, ctx.applicable, ctx.loss_bit, ctx.root
 
     # Equal scores are common (fully sharded instructions leave the score
     # unchanged), so ties prefer the deeper node, then the lower triple path:
@@ -268,12 +267,11 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
     # successor is dropped (`purged`) when a node in its bucket costs no more
     # in any component (closed stages, the open stage's collective, each
     # device's compute) and waits for a row on the same collective, or none.
-    buckets: dict[frozenset[int], list[PartialProgram]] = {root.props: [root]}
+    buckets: dict[int, list[PartialProgram]] = {root.props: [root]}
     best: PartialProgram | None = None
     best_s = bound = math.inf       # best complete cost; scores it cuts off
     expansions = generated = purged = 0
-    last_score = 0.0
-    exhausted = False
+    last_score, exhausted = 0.0, False
     trace = _logger.isEnabledFor(logging.DEBUG)
 
     while heap:
@@ -290,14 +288,14 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
         expansions += 1
         if trace:
             _logger.debug("expand #%d score=%.6g instrs=%d props=%d",
-                          expansions, q.score_s, q.depth, len(q.props))
+                          expansions, q.score_s, q.depth, q.props.bit_count())
 
         for ti in applicable(q.props):
             succ = step(q, ti)
             generated += 1
             props, _, closed, stage, _, score, _, _ = succ
 
-            if loss in props:
+            if props & loss:
                 total = closed + stage.time_s
                 if total < best_s:
                     best, best_s = succ, total
@@ -387,45 +385,43 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     stages = _Interner()
     stage_tail: list[float] = []     # per stage id
     # per stage id, by triple index: (stage id after it, closed stage times)
-    stage_next: list[dict[int, tuple[int, tuple[float, ...]]]] = []
+    stage_next: list[list[tuple[int, tuple[float, ...]] | None]] = []
 
     def intern_stage(stage: StageCost) -> int:
         sid = stages[stage]
         if sid == len(stage_tail):
             stage_tail.append(stage.time_s)
-            stage_next.append({})
+            stage_next.append([None] * len(tlen))
         return sid
 
     intern_stage(root.stage)
 
     def stage_successor(sid: int, ti: int) -> tuple[int, tuple[float, ...]]:
         closes, stage = ctx.pricer.advance(stages.values[sid], ctx.triples[ti].instrs)
-        charges = tuple(done.time_s for done in closes) if closes else ()
-        out = stage_next[sid][ti] = (intern_stage(stage), charges)
+        out = stage_next[sid][ti] = intern_stage(stage), tuple(d.time_s for d in closes)
         return out
 
     props = _Interner()
     props[root.props]
-    props_done = [ctx.loss_prop_id in root.props]     # per props id
+    props_done = [bool(ctx.loss_bit & root.props)]     # per props id
     # per props id: ((ti, props id', length step, opened stage id), ...) of every
     # applicable triple, and of those whose `ctx.opened_stage` is None (id -1)
     props_succ: list = [None]
 
     def props_successors(pid: int) -> tuple[tuple, tuple]:
         ps = props.values[pid]
-        steps = tuple((ti, props[(ps | ctx.tpost[ti]) - ctx.tretire[ti]], tlen[ti],
+        steps = tuple((ti, props[(ps | ctx.tpost[ti]) & ~ctx.tretire[ti]], tlen[ti],
                        -1 if (opened := ctx.opened_stage(ti)) is None
                        else intern_stage(opened))
                       for ti in ctx.applicable(ps))
         for fresh in props.values[len(props_done):]:
-            props_done.append(ctx.loss_prop_id in fresh)
+            props_done.append(bool(ctx.loss_bit & fresh))
             props_succ.append(None)
         succ = props_succ[pid] = (steps, tuple(st for st in steps if st[3] < 0))
         return succ
 
     closed = array("d", [root.closed_s])
-    parent = array("q", [-1])
-    via = array("q", [-1])
+    parent, via = array("q", [-1]), array("q", [-1])
     layers: dict[int, dict[int, dict[int, int]]] = {0: {0: {0: 0}}}
     best_total = math.inf
     best_at: tuple[int, int] | None = None     # (parent state, triple index)
@@ -458,10 +454,11 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
                 nexts = stage_next[sid]
                 for ti, npid, step, nsid in (steps if s == best else others):
                     if nsid < 0:
-                        nsid, closes = nexts.get(ti) or stage_successor(sid, ti)
+                        nsid, closes = nexts[ti] or stage_successor(sid, ti)
                         c = base
-                        for charge in closes:
-                            c += charge
+                        if closes:
+                            for charge in closes:
+                                c += charge
                     else:
                         c = best_c
                     target = targets[step]
@@ -489,8 +486,7 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     if best_at is None:
         raise NoCompleteProgramError(
             f"no complete program within {max_len} instructions")
-    path = [best_at[1]]
-    s = best_at[0]
+    s, path = best_at[0], [best_at[1]]
     while s > 0:
         path.append(via[s])
         s = parent[s]

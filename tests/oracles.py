@@ -3,15 +3,16 @@
 Everything here is deliberately brute-force: grids, vertex enumeration,
 exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
-points, except the search-space walks and the reference forms of four of the
+points, except the search-space walks and the reference forms of five of the
 package's shortcuts: the communication guards by rewriting the raw theory,
-triple fusion by a scan over every triple, the simplex with dense pivots,
-and the graph document by the json encoder.  The walks step with
-`SearchContext.step`, the one step function the search itself takes, to
-list programs; the enumeration's state graph also takes the applicable
-triples and their property changes from `SearchContext`, and the stage
-steps from `StagePricer.advance`.  A search node holds no instructions:
-`program` rebuilds them from its path.
+triple fusion by a scan over every triple, applicable triples by a near-set
+over sets of properties (the search holds property sets as int masks), the
+simplex with dense pivots, and the graph document by the json encoder.
+The walks step with `SearchContext.step`, the one step function the search
+itself takes, to list programs; the enumeration's state graph also takes
+the applicable triples and their property changes from `SearchContext`,
+and the stage steps from `StagePricer.advance`.  A search node holds no
+instructions: `program` rebuilds them from its path.
 """
 from __future__ import annotations
 
@@ -378,6 +379,33 @@ def fuse_by_scan(theory) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# applicable triples by a near-set over sets of properties
+
+
+def near_set_applicable(triples):
+    """`SearchContext.applicable` as a function of a set of properties, not
+    of a mask: a triple is a candidate when its pre is empty or names a
+    property of the set, and applies when the set holds its pre and lacks
+    part of its post.  Returns the sorted triple indices, as the search
+    iterates them."""
+    by_elem: dict = {}
+    empty_pre: list[int] = []
+    for ti, tr in enumerate(triples):
+        if not tr.pre:
+            empty_pre.append(ti)
+        for p in tr.pre:
+            by_elem.setdefault(p, []).append(ti)
+
+    def applicable(props: frozenset) -> tuple[int, ...]:
+        near = set(empty_pre)
+        for p in props:
+            near.update(by_elem.get(p, ()))
+        return tuple(sorted(ti for ti in near
+                            if triples[ti].pre <= props and not triples[ti].post <= props))
+    return applicable
+
+
+# ---------------------------------------------------------------------------
 # search-space walks
 
 
@@ -389,7 +417,7 @@ class Program(NamedTuple):
 
 def program(q, ctx) -> Program:
     """The program of search node q, rebuilt from its path."""
-    return Program(ctx.instructions(q.path), ctx.loss_prop_id in q.props)
+    return Program(ctx.instructions(q.path), bool(q.props & ctx.loss_bit))
 
 
 def total_s(q) -> float:
@@ -424,7 +452,7 @@ def enumerate_all_complete(g, theory, spec, B, max_len: int, assignment=None) ->
     stack = [ctx.root]
     while stack:
         q = stack.pop()
-        if ctx.loss_prop_id in q.props:
+        if q.props & ctx.loss_bit:
             out.add(ctx.instructions(q.path))
             continue
         if q.depth >= max_len:
@@ -465,7 +493,7 @@ class StateGraph(NamedTuple):
     ctx: SearchContext
 
     def complete(self, q) -> bool:
-        return self.ctx.loss_prop_id in q.props
+        return bool(q.props & self.ctx.loss_bit)
 
     def instrs(self, q) -> tuple:
         return self.ctx.instructions(q.path)
@@ -499,7 +527,7 @@ def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
         props = prop_sets[pid]
         out = []
         for ti in ctx.applicable(props):
-            after = (props | ctx.tpost[ti]) - ctx.tretire[ti]
+            after = (props | ctx.tpost[ti]) & ~ctx.tretire[ti]
             length = prop_len[pid] + len(triples[ti].instrs)
             npid = prop_ids.get(after)
             if npid is None:
@@ -548,7 +576,7 @@ def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
                         or node.stage != stages[sid] or node.depth != length):
                     raise AssertionError(
                         f"state {s}: the rebuilt program disagrees with the state")
-            if ctx.loss_prop_id in node.props or length >= max_len:
+            if node.props & ctx.loss_bit or length >= max_len:
                 continue
             base = closed[s]
             succs = prop_next[pid]
@@ -570,7 +598,7 @@ def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
                     via.append(ti)
                     nodes.append(None)
                     layers.setdefault(prop_len[npid], []).append(t)
-                    complete_states += ctx.loss_prop_id in prop_sets[npid]
+                    complete_states += bool(prop_sets[npid] & ctx.loss_bit)
                 elif c < closed[t]:
                     closed[t] = c
                     parent[t] = s

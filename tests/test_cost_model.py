@@ -8,11 +8,13 @@ import pytest
 import corpus
 from oracles import COMPLETION_SCALE, ecost, program
 from shardplan import (ClusterFormatError, ClusterSpec, Instruction,
-                       ShardingRatios, build_theory, iteration_time, synthesize)
+                       ShardingRatios, build_shard_table, build_theory, iteration_time,
+                       synthesize)
 from shardplan.cli import _canon_rows
 from shardplan.cost_model import (StageCost, StagePricer, comm_terms, comm_time,
-                                  single_segment)
-from shardplan.graph_ir import SegmentAssignment, graph_from_dict, node_flops
+                                  round_shards, single_segment)
+from shardplan.graph_ir import (SegmentAssignment, assign_segments, graph_from_dict,
+                                node_flops)
 from shardplan.synthesizer import SearchContext
 
 
@@ -278,3 +280,20 @@ def test_ecost_ignores_dead_branches():
     assert live == 32
     assert ecost(program(ctx.root, ctx), g, spec, B) == COMPLETION_SCALE * live / 2.0 ** 31
 
+
+def test_shard_table_rounds_every_axis_as_round_shards_does():
+    # The table rounds each distinct (extent, row) once and copies it; every
+    # entry must be what rounding that axis on its own gives, in a list of
+    # its own.  The rows round unevenly, and the two-segment cases take
+    # each tensor's sizes from its own segment's row.
+    graphs = corpus.corpus_graphs() + [
+        (f"mix{blocks}", graph_from_dict(corpus.mix_graph(blocks, 12, 20))) for blocks in (1, 3)]
+    for name, g in graphs:
+        for B in (ShardingRatios(((0.7, 0.3),)), ShardingRatios(((0.62, 0.38), (0.13, 0.87))),
+                  ShardingRatios(((0.5, 0.3, 0.2), (0.1, 0.45, 0.45)))):
+            assignment = assign_segments(g, B.g)
+            assert assignment.count == 2 or B.g == 1, name
+            table = build_shard_table(g, B, assignment)
+            assert table == {(t.id, axis): round_shards(extent, B.row(assignment.row_index(t.id)))
+                             for t in g.tensors.values() for axis, extent in enumerate(t.shape)}
+            assert len(set(map(id, table.values()))) == len(table), name

@@ -47,19 +47,19 @@ def test_applicable_refuses_vacuous_triples():
 def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0), pending=None):
     # a collective waits for its stage's row while no computation names it
     stage = StageCost(comm, acc, None if pending else 0, pending)
-    return PartialProgram(props=frozenset(props), computed=frozenset(), closed_s=closed,
+    return PartialProgram(props=sum(1 << p for p in props), computed=frozenset(), closed_s=closed,
                           stage=stage, remaining=0.0, score_s=0.0, path=(), depth=0)
 
 
 def _search_pushes(g, th, spec, B, assignment=None):
     """The result of one search, every successor its step built, in order,
-    every node it pushed, its root and its context's loss property id."""
+    every node it pushed, its root and its context's loss property bit."""
     built, seen = [], {}
     closures = SearchContext._closures
 
     def recording(ctx, g):
         root, opened_stage, step = closures(ctx, g)
-        seen["root"], seen["loss"] = root, ctx.loss_prop_id
+        seen["root"], seen["loss"] = root, ctx.loss_bit
 
         def record(q, ti):
             built.append(step(q, ti))
@@ -97,7 +97,7 @@ def test_dominance_is_componentwise():
         best_s = bound = math.inf
         buckets, kept, purged = {root.props: [root]}, [], 0
         for succ in built:
-            if loss in succ.props:
+            if succ.props & loss:
                 if oracles.total_s(succ) < best_s:
                     best_s = oracles.total_s(succ)
                     bound = best_s - OPTIMALITY_MARGIN * abs(best_s)

@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 import corpus
@@ -13,9 +15,10 @@ from shardplan.theory import (COMMUNICATED, GUARD_KINDS, Instruction, all_gather
                               not_communicated)
 
 
-def _props_of(ctx, ids):
-    """The properties behind a search node's interned ids."""
-    return frozenset(p for p, pid in ctx._ids.items() if pid in ids)
+def _props_of(ctx, mask):
+    """The properties behind a search node's property set: bit i of the
+    mask is set for interned property id i."""
+    return frozenset(p for p, pid in ctx._ids.items() if mask >> pid & 1)
 
 
 def _signatures(theory):
@@ -218,16 +221,55 @@ def test_guards_are_derived_as_the_rewrite_makes_them():
 
 
 def test_search_context_reads_each_triples_guards_and_new_refs():
-    # What a triple retires and newly computes, by their definitions over
-    # its post's properties.
+    # A triple's pre and post masks, and what it retires and newly computes
+    # by their definitions over its post's properties.
     for name, g in _guard_graphs():
         for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
             ctx = SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2))
             for ti, tr in enumerate(th.triples):
+                assert _props_of(ctx, ctx.tpre[ti]) == tr.pre, name
+                assert _props_of(ctx, ctx.tpost[ti]) == tr.post, name
                 assert _props_of(ctx, ctx.tretire[ti]) == {
                     not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED}, name
                 assert ctx.tnew_refs[ti] == sorted(
                     {p.ref for p in tr.post if p.kind not in GUARD_KINDS}), name
+
+
+# Property sets each walk below expands, breadth first: every set the
+# smaller graphs reach, a prefix of the larger ones' (`chain_graph(2)`'s
+# theories reach more than 200,000).
+MASK_WALK_SETS = 600
+
+
+def test_property_masks_match_the_set_reference():
+    # On the property sets the search reaches from the root, `applicable`
+    # equals the near-set reference on the decoded set, and the search's
+    # step leads to the set plus the post less the retired guards.
+    for name, g in _guard_graphs():
+        for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
+            ctx = SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2))
+            retired = [{not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED}
+                       for tr in th.triples]
+            loss = all_reduce(th.loss)
+            assert _props_of(ctx, ctx.loss_bit) == {loss}, name
+            reference = oracles.near_set_applicable(th.triples)
+            sets = {ctx.root.props: _props_of(ctx, ctx.root.props)}
+            assert sets[ctx.root.props] == th.initial_props, name
+            todo = collections.deque([ctx.root])
+            while todo:
+                q = todo.popleft()
+                props = sets[q.props]
+                applicable = ctx.applicable(q.props)
+                assert applicable == reference(props), name
+                if loss in props:
+                    continue
+                for ti in applicable:
+                    succ = ctx.step(q, ti)
+                    if succ.props not in sets:
+                        sets[succ.props] = _props_of(ctx, succ.props)
+                        if len(sets) <= MASK_WALK_SETS:
+                            todo.append(succ)
+                    assert sets[succ.props] == (props | th.triples[ti].post) - retired[ti], name
 
 
 def test_rule_types_are_immutable_tuples():
