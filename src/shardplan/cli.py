@@ -30,7 +30,7 @@ from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
                          build_shard_table, check_byte_counts, iteration_time,
                          single_segment)
 from .graph_ir import (Graph, GraphFormatError, GraphTooLargeError, SegmentAssignment,
-                       _is_finite_number, _is_int, parse_graph, serialize_graph)
+                       _is_finite_number, _is_int, graph_from_dict, serialize_graph)
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
                           enumerate_programs)
@@ -54,24 +54,29 @@ def _graph_digest(g: Graph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()
 
 
-class OptionError(ValueError):
-    """A command-line option outside its range."""
+class InputError(ValueError):
+    """An option out of range, or a file that is not UTF-8 or nests too deeply."""
 
 
 def _check_option(name: str, value: int | None, lo: int, hi: int | None = None) -> None:
     if value is not None and (value < lo or (hi is not None and value > hi)):
         span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
-        raise OptionError(f"--{name} must be {span}, got {value}")
+        raise InputError(f"--{name} must be {span}, got {value}")
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e})") from None
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _graph_and_cluster(args) -> tuple[Graph, ClusterSpec]:
-    g = parse_graph(_read(args.graph))
-    spec = ClusterSpec.from_json(_read(args.cluster))
+    g = graph_from_dict(_load(args.graph))
+    spec = ClusterSpec.from_dict(_load(args.cluster))
     check_byte_counts(g, spec)
     return g, spec
 
@@ -243,7 +248,7 @@ def cmd_verify(args) -> int:
 
     _check_option("trials", args.trials, 1)
     _check_option("seed", args.seed, 0)
-    doc = json.loads(_read(args.plan))
+    doc = _load(args.plan)
     g, spec = _graph_and_cluster(args)
     plan = load_plan(doc, g, spec.m)
 
@@ -282,7 +287,7 @@ def cmd_enumerate(args) -> int:
     if args.ratios not in ("uniform", "flops"):
         # Anything else names a plan file whose ratios and segmentation we
         # reuse, so enumeration prices candidates under the plan's own B.
-        plan = load_plan(json.loads(_read(args.ratios)), g, spec.m)
+        plan = load_plan(_load(args.ratios), g, spec.m)
         assignment, B = plan.assignment, plan.ratios
     else:
         assignment = single_segment(g)
@@ -339,7 +344,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ClusterFormatError, PlanFormatError, OptionError,
+    except (GraphFormatError, ClusterFormatError, PlanFormatError, InputError,
             GraphTooLargeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

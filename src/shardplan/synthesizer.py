@@ -1,8 +1,8 @@
 """Program synthesis: best-first search for the cheapest distributed program.
 
 Search nodes are partial programs, holding only what the search reads:
-property set (an int whose bit i is interned property id i), closed cost,
-open stage, remaining flops, computed tensors, path of triples, depth and
+property set (the theory's own int mask), closed cost, open stage,
+remaining flops, computed tensors (an int mask), path of triples, depth and
 score.  Applying a triple whose precondition is satisfied (and whose
 postcondition adds something new) sets its postcondition's bits, clears the
 guards it retires and appends the triple to the path.  A program is
@@ -42,7 +42,7 @@ from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
                          single_segment)
 from .graph_ir import Graph, SegmentAssignment, node_flops
 from .theory import (COLLECTIVE_KINDS, COMMUNICATED, GUARD_KINDS, Instruction, Theory,
-                     all_reduce, not_communicated)
+                     all_reduce, bits)
 
 _logger = logging.getLogger("shardplan.synthesizer")
 
@@ -98,11 +98,11 @@ class SearchConfig(NamedTuple):
 
 
 class PartialProgram(NamedTuple):
-    """A search node.  `props` is a property set, an int with bit i set for
-    property id i; the closed stages' cost and the open stage are those
-    `StagePricer.advance` leaves."""
+    """A search node.  `props` is a property set of the theory; bit k of
+    `computed` is set once a property of `SearchContext.tensors[k]` is; the
+    closed stages' cost and the open stage are those `advance` leaves."""
     props: int
-    computed: frozenset[str]
+    computed: int
     closed_s: float
     stage: StageCost
     remaining: float          # flops of loss ancestors without any property
@@ -112,8 +112,9 @@ class PartialProgram(NamedTuple):
 
 
 class SearchContext:
-    """Theory, cluster and ratio data prepared for fast expansion, property sets
-    as int masks; one `StagePricer` prices every instruction.  `root` is the empty program."""
+    """Theory, cluster and ratio data prepared for fast expansion: the
+    theory's masks and per-triple tables read from them; one `StagePricer`
+    prices every instruction.  `root` is the empty program."""
 
     def __init__(self, g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                  assignment: SegmentAssignment | None = None):
@@ -125,29 +126,19 @@ class SearchContext:
         self.theory, self.spec, self.B = theory, spec, B
         self.pricer = StagePricer(spec, B, assignment)
 
-        # Property ids in order of first appearance: the loss property, each
-        # triple's pre and post, any guard a post retires that no triple holds
-        # (so `refs` covers every post), then the initial properties.  A
-        # property set is an int with bit i set for property id i.  Per
-        # triple, from each property's facts: the guards it retires, or-ed
-        # (NotCommunicated(e) for each Communicated(e)), and the refs it newly
-        # computes, sorted.
+        # Per triple: the guards it retires (the NotCommunicated bit below each
+        # Communicated bit it posts), and the tensors it realizes, bit k for `tensors[k]`.
         self.triples = triples = theory.triples
-        self._ids = ids = _Interner()
-        get = ids.__getitem__
-        loss = get(all_reduce(theory.loss))
-        pres = [tuple(map(get, tr.pre)) for tr in triples]
-        posts = [tuple(map(get, tr.post)) for tr in triples]
-        props, unset = ids.values, {None}
-        refs = [None if p.kind in GUARD_KINDS else p.ref for p in props]
-        rbit = [1 << get(not_communicated(p.ref)) if p.kind == COMMUNICATED else 0 for p in props]
-        initial = tuple(map(get, theory.initial_props))
-        bit = [1 << pid for pid in range(len(props))]
-        self.loss_bit, self.initial_props = bit[loss], sum(map(bit.__getitem__, initial))
-        self.tpre = [sum(map(bit.__getitem__, pre)) for pre in pres]
-        self.tpost = tpost = [sum(map(bit.__getitem__, post)) for post in posts]
-        self.tretire = [reduce(or_, map(rbit.__getitem__, post), 0) for post in posts]
-        self.tnew_refs = [sorted(set(map(refs.__getitem__, post)) - unset) for post in posts]
+        props = theory.props
+        self.loss_bit = 1 << props.index(all_reduce(theory.loss))
+        self.tpre = [tr.pre for tr in triples]
+        self.tpost = tpost = [tr.post for tr in triples]
+        comm = sum(1 << i for i, p in enumerate(props) if p.kind == COMMUNICATED)
+        self.tretire = [(post & comm) >> 1 for post in tpost]
+        self.tensors = sorted({p.ref for p in props if p.kind not in GUARD_KINDS})
+        tensor = [0 if p.kind in GUARD_KINDS else 1 << self.tensors.index(p.ref) for p in props]
+        realized = {post: reduce(or_, map(tensor.__getitem__, bits(post)), 0) for post in set(tpost)}
+        self.tnew = list(map(realized.__getitem__, tpost))
         self._scan = tuple(zip(range(len(triples)), self.tpre, tpost))
         self.root, self.opened_stage, self.step = self._closures(g)
 
@@ -163,7 +154,7 @@ class SearchContext:
     def _closures(self, g: Graph):
         """The root node, `opened_stage` and `step`: closures over this
         context's tables, not over the context, which holds them."""
-        pricer, tpost, tnew_refs = self.pricer, self.tpost, self.tnew_refs
+        pricer, tpost, tnew = self.pricer, self.tpost, self.tnew
         keep = [~r for r in self.tretire]
         advance, comp_s, empty, new = pricer.advance, pricer.comp, pricer.empty, tuple.__new__
         instrs = [tr.instrs for tr in self.triples]
@@ -172,6 +163,10 @@ class SearchContext:
         tlen = [len(seq) for seq in instrs]
         flops_map = {n.id: node_flops(g, n) for n in g.nodes}
         ancestors = g.loss_ancestors
+        # By a triple's `tnew`: (bit, flops) of each loss ancestor with flops in it, by name.
+        owed = [(1 << k, flops_map[ref]) if ref in ancestors and flops_map[ref] else None
+                for k, ref in enumerate(self.tensors)]
+        fresh = {mask: tuple(owed[k] for k in bits(mask) if owed[k]) for mask in set(tnew)}
         # Least seconds a remaining flop puts on each device: a B[r][j] share
         # of it if it runs sharded, all of it if replicated.
         floor_s = tuple(min(row[j] for row in self.B.rows) / rate
@@ -226,17 +221,15 @@ class SearchContext:
                 comm_s, comp, row, comm = stage
                 stage = new(StageCost, (comm_s, tuple(map(add, comp, comp_s(how, row))), row, comm))
             props = (props | tpost[ti]) & keep[ti]
-            if not computed.issuperset(tnew_refs[ti]):
-                fresh = [r for r in tnew_refs[ti] if r not in computed]
-                computed = computed | frozenset(fresh)
-                for r in fresh:
-                    if r in ancestors:
-                        remaining -= flops_map[r]
+            for b, flops in fresh[tnew[ti]]:
+                if not computed & b:
+                    remaining -= flops
+            computed |= tnew[ti]
             return new(PartialProgram, (props, computed, closed, stage, remaining, score(
                 closed, stage, remaining), path + (ti,), depth + tlen[ti]))
 
         remaining = float(sum(flops_map[r] for r in ancestors))
-        root = PartialProgram(self.initial_props, frozenset(), 0.0, empty, remaining,
+        root = PartialProgram(self.theory.initial_props, 0, 0.0, empty, remaining,
                               score(0.0, empty, remaining), (), 0)
         return root, opened_stage, step
 

@@ -10,7 +10,7 @@ distributed tensor reconstructs the reference tensor ``e``:
 
 Two guard pseudo-properties, ``Communicated``/``NotCommunicated``, never
 describe values; they only steer the search (at most one communication per
-reference tensor).
+reference tensor).  A property set is an int: bit i is ``Theory.props[i]``.
 
 ``derive_theory`` turns a graph into the set of sound triples
 ``{pre} instr {post}``: source rules, per-operator sharding rules, and
@@ -23,7 +23,8 @@ both shrink the search space without changing the reachable minimum cost.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .graph_ir import SOURCE_OPS, Graph, Node, node_flops
@@ -138,9 +139,7 @@ class Instruction(NamedTuple):
             doc["dims"] = list(self.dims)
         if self.tag is not None:
             doc["tag"] = self.tag
-        doc["sharded"] = self.sharded
-        doc["flops"] = self.flops
-        doc["elements"] = self.elements
+        doc.update(sharded=self.sharded, flops=self.flops, elements=self.elements)
         return doc
 
     @classmethod
@@ -153,54 +152,67 @@ class Instruction(NamedTuple):
 
 
 class HoareTriple(NamedTuple):
-    pre: frozenset[Property]
+    """{pre} instrs {post}; `pre` and `post` are property sets of a theory."""
+    pre: int
     instrs: tuple[Instruction, ...]
-    post: frozenset[Property]
-
-    def __str__(self) -> str:
-        pre = ",".join(sorted(map(str, self.pre)))
-        post = ",".join(sorted(map(str, self.post)))
-        seq = ";".join(i.canonical() for i in self.instrs)
-        return f"{{{pre}}} {seq} {{{post}}}"
+    post: int
 
 
 class Theory(NamedTuple):
+    """Every property set is an int whose bit i stands for `props[i]`; a
+    Communicated(e) bit is the one above the NotCommunicated(e) it retires."""
     triples: tuple[HoareTriple, ...]
     loss: str
-    initial_props: frozenset[Property] = frozenset()
+    props: tuple[Property, ...]
+    initial_props: int = 0
+
+
+def bits(mask: int):
+    """The indices of the set bits of `mask`, in ascending order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
 
 class _Forms(NamedTuple):
-    """A tensor's properties, each with its distributed tensor's `dist_id`."""
-    full: tuple[Property, str]
-    partial: tuple[Property, str]
-    shard: tuple[tuple[Property, str], ...]
+    """A tensor's forms as (bit, `dist_id`, tensor); its guards' bits, or (0, 0)."""
+    full: tuple[int, str, str]
+    partial: tuple[int, str, str]
+    shard: tuple[tuple[int, str, str], ...]
+    guard: tuple[int, int]
 
 
-def _forms(ref: str, rank: int) -> _Forms:
-    return _Forms((identity(ref), f"{ref}@full"), (all_reduce(ref), f"{ref}@partial"),
-                  tuple((all_gather(ref, d), f"{ref}@shard{d}") for d in range(rank)))
+def _forms(ref: str, rank: int, props: list[Property], guards: bool) -> _Forms:
+    """`ref`'s forms, and its guards if `guards`, on the next bits of `props`."""
+    b = len(props)
+    props += (identity(ref), all_reduce(ref), *(all_gather(ref, d) for d in range(rank)))
+    if guards:
+        props += (not_communicated(ref), communicated(ref))
+    guard = (1 << b + 2 + rank, 2 << b + 2 + rank) if guards else (0, 0)
+    return _Forms((1 << b, f"{ref}@full", ref), (2 << b, f"{ref}@partial", ref),
+                  tuple((4 << b + d, f"{ref}@shard{d}", ref) for d in range(rank)), guard)
 
 
 # tuple.__new__ builds a named tuple without the Python call its own __new__ makes.
-_prop, _did, _new = itemgetter(0), itemgetter(1), tuple.__new__
-_UNGUARDED = ((), ())
+_did, _new = itemgetter(1), tuple.__new__
 
 
-def _rule(kind: str, post: tuple[Property, str], pre: tuple[tuple[Property, str], ...] = (),
+def _rule(kind: str, post: tuple[int, str, str], pre: tuple[tuple[int, str, str], ...] = (),
           *, axis: int | None = None, axis2: int | None = None,
           dims: tuple[int, ...] | None = None, tag: str | None = None,
           sharded: bool = False, flops: int = 0, elements: int = 0,
-          guard: tuple[tuple[Property, ...], tuple[Property, ...]] = _UNGUARDED) -> HoareTriple:
+          guard: tuple[int, int] = (0, 0)) -> HoareTriple:
     """The triple {pre} kind {post}: one instruction on `post`'s reference
     tensor that reads the distributed tensor of each precondition form and
-    writes the one of the postcondition.  `guard` adds properties to the
-    pre and to the post."""
-    prop, did = post
-    instr = _new(Instruction, (kind, prop.ref, tuple(map(_did, pre)), did,
+    writes the one of the postcondition.  `guard` adds bits to the pre and
+    to the post."""
+    bit, did, ref = post
+    need = guard[0]
+    for p in pre:           # `|`, not a sum: an operand may be read twice
+        need |= p[0]
+    instr = _new(Instruction, (kind, ref, tuple(map(_did, pre)), did,
                                axis, axis2, dims, tag, sharded, flops, elements))
-    return _new(HoareTriple, (frozenset((*map(_prop, pre), *guard[0])), (instr,),
-                              frozenset((prop, *guard[1]))))
+    return _new(HoareTriple, (need, (instr,), bit | guard[1]))
 
 
 def _source_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[HoareTriple]:
@@ -269,8 +281,8 @@ _RULES = {
 }
 
 
-def _comm_rules(e: _Forms, n: int, guard: tuple) -> list[HoareTriple]:
-    full, partial = e.full, e.partial
+def _comm_rules(e: _Forms, n: int) -> list[HoareTriple]:
+    full, partial, guard = e.full, e.partial, e.guard
     shards = list(enumerate(e.shard))
     return ([_rule("all_reduce", full, (partial,), elements=n, guard=guard)]
             + [_rule("reduce_scatter", p, (partial,), axis=d, elements=n, guard=guard)
@@ -293,61 +305,61 @@ def derive_theory(g: Graph, m: int, *, guards: bool = False) -> Theory:
     Communicated(e); sources, whose sharded forms are free, get none."""
     if m < 1:
         raise ValueError(f"device count must be >= 1, got {m}")
-    forms = {node.id: _forms(node.id, len(node.shape)) for node in g.nodes}
+    props: list[Property] = []
+    forms = {node.id: _forms(node.id, len(node.shape), props, guards) for node in g.nodes}
     triples: list[HoareTriple] = []
     for node in g.nodes:
         triples.extend(_RULES[node.op](node, g, forms))
     for node in g.nodes:
-        if not guards:
-            triples.extend(_comm_rules(forms[node.id], math.prod(node.shape), _UNGUARDED))
-        elif node.op not in SOURCE_OPS:
-            guard = ((not_communicated(node.id),), (communicated(node.id),))
-            triples.extend(_comm_rules(forms[node.id], math.prod(node.shape), guard))
+        if not guards or node.op not in SOURCE_OPS:
+            triples.extend(_comm_rules(forms[node.id], math.prod(node.shape)))
     for tr in triples:
-        assert not tr.post <= tr.pre, f"vacuous rule derived: {tr}"
-    initial = frozenset(map(not_communicated, forms)) if guards else frozenset()
-    return Theory(triples=tuple(triples), loss=g.loss, initial_props=initial)
+        assert tr.post & ~tr.pre, f"vacuous rule derived: {tr}"
+    return Theory(triples=tuple(triples), loss=g.loss, props=tuple(props),
+                  initial_props=sum(e.guard[0] for e in forms.values()))
 
 
 def fuse_empty_preconditions(t: Theory) -> Theory:
     """Fold source rules into their consumers.
 
     One walk over the triples, fused ones included: each source rule T1
-    (empty pre, one post property) that has at least one consumer (a triple
-    T2 with post(T1) <= pre(T2)) is replaced by the fused triples
-    {pre(T2) \\ post(T1)} [T1;T2] {post(T1) | post(T2)}.  A fused pre is a
+    (empty pre, a one-bit post) that has at least one consumer (a triple T2
+    whose pre holds post(T1)) is replaced by the fused triples
+    {pre(T2) & ~post(T1)} [T1;T2] {post(T1) | post(T2)}.  A fused pre is a
     subset of its consumer's pre, so no triple already walked gains a
     consumer.  The search fires the rest directly, fused triples included:
     a source costs nothing, so fusing it keeps the minimum, but folding a
     fused triple would make each consumer of its source pay for the
     consumer fused with it.
 
-    Consumers are found through an index from each property to the triples,
-    in list order, whose pre holds it; fused triples join it as they are
-    appended, so the consumers and the triple list are those of a scan over
-    every triple.
+    Consumers are found through an index from each bit a source rule posts
+    to the triples, in list order, whose pre holds it; fused triples join
+    it as they are appended, so the consumers and the triple list are those
+    of a scan over every triple.
     """
     triples = list(t.triples)
     seen = set(triples)
-    readers: dict[Property, list[HoareTriple]] = {}
+    sources = reduce(or_, [tr.post for tr in triples if not tr.pre], 0)
+    readers: dict[int, list[HoareTriple]] = {}
     for tr in triples:
-        for p in tr.pre:
-            readers.setdefault(p, []).append(tr)
+        for i in bits(tr.pre & sources):
+            readers.setdefault(i, []).append(tr)
     kept: list[HoareTriple] = []
     for tr in triples:          # also walks the fused triples appended below
-        # A source rule's consumers are the readers of its one property; no
+        # A source rule's consumers are the readers of its one bit; no
         # triple fused below reads it, so the list does not grow meanwhile.
-        consumers = [] if tr.pre or len(tr.post) != 1 else readers.get(next(iter(tr.post)), [])
+        post = tr.post
+        consumers = [] if tr.pre or post & (post - 1) else readers.get(post.bit_length() - 1, [])
         if not consumers:
             kept.append(tr)
             continue
         for c in consumers:
-            fused = HoareTriple(c.pre - tr.post, tr.instrs + c.instrs, tr.post | c.post)
+            fused = HoareTriple(c.pre & ~post, tr.instrs + c.instrs, post | c.post)
             if fused not in seen:
                 seen.add(fused)
                 triples.append(fused)
-                for p in fused.pre:
-                    readers.setdefault(p, []).append(fused)
+                for i in bits(fused.pre & sources):
+                    readers.setdefault(i, []).append(fused)
     return t._replace(triples=tuple(kept))
 
 

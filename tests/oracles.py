@@ -3,10 +3,11 @@
 Everything here is deliberately brute-force: grids, vertex enumeration,
 exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
-points, except the search-space walks and the reference forms of five of the
-package's shortcuts: the communication guards by rewriting the raw theory,
-triple fusion by a scan over every triple, applicable triples by a near-set
-over sets of properties (the search holds property sets as int masks), the
+points, except the search-space walks and the reference forms of six of the
+package's shortcuts: the theory derived and fused over sets of properties
+(the package holds each property set as an int mask), the communication
+guards by rewriting the raw theory, triple fusion by a scan over every
+triple, applicable triples by a near-set over sets of properties, the
 simplex with dense pivots, and the graph document by the json encoder.
 The walks step with `SearchContext.step`, the one step function the search
 itself takes, to list programs; the enumeration's state graph also takes
@@ -21,6 +22,7 @@ import gc
 import itertools
 import math
 from array import array
+from operator import itemgetter
 from typing import NamedTuple
 from unittest import mock
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from shardplan import load_balancer
 from shardplan.cost_model import comm_time, single_segment
-from shardplan.graph_ir import node_flops
+from shardplan.graph_ir import SOURCE_OPS, Graph, Node, node_flops
 from shardplan.interpreter import (EquivalenceReport, ExecutionError,
                                    coll_all_reduce, eval_reference,
                                    execute_instruction, materialize_loss,
@@ -37,7 +39,8 @@ from shardplan.interpreter import (EquivalenceReport, ExecutionError,
 from shardplan.load_balancer import SegmentProblem
 from shardplan.synthesizer import SearchContext
 from shardplan.theory import (ALL_GATHER, ALL_REDUCE, GUARD_KINDS, IDENTITY, HoareTriple,
-                              communicated, dist_id, form_of_dist_id,
+                              Instruction, Property, Theory, all_gather, all_reduce,
+                              communicated, dist_id, form_of_dist_id, identity,
                               not_communicated)
 
 
@@ -274,7 +277,7 @@ def triple_violations(g, theory, spec, shard_table, seed: int = 0,
     refs = eval_reference(g, inputs)
     rng = np.random.default_rng((seed, 1))      # the partial-sum splits' own stream
     bad: list[str] = []
-    for triple in theory.triples:
+    for triple in set_theory(theory).triples:
         env: dict[str, list[np.ndarray]] = {}
         for prop in triple.pre:
             if prop.kind in GUARD_KINDS:
@@ -324,6 +327,263 @@ def graph_to_dict(g) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the set-valued theory: derivation and fusion over sets of properties
+#
+# `reference_theory`, `reference_fuse` and `reference_build` derive, fuse
+# and build the theory that `derive_theory`, `fuse_empty_preconditions` and
+# `build_theory` do, but hold each pre, post and `initial_props` as a
+# frozenset of `Property` values; a package theory, decoded through its
+# `props` by `set_theory`, must equal theirs triple for triple and in
+# order.  `mask_theory` turns a set-valued theory, hand-built ones included,
+# into the package's form.
+
+
+class SetTriple(NamedTuple):
+    pre: frozenset[Property]
+    instrs: tuple[Instruction, ...]
+    post: frozenset[Property]
+
+    def __str__(self) -> str:
+        pre = ",".join(sorted(map(str, self.pre)))
+        post = ",".join(sorted(map(str, self.post)))
+        seq = ";".join(i.canonical() for i in self.instrs)
+        return f"{{{pre}}} {seq} {{{post}}}"
+
+
+class SetTheory(NamedTuple):
+    triples: tuple[SetTriple, ...]
+    loss: str
+    initial_props: frozenset[Property] = frozenset()
+
+
+class _Forms(NamedTuple):
+    """A tensor's properties, each with its distributed tensor's `dist_id`."""
+    full: tuple[Property, str]
+    partial: tuple[Property, str]
+    shard: tuple[tuple[Property, str], ...]
+
+
+def _forms(ref: str, rank: int) -> _Forms:
+    return _Forms((identity(ref), f"{ref}@full"), (all_reduce(ref), f"{ref}@partial"),
+                  tuple((all_gather(ref, d), f"{ref}@shard{d}") for d in range(rank)))
+
+
+# tuple.__new__ builds a named tuple without the Python call its own __new__ makes.
+_prop, _did, _new = itemgetter(0), itemgetter(1), tuple.__new__
+_UNGUARDED = ((), ())
+
+
+def _rule(kind: str, post: tuple[Property, str], pre: tuple[tuple[Property, str], ...] = (),
+          *, axis: int | None = None, axis2: int | None = None,
+          dims: tuple[int, ...] | None = None, tag: str | None = None,
+          sharded: bool = False, flops: int = 0, elements: int = 0,
+          guard: tuple[tuple[Property, ...], tuple[Property, ...]] = _UNGUARDED) -> SetTriple:
+    """The triple {pre} kind {post}: one instruction on `post`'s reference
+    tensor that reads the distributed tensor of each precondition form and
+    writes the one of the postcondition.  `guard` adds properties to the
+    pre and to the post."""
+    prop, did = post
+    instr = _new(Instruction, (kind, prop.ref, tuple(map(_did, pre)), did,
+                               axis, axis2, dims, tag, sharded, flops, elements))
+    return _new(SetTriple, (frozenset((*map(_prop, pre), *guard[0])), (instr,),
+                              frozenset((prop, *guard[1]))))
+
+
+def _source_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[SetTriple]:
+    base = "placeholder" if node.op == "Placeholder" else "parameter"
+    e = forms[node.id]
+    return [_rule(base, e.full)] + [_rule(f"{base}_shard", s, axis=d, sharded=True)
+                                    for d, s in enumerate(e.shard)]
+
+
+def _matmul_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[SetTriple]:
+    e1, e2, e3 = forms[node.inputs[0]], forms[node.inputs[1]], forms[node.id]
+    f = node_flops(g, node)
+    return [
+        _rule("matmul", e3.shard[0], (e1.shard[0], e2.full), sharded=True, flops=f),
+        _rule("matmul", e3.shard[1], (e1.full, e2.shard[1]), sharded=True, flops=f),
+        _rule("matmul", e3.partial, (e1.shard[1], e2.shard[0]), sharded=True, flops=f),
+        _rule("matmul", e3.full, (e1.full, e2.full), flops=f),  # full replication
+    ]
+
+
+_ELEMWISE_KINDS = {"Identity": "identity", "ElemwiseUnary": "elemwise_unary",
+                   "ElemwiseBinary": "elemwise_binary"}
+
+
+def _elemwise_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[SetTriple]:
+    """Every operand takes the output's form: the same sharded axis, full
+    replication, or partial sums for a linear op."""
+    kind = _ELEMWISE_KINDS[node.op]
+    f = node_flops(g, node)
+    ins = [forms[e] for e in node.inputs]
+    out = forms[node.id]
+    rules = [_rule(kind, s, tuple(e.shard[d] for e in ins), tag=node.tag, sharded=True, flops=f)
+             for d, s in enumerate(out.shard)]
+    rules.append(_rule(kind, out.full, tuple(e.full for e in ins), tag=node.tag, flops=f))
+    if node.op == "Identity" or node.tag == "add":
+        # Identity and addition commute with the cross-device sum; Mul does not.
+        rules.append(_rule(kind, out.partial, tuple(e.partial for e in ins), tag=node.tag,
+                           flops=f))
+    return rules
+
+
+def _reduce_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[SetTriple]:
+    e1, e2 = forms[node.inputs[0]], forms[node.id]
+    f = node_flops(g, node)
+    dims = node.dims or ()
+    out = [_rule("reduce", e2.full, (e1.full,), dims=dims, flops=f),
+           _rule("reduce", e2.partial, (e1.partial,), dims=dims, flops=f)]
+    for d, s in enumerate(e1.shard):
+        if d in dims:
+            # Reducing over the sharded axis leaves per-device partial sums.
+            post = e2.partial
+        else:
+            post = e2.shard[d - sum(1 for r in dims if r < d)]
+        out.append(_rule("reduce", post, (s,), dims=dims, sharded=True, flops=f))
+    return out
+
+
+_RULES = {
+    "Placeholder": _source_rules,
+    "Parameter": _source_rules,
+    "MatMul": _matmul_rules,
+    "ElemwiseUnary": _elemwise_rules,
+    "Identity": _elemwise_rules,
+    "ElemwiseBinary": _elemwise_rules,
+    "Reduce": _reduce_rules,
+}
+
+
+def _comm_rules(e: _Forms, n: int, guard: tuple) -> list[SetTriple]:
+    full, partial = e.full, e.partial
+    shards = list(enumerate(e.shard))
+    return ([_rule("all_reduce", full, (partial,), elements=n, guard=guard)]
+            + [_rule("reduce_scatter", p, (partial,), axis=d, elements=n, guard=guard)
+               for d, p in shards]
+            + [_rule("all_gather", full, (p,), axis=d, elements=n, guard=guard)
+               for d, p in shards]
+            # Same contract as AllGather(d); costs differ under skewed ratios.
+            + [_rule("grouped_broadcast", full, (p,), axis=d, elements=n, guard=guard)
+               for d, p in shards]
+            + [_rule("all_to_all", p2, (p1,), axis=d1, axis2=d2, elements=n, guard=guard)
+               for d1, p1 in shards for d2, p2 in shards if d1 != d2])
+
+
+def reference_theory(g: Graph, m: int, *, guards: bool = False) -> SetTheory:
+    """All sound triples for `g`; their instructions are the only ones a plan
+    for `g` may contain.  The triple set does not depend on `m` (shards of
+    extent zero are legal), but `m` must be a sane device count.  With
+    `guards`, a tensor is communicated at most once: a collective rule on e
+    needs NotCommunicated(e), which every tensor starts with, and posts
+    Communicated(e); sources, whose sharded forms are free, get none."""
+    if m < 1:
+        raise ValueError(f"device count must be >= 1, got {m}")
+    forms = {node.id: _forms(node.id, len(node.shape)) for node in g.nodes}
+    triples: list[SetTriple] = []
+    for node in g.nodes:
+        triples.extend(_RULES[node.op](node, g, forms))
+    for node in g.nodes:
+        if not guards:
+            triples.extend(_comm_rules(forms[node.id], math.prod(node.shape), _UNGUARDED))
+        elif node.op not in SOURCE_OPS:
+            guard = ((not_communicated(node.id),), (communicated(node.id),))
+            triples.extend(_comm_rules(forms[node.id], math.prod(node.shape), guard))
+    for tr in triples:
+        assert not tr.post <= tr.pre, f"vacuous rule derived: {tr}"
+    initial = frozenset(map(not_communicated, forms)) if guards else frozenset()
+    return SetTheory(triples=tuple(triples), loss=g.loss, initial_props=initial)
+
+
+def reference_fuse(t: SetTheory) -> SetTheory:
+    """Fold source rules into their consumers.
+
+    One walk over the triples, fused ones included: each source rule T1
+    (empty pre, one post property) that has at least one consumer (a triple
+    T2 with post(T1) <= pre(T2)) is replaced by the fused triples
+    {pre(T2) \\ post(T1)} [T1;T2] {post(T1) | post(T2)}.  A fused pre is a
+    subset of its consumer's pre, so no triple already walked gains a
+    consumer.  The search fires the rest directly, fused triples included:
+    a source costs nothing, so fusing it keeps the minimum, but folding a
+    fused triple would make each consumer of its source pay for the
+    consumer fused with it.
+
+    Consumers are found through an index from each property to the triples,
+    in list order, whose pre holds it; fused triples join it as they are
+    appended, so the consumers and the triple list are those of a scan over
+    every triple.
+    """
+    triples = list(t.triples)
+    seen = set(triples)
+    readers: dict[Property, list[SetTriple]] = {}
+    for tr in triples:
+        for p in tr.pre:
+            readers.setdefault(p, []).append(tr)
+    kept: list[SetTriple] = []
+    for tr in triples:          # also walks the fused triples appended below
+        # A source rule's consumers are the readers of its one property; no
+        # triple fused below reads it, so the list does not grow meanwhile.
+        consumers = [] if tr.pre or len(tr.post) != 1 else readers.get(next(iter(tr.post)), [])
+        if not consumers:
+            kept.append(tr)
+            continue
+        for c in consumers:
+            fused = SetTriple(c.pre - tr.post, tr.instrs + c.instrs, tr.post | c.post)
+            if fused not in seen:
+                seen.add(fused)
+                triples.append(fused)
+                for p in fused.pre:
+                    readers.setdefault(p, []).append(fused)
+    return t._replace(triples=tuple(kept))
+
+
+def reference_build(g: Graph, m: int, *, guards: bool = True, fuse: bool = True) -> SetTheory:
+    """Standard derivation pipeline used by the planner."""
+    t = reference_theory(g, m, guards=guards)
+    return reference_fuse(t) if fuse else t
+
+
+def decode(theory, mask: int) -> frozenset:
+    """The properties of one of `theory`'s property sets: bit i stands for
+    `theory.props[i]`."""
+    return frozenset(p for i, p in enumerate(theory.props) if mask >> i & 1)
+
+
+def set_theory(theory) -> SetTheory:
+    """A package theory with every property set decoded through its `props`."""
+    return SetTheory(triples=tuple(SetTriple(decode(theory, tr.pre), tr.instrs,
+                                             decode(theory, tr.post))
+                                   for tr in theory.triples),
+                     loss=theory.loss, initial_props=decode(theory, theory.initial_props))
+
+
+def mask_theory(t: SetTheory) -> Theory:
+    """The set-valued theory `t` as the package holds a theory: each property
+    takes the next bit where it first appears (the loss's AllReduce form,
+    then every triple's pre and post, then the initial properties, each set
+    in the order of its properties' names), and a guard brings its pair
+    along, NotCommunicated(e) on the bit just below Communicated(e)."""
+    props: list = []
+    ids: dict = {}
+
+    def mask(properties) -> int:
+        out = 0
+        for p in sorted(properties, key=str):
+            if p not in ids:
+                pair = (not_communicated(p.ref), communicated(p.ref))
+                for q in pair if p.kind in GUARD_KINDS else (p,):
+                    ids[q] = len(props)
+                    props.append(q)
+            out |= 1 << ids[p]
+        return out
+
+    mask([all_reduce(t.loss)])
+    triples = tuple(HoareTriple(mask(tr.pre), tr.instrs, mask(tr.post)) for tr in t.triples)
+    return Theory(triples=triples, loss=t.loss, initial_props=mask(t.initial_props),
+                  props=tuple(props))
+
+
+# ---------------------------------------------------------------------------
 # communication guards by rewriting
 
 
@@ -338,7 +598,7 @@ def add_communication_guards(t, g):
     start from NotCommunicated for every tensor.
     """
     source_ids = frozenset(n.id for n in g.nodes if n.op in ("Placeholder", "Parameter"))
-    kept: list[HoareTriple] = []
+    kept: list[SetTriple] = []
     for tr in t.triples:
         comm_refs = [i.ref for i in tr.instrs if i.is_comm]
         if any(ref in source_ids for ref in comm_refs):
@@ -346,7 +606,7 @@ def add_communication_guards(t, g):
         if comm_refs:
             pre = tr.pre | {not_communicated(r) for r in comm_refs}
             post = tr.post | {communicated(r) for r in comm_refs}
-            kept.append(HoareTriple(pre, tr.instrs, post))
+            kept.append(SetTriple(pre, tr.instrs, post))
         else:
             kept.append(tr)
     initial = frozenset(not_communicated(ref) for ref in g.tensor_ids)
@@ -371,7 +631,7 @@ def fuse_by_scan(theory) -> tuple:
             kept.append(tr)
             continue
         for c in consumers:
-            fused = HoareTriple(c.pre - tr.post, tr.instrs + c.instrs, tr.post | c.post)
+            fused = SetTriple(c.pre - tr.post, tr.instrs + c.instrs, tr.post | c.post)
             if fused not in seen:
                 seen.add(fused)
                 triples.append(fused)

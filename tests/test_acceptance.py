@@ -290,7 +290,7 @@ def test_criterion_10_collective_choice_crosses_over_at_derived_ratio():
     th = th._replace(triples=tuple(
         tr for tr in th.triples
         if not any((p.ref, p.kind, p.axis) in CROSSOVER_BANNED
-                   for p in tr.pre | tr.post)))
+                   for p in oracles.decode(th, tr.pre | tr.post))))
 
     # equate lat_ag + bytes*x/bw with m*lat_gb + bytes/bw and solve for x
     ag, gb = spec.collectives["all_gather"], spec.collectives["grouped_broadcast"]

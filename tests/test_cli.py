@@ -286,6 +286,26 @@ def test_verify_plan_that_is_not_json_exits_2(files, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000], ids=["not_utf8", "nested"])
+def test_input_files_that_do_not_decode_exit_2(files, capsys, content):
+    # bytes that are not UTF-8, and JSON nested deeper than the decoder
+    # recurses, as each file argument of each command
+    bad = files["tmp"] / "bad.json"
+    bad.write_bytes(content)
+    bad, plan = str(bad), _plan(files)
+    for argv in (["plan", bad, files["homog2"]], ["plan", files["graph"], bad],
+                 ["verify", bad, files["graph"], files["hetero2"]],
+                 ["verify", plan, bad, files["hetero2"]],
+                 ["verify", plan, files["graph"], bad],
+                 ["enumerate", bad, files["homog2"]], ["enumerate", files["graph"], bad],
+                 ["enumerate", files["graph"], files["hetero2"], "--ratios", bad]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert ("UTF-8" if content[0] == 0xff else "nested too deeply") in err, (argv, err)
+
+
 def _enumerated_minimum(files, capsys, plan):
     capsys.readouterr()
     assert main(["enumerate", files["graph"], files["hetero2"], "--ratios", plan]) == 0

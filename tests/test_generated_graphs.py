@@ -22,7 +22,8 @@ from shardplan.interpreter import check_equivalence
 from shardplan.synthesizer import DistributedProgram, enumerate_programs
 from shardplan.theory import COLLECTIVE_KINDS
 from test_graph_ir import assert_serialized_as_json_encodes
-from test_theory import assert_guards_match_the_rewrite
+from test_theory import (assert_guards_match_the_rewrite,
+                         assert_masks_decode_to_the_set_reference)
 
 MAX_NODES = 5
 # A tensor of rank r has r + 2 forms (full, each sharded axis, partial).
@@ -156,6 +157,7 @@ def test_generated_plans_are_optimal_sound_and_load_back(graph_doc, cluster_doc)
 def test_generated_guards_and_graph_text_match_their_references(graph_doc):
     g = graph_from_dict(graph_doc)
     assert_guards_match_the_rewrite(g)
+    assert_masks_decode_to_the_set_reference(g)
     assert_serialized_as_json_encodes(g)
 
 

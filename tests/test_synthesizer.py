@@ -16,8 +16,7 @@ from shardplan.cost_model import StageCost, StagePricer, single_segment
 from shardplan.graph_ir import assign_segments, graph_from_dict
 from shardplan.synthesizer import (OPTIMALITY_MARGIN, PartialProgram, SearchContext,
                                    _priority, enumerate_programs)
-from shardplan.theory import (HoareTriple, Property, Theory, all_gather, all_reduce,
-                              derive_theory)
+from shardplan.theory import Property, all_gather, all_reduce, derive_theory
 
 
 def _ctx(name, theory_fn=build_theory, spec=None):
@@ -47,7 +46,7 @@ def test_applicable_refuses_vacuous_triples():
 def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0), pending=None):
     # a collective waits for its stage's row while no computation names it
     stage = StageCost(comm, acc, None if pending else 0, pending)
-    return PartialProgram(props=sum(1 << p for p in props), computed=frozenset(), closed_s=closed,
+    return PartialProgram(props=sum(1 << p for p in props), computed=0, closed_s=closed,
                           stage=stage, remaining=0.0, score_s=0.0, path=(), depth=0)
 
 
@@ -216,16 +215,18 @@ def _matches_state_graph(g, th, spec, B, assignment=None):
     return graph
 
 
-def _rules(g) -> dict[str, HoareTriple]:
-    """The graph's derived triples by their instruction's canonical text."""
-    return {tr.instrs[0].canonical(): tr for tr in derive_theory(g, 2).triples}
+def _rules(g) -> dict[str, oracles.SetTriple]:
+    """The graph's derived triples, over sets of properties, by their
+    instruction's canonical text."""
+    return {tr.instrs[0].canonical(): tr for tr in oracles.reference_theory(g, 2).triples}
 
 
 def test_collective_fired_from_the_empty_root_stage_closes_it_free():
     # with h's row shards given, the cheapest program gathers h first; the
     # empty stage that all_gather closes charges nothing
     g = graph_from_dict(corpus.gram())
-    th = derive_theory(g, 2)._replace(initial_props=frozenset({all_gather("h", 0)}))
+    th = oracles.mask_theory(oracles.reference_theory(g, 2)._replace(
+        initial_props=frozenset({all_gather("h", 0)})))
     graph = _matches_state_graph(g, th, corpus.slow2(), ShardingRatios(((0.25, 0.75),)))
     first = [q for q in graph.nodes if q.depth == 1 and graph.instrs(q)[0].is_comm]
     assert {graph.instrs(q)[0].kind for q in first} == {"all_gather", "grouped_broadcast",
@@ -268,25 +269,26 @@ def test_collective_fires_from_the_state_that_closes_its_stage_cheapest():
         "x@full<-all_gather/x/d=0(x@shard0)", "w@full<-all_gather/w/d=0(w@shard0)",
         "loss@partial<-reduce/loss(h@shard0)"))
     a, b, c1, c2 = (frozenset({Property(f"step{i}", "done")}) for i in range(4))
-    th = Theory(triples=(HoareTriple(frozenset(), sharded, a),
-                         HoareTriple(frozenset(), replicated, b),
-                         HoareTriple(a, gather_x, c1),
-                         HoareTriple(a | b | c1, gather_w, c2),
-                         HoareTriple(c2, reduce, frozenset({all_reduce("loss")}))),
-                loss="loss")
+    th = oracles.mask_theory(oracles.SetTheory(
+        triples=(oracles.SetTriple(frozenset(), sharded, a),
+                 oracles.SetTriple(frozenset(), replicated, b),
+                 oracles.SetTriple(a, gather_x, c1),
+                 oracles.SetTriple(a | b | c1, gather_w, c2),
+                 oracles.SetTriple(c2, reduce, frozenset({all_reduce("loss")}))),
+        loss="loss"))
     spec, B = corpus.slow2(), ShardingRatios(((0.1, 0.9),))
     _matches_state_graph(g, th, spec, B)
     program = enumerate_programs(g, th, spec, B).program.instrs
     assert program == sharded + replicated + gather_x + gather_w + reduce
 
 
-def _chain(*triples: HoareTriple) -> HoareTriple:
+def _chain(*triples: oracles.SetTriple) -> oracles.SetTriple:
     """One triple that fires `triples` in turn."""
     pre, post = frozenset(), frozenset()
     for tr in triples:
         pre |= tr.pre - post
         post |= tr.post
-    return HoareTriple(pre, tuple(i for tr in triples for i in tr.instrs), post)
+    return oracles.SetTriple(pre, tuple(i for tr in triples for i in tr.instrs), post)
 
 
 @pytest.mark.parametrize("segments", [1, 2])
@@ -299,7 +301,7 @@ def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
     # its own: a property set then tells which triples fired, and so its
     # length, as the state graph oracle requires.
     g = graph_from_dict(corpus.CORPUS["matmul_reduce"])
-    raw = derive_theory(g, 2)
+    raw = oracles.reference_theory(g, 2)
     rule = _rules(g).__getitem__
     chains = (_chain(rule("x@full<-all_gather/x/d=0(x@shard0)"),
                      rule("h@full<-matmul/h(x@full,w@full)")),
@@ -315,9 +317,9 @@ def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
         "loss@partial<-reduce/loss(h@partial)", "x@full<-all_gather/x/d=0(x@shard0)",
         "x@shard1<-all_to_all/x/d=0/d2=1(x@shard0)",
         "h@shard0<-reduce_scatter/h/d=0(h@partial)", "h@full<-all_gather/h/d=0(h@shard0)")]
-    th = raw._replace(triples=tuple(
+    th = oracles.mask_theory(raw._replace(triples=tuple(
         tr._replace(post=tr.post | {Property(tr.instrs[-1].ref, f"fired{i}")})
-        for i, tr in enumerate(triples + list(chains))))
+        for i, tr in enumerate(triples + list(chains)))))
     spec = corpus.slow2()
     B = ShardingRatios(((0.7, 0.3), (0.4, 0.6))[:segments])
     assignment = assign_segments(g, segments)
@@ -353,13 +355,13 @@ def test_step_prices_every_triple_as_advance_does(cluster, segments):
     for name in STEP_GRAPHS:
         g = graph_from_dict(corpus.CORPUS[name])
         assignment = assign_segments(g, segments)
-        raw = derive_theory(g, 2)
+        raw = oracles.reference_theory(g, 2)
         busy = [tr for tr in raw.triples if tr.instrs[0].flops]
         comm = [tr for tr in raw.triples if tr.instrs[0].is_comm]
         chains = (_chain(busy[0], busy[-1]), _chain(busy[0], comm[0]),
                   _chain(comm[0], busy[0]), _chain(comm[0], busy[0], comm[-1]))
-        fused = tuple(tr for tr in build_theory(g, 2).triples if len(tr.instrs) > 1)
-        th = raw._replace(triples=raw.triples + fused + chains)
+        fused = tuple(tr for tr in oracles.reference_build(g, 2).triples if len(tr.instrs) > 1)
+        th = oracles.mask_theory(raw._replace(triples=raw.triples + fused + chains))
         calls = []
 
         def counting(pricer, stage, instrs):
@@ -373,7 +375,7 @@ def test_step_prices_every_triple_as_advance_does(cluster, segments):
                  else sum(bool(i.flops) for i in tr.instrs) > 1
                  or any(i.is_comm for i in tr.instrs) for tr in th.triples]
         with oracles.collector_paused():
-            graph = oracles.state_graph(g, raw, spec, B, assignment)
+            graph = oracles.state_graph(g, derive_theory(g, 2), spec, B, assignment)
         for q in {q.stage: q for q in reversed(graph.nodes)}.values():
             waiting = q.stage.row is None
             for ti, tr in enumerate(th.triples):
@@ -473,7 +475,7 @@ def test_unreachable_loss_raises():
     g = graph_from_dict(corpus.CORPUS["param_only"])
     th = build_theory(g, 2)
     gutted = th._replace(triples=tuple(
-        tr for tr in th.triples if all(str(p) != "loss|AR" for p in tr.post)))
+        tr for tr in th.triples if all(str(p) != "loss|AR" for p in oracles.decode(th, tr.post))))
     with pytest.raises(NoCompleteProgramError):
         synthesize(g, gutted, corpus.homog2(), ShardingRatios.uniform(2))
 

@@ -1,4 +1,5 @@
 import collections
+import itertools
 
 import pytest
 
@@ -10,21 +11,21 @@ from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
 from shardplan.synthesizer import SearchContext
 from shardplan.theory import (COMMUNICATED, GUARD_KINDS, Instruction, all_gather, all_reduce,
-                              communicated, derive_theory,
+                              bits, communicated, derive_theory,
                               fuse_empty_preconditions, identity,
                               not_communicated)
 
 
 def _props_of(ctx, mask):
     """The properties behind a search node's property set: bit i of the
-    mask is set for interned property id i."""
-    return frozenset(p for p, pid in ctx._ids.items() if mask >> pid & 1)
+    mask stands for `props[i]` of the context's theory."""
+    return oracles.decode(ctx.theory, mask)
 
 
 def _signatures(theory):
     return {(frozenset(map(str, t.pre)),
              ";".join(i.canonical() for i in t.instrs),
-             frozenset(map(str, t.post))) for t in theory.triples}
+             frozenset(map(str, t.post))) for t in oracles.set_theory(theory).triples}
 
 
 def _has_rule(theory, pre, post):
@@ -32,7 +33,7 @@ def _has_rule(theory, pre, post):
     return any(frozenset(map(str, t.pre)) - pre == frozenset()
                and pre == frozenset(str(p) for p in t.pre)
                and post <= frozenset(map(str, t.post))
-               for t in theory.triples)
+               for t in oracles.set_theory(theory).triples)
 
 
 def test_triple_counts_on_matmul_graph():
@@ -126,7 +127,7 @@ def test_comm_rule_counts_by_rank():
 def test_gather_has_two_implementations():
     g = graph_from_dict(corpus.matmul_reduce())
     t = derive_theory(g, 2)
-    kinds = {tr.instrs[0].kind for tr in t.triples
+    kinds = {tr.instrs[0].kind for tr in oracles.set_theory(t).triples
              if frozenset(map(str, t1 := tr.pre)) == {"h|AG(0)"}
              and any(str(p) == "h|Id" for p in tr.post)}
     assert kinds == {"all_gather", "grouped_broadcast"}
@@ -134,7 +135,7 @@ def test_gather_has_two_implementations():
 
 def test_guards_gate_each_tensor_to_one_collective():
     g = graph_from_dict(corpus.matmul_reduce())
-    t = build_theory(g, 2, fuse=False)
+    t = oracles.set_theory(build_theory(g, 2, fuse=False))
     comm = [tr for tr in t.triples if any(i.is_comm for i in tr.instrs)]
     assert comm
     for tr in comm:
@@ -162,7 +163,7 @@ def test_communicating_a_tensor_retires_its_guard():
 
 def test_fusion_folds_source_prefixes():
     g = graph_from_dict(corpus.matmul_reduce())
-    t = build_theory(g, 2)
+    t = oracles.set_theory(build_theory(g, 2))
     lengths = {len(tr.instrs) for tr in t.triples}
     assert max(lengths) >= 3          # source chains fold into consumers
     # the two-source MatMul absorbs both of its operands' source triples
@@ -188,8 +189,9 @@ def _fusion_graphs():
 def test_fusion_index_finds_the_consumers_a_scan_finds(guards):
     for name, g in _fusion_graphs():
         unfused = build_theory(g, 2, guards=guards, fuse=False)
-        fused = fuse_empty_preconditions(unfused).triples
-        assert list(map(str, fused)) == list(map(str, oracles.fuse_by_scan(unfused))), name
+        fused = oracles.set_theory(fuse_empty_preconditions(unfused)).triples
+        scanned = oracles.fuse_by_scan(oracles.set_theory(unfused))
+        assert list(map(str, fused)) == list(map(str, scanned)), name
 
 
 def _guard_graphs():
@@ -203,10 +205,10 @@ def assert_guards_match_the_rewrite(g, name=""):
     `oracles.add_communication_guards`, triple for triple and in order; and
     the raw theory still derives every source tensor's collectives."""
     raw = derive_theory(g, 2)
-    reference = oracles.add_communication_guards(raw, g)
+    reference = oracles.add_communication_guards(oracles.set_theory(raw), g)
     guarded = build_theory(g, 2, fuse=False)
-    assert guarded.triples == reference.triples, name
-    assert guarded.initial_props == reference.initial_props, name
+    assert oracles.set_theory(guarded).triples == reference.triples, name
+    assert oracles.set_theory(guarded).initial_props == reference.initial_props, name
     fused = build_theory(g, 2)
     assert fused.triples == fuse_empty_preconditions(guarded).triples, name
     assert fused.initial_props == guarded.initial_props, name
@@ -220,18 +222,36 @@ def test_guards_are_derived_as_the_rewrite_makes_them():
         assert_guards_match_the_rewrite(g, name)
 
 
+def assert_masks_decode_to_the_set_reference(g, name=""):
+    """At m = 2 and 3 and under every guards/fuse setting, the theory decodes
+    through its `props` to the set-valued reference derivation, triple for
+    triple and in order, with equal `initial_props`."""
+    for m, guards, fuse in itertools.product((2, 3), (True, False), (True, False)):
+        theory = build_theory(g, m, guards=guards, fuse=fuse)
+        reference = oracles.reference_build(g, m, guards=guards, fuse=fuse)
+        assert len(theory.props) == len(set(theory.props)), (name, m, guards, fuse)
+        assert oracles.set_theory(theory) == reference, (name, m, guards, fuse)
+
+
+def test_theory_masks_decode_to_the_set_reference():
+    for name, g in corpus.corpus_graphs():
+        assert_masks_decode_to_the_set_reference(g, name)
+    for name in ("dead_branch", "gram"):
+        assert_masks_decode_to_the_set_reference(graph_from_dict(getattr(corpus, name)()), name)
+
+
 def test_search_context_reads_each_triples_guards_and_new_refs():
     # A triple's pre and post masks, and what it retires and newly computes
     # by their definitions over its post's properties.
     for name, g in _guard_graphs():
         for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
             ctx = SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2))
-            for ti, tr in enumerate(th.triples):
+            for ti, tr in enumerate(oracles.set_theory(th).triples):
                 assert _props_of(ctx, ctx.tpre[ti]) == tr.pre, name
                 assert _props_of(ctx, ctx.tpost[ti]) == tr.post, name
                 assert _props_of(ctx, ctx.tretire[ti]) == {
                     not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED}, name
-                assert ctx.tnew_refs[ti] == sorted(
+                assert [ctx.tensors[k] for k in bits(ctx.tnew[ti])] == sorted(
                     {p.ref for p in tr.post if p.kind not in GUARD_KINDS}), name
 
 
@@ -248,6 +268,7 @@ def test_property_masks_match_the_set_reference():
     for name, g in _guard_graphs():
         for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
             ctx = SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2))
+            th = oracles.set_theory(th)
             retired = [{not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED}
                        for tr in th.triples]
             loss = all_reduce(th.loss)
@@ -275,9 +296,10 @@ def test_property_masks_match_the_set_reference():
 def test_rule_types_are_immutable_tuples():
     seen = 0
     for name, g in corpus.corpus_graphs():
-        for tr in build_theory(g, 2).triples:
+        th = build_theory(g, 2)
+        for tr in th.triples:
             assert hash(tr) == hash(tuple(tr))
-            for p in tr.pre | tr.post:
+            for p in oracles.decode(th, tr.pre | tr.post):
                 assert hash(p) == hash(tuple(p))
             for instr in tr.instrs:
                 assert hash(instr) == hash(tuple(instr))
