@@ -30,7 +30,7 @@ from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
                          build_shard_table, check_byte_counts, iteration_time,
                          single_segment)
 from .graph_ir import (Graph, GraphFormatError, GraphTooLargeError, SegmentAssignment,
-                       _is_finite_number, _is_int, graph_from_dict, serialize_graph)
+                       _is_finite_number, _is_int, parse_graph, serialize_graph)
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
                           enumerate_programs)
@@ -54,29 +54,27 @@ def _graph_digest(g: Graph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()
 
 
-class InputError(ValueError):
-    """An option out of range, or a file that is not UTF-8 or nests too deeply."""
+class OptionError(ValueError):
+    """A command-line option outside its range, or a file that is not UTF-8."""
 
 
 def _check_option(name: str, value: int | None, lo: int, hi: int | None = None) -> None:
     if value is not None and (value < lo or (hi is not None and value > hi)):
         span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
-        raise InputError(f"--{name} must be {span}, got {value}")
+        raise OptionError(f"--{name} must be {span}, got {value}")
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except UnicodeDecodeError as e:
-        raise InputError(f"{path}: not UTF-8 text ({e})") from None
-    except RecursionError:
-        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
+        raise OptionError(f"{path}: not UTF-8 text ({e})") from None
 
 
 def _graph_and_cluster(args) -> tuple[Graph, ClusterSpec]:
-    g = graph_from_dict(_load(args.graph))
-    spec = ClusterSpec.from_dict(_load(args.cluster))
+    g = parse_graph(_read(args.graph))
+    spec = ClusterSpec.from_json(_read(args.cluster))
     check_byte_counts(g, spec)
     return g, spec
 
@@ -175,6 +173,13 @@ def _fields(obj, where: str, keys: tuple[str, ...]) -> None:
         _need(key in keys, f"{prefix}{key}", "unknown field")
 
 
+def _plan_doc(path: str):
+    try:
+        return json.loads(_read(path))
+    except RecursionError:
+        raise PlanFormatError(f"{path}: invalid JSON: nested too deeply") from None
+
+
 def load_plan(doc, g: Graph, m: int) -> Plan:
     """Check a plan document against the graph it claims and a cluster of m
     devices, field by field, and load it.  Raises PlanFormatError naming the
@@ -248,7 +253,7 @@ def cmd_verify(args) -> int:
 
     _check_option("trials", args.trials, 1)
     _check_option("seed", args.seed, 0)
-    doc = _load(args.plan)
+    doc = _plan_doc(args.plan)
     g, spec = _graph_and_cluster(args)
     plan = load_plan(doc, g, spec.m)
 
@@ -287,7 +292,7 @@ def cmd_enumerate(args) -> int:
     if args.ratios not in ("uniform", "flops"):
         # Anything else names a plan file whose ratios and segmentation we
         # reuse, so enumeration prices candidates under the plan's own B.
-        plan = load_plan(_load(args.ratios), g, spec.m)
+        plan = load_plan(_plan_doc(args.ratios), g, spec.m)
         assignment, B = plan.assignment, plan.ratios
     else:
         assignment = single_segment(g)
@@ -344,7 +349,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ClusterFormatError, PlanFormatError, InputError,
+    except (GraphFormatError, ClusterFormatError, PlanFormatError, OptionError,
             GraphTooLargeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

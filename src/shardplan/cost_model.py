@@ -114,6 +114,8 @@ class ClusterSpec(NamedTuple):
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ClusterFormatError(f"invalid JSON at line {e.lineno} col {e.colno}: {e.msg}") from e
+        except RecursionError:
+            raise ClusterFormatError("invalid JSON: nested too deeply") from None
         return cls.from_dict(doc)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -158,11 +157,16 @@ def _parse_node(raw: dict, index: int, known: dict[str, Node]) -> Node:
     tag = None
     dims = None
     allowed_attrs: set[str] = set()
-    if op in ("ElemwiseUnary", "ElemwiseBinary"):
+    if op == "ElemwiseUnary":
         allowed_attrs = {"tag"}
-        tag, tags = attrs.get("tag"), UNARY_TAGS if op == "ElemwiseUnary" else BINARY_TAGS
-        if tag not in tags:
-            raise GraphFormatError(f"{op} tag must be one of {tags}, got {tag!r}", where)
+        tag = attrs.get("tag")
+        if tag not in UNARY_TAGS:
+            raise GraphFormatError(f"ElemwiseUnary tag must be one of {UNARY_TAGS}, got {tag!r}", where)
+    elif op == "ElemwiseBinary":
+        allowed_attrs = {"tag"}
+        tag = attrs.get("tag")
+        if tag not in BINARY_TAGS:
+            raise GraphFormatError(f"ElemwiseBinary tag must be one of {BINARY_TAGS}, got {tag!r}", where)
     elif op == "Reduce":
         allowed_attrs = {"dims"}
         rdims = attrs.get("dims")
@@ -222,10 +226,14 @@ def graph_from_dict(doc: dict) -> Graph:
     if tensors[loss].shape != ():
         raise GraphFormatError(f"loss {loss!r} must be scalar, has shape {tensors[loss].shape}")
 
-    ancestors = {loss}          # every input precedes its consumers
-    for node in reversed(tensors.values()):
-        if node.id in ancestors:
-            ancestors.update(node.inputs)
+    ancestors: set[str] = set()
+    stack = [loss]
+    while stack:
+        ref = stack.pop()
+        if ref in ancestors:
+            continue
+        ancestors.add(ref)
+        stack.extend(tensors[ref].inputs)
 
     return Graph(nodes=tuple(tensors.values()), tensors=tensors, loss=loss,
                  loss_ancestors=frozenset(ancestors))
@@ -236,6 +244,8 @@ def parse_graph(text: str) -> Graph:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"invalid JSON: {e.msg}", where=f"line {e.lineno} col {e.colno}") from e
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
     return graph_from_dict(doc)
 
 
@@ -287,7 +297,9 @@ def assign_segments(g: Graph, count: int) -> SegmentAssignment:
     if count > n:
         raise ValueError(f"segment count {count} exceeds tensor count {n}")
     weights = [node_flops(g, node) for node in g.nodes]
-    prefix = [0, *accumulate(weights)]
+    prefix = [0] * (n + 1)
+    for i, w in enumerate(weights):
+        prefix[i + 1] = prefix[i] + w
 
     INF = float("inf")
     # best[k][i]: minimal max-segment weight partitioning the first i nodes into k parts.

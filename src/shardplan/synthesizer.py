@@ -34,15 +34,14 @@ import logging
 import math
 from array import array
 from itertools import chain
-from functools import reduce
-from operator import add, le, or_
+from operator import add, le
 from typing import NamedTuple
 
 from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
                          single_segment)
 from .graph_ir import Graph, SegmentAssignment, node_flops
 from .theory import (COLLECTIVE_KINDS, COMMUNICATED, GUARD_KINDS, Instruction, Theory,
-                     all_reduce, bits)
+                     all_reduce, bits, not_communicated)
 
 _logger = logging.getLogger("shardplan.synthesizer")
 
@@ -99,7 +98,7 @@ class SearchConfig(NamedTuple):
 
 class PartialProgram(NamedTuple):
     """A search node.  `props` is a property set of the theory; bit k of
-    `computed` is set once a property of `SearchContext.tensors[k]` is; the
+    `computed` is set once a property of `SearchContext.owed[k]` is; the
     closed stages' cost and the open stage are those `advance` leaves."""
     props: int
     computed: int
@@ -126,21 +125,29 @@ class SearchContext:
         self.theory, self.spec, self.B = theory, spec, B
         self.pricer = StagePricer(spec, B, assignment)
 
-        # Per triple: the guards it retires (the NotCommunicated bit below each
-        # Communicated bit it posts), and the tensors it realizes, bit k for `tensors[k]`.
         self.triples = triples = theory.triples
         props = theory.props
         self.loss_bit = 1 << props.index(all_reduce(theory.loss))
-        self.tpre = [tr.pre for tr in triples]
         self.tpost = tpost = [tr.post for tr in triples]
-        comm = sum(1 << i for i, p in enumerate(props) if p.kind == COMMUNICATED)
-        self.tretire = [(post & comm) >> 1 for post in tpost]
-        self.tensors = sorted({p.ref for p in props if p.kind not in GUARD_KINDS})
-        tensor = [0 if p.kind in GUARD_KINDS else 1 << self.tensors.index(p.ref) for p in props]
-        realized = {post: reduce(or_, map(tensor.__getitem__, bits(post)), 0) for post in set(tpost)}
-        self.tnew = list(map(realized.__getitem__, tpost))
-        self._scan = tuple(zip(range(len(triples)), self.tpre, tpost))
-        self.root, self.opened_stage, self.step = self._closures(g)
+        # Per triple: the NotCommunicated(e) bit of each Communicated(e) bit it posts.
+        guard = {p: 1 << i for i, p in enumerate(props) if p.kind in GUARD_KINDS}
+        pair = {b: guard.get(not_communicated(p.ref), 0) for p, b in guard.items()
+                if p.kind == COMMUNICATED}
+        comm = sum(pair)
+        retire = {c: sum(pair[1 << i] for i in bits(c)) for c in {post & comm for post in tpost}}
+        self.tretire = [retire[post & comm] for post in tpost]
+        # Per triple: (bit k, flops) of each `owed[k]`, a loss ancestor with
+        # flops, that its post realizes, by name.
+        flops = {n.id: node_flops(g, n) for n in g.nodes}
+        self.owed = sorted(r for r in g.loss_ancestors if flops[r])
+        cell = {r: (1 << k, flops[r]) for k, r in enumerate(self.owed)}
+        at = [None if p.kind in GUARD_KINDS else cell.get(p.ref) for p in props]
+        mask = sum(1 << i for i, c in enumerate(at) if c)
+        owes = {m: tuple(sorted({at[i] for i in bits(m)})) for m in {post & mask for post in tpost}}
+        self.towes = [owes[post & mask] for post in tpost]
+        self._scan = tuple((ti, tr.pre, tr.post) for ti, tr in enumerate(triples))
+        remaining = float(sum(map(flops.__getitem__, self.owed)))
+        self.root, self.opened_stage, self.step = self._closures(remaining)
 
     def instructions(self, path) -> tuple[Instruction, ...]:
         """The program that fires the triples of `path` in turn."""
@@ -151,22 +158,17 @@ class SearchContext:
         return tuple([ti for ti, pre, post in self._scan
                       if pre & props == pre and post & props != post])
 
-    def _closures(self, g: Graph):
-        """The root node, `opened_stage` and `step`: closures over this
-        context's tables, not over the context, which holds them."""
-        pricer, tpost, tnew = self.pricer, self.tpost, self.tnew
+    def _closures(self, remaining: float):
+        """The root node, with `remaining` flops, `opened_stage` and `step`:
+        closures over this context's tables, not over the context, which
+        holds them."""
+        pricer, tpost, towes = self.pricer, self.tpost, self.towes
         keep = [~r for r in self.tretire]
         advance, comp_s, empty, new = pricer.advance, pricer.comp, pricer.empty, tuple.__new__
         instrs = [tr.instrs for tr in self.triples]
         # `opened_stage`'s memo: None until a collective-first triple fires
         opened = [None if seq[0].kind in COLLECTIVE_KINDS else False for seq in instrs]
         tlen = [len(seq) for seq in instrs]
-        flops_map = {n.id: node_flops(g, n) for n in g.nodes}
-        ancestors = g.loss_ancestors
-        # By a triple's `tnew`: (bit, flops) of each loss ancestor with flops in it, by name.
-        owed = [(1 << k, flops_map[ref]) if ref in ancestors and flops_map[ref] else None
-                for k, ref in enumerate(self.tensors)]
-        fresh = {mask: tuple(owed[k] for k in bits(mask) if owed[k]) for mask in set(tnew)}
         # Least seconds a remaining flop puts on each device: a B[r][j] share
         # of it if it runs sharded, all of it if replicated.
         floor_s = tuple(min(row[j] for row in self.B.rows) / rate
@@ -221,14 +223,13 @@ class SearchContext:
                 comm_s, comp, row, comm = stage
                 stage = new(StageCost, (comm_s, tuple(map(add, comp, comp_s(how, row))), row, comm))
             props = (props | tpost[ti]) & keep[ti]
-            for b, flops in fresh[tnew[ti]]:
+            for b, flops in towes[ti]:
                 if not computed & b:
+                    computed |= b
                     remaining -= flops
-            computed |= tnew[ti]
             return new(PartialProgram, (props, computed, closed, stage, remaining, score(
                 closed, stage, remaining), path + (ti,), depth + tlen[ti]))
 
-        remaining = float(sum(flops_map[r] for r in ancestors))
         root = PartialProgram(self.theory.initial_props, 0, 0.0, empty, remaining,
                               score(0.0, empty, remaining), (), 0)
         return root, opened_stage, step

@@ -139,7 +139,9 @@ class Instruction(NamedTuple):
             doc["dims"] = list(self.dims)
         if self.tag is not None:
             doc["tag"] = self.tag
-        doc.update(sharded=self.sharded, flops=self.flops, elements=self.elements)
+        doc["sharded"] = self.sharded
+        doc["flops"] = self.flops
+        doc["elements"] = self.elements
         return doc
 
     @classmethod
@@ -159,8 +161,7 @@ class HoareTriple(NamedTuple):
 
 
 class Theory(NamedTuple):
-    """Every property set is an int whose bit i stands for `props[i]`; a
-    Communicated(e) bit is the one above the NotCommunicated(e) it retires."""
+    """Every property set is an int whose bit i stands for `props[i]`."""
     triples: tuple[HoareTriple, ...]
     loss: str
     props: tuple[Property, ...]

@@ -561,8 +561,7 @@ def mask_theory(t: SetTheory) -> Theory:
     """The set-valued theory `t` as the package holds a theory: each property
     takes the next bit where it first appears (the loss's AllReduce form,
     then every triple's pre and post, then the initial properties, each set
-    in the order of its properties' names), and a guard brings its pair
-    along, NotCommunicated(e) on the bit just below Communicated(e)."""
+    in the order of its properties' names)."""
     props: list = []
     ids: dict = {}
 
@@ -570,10 +569,8 @@ def mask_theory(t: SetTheory) -> Theory:
         out = 0
         for p in sorted(properties, key=str):
             if p not in ids:
-                pair = (not_communicated(p.ref), communicated(p.ref))
-                for q in pair if p.kind in GUARD_KINDS else (p,):
-                    ids[q] = len(props)
-                    props.append(q)
+                ids[p] = len(props)
+                props.append(p)
             out |= 1 << ids[p]
         return out
 

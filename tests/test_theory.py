@@ -8,7 +8,7 @@ import oracles
 from shardplan import (ShardingRatios, build_shard_table, build_theory,
                        iteration_time)
 from shardplan.cost_model import single_segment
-from shardplan.graph_ir import graph_from_dict
+from shardplan.graph_ir import graph_from_dict, node_flops
 from shardplan.synthesizer import SearchContext
 from shardplan.theory import (COMMUNICATED, GUARD_KINDS, Instruction, all_gather, all_reduce,
                               bits, communicated, derive_theory,
@@ -240,19 +240,38 @@ def test_theory_masks_decode_to_the_set_reference():
         assert_masks_decode_to_the_set_reference(graph_from_dict(getattr(corpus, name)()), name)
 
 
+def _bits_reversed(t):
+    """`t` with bit i moved to bit n - 1 - i, n the number of its properties."""
+    n = len(t.props)
+
+    def rev(mask):
+        return sum(1 << n - 1 - i for i in bits(mask))
+
+    return t._replace(triples=tuple(tr._replace(pre=rev(tr.pre), post=rev(tr.post))
+                                    for tr in t.triples),
+                      props=t.props[::-1], initial_props=rev(t.initial_props))
+
+
 def test_search_context_reads_each_triples_guards_and_new_refs():
     # A triple's pre and post masks, and what it retires and newly computes
-    # by their definitions over its post's properties.
+    # by their definitions over its post's properties; also on the planner
+    # theory with its bits reversed, so that no guard's bits sit as the
+    # derivation lays them.
     for name, g in _guard_graphs():
-        for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
+        flops = {n.id: node_flops(g, n) for n in g.nodes}
+        owed = {r for r in g.loss_ancestors if flops[r]}
+        for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False),
+                   _bits_reversed(build_theory(g, 2))):
             ctx = SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2))
+            assert ctx.owed == sorted(owed), name
             for ti, tr in enumerate(oracles.set_theory(th).triples):
-                assert _props_of(ctx, ctx.tpre[ti]) == tr.pre, name
+                assert _props_of(ctx, ctx.triples[ti].pre) == tr.pre, name
                 assert _props_of(ctx, ctx.tpost[ti]) == tr.post, name
                 assert _props_of(ctx, ctx.tretire[ti]) == {
                     not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED}, name
-                assert [ctx.tensors[k] for k in bits(ctx.tnew[ti])] == sorted(
-                    {p.ref for p in tr.post if p.kind not in GUARD_KINDS}), name
+                assert [(ctx.owed[b.bit_length() - 1], f) for b, f in ctx.towes[ti]] == [
+                    (r, flops[r]) for r in sorted({p.ref for p in tr.post
+                                                   if p.kind not in GUARD_KINDS}) if r in owed], name
 
 
 # Property sets each walk below expands, breadth first: every set the
