@@ -1,7 +1,6 @@
 """Command-line interface.
 
-    shardplan plan GRAPH CLUSTER [-o PLAN] [--segments N] [--max-rounds N]
-                                 [--budget N]
+    shardplan plan GRAPH CLUSTER [-o PLAN] [--max-rounds N] [--budget N]
     shardplan verify PLAN GRAPH CLUSTER [--trials N] [--seed S]
     shardplan enumerate GRAPH CLUSTER [--ratios uniform|flops|PLAN]
                                       [--max-len N] [--force]
@@ -13,15 +12,14 @@ recomputed from the canonicalized ratios, so a written plan is exactly
 self-consistent.  A plan holds the answer and no search telemetry: `verify`
 checks every field but `loop.optimal`, which `enumerate --ratios PLAN`
 checks.  `enumerate` prices every program at one ratio row, uniform or
-proportional to device speed, or at a plan's rows and segments.
+proportional to device speed, or at a plan's rows and segments.  `plan`
+writes one row; only the library's `alternate(segments=N)` writes several.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
-import logging
-import os
 import sys
 import time
 from typing import NamedTuple
@@ -58,10 +56,9 @@ class OptionError(ValueError):
     """A command-line option outside its range, or a file that is not UTF-8."""
 
 
-def _check_option(name: str, value: int | None, lo: int, hi: int | None = None) -> None:
-    if value is not None and (value < lo or (hi is not None and value > hi)):
-        span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
-        raise OptionError(f"--{name} must be {span}, got {value}")
+def _check_option(name: str, value: int | None, lo: int) -> None:
+    if value is not None and value < lo:
+        raise OptionError(f"--{name} must be at least {lo}, got {value}")
 
 
 def _read(path: str) -> str:
@@ -118,11 +115,10 @@ def plan_document(g: Graph, spec: ClusterSpec, result) -> dict:
 def cmd_plan(args) -> int:
     started = time.monotonic()
     g, spec = _graph_and_cluster(args)
-    _check_option("segments", args.segments, 1, len(g.nodes))
     _check_option("max-rounds", args.max_rounds, 1)
     _check_option("budget", args.budget, 0)
     cfg = LoopConfig(max_rounds=args.max_rounds, max_expansions=args.budget)
-    result = alternate(g, spec, segments=args.segments, cfg=cfg)
+    result = alternate(g, spec, cfg=cfg)
     doc = plan_document(g, spec, result)
     text = json.dumps(doc, indent=2) + "\n"
     wall = time.monotonic() - started
@@ -176,8 +172,11 @@ def _fields(obj, where: str, keys: tuple[str, ...]) -> None:
 def _plan_doc(path: str):
     try:
         return json.loads(_read(path))
+    except json.JSONDecodeError as e:
+        raise PlanFormatError(
+            f"invalid JSON in {path} at line {e.lineno} col {e.colno}: {e.msg}") from None
     except RecursionError:
-        raise PlanFormatError(f"{path}: invalid JSON: nested too deeply") from None
+        raise PlanFormatError(f"invalid JSON in {path}: nested too deeply") from None
 
 
 def load_plan(doc, g: Graph, m: int) -> Plan:
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("cluster")
     p.add_argument("-o", "--output", default=None, help="plan file (default: stdout)")
-    p.add_argument("--segments", type=int, default=1)
     p.add_argument("--max-rounds", type=int, default=8)
     p.add_argument("--budget", type=int, default=200_000,
                    help="search expansion budget per synthesis call")
@@ -343,20 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = logging.getLevelName(os.environ.get("SHARDPLAN_LOG", "warning").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
-                        format="%(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, ClusterFormatError, PlanFormatError, OptionError,
-            GraphTooLargeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(f"error: invalid JSON: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+            GraphTooLargeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NoCompleteProgramError as e:

@@ -30,7 +30,6 @@ with a row (a source adds 0.0, which changes no sum).
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from array import array
 from itertools import chain
@@ -42,8 +41,6 @@ from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
 from .graph_ir import Graph, SegmentAssignment, node_flops
 from .theory import (COLLECTIVE_KINDS, COMMUNICATED, GUARD_KINDS, Instruction, Theory,
                      all_reduce, bits, not_communicated)
-
-_logger = logging.getLogger("shardplan.synthesizer")
 
 
 class NoCompleteProgramError(RuntimeError):
@@ -266,7 +263,6 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
     best_s = bound = math.inf       # best complete cost; scores it cuts off
     expansions = generated = purged = 0
     last_score, exhausted = 0.0, False
-    trace = _logger.isEnabledFor(logging.DEBUG)
 
     while heap:
         key, _, _, q = heapq.heappop(heap)
@@ -280,9 +276,6 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
             exhausted = True
             break
         expansions += 1
-        if trace:
-            _logger.debug("expand #%d score=%.6g instrs=%d props=%d",
-                          expansions, q.score_s, q.depth, q.props.bit_count())
 
         for ti in applicable(q.props):
             succ = step(q, ti)

@@ -1,5 +1,4 @@
 import heapq
-import logging
 import math
 import operator
 from unittest import mock
@@ -487,13 +486,6 @@ def test_context_rejects_mismatched_shapes():
         SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(3))
     with pytest.raises(ValueError, match="segment count"):
         SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2, g=2))
-
-
-def test_search_trace_logging(caplog):
-    g = graph_from_dict(corpus.CORPUS["param_only"])
-    with caplog.at_level(logging.DEBUG, logger="shardplan.synthesizer"):
-        synthesize(g, build_theory(g, 2), corpus.homog2(), ShardingRatios.uniform(2))
-    assert any("expand #1" in r.getMessage() for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------
