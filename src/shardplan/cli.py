@@ -28,7 +28,8 @@ from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
                          build_shard_table, check_byte_counts, iteration_time,
                          single_segment)
 from .graph_ir import (Graph, GraphFormatError, GraphTooLargeError, SegmentAssignment,
-                       _is_finite_number, _is_int, parse_graph, serialize_graph)
+                       _is_finite_number, _is_int, invalid_json, parse_graph,
+                       serialize_graph)
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
                           enumerate_programs)
@@ -69,9 +70,20 @@ def _read(path: str) -> str:
         raise OptionError(f"{path}: not UTF-8 text ({e})") from None
 
 
+def _parsed(path: str, parse):
+    """`parse` applied to the text of the file at `path`; if the file is
+    not JSON, the parser's error names it."""
+    try:
+        return parse(_read(path))
+    except (GraphFormatError, ClusterFormatError) as e:
+        if isinstance(e.__cause__, (json.JSONDecodeError, RecursionError)):
+            raise type(e)(invalid_json(e.__cause__, path)) from None
+        raise
+
+
 def _graph_and_cluster(args) -> tuple[Graph, ClusterSpec]:
-    g = parse_graph(_read(args.graph))
-    spec = ClusterSpec.from_json(_read(args.cluster))
+    g = _parsed(args.graph, parse_graph)
+    spec = _parsed(args.cluster, ClusterSpec.from_json)
     check_byte_counts(g, spec)
     return g, spec
 
@@ -172,11 +184,8 @@ def _fields(obj, where: str, keys: tuple[str, ...]) -> None:
 def _plan_doc(path: str):
     try:
         return json.loads(_read(path))
-    except json.JSONDecodeError as e:
-        raise PlanFormatError(
-            f"invalid JSON in {path} at line {e.lineno} col {e.colno}: {e.msg}") from None
-    except RecursionError:
-        raise PlanFormatError(f"invalid JSON in {path}: nested too deeply") from None
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise PlanFormatError(invalid_json(e, path)) from None
 
 
 def load_plan(doc, g: Graph, m: int) -> Plan:

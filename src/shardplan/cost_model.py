@@ -36,7 +36,7 @@ import json
 import math
 from typing import NamedTuple
 
-from .graph_ir import Graph, SegmentAssignment, _is_finite_number
+from .graph_ir import Graph, SegmentAssignment, _is_finite_number, invalid_json
 from .theory import COLLECTIVE_KINDS, Instruction
 
 
@@ -112,10 +112,8 @@ class ClusterSpec(NamedTuple):
     def from_json(cls, text: str) -> "ClusterSpec":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ClusterFormatError(f"invalid JSON at line {e.lineno} col {e.colno}: {e.msg}") from e
-        except RecursionError:
-            raise ClusterFormatError("invalid JSON: nested too deeply") from None
+        except (json.JSONDecodeError, RecursionError) as e:
+            raise ClusterFormatError(invalid_json(e)) from e
         return cls.from_dict(doc)
 
 

@@ -239,13 +239,20 @@ def graph_from_dict(doc: dict) -> Graph:
                  loss_ancestors=frozenset(ancestors))
 
 
+def invalid_json(e: ValueError | RecursionError, source: str = "") -> str:
+    """The message for a document that is not JSON, as the decoder's error
+    `e` found it, naming the file `source` if given."""
+    source = f" in {source}" if source else ""
+    if isinstance(e, json.JSONDecodeError):
+        return f"invalid JSON{source} at line {e.lineno} col {e.colno}: {e.msg}"
+    return f"invalid JSON{source}: nested too deeply"
+
+
 def parse_graph(text: str) -> Graph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GraphFormatError(f"invalid JSON: {e.msg}", where=f"line {e.lineno} col {e.colno}") from e
-    except RecursionError:
-        raise GraphFormatError("invalid JSON: nested too deeply") from None
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise GraphFormatError(invalid_json(e)) from e
     return graph_from_dict(doc)
 
 

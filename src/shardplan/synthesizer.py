@@ -40,7 +40,7 @@ from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
                          single_segment)
 from .graph_ir import Graph, SegmentAssignment, node_flops
 from .theory import (COLLECTIVE_KINDS, COMMUNICATED, GUARD_KINDS, Instruction, Theory,
-                     all_reduce, bits, not_communicated)
+                     all_reduce, bits, not_communicated, relevant)
 
 
 class NoCompleteProgramError(RuntimeError):
@@ -343,6 +343,13 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     """Exhaustive enumeration of every program of at most max_len
     instructions; returns the cheapest complete one.
 
+    Under one ratio row only the triples that can reach the loss are
+    walked (`theory.relevant`): a cheapest program fires no other, so the
+    minimum is the full theory's, and `explored` counts the states of that
+    walk.  Under several rows the full theory is walked, because a dead
+    zero-flop source or an unread collective can set the row at which a
+    waiting stage is priced.
+
     A state is an interned property set, an interned open stage (a
     `StageCost`: collective price, per-device accrued compute, ratio row,
     collective) and the instruction count.  Programs reaching the same state
@@ -364,6 +371,9 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     steps each state's open stage, memoized per stage and triple."""
     if max_len is None:
         max_len = 2 * len(g.nodes) + 4
+    # Delete this test with segments, and prune on every call.
+    if assignment is None or assignment.count == 1:
+        theory = relevant(theory)
     ctx = SearchContext(g, theory, spec, B, assignment)
     root = ctx.root
     tlen = [len(tr.instrs) for tr in ctx.triples]

@@ -19,6 +19,8 @@ one of them: a single instruction that reads the distributed tensor of each
 precondition property and writes the one of the postcondition.  The guards
 are derived in the same pass, and ``fuse_empty_preconditions`` is a rewrite;
 both shrink the search space without changing the reachable minimum cost.
+``relevant`` keeps the triples that can reach the loss, which is all the
+one-row enumeration walks.
 """
 from __future__ import annotations
 
@@ -362,6 +364,31 @@ def fuse_empty_preconditions(t: Theory) -> Theory:
                 for i in bits(fused.pre & sources):
                     readers.setdefault(i, []).append(fused)
     return t._replace(triples=tuple(kept))
+
+
+def relevant(t: Theory) -> Theory:
+    """The triples that can reach the loss, in their order.
+
+    A backward pass over the (pre, post) masks: the loss's AllReduce bit is
+    relevant, a triple is relevant when its post sets a relevant bit, and
+    every pre bit of a relevant triple is relevant; repeat until nothing
+    changes.  A complete program stays complete without its irrelevant
+    triples, since nothing relevant reads their posts and dropping one
+    retires no guard.  Dropping a computation lowers one stage's seconds,
+    and dropping a collective merges two stages and drops its price, so a
+    cheapest program at one ratio row fires only relevant triples."""
+    need = 1 << t.props.index(all_reduce(t.loss))
+    rest = t.triples
+    while True:
+        left = []
+        for tr in rest:
+            if tr.post & need:
+                need |= tr.pre
+            else:
+                left.append(tr)
+        if len(left) == len(rest):
+            return t._replace(triples=tuple(tr for tr in t.triples if tr.post & need))
+        rest = left
 
 
 def build_theory(g: Graph, m: int, *, guards: bool = True, fuse: bool = True) -> Theory:

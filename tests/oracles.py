@@ -3,11 +3,12 @@
 Everything here is deliberately brute-force: grids, vertex enumeration,
 exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
-points, except the search-space walks and the reference forms of six of the
-package's shortcuts: the theory derived and fused over sets of properties
-(the package holds each property set as an int mask), the communication
-guards by rewriting the raw theory, triple fusion by a scan over every
-triple, applicable triples by a near-set over sets of properties, the
+points, except the search-space walks and the reference forms of seven of
+the package's shortcuts: the theory derived and fused over sets of
+properties (the package holds each property set as an int mask), the
+communication guards by rewriting the raw theory, triple fusion by a scan
+over every triple, the triples relevant to the loss by a worklist over
+properties, applicable triples by a near-set over sets of properties, the
 simplex with dense pivots, and the graph document by the json encoder.
 The walks step with `SearchContext.step`, the one step function the search
 itself takes, to list programs; the enumeration's state graph also takes
@@ -633,6 +634,32 @@ def fuse_by_scan(theory) -> tuple:
                 seen.add(fused)
                 triples.append(fused)
     return tuple(kept)
+
+
+# ---------------------------------------------------------------------------
+# relevance by a worklist over properties
+
+
+def relevant_by_worklist(t: SetTheory) -> SetTheory:
+    """The theory `theory.relevant` keeps, found backward from the loss's
+    AllReduce property over sets: each property taken off a worklist makes
+    every triple whose post holds it relevant, and each pre property of
+    those not yet seen joins the worklist.  The relevant triples keep their
+    order."""
+    makers: dict[Property, list[int]] = {}
+    for ti, tr in enumerate(t.triples):
+        for p in tr.post:
+            makers.setdefault(p, []).append(ti)
+    seen = {all_reduce(t.loss)}
+    work = list(seen)
+    kept: set[int] = set()
+    while work:
+        for ti in makers.get(work.pop(), ()):
+            kept.add(ti)
+            fresh = t.triples[ti].pre - seen
+            seen |= fresh
+            work.extend(fresh)
+    return t._replace(triples=tuple(tr for ti, tr in enumerate(t.triples) if ti in kept))
 
 
 # ---------------------------------------------------------------------------

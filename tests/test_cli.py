@@ -304,6 +304,21 @@ def test_input_files_that_do_not_decode_exit_2(files, capsys, content):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert ("UTF-8" if content[0] == 0xff else "nested too deeply") in err, (argv, err)
+        assert bad in err, (argv, err)
+
+
+@pytest.mark.parametrize("content", ["{x", "[" * 100_000], ids=["malformed", "nested"])
+@pytest.mark.parametrize("position", [0, 1, 2], ids=["plan", "graph", "cluster"])
+def test_verify_names_each_file_that_is_not_json(files, capsys, content, position):
+    # the plan, graph and cluster files all word the error alike, with the path
+    bad = _write(files["tmp"], "bad.json", content)
+    argv = [_plan(files), files["graph"], files["hetero2"]]
+    argv[position] = bad
+    capsys.readouterr()
+    assert main(["verify", *argv]) == 2
+    where = (" at line 1 col 2: Expecting property name enclosed in double quotes"
+             if content == "{x" else ": nested too deeply")
+    assert capsys.readouterr().err == f"error: invalid JSON in {bad}{where}\n"
 
 
 def _enumerated_minimum(files, capsys, plan):

@@ -15,7 +15,7 @@ from shardplan.cost_model import StageCost, StagePricer, single_segment
 from shardplan.graph_ir import assign_segments, graph_from_dict
 from shardplan.synthesizer import (OPTIMALITY_MARGIN, PartialProgram, SearchContext,
                                    _priority, enumerate_programs)
-from shardplan.theory import Property, all_gather, all_reduce, derive_theory
+from shardplan.theory import Property, all_gather, all_reduce, derive_theory, relevant
 
 
 def _ctx(name, theory_fn=build_theory, spec=None):
@@ -147,20 +147,23 @@ def test_three_device_search_matches_enumeration():
 
 
 def test_enumeration_agrees_with_unmerged_walk():
-    # max_len=5 binds (the unlimited enumeration explores more states), and
-    # the unequal rows make the two-segment case re-price collectives
+    # max_len=4 binds (the unlimited enumeration explores more states), and
+    # the unequal rows make the two-segment case re-price collectives; the
+    # unmerged walk covers the full theory, the one-segment enumeration the
+    # triples that can reach the loss.  (No bound binds on rank1_mul's: each
+    # of their complete programs has 4 instructions.)
     spec = corpus.homog2()
-    for name in ("rank1_mul", "param_only", "identity_after_reduce", "matmul_reduce"):
+    for name in ("binary_add", "param_only", "identity_after_reduce", "matmul_reduce"):
         g = graph_from_dict(corpus.CORPUS[name])
         for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
             for B, assignment in ((ShardingRatios(((0.75, 0.25),)), single_segment(g)),
                                   (ShardingRatios(((0.75, 0.25), (0.375, 0.625))),
                                    assign_segments(g, 2))):
-                every = oracles.enumerate_all_complete(g, th, spec, B, max_len=5,
+                every = oracles.enumerate_all_complete(g, th, spec, B, max_len=4,
                                                        assignment=assignment)
                 assert every, name
                 costs = [iteration_time(seq, B, spec, assignment).total_s for seq in every]
-                enum = enumerate_programs(g, th, spec, B, assignment=assignment, max_len=5)
+                enum = enumerate_programs(g, th, spec, B, assignment=assignment, max_len=4)
                 assert enum.cost_s == min(costs), name
                 assert enum.program.instrs in every, name
                 assert enum.complete_states <= len(every), name
@@ -177,13 +180,52 @@ def test_enumeration_state_counts_are_pinned():
         assert (res.explored, res.complete_states) == corpus.ENUMERATION_COUNTS[name], name
 
 
+def state_graph_minimum(g, th, spec, B, assignment=None) -> float:
+    """The cheapest complete state of the state graph of the theory `th`."""
+    with oracles.collector_paused():
+        graph = oracles.state_graph(g, th, spec, B, assignment)
+        return min(oracles.total_s(q) for q in graph.nodes if graph.complete(q))
+
+
+@pytest.mark.parametrize("name", ["gram", "dead_branch"])
+def test_enumeration_of_what_reaches_the_loss_keeps_the_full_minimum(name):
+    # on five clusters, at uniform and at speed-proportional ratios
+    g = graph_from_dict(getattr(corpus, name)())
+    th = build_theory(g, 2, guards=False, fuse=False)
+    for cname in ("homog2", "hetero2", "skew2", "slowhet2", "slow2"):
+        spec = getattr(corpus, cname)()
+        for rows in {ShardingRatios.uniform(2).rows,
+                     ShardingRatios.proportional_to_flops(spec).rows}:
+            B = ShardingRatios(rows)
+            full = state_graph_minimum(g, th, spec, B)
+            assert enumerate_programs(g, th, spec, B).cost_s.hex() == full.hex(), (name, cname)
+
+
+def test_two_segment_enumeration_walks_the_full_theory():
+    # with two segments an unread all_gather can close a stage so that the
+    # loss's reduce is priced at its own segment's row, not at the row of
+    # the stage's first computation: on rank1_mul that beats every program
+    # of the triples that can reach the loss
+    spec = corpus.slow2()
+    for doc, rows, pruning_moves_it in ((corpus.gram(), ((0.25, 0.75), (0.5, 0.5)), False),
+                                        (corpus.rank1_mul(), ((0.7, 0.3), (0.4, 0.6)), True)):
+        g = graph_from_dict(doc)
+        th = build_theory(g, 2, guards=False, fuse=False)
+        B, assignment = ShardingRatios(rows), assign_segments(g, 2)
+        full = state_graph_minimum(g, th, spec, B, assignment)
+        enum = enumerate_programs(g, th, spec, B, assignment=assignment)
+        assert enum.cost_s.hex() == full.hex(), g.loss
+        pruned = state_graph_minimum(g, relevant(th), spec, B, assignment)
+        assert (pruned > full) == pruning_moves_it, (pruned, full)
+
+
 def test_state_graph_oracle_follows_the_enumeration():
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
     g = graph_from_dict(corpus.CORPUS["identity_after_reduce"])
     th = build_theory(g, 2, guards=False, fuse=False)
     enum = enumerate_programs(g, th, spec, B)
-    graph = oracles.state_graph(g, th, spec, B)
+    graph = oracles.state_graph(g, relevant(th), spec, B)
     nodes = graph.nodes
     assert (graph.explored, graph.complete_states) == (enum.explored, enum.complete_states)
     assert min(oracles.total_s(q) for q in nodes if graph.complete(q)) == enum.cost_s
@@ -204,8 +246,11 @@ def test_state_graph_oracle_follows_the_enumeration():
 
 
 def _matches_state_graph(g, th, spec, B, assignment=None):
-    """The oracle's state graph, once the enumeration's counts and cost bits
-    are checked against it."""
+    """The oracle's state graph of what the enumeration walks, the triples
+    that can reach the loss if there is one segment, once the enumeration's
+    counts and cost bits are checked against it."""
+    if assignment is None or assignment.count == 1:
+        th = relevant(th)
     graph = oracles.state_graph(g, th, spec, B, assignment=assignment)
     enum = enumerate_programs(g, th, spec, B, assignment=assignment)
     assert (graph.explored, graph.complete_states) == (enum.explored, enum.complete_states)
@@ -294,6 +339,7 @@ def _chain(*triples: oracles.SetTriple) -> oracles.SetTriple:
 def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
     # [all_gather x; matmul] closes only the open stage; [all_to_all x;
     # matmul; reduce_scatter h; reduce] closes its all_to_all's stage too,
+    # and both can reach the loss,
     # so the enumeration must step it from each state's own stage: on this
     # slow cluster, skipping that stage's charge would make the second
     # chain the cheapest way to the loss.  Each triple posts a property of
@@ -303,7 +349,7 @@ def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
     raw = oracles.reference_theory(g, 2)
     rule = _rules(g).__getitem__
     chains = (_chain(rule("x@full<-all_gather/x/d=0(x@shard0)"),
-                     rule("h@full<-matmul/h(x@full,w@full)")),
+                     rule("h@shard1<-matmul/h(x@full,w@shard1)")),
               _chain(rule("x@shard1<-all_to_all/x/d=0/d2=1(x@shard0)"),
                      rule("h@partial<-matmul/h(x@shard1,w@shard0)"),
                      rule("h@shard0<-reduce_scatter/h/d=0(h@partial)"),
@@ -311,8 +357,10 @@ def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
     triples = [rule(c) for c in (
         "x@shard0<-placeholder_shard/x/d=0()", "x@shard1<-placeholder_shard/x/d=1()",
         "w@full<-parameter/w()", "w@shard0<-parameter_shard/w/d=0()",
+        "w@shard1<-parameter_shard/w/d=1()",
         "h@shard0<-matmul/h(x@shard0,w@full)", "h@partial<-matmul/h(x@shard1,w@shard0)",
-        "h@full<-matmul/h(x@full,w@full)", "loss@partial<-reduce/loss(h@shard0)",
+        "h@shard1<-matmul/h(x@full,w@shard1)", "loss@partial<-reduce/loss(h@shard0)",
+        "loss@partial<-reduce/loss(h@shard1)",
         "loss@partial<-reduce/loss(h@partial)", "x@full<-all_gather/x/d=0(x@shard0)",
         "x@shard1<-all_to_all/x/d=0/d2=1(x@shard0)",
         "h@shard0<-reduce_scatter/h/d=0(h@partial)", "h@full<-all_gather/h/d=0(h@shard0)")]

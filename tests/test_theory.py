@@ -13,7 +13,7 @@ from shardplan.synthesizer import SearchContext
 from shardplan.theory import (COMMUNICATED, GUARD_KINDS, Instruction, all_gather, all_reduce,
                               bits, communicated, derive_theory,
                               fuse_empty_preconditions, identity,
-                              not_communicated)
+                              not_communicated, relevant)
 
 
 def _props_of(ctx, mask):
@@ -238,6 +238,32 @@ def test_theory_masks_decode_to_the_set_reference():
         assert_masks_decode_to_the_set_reference(g, name)
     for name in ("dead_branch", "gram"):
         assert_masks_decode_to_the_set_reference(graph_from_dict(getattr(corpus, name)()), name)
+
+
+def assert_relevance_matches_the_set_reference(g, name=""):
+    """Under every guards/fuse setting, `relevant` keeps the triples that
+    `oracles.relevant_by_worklist` keeps, triple for triple and in order,
+    and keeping them again changes nothing."""
+    for guards, fuse in itertools.product((True, False), (True, False)):
+        theory = build_theory(g, 2, guards=guards, fuse=fuse)
+        kept = relevant(theory)
+        reference = oracles.relevant_by_worklist(oracles.set_theory(theory))
+        assert oracles.set_theory(kept) == reference, (name, guards, fuse)
+        assert relevant(kept) == kept, (name, guards, fuse)
+
+
+def test_relevance_matches_the_set_reference():
+    for name, g in _guard_graphs():
+        assert_relevance_matches_the_set_reference(g, name)
+
+
+def test_relevance_drops_the_dead_branch_and_the_unread_full_loss():
+    g = graph_from_dict(corpus.dead_branch())
+    kept = relevant(derive_theory(g, 2))
+    refs = {i.ref for tr in kept.triples for i in tr.instrs}
+    assert refs == set(g.loss_ancestors) | {g.loss}
+    outputs = {i.output for tr in kept.triples for i in tr.instrs}
+    assert "loss@partial" in outputs and "loss@full" not in outputs
 
 
 def _bits_reversed(t):
