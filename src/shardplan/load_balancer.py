@@ -13,6 +13,17 @@ through segment-boundary reshards, which are charged here against the
 segment's own M (the exact evaluator uses the max over both rows, so the
 loop re-checks candidates against the true model before accepting them).
 
+A segment with no replicated work and no slope needs no LP.  Its stage s
+then takes F_s*B_j/r_j seconds on device j (F_s the stage's flops, r_j the
+device's rate), so its objective is sum_s max_j F_s*B_j/r_j =
+(sum_s F_s) * max_j B_j/r_j.  The B_j sum to one, so max_j B_j/r_j is at
+least 1/sum(r), with equality only at B_j = r_j/sum(r): the row
+`ShardingRatios.proportional_to_flops` builds is an exact optimum, and the
+only one when some stage has flops (the simplex finds it only to within
+rounding).  A segment with no stage and no slope meets the condition
+vacuously.  Replicated work or any slope (a gather-style collective, a
+boundary reshard) sends the segment to the simplex.
+
 The solver is a two-phase simplex with Bland's rule, run on Python lists of
 floats so that planning needs only the standard library: the tableaux have
 a few dozen columns at most, where numpy's per-call overhead costs more
@@ -157,10 +168,6 @@ class SegmentProblem:
         self.comp_c = [] if comp_c is None else comp_c      # replicated s
         self.slope_M = slope_M
 
-    @property
-    def trivial(self) -> bool:
-        return not self.comp_a and self.slope_M <= 0.0
-
 
 class _CoefficientWalk(StagePricer):
     """`StagePricer.advance` with LP coefficients in place of prices.  A
@@ -257,17 +264,22 @@ def build_lp(prob: SegmentProblem) -> tuple[list, ...]:
 
 def optimize_ratios(program, g: Graph, spec: ClusterSpec,
                     assignment: SegmentAssignment | None = None) -> ShardingRatios:
-    """Best ratio rows for a fixed program, one independent LP per segment.
+    """Best ratio rows for a fixed program, one independent problem per
+    segment.
 
-    Segments with nothing ratio-sensitive (no compute stages, no
-    shard-size-dependent communication) fall back to uniform rows.
+    A segment whose stages do only sharded work and whose collectives cost
+    nothing that depends on the ratios (`comp_c` all zero and `slope_M`
+    zero, as in a segment with no stage and no slope) gets the
+    speed-proportional row, the exact optimum shown in the module
+    docstring.  Every other segment solves its LP.
     """
     assignment = assignment or single_segment(g)
     m = spec.m
+    proportional = ShardingRatios.proportional_to_flops(spec).rows[0]
     out_rows: list[tuple[float, ...]] = []
     for prob in segment_problems(program.instrs, spec, assignment):
-        if prob.trivial:
-            out_rows.append(tuple(1.0 / m for _ in range(m)))
+        if prob.slope_M == 0.0 and not any(map(any, prob.comp_c)):
+            out_rows.append(proportional)
             continue
         sol = solve_lp(*build_lp(prob))
         if sol.status != "optimal":

@@ -114,7 +114,8 @@ def alternate(g: Graph, spec: ClusterSpec, segments: int = 1,
             break
 
         B_new = balance_fn(res.program, g, spec, assignment)
-        cost_b = iteration_time(res.program.instrs, B_new, spec, assignment).total_s
+        cost_b = (cost_q if B_new.rows == B.rows else
+                  iteration_time(res.program.instrs, B_new, spec, assignment).total_s)
         accepted = _beats(cost_b, best[0])
         rounds.append(RoundTrace(cost_q, cost_b, accepted))
         if not accepted:

@@ -3,13 +3,14 @@
 Everything here is deliberately brute-force: grids, vertex enumeration,
 exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
-points, except the search-space walks and the reference forms of seven of
+points, except the search-space walks and the reference forms of eight of
 the package's shortcuts: the theory derived and fused over sets of
 properties (the package holds each property set as an int mask), the
 communication guards by rewriting the raw theory, triple fusion by a scan
 over every triple, the triples relevant to the loss by a worklist over
 properties, applicable triples by a near-set over sets of properties, the
-simplex with dense pivots, and the graph document by the json encoder.
+simplex with dense pivots, the closed-form ratio row by the segment's LP,
+and the graph document by the json encoder.
 The walks step with `SearchContext.step`, the one step function the search
 itself takes, to list programs; the enumeration's state graph also takes
 the applicable triples and their property changes from `SearchContext`,
@@ -74,6 +75,32 @@ def segment_objective(prob: SegmentProblem, row) -> float:
 
 def grid_min_objective(prob: SegmentProblem, step: float = 1e-2) -> float:
     return min(segment_objective(prob, row) for row in grid_rows(prob.m, step))
+
+
+def lp_row(prob: SegmentProblem) -> tuple[float, ...]:
+    """The segment's LP optimum, clipped and normalized as `optimize_ratios`
+    treats the rows it takes from the simplex."""
+    sol = load_balancer.solve_lp(*load_balancer.build_lp(prob))
+    assert sol.status == "optimal", sol.status
+    row = [0.0 if v <= 0.0 else v for v in sol.x[:prob.m]]
+    return tuple(v / sum(row) for v in row)
+
+
+def rows_off_the_lp(program, g: Graph, spec, assignment) -> list[tuple]:
+    """The segments at which `optimize_ratios` misses its LP: (segment, row,
+    LP row) where the row prices above the LP row by more than a relative
+    1e-12, or, on a segment with replicated work or a slope, differs from
+    it in any bit.  Empty when every row is the LP's optimum."""
+    rows = load_balancer.optimize_ratios(program, g, spec, assignment).rows
+    off = []
+    for prob, row in zip(load_balancer.segment_problems(program.instrs, spec, assignment),
+                         rows):
+        ref = lp_row(prob)
+        sensitive = prob.slope_M > 0.0 or any(v != 0.0 for c in prob.comp_c for v in c)
+        if (segment_objective(prob, row) > segment_objective(prob, ref) * (1 + 1e-12)
+                or (sensitive and row != ref)):
+            off.append((prob.row_index, row, ref))
+    return off
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ A strategy draws graphs of 3 to 5 nodes over the seven ops (rank at most 2,
 extents 1 to 4), whose nodes may branch off the loss path, and clusters
 of 2 or 3 devices with their own rate per device and latency and bandwidth
 per collective.  Each plan must cost the enumerated minimum at its own
-ratios, compute the loss on random inputs, and load back to its program.
+ratios, compute the loss on random inputs, and load back to its program,
+and its ratio rows must be the optimum of each segment's LP.
 A second strategy draws a batch contraction on slow clusters, so that some
 plans hold a collective.  The examples are derandomized, so every run
 checks the same graphs.
@@ -14,6 +15,7 @@ import json
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from shardplan import ClusterSpec, ShardingRatios, alternate, build_theory
 from shardplan.cli import _canon, load_plan, plan_document
 from shardplan.cost_model import build_shard_table
@@ -144,6 +146,7 @@ def _plan_is_optimal_sound_and_loads_back(graph_doc, cluster_doc) -> Distributed
 
     table = build_shard_table(g, plan.ratios, plan.assignment)
     assert check_equivalence(g, plan.program, spec.m, table, trials=5).passed
+    assert not oracles.rows_off_the_lp(plan.program, g, spec, plan.assignment)
     return plan.program
 
 

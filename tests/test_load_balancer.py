@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import corpus
 import oracles
 from shardplan import (ClusterSpec, DistributedProgram, Instruction, ShardingRatios,
-                       alternate, build_theory, optimize_ratios, synthesize)
+                       alternate, build_theory, load_balancer, optimize_ratios, synthesize)
 from shardplan.cost_model import comm_terms, iteration_time, round_shards
 from shardplan.graph_ir import SegmentAssignment, graph_from_dict
 from shardplan.load_balancer import SegmentProblem, build_lp, segment_problems, solve_lp
@@ -68,17 +69,62 @@ def test_sparse_pivots_solve_as_dense_pivots_do():
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
+def _graded(m: int) -> ClusterSpec:
+    return ClusterSpec.from_dict(corpus._cluster([(j + 2) * 25e9 for j in range(m)],
+                                                 2e-5, 12e9))
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 8])
 def test_ratio_rows_equal_dense_pivots_bit_for_bit(m):
-    spec = ClusterSpec.from_dict(corpus._cluster([(j + 2) * 25e9 for j in range(m)],
-                                                 2e-5, 12e9))
+    # `optimize_ratios` answers these plans in closed form, so their LPs
+    # are solved here directly
+    spec = _graded(m)
     for name, g in corpus.corpus_graphs():
         res = alternate(g, spec)
-        rows = optimize_ratios(res.program, g, spec, res.assignment).rows
+        probs = segment_problems(res.program.instrs, spec, res.assignment)
+        rows = [solve_lp(*build_lp(prob)).x[:m] for prob in probs]
         with oracles.dense_pivots():
-            ref = optimize_ratios(res.program, g, spec, res.assignment).rows
+            ref = [solve_lp(*build_lp(prob)).x[:m] for prob in probs]
         assert [[v.hex() for v in row] for row in rows] == \
             [[v.hex() for v in row] for row in ref], name
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_ratio_rows_are_the_lp_optimum(m):
+    spec = _graded(m)
+    for name, g in corpus.corpus_graphs():
+        for segments in (1, 2):
+            res = alternate(g, spec, segments=segments)
+            off = oracles.rows_off_the_lp(res.program, g, spec, res.assignment)
+            assert not off, (name, segments, off)
+
+
+def test_sharded_plans_take_the_closed_form_and_mix_takes_the_lp():
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve_lp called")
+
+    with mock.patch.object(load_balancer, "solve_lp", no_lp):
+        for cname in ("hetero2", "hetero4", "hetero8"):
+            spec = getattr(corpus, cname)()
+            for name, g in corpus.corpus_graphs():
+                for segments in (1, 2):
+                    assert alternate(g, spec, segments=segments).program, (cname, name)
+    # a slope (the plan's reduce_scatter) and replicated work each take the LP
+    g = graph_from_dict(corpus.mix_graph(2, 32, 32))
+    with mock.patch.object(load_balancer, "solve_lp", wraps=solve_lp) as lp:
+        res = alternate(g, corpus.slowhet2())
+    assert lp.called
+    assert not oracles.rows_off_the_lp(res.program, g, corpus.slowhet2(), res.assignment)
+    spec = corpus.hetero2()
+    mm = Instruction("matmul", "h", operands=("a", "b"), output="h@z", sharded=True,
+                     flops=128)
+    rep = Instruction("reduce", "h", operands=("h@z",), output="h@w", dims=(0,), flops=10)
+    program = DistributedProgram(instrs=(mm, rep), loss="h")
+    one = SegmentAssignment(segment_of={"h": 1}, count=1)
+    with mock.patch.object(load_balancer, "solve_lp", wraps=solve_lp) as lp:
+        B = optimize_ratios(program, None, spec, one)
+    assert lp.called and B.rows[0][0] > 0.7
+    assert not oracles.rows_off_the_lp(program, None, spec, one)
 
 
 def test_ratio_lp_analytic_cases():
@@ -141,8 +187,8 @@ def test_segment_problem_coefficients():
     assert p.slope_M == 32 / bw
     assert p.comp_a == [[128 / rate] * 2, [0.0, 0.0]]
     assert p.comp_c == [[0.0, 0.0], [10 / rate] * 2]
-    assert not p.trivial
-    assert SegmentProblem(row_index=0, m=2).trivial
+    empty = SegmentProblem(row_index=0, m=2)
+    assert (empty.comp_a, empty.comp_c, empty.slope_M) == ([], [], 0.0)
 
 
 def test_segment_problems_charge_each_stage_to_its_row():
@@ -179,8 +225,8 @@ def test_segment_problems_charge_each_stage_to_its_row():
     assert coefficients((ag, idle), one) == [([[0.0, 0.0]], [[0.0, 0.0]], 2.0 ** -26)]
     assert coefficients((ag,), one) == [([], [], 2.0 ** -26)]
     ar = ag._replace(kind="all_reduce")
-    assert not segment_problems((ar, idle), spec, one)[0].trivial
-    assert segment_problems((ar,), spec, one)[0].trivial
+    assert coefficients((ar, idle), one) == [([[0.0, 0.0]], [[0.0, 0.0]], 0.0)]
+    assert coefficients((ar,), one) == [nothing]
 
 
 def test_ratio_lp_prices_what_the_model_prices():
@@ -235,12 +281,13 @@ def test_optimize_ratios_balances_heterogeneous_devices():
 
 
 def test_optimize_ratios_uniform_fallback_for_trivial_segments():
+    # a segment with no stage and no slope meets the closed form's condition
     g = graph_from_dict(corpus.matmul_reduce())
     ar_only = DistributedProgram(instrs=(Instruction("all_reduce", "h", operands=("h@partial",),
                                                      output="h@full", elements=16),),
                                  loss=g.loss)
     B = optimize_ratios(ar_only, g, corpus.hetero2())
-    assert B.rows == ((0.5, 0.5),)
+    assert B == ShardingRatios.proportional_to_flops(corpus.hetero2())
 
 
 def test_round_shards_cases():
