@@ -48,6 +48,7 @@ class Node(NamedTuple):
     op: str
     inputs: tuple[str, ...]
     shape: tuple[int, ...]
+    flops: int  # single-device flop count, `flops_of` its op and input shapes
     tag: str | None = None  # ElemwiseUnary / ElemwiseBinary
     dims: tuple[int, ...] | None = None  # Reduce
 
@@ -101,10 +102,6 @@ def flops_of(op: str, input_shapes: list[tuple[int, ...]]) -> int:
         a, b = input_shapes
         return 2 * a[0] * a[1] * b[1]
     return math.prod(input_shapes[0])
-
-
-def node_flops(g: Graph, node: Node) -> int:
-    return flops_of(node.op, [g.tensors[i].shape for i in node.inputs])
 
 
 def _is_int(x) -> bool:
@@ -187,15 +184,17 @@ def _parse_node(raw: dict, index: int, known: dict[str, Node]) -> Node:
         if not isinstance(declared, list) or not all(_is_int(x) and x >= 1 for x in declared):
             raise GraphFormatError("'shape' must be a list of positive ints", where)
         declared = tuple(declared)
+    shapes = [known[i].shape for i in inputs]
     if op in SOURCE_OPS:
         if declared is None:
             raise GraphFormatError(f"{op} requires an explicit shape", where)
         shape = declared
     else:
-        shape = infer_shape(op, [known[i].shape for i in inputs], dims=dims, where=where)
+        shape = infer_shape(op, shapes, dims=dims, where=where)
         if declared is not None and declared != shape:
             raise GraphFormatError(f"declared shape {declared} != inferred {shape}", where)
-    return Node(id=nid, op=op, inputs=tuple(inputs), shape=shape, tag=tag, dims=dims)
+    return Node(id=nid, op=op, inputs=tuple(inputs), shape=shape,
+                flops=flops_of(op, shapes), tag=tag, dims=dims)
 
 
 def graph_from_dict(doc: dict) -> Graph:
@@ -217,7 +216,7 @@ def graph_from_dict(doc: dict) -> Graph:
         node = _parse_node(raw, i, tensors)
         tensors[node.id] = node
         # The cost model prices element counts and sums of flops as floats.
-        flops += flops_of(node.op, [tensors[r].shape for r in node.inputs])
+        flops += node.flops
         if not (_is_finite_number(math.prod(node.shape)) and _is_finite_number(flops)):
             raise GraphFormatError("element count or flops of the graph so far exceed "
                                    "float range", f"nodes[{i}] (id={node.id!r})")
@@ -303,7 +302,7 @@ def assign_segments(g: Graph, count: int) -> SegmentAssignment:
         raise ValueError(f"segment count must be positive, got {count}")
     if count > n:
         raise ValueError(f"segment count {count} exceeds tensor count {n}")
-    weights = [node_flops(g, node) for node in g.nodes]
+    weights = [node.flops for node in g.nodes]
     prefix = [0] * (n + 1)
     for i, w in enumerate(weights):
         prefix[i + 1] = prefix[i] + w

@@ -4,10 +4,10 @@ Search nodes are partial programs, holding only what the search reads:
 property set (the theory's own int mask), closed cost, open stage,
 remaining flops, computed tensors (an int mask), path of triples, depth and
 score.  Applying a triple whose precondition is satisfied (and whose
-postcondition adds something new) sets its postcondition's bits, clears the
-guards it retires and appends the triple to the path.  A program is
-complete once the loss's AllReduce-form bit is set; the winner's is rebuilt
-from its path.
+postcondition adds something new) sets its postcondition's bits, clears
+the guards it retires (its `kill` bits) and appends the triple to the
+path.  A program is complete once the loss's AllReduce-form bit is set;
+the winner's is rebuilt from its path.
 
 The priority is cost + ecost where cost counts closed stages only and ecost
 is an admissible, consistent underestimate of everything still missing, so
@@ -38,9 +38,9 @@ from typing import NamedTuple
 
 from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
                          single_segment)
-from .graph_ir import Graph, SegmentAssignment, node_flops
-from .theory import (COLLECTIVE_KINDS, COMMUNICATED, GUARD_KINDS, Instruction, Theory,
-                     all_reduce, bits, not_communicated, relevant)
+from .graph_ir import Graph, SegmentAssignment
+from .theory import (COLLECTIVE_KINDS, GUARD_KINDS, Instruction, Theory, all_reduce, bits,
+                     relevant)
 
 
 class NoCompleteProgramError(RuntimeError):
@@ -109,8 +109,8 @@ class PartialProgram(NamedTuple):
 
 class SearchContext:
     """Theory, cluster and ratio data prepared for fast expansion: the
-    theory's masks and per-triple tables read from them; one `StagePricer`
-    prices every instruction.  `root` is the empty program."""
+    theory's masks, and per-triple tables built in one pass over them; one
+    `StagePricer` prices every instruction.  `root` is the empty program."""
 
     def __init__(self, g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                  assignment: SegmentAssignment | None = None):
@@ -125,25 +125,33 @@ class SearchContext:
         self.triples = triples = theory.triples
         props = theory.props
         self.loss_bit = 1 << props.index(all_reduce(theory.loss))
-        self.tpost = tpost = [tr.post for tr in triples]
-        # Per triple: the NotCommunicated(e) bit of each Communicated(e) bit it posts.
-        guard = {p: 1 << i for i, p in enumerate(props) if p.kind in GUARD_KINDS}
-        pair = {b: guard.get(not_communicated(p.ref), 0) for p, b in guard.items()
-                if p.kind == COMMUNICATED}
-        comm = sum(pair)
-        retire = {c: sum(pair[1 << i] for i in bits(c)) for c in {post & comm for post in tpost}}
-        self.tretire = [retire[post & comm] for post in tpost]
-        # Per triple: (bit k, flops) of each `owed[k]`, a loss ancestor with
-        # flops, that its post realizes, by name.
-        flops = {n.id: node_flops(g, n) for n in g.nodes}
-        self.owed = sorted(r for r in g.loss_ancestors if flops[r])
-        cell = {r: (1 << k, flops[r]) for k, r in enumerate(self.owed)}
-        at = [None if p.kind in GUARD_KINDS else cell.get(p.ref) for p in props]
+        self.owed = sorted(r for r in g.loss_ancestors if g.tensors[r].flops)
+        cell = {r: ((1 << k, g.tensors[r].flops),) for k, r in enumerate(self.owed)}
+        at = [() if p.kind in GUARD_KINDS else cell.get(p.ref, ()) for p in props]
         mask = sum(1 << i for i, c in enumerate(at) if c)
-        owes = {m: tuple(sorted({at[i] for i in bits(m)})) for m in {post & mask for post in tpost}}
-        self.towes = [owes[post & mask] for post in tpost]
-        self._scan = tuple((ti, tr.pre, tr.post) for ti, tr in enumerate(triples))
-        remaining = float(sum(map(flops.__getitem__, self.owed)))
+        # Per triple: (index, pre, post) for `applicable`; in `towes`, the
+        # (bit k, flops) of each `owed[k]`, a loss ancestor with flops, that
+        # its post realizes, by name (`at[i]` holds bit i's); in `work`,
+        # False if it communicates or computes twice, else its one
+        # instruction with flops, None if none; in `opened`, `opened_stage`'s
+        # memo, None until a collective-first triple fires.
+        scan, towes, work, opened = [], [], [], []
+        for ti, (pre, seq, post, _) in enumerate(triples):
+            scan.append((ti, pre, post))
+            m = post & mask
+            towes.append(() if not m else at[m.bit_length() - 1] if not m & m - 1
+                         else tuple(sorted({c for i in bits(m) for c in at[i]})))
+            head = seq[0]
+            comm = head.kind in COLLECTIVE_KINDS
+            opened.append(None if comm else False)
+            if comm or len(seq) == 1:
+                work.append(False if comm else head if head.flops else None)
+            else:
+                busy = [i for i in seq if i.flops or i.kind in COLLECTIVE_KINDS]
+                work.append(busy[0] if len(busy) == 1 and busy[0].kind not in COLLECTIVE_KINDS
+                            else False if busy else None)
+        self._scan, self.towes, self.work, self.opened = scan, towes, work, opened
+        remaining = float(sum(g.tensors[r].flops for r in self.owed))
         self.root, self.opened_stage, self.step = self._closures(remaining)
 
     def instructions(self, path) -> tuple[Instruction, ...]:
@@ -159,22 +167,13 @@ class SearchContext:
         """The root node, with `remaining` flops, `opened_stage` and `step`:
         closures over this context's tables, not over the context, which
         holds them."""
-        pricer, tpost, towes = self.pricer, self.tpost, self.towes
-        keep = [~r for r in self.tretire]
+        pricer, triples, towes = self.pricer, self.triples, self.towes
+        work, opened = self.work, self.opened
         advance, comp_s, empty, new = pricer.advance, pricer.comp, pricer.empty, tuple.__new__
-        instrs = [tr.instrs for tr in self.triples]
-        # `opened_stage`'s memo: None until a collective-first triple fires
-        opened = [None if seq[0].kind in COLLECTIVE_KINDS else False for seq in instrs]
-        tlen = [len(seq) for seq in instrs]
         # Least seconds a remaining flop puts on each device: a B[r][j] share
         # of it if it runs sharded, all of it if replicated.
         floor_s = tuple(min(row[j] for row in self.B.rows) / rate
                         for j, rate in enumerate(pricer.rates))
-        # Per triple: False if it communicates or computes twice, else its
-        # one instruction with flops, None if it has none.
-        busy = [[i for i in seq if i.flops or i.kind in COLLECTIVE_KINDS] for seq in instrs]
-        work = [b[0] if len(b) == 1 and b[0].kind not in COLLECTIVE_KINDS else False if b else None
-                for b in busy]
 
         def score(closed_s, stage, remaining):
             """Lower bound on every completion, closed + ecost: each later
@@ -194,7 +193,7 @@ class SearchContext:
             stages' charges added in another order could round otherwise."""
             stage = opened[ti]
             if stage is None:
-                closes, stage = advance(empty, instrs[ti])
+                closes, stage = advance(empty, triples[ti].instrs)
                 stage = opened[ti] = not closes and stage
             return stage or None
 
@@ -205,6 +204,7 @@ class SearchContext:
             assumed met), priced bit for bit as `advance` prices it."""
             nonlocal last, tail
             props, computed, closed, stage, remaining, _, path, depth = q
+            _, seq, post, kill = triples[ti]
             after = opened_stage(ti) if opened[ti] is None else opened[ti]
             how = work[ti]
             if after:
@@ -213,19 +213,19 @@ class SearchContext:
                 closed += tail          # 0.0 s for the empty root stage
                 stage = after
             elif how is False or stage.row is None:
-                closes, stage = advance(stage, instrs[ti])
+                closes, stage = advance(stage, seq)
                 for done in closes:
                     closed += done.time_s
             elif how is not None:       # a source adds 0.0 s, which moves no sum
                 comm_s, comp, row, comm = stage
                 stage = new(StageCost, (comm_s, tuple(map(add, comp, comp_s(how, row))), row, comm))
-            props = (props | tpost[ti]) & keep[ti]
+            props = (props | post) & ~kill
             for b, flops in towes[ti]:
                 if not computed & b:
                     computed |= b
                     remaining -= flops
             return new(PartialProgram, (props, computed, closed, stage, remaining, score(
-                closed, stage, remaining), path + (ti,), depth + tlen[ti]))
+                closed, stage, remaining), path + (ti,), depth + len(seq)))
 
         root = PartialProgram(self.theory.initial_props, 0, 0.0, empty, remaining,
                               score(0.0, empty, remaining), (), 0)
@@ -407,10 +407,10 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
 
     def props_successors(pid: int) -> tuple[tuple, tuple]:
         ps = props.values[pid]
-        steps = tuple((ti, props[(ps | ctx.tpost[ti]) & ~ctx.tretire[ti]], tlen[ti],
+        steps = tuple((ti, props[(ps | post) & ~kill], tlen[ti],
                        -1 if (opened := ctx.opened_stage(ti)) is None
                        else intern_stage(opened))
-                      for ti in ctx.applicable(ps))
+                      for ti in ctx.applicable(ps) for _, _, post, kill in (ctx.triples[ti],))
         for fresh in props.values[len(props_done):]:
             props_done.append(bool(ctx.loss_bit & fresh))
             props_succ.append(None)

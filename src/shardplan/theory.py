@@ -11,6 +11,8 @@ distributed tensor reconstructs the reference tensor ``e``:
 Two guard pseudo-properties, ``Communicated``/``NotCommunicated``, never
 describe values; they only steer the search (at most one communication per
 reference tensor).  A property set is an int: bit i is ``Theory.props[i]``.
+Each triple carries its delete list, ``kill``: the ``NotCommunicated``
+guards it retires, so firing it leaves ``(props | post) & ~kill``.
 
 ``derive_theory`` turns a graph into the set of sound triples
 ``{pre} instr {post}``: source rules, per-operator sharding rules, and
@@ -29,7 +31,7 @@ from functools import reduce
 from operator import itemgetter, or_
 from typing import NamedTuple
 
-from .graph_ir import SOURCE_OPS, Graph, Node, node_flops
+from .graph_ir import SOURCE_OPS, Graph, Node
 
 # Property kinds.
 IDENTITY = "Id"
@@ -156,10 +158,11 @@ class Instruction(NamedTuple):
 
 
 class HoareTriple(NamedTuple):
-    """{pre} instrs {post}; `pre` and `post` are property sets of a theory."""
+    """{pre} instrs {post}, deleting `kill`; all three are property sets of a theory."""
     pre: int
     instrs: tuple[Instruction, ...]
     post: int
+    kill: int
 
 
 class Theory(NamedTuple):
@@ -207,15 +210,15 @@ def _rule(kind: str, post: tuple[int, str, str], pre: tuple[tuple[int, str, str]
           guard: tuple[int, int] = (0, 0)) -> HoareTriple:
     """The triple {pre} kind {post}: one instruction on `post`'s reference
     tensor that reads the distributed tensor of each precondition form and
-    writes the one of the postcondition.  `guard` adds bits to the pre and
-    to the post."""
+    writes the one of the postcondition.  `guard` adds its first bit to the
+    pre and the kill, and its second to the post."""
     bit, did, ref = post
     need = guard[0]
     for p in pre:           # `|`, not a sum: an operand may be read twice
         need |= p[0]
     instr = _new(Instruction, (kind, ref, tuple(map(_did, pre)), did,
                                axis, axis2, dims, tag, sharded, flops, elements))
-    return _new(HoareTriple, (need, (instr,), bit | guard[1]))
+    return _new(HoareTriple, (need, (instr,), bit | guard[1], guard[0]))
 
 
 def _source_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[HoareTriple]:
@@ -227,7 +230,7 @@ def _source_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[HoareT
 
 def _matmul_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[HoareTriple]:
     e1, e2, e3 = forms[node.inputs[0]], forms[node.inputs[1]], forms[node.id]
-    f = node_flops(g, node)
+    f = node.flops
     return [
         _rule("matmul", e3.shard[0], (e1.shard[0], e2.full), sharded=True, flops=f),
         _rule("matmul", e3.shard[1], (e1.full, e2.shard[1]), sharded=True, flops=f),
@@ -244,7 +247,7 @@ def _elemwise_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[Hoar
     """Every operand takes the output's form: the same sharded axis, full
     replication, or partial sums for a linear op."""
     kind = _ELEMWISE_KINDS[node.op]
-    f = node_flops(g, node)
+    f = node.flops
     ins = [forms[e] for e in node.inputs]
     out = forms[node.id]
     rules = [_rule(kind, s, tuple(e.shard[d] for e in ins), tag=node.tag, sharded=True, flops=f)
@@ -259,7 +262,7 @@ def _elemwise_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[Hoar
 
 def _reduce_rules(node: Node, g: Graph, forms: dict[str, _Forms]) -> list[HoareTriple]:
     e1, e2 = forms[node.inputs[0]], forms[node.id]
-    f = node_flops(g, node)
+    f = node.flops
     dims = node.dims or ()
     out = [_rule("reduce", e2.full, (e1.full,), dims=dims, flops=f),
            _rule("reduce", e2.partial, (e1.partial,), dims=dims, flops=f)]
@@ -304,8 +307,8 @@ def derive_theory(g: Graph, m: int, *, guards: bool = False) -> Theory:
     for `g` may contain.  The triple set does not depend on `m` (shards of
     extent zero are legal), but `m` must be a sane device count.  With
     `guards`, a tensor is communicated at most once: a collective rule on e
-    needs NotCommunicated(e), which every tensor starts with, and posts
-    Communicated(e); sources, whose sharded forms are free, get none."""
+    needs and kills NotCommunicated(e), which every tensor starts with, and
+    posts Communicated(e); sources, whose sharded forms are free, get none."""
     if m < 1:
         raise ValueError(f"device count must be >= 1, got {m}")
     props: list[Property] = []
@@ -328,20 +331,20 @@ def fuse_empty_preconditions(t: Theory) -> Theory:
     One walk over the triples, fused ones included: each source rule T1
     (empty pre, a one-bit post) that has at least one consumer (a triple T2
     whose pre holds post(T1)) is replaced by the fused triples
-    {pre(T2) & ~post(T1)} [T1;T2] {post(T1) | post(T2)}.  A fused pre is a
-    subset of its consumer's pre, so no triple already walked gains a
-    consumer.  The search fires the rest directly, fused triples included:
-    a source costs nothing, so fusing it keeps the minimum, but folding a
-    fused triple would make each consumer of its source pay for the
-    consumer fused with it.
+    {pre(T2) & ~post(T1)} [T1;T2] {post(T1) | post(T2)}, with T2's kill.
+    A fused pre is a subset of its consumer's pre, so no triple already
+    walked gains a consumer.  The search fires the rest directly, fused
+    triples included: a source costs nothing, so fusing it keeps the
+    minimum, but folding a fused triple would make each consumer of its
+    source pay for the consumer fused with it.
 
     Consumers are found through an index from each bit a source rule posts
     to the triples, in list order, whose pre holds it; fused triples join
     it as they are appended, so the consumers and the triple list are those
-    of a scan over every triple.
+    of a scan over every triple.  No fused triple repeats: each puts one
+    chain of source rules in front of one of the distinct derived triples.
     """
     triples = list(t.triples)
-    seen = set(triples)
     sources = reduce(or_, [tr.post for tr in triples if not tr.pre], 0)
     readers: dict[int, list[HoareTriple]] = {}
     for tr in triples:
@@ -357,12 +360,10 @@ def fuse_empty_preconditions(t: Theory) -> Theory:
             kept.append(tr)
             continue
         for c in consumers:
-            fused = HoareTriple(c.pre & ~post, tr.instrs + c.instrs, post | c.post)
-            if fused not in seen:
-                seen.add(fused)
-                triples.append(fused)
-                for i in bits(fused.pre & sources):
-                    readers.setdefault(i, []).append(fused)
+            fused = _new(HoareTriple, (c.pre & ~post, tr.instrs + c.instrs, post | c.post, c.kill))
+            triples.append(fused)
+            for i in bits(fused.pre & sources):
+                readers.setdefault(i, []).append(fused)
     return t._replace(triples=tuple(kept))
 
 

@@ -3,18 +3,19 @@
 Everything here is deliberately brute-force: grids, vertex enumeration,
 exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
-points, except the search-space walks and the reference forms of eight of
+points, except the search-space walks and the reference forms of ten of
 the package's shortcuts: the theory derived and fused over sets of
-properties (the package holds each property set as an int mask), the
-communication guards by rewriting the raw theory, triple fusion by a scan
-over every triple, the triples relevant to the loss by a worklist over
-properties, applicable triples by a near-set over sets of properties, the
-simplex with dense pivots, the closed-form ratio row by the segment's LP,
-and the graph document by the json encoder.
+properties (the package holds each property set as an int mask), each
+triple's delete list by its definition over the post, the communication
+guards by rewriting the raw theory, triple fusion by a scan over every
+triple, the triples relevant to the loss by a worklist over properties,
+applicable triples by a near-set over sets of properties, the simplex with
+dense pivots, the closed-form ratio row by the segment's LP, the graph
+document by the json encoder, and each node's flop count by recounting it.
 The walks step with `SearchContext.step`, the one step function the search
 itself takes, to list programs; the enumeration's state graph also takes
-the applicable triples and their property changes from `SearchContext`,
-and the stage steps from `StagePricer.advance`.  A search node holds no
+the applicable triples from `SearchContext`, their property changes from
+their post and kill masks, and the stage steps from `StagePricer.advance`.  A search node holds no
 instructions: `program` rebuilds them from its path.
 """
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from shardplan import load_balancer
 from shardplan.cost_model import comm_time, single_segment
-from shardplan.graph_ir import SOURCE_OPS, Graph, Node, node_flops
+from shardplan.graph_ir import SOURCE_OPS, Graph, Node, flops_of
 from shardplan.interpreter import (EquivalenceReport, ExecutionError,
                                    coll_all_reduce, eval_reference,
                                    execute_instruction, materialize_loss,
@@ -40,9 +41,9 @@ from shardplan.interpreter import (EquivalenceReport, ExecutionError,
                                    table_sizes)
 from shardplan.load_balancer import SegmentProblem
 from shardplan.synthesizer import SearchContext
-from shardplan.theory import (ALL_GATHER, ALL_REDUCE, GUARD_KINDS, IDENTITY, HoareTriple,
-                              Instruction, Property, Theory, all_gather, all_reduce,
-                              communicated, dist_id, form_of_dist_id, identity,
+from shardplan.theory import (ALL_GATHER, ALL_REDUCE, COMMUNICATED, GUARD_KINDS, IDENTITY,
+                              HoareTriple, Instruction, Property, Theory, all_gather,
+                              all_reduce, communicated, dist_id, form_of_dist_id, identity,
                               not_communicated)
 
 
@@ -354,6 +355,12 @@ def graph_to_dict(g) -> dict:
     return {"nodes": nodes, "loss": g.loss}
 
 
+def node_flops(g: Graph, node: Node) -> int:
+    """`node`'s flop count, recounted from its op and its inputs' shapes:
+    the reference for the `Node.flops` that parsing stores."""
+    return flops_of(node.op, [g.tensors[i].shape for i in node.inputs])
+
+
 # ---------------------------------------------------------------------------
 # the set-valued theory: derivation and fusion over sets of properties
 #
@@ -585,11 +592,18 @@ def set_theory(theory) -> SetTheory:
                      loss=theory.loss, initial_props=decode(theory, theory.initial_props))
 
 
+def kill_set(post: frozenset) -> frozenset:
+    """The guards a triple with postcondition `post` retires: its delete
+    list, NotCommunicated(e) for each Communicated(e) in `post`."""
+    return frozenset(not_communicated(p.ref) for p in post if p.kind == COMMUNICATED)
+
+
 def mask_theory(t: SetTheory) -> Theory:
     """The set-valued theory `t` as the package holds a theory: each property
     takes the next bit where it first appears (the loss's AllReduce form,
-    then every triple's pre and post, then the initial properties, each set
-    in the order of its properties' names)."""
+    then every triple's pre and post, then the initial properties, then
+    each triple's `kill_set`, each set in the order of its properties'
+    names)."""
     props: list = []
     ids: dict = {}
 
@@ -603,9 +617,10 @@ def mask_theory(t: SetTheory) -> Theory:
         return out
 
     mask([all_reduce(t.loss)])
-    triples = tuple(HoareTriple(mask(tr.pre), tr.instrs, mask(tr.post)) for tr in t.triples)
-    return Theory(triples=triples, loss=t.loss, initial_props=mask(t.initial_props),
-                  props=tuple(props))
+    masks = [(mask(tr.pre), tr.instrs, mask(tr.post)) for tr in t.triples]
+    initial = mask(t.initial_props)
+    triples = tuple(HoareTriple(*m, mask(kill_set(tr.post))) for m, tr in zip(masks, t.triples))
+    return Theory(triples=triples, loss=t.loss, initial_props=initial, props=tuple(props))
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +853,7 @@ def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
         props = prop_sets[pid]
         out = []
         for ti in ctx.applicable(props):
-            after = (props | ctx.tpost[ti]) & ~ctx.tretire[ti]
+            after = (props | triples[ti].post) & ~triples[ti].kill
             length = prop_len[pid] + len(triples[ti].instrs)
             npid = prop_ids.get(after)
             if npid is None:

@@ -6,15 +6,14 @@ import types
 import pytest
 
 import corpus
-from oracles import COMPLETION_SCALE, ecost, program
+from oracles import COMPLETION_SCALE, ecost, node_flops, program
 from shardplan import (ClusterFormatError, ClusterSpec, Instruction,
                        ShardingRatios, build_shard_table, build_theory, iteration_time,
                        synthesize)
 from shardplan.cli import _canon_rows
 from shardplan.cost_model import (StageCost, StagePricer, comm_terms, comm_time,
                                   round_shards, single_segment)
-from shardplan.graph_ir import (SegmentAssignment, assign_segments, graph_from_dict,
-                                node_flops)
+from shardplan.graph_ir import SegmentAssignment, assign_segments, graph_from_dict
 from shardplan.synthesizer import SearchContext
 
 

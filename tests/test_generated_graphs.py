@@ -168,6 +168,7 @@ def test_generated_guards_and_graph_text_match_their_references(graph_doc):
     assert_masks_decode_to_the_set_reference(g)
     assert_relevance_matches_the_set_reference(g)
     assert_serialized_as_json_encodes(g)
+    assert [n.flops for n in g.nodes] == [oracles.node_flops(g, n) for n in g.nodes]
 
 
 @settings(EXAMPLES, max_examples=15)

@@ -7,7 +7,7 @@ import oracles
 from shardplan import GraphFormatError, parse_graph
 from shardplan.cost_model import single_segment
 from shardplan.graph_ir import (assign_segments, flops_of, graph_from_dict,
-                                infer_shape, node_flops, serialize_graph)
+                                infer_shape, serialize_graph)
 
 
 def test_parse_round_trip_whole_corpus():
@@ -130,8 +130,11 @@ def test_flop_counts():
     assert flops_of("Placeholder", []) == 0
     assert flops_of("Identity", [(9, 9)]) == 0
     g = graph_from_dict(corpus.matmul_reduce())
-    assert sum(node_flops(g, n) for n in g.nodes) == 128 + 16
-    assert node_flops(g, g.tensors["h"]) == 128
+    assert sum(n.flops for n in g.nodes) == 128 + 16
+    assert g.tensors["h"].flops == 128
+    # every node keeps the count that its op and its inputs' shapes give
+    for name, g in corpus.corpus_graphs():
+        assert [n.flops for n in g.nodes] == [oracles.node_flops(g, n) for n in g.nodes], name
 
 
 def test_loss_ancestors_exclude_dead_branches():
@@ -165,7 +168,7 @@ def test_assign_segments_is_contiguous_and_total():
 
 def test_assign_segments_minimizes_max_flops():
     g = graph_from_dict(corpus.chain_graph(3))
-    weights = [node_flops(g, n) for n in g.nodes]
+    weights = [oracles.node_flops(g, n) for n in g.nodes]
     for count in (2, 3, 4):
         a = assign_segments(g, count)
         per_seg = [0.0] * count

@@ -8,9 +8,9 @@ import oracles
 from shardplan import (ShardingRatios, build_shard_table, build_theory,
                        iteration_time)
 from shardplan.cost_model import single_segment
-from shardplan.graph_ir import graph_from_dict, node_flops
+from shardplan.graph_ir import graph_from_dict
 from shardplan.synthesizer import SearchContext
-from shardplan.theory import (COMMUNICATED, GUARD_KINDS, Instruction, all_gather, all_reduce,
+from shardplan.theory import (GUARD_KINDS, Instruction, all_gather, all_reduce,
                               bits, communicated, derive_theory,
                               fuse_empty_preconditions, identity,
                               not_communicated, relevant)
@@ -225,12 +225,18 @@ def test_guards_are_derived_as_the_rewrite_makes_them():
 def assert_masks_decode_to_the_set_reference(g, name=""):
     """At m = 2 and 3 and under every guards/fuse setting, the theory decodes
     through its `props` to the set-valued reference derivation, triple for
-    triple and in order, with equal `initial_props`."""
+    triple and in order, with equal `initial_props` and each triple's `kill`
+    its `oracles.kill_set`; and its triples are pairwise distinct."""
     for m, guards, fuse in itertools.product((2, 3), (True, False), (True, False)):
         theory = build_theory(g, m, guards=guards, fuse=fuse)
         reference = oracles.reference_build(g, m, guards=guards, fuse=fuse)
         assert len(theory.props) == len(set(theory.props)), (name, m, guards, fuse)
         assert oracles.set_theory(theory) == reference, (name, m, guards, fuse)
+        # each triple's kill is its delete list, by definition over its post
+        assert [oracles.decode(theory, tr.kill) for tr in theory.triples] == [
+            oracles.kill_set(tr.post) for tr in reference.triples], (name, m, guards, fuse)
+        # no triple repeats, derived or fused: fusion keeps no set of them
+        assert len(set(theory.triples)) == len(theory.triples), (name, m, guards, fuse)
 
 
 def test_theory_masks_decode_to_the_set_reference():
@@ -273,7 +279,8 @@ def _bits_reversed(t):
     def rev(mask):
         return sum(1 << n - 1 - i for i in bits(mask))
 
-    return t._replace(triples=tuple(tr._replace(pre=rev(tr.pre), post=rev(tr.post))
+    return t._replace(triples=tuple(tr._replace(pre=rev(tr.pre), post=rev(tr.post),
+                                                kill=rev(tr.kill))
                                     for tr in t.triples),
                       props=t.props[::-1], initial_props=rev(t.initial_props))
 
@@ -284,7 +291,7 @@ def test_search_context_reads_each_triples_guards_and_new_refs():
     # theory with its bits reversed, so that no guard's bits sit as the
     # derivation lays them.
     for name, g in _guard_graphs():
-        flops = {n.id: node_flops(g, n) for n in g.nodes}
+        flops = {n.id: oracles.node_flops(g, n) for n in g.nodes}
         owed = {r for r in g.loss_ancestors if flops[r]}
         for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False),
                    _bits_reversed(build_theory(g, 2))):
@@ -292,9 +299,8 @@ def test_search_context_reads_each_triples_guards_and_new_refs():
             assert ctx.owed == sorted(owed), name
             for ti, tr in enumerate(oracles.set_theory(th).triples):
                 assert _props_of(ctx, ctx.triples[ti].pre) == tr.pre, name
-                assert _props_of(ctx, ctx.tpost[ti]) == tr.post, name
-                assert _props_of(ctx, ctx.tretire[ti]) == {
-                    not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED}, name
+                assert _props_of(ctx, ctx.triples[ti].post) == tr.post, name
+                assert _props_of(ctx, ctx.triples[ti].kill) == oracles.kill_set(tr.post), name
                 assert [(ctx.owed[b.bit_length() - 1], f) for b, f in ctx.towes[ti]] == [
                     (r, flops[r]) for r in sorted({p.ref for p in tr.post
                                                    if p.kind not in GUARD_KINDS}) if r in owed], name
@@ -314,8 +320,7 @@ def test_property_masks_match_the_set_reference():
         for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
             ctx = SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2))
             th = oracles.set_theory(th)
-            retired = [{not_communicated(p.ref) for p in tr.post if p.kind == COMMUNICATED}
-                       for tr in th.triples]
+            retired = [oracles.kill_set(tr.post) for tr in th.triples]
             loss = all_reduce(th.loss)
             assert _props_of(ctx, ctx.loss_bit) == {loss}, name
             reference = oracles.near_set_applicable(th.triples)
