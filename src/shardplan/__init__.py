@@ -3,8 +3,8 @@
 Derives a per-graph rewrite theory whose triples describe how distributed
 tensor forms (replicated, sharded, partial-sum) flow through each operation,
 searches it for the cheapest complete distributed program under a cluster
-cost model, and alternates that search with per-segment linear programs that
-rebalance shard ratios across heterogeneous devices.
+cost model, and alternates that search with a linear program that rebalances
+the one row of shard ratios across heterogeneous devices.
 
 The package namespace holds the entry points the README documents, the
 types they take or return, and the errors the command line maps to exit
@@ -27,8 +27,7 @@ tuple.
 """
 from .cost_model import (ClusterFormatError, ClusterSpec, CostBreakdown,
                          ShardingRatios, build_shard_table, iteration_time)
-from .graph_ir import (Graph, GraphFormatError, GraphTooLargeError,
-                       SegmentAssignment, parse_graph)
+from .graph_ir import Graph, GraphFormatError, GraphTooLargeError, parse_graph
 from .load_balancer import optimize_ratios
 from .optimizer_loop import (BudgetExhaustedError, LoopConfig, LoopResult,
                              alternate)
@@ -43,7 +42,7 @@ __all__ = [
     "CostBreakdown", "DistributedProgram", "EquivalenceReport",
     "ExecutionError", "Graph", "GraphFormatError", "GraphTooLargeError", "Instruction",
     "LoopConfig", "LoopResult", "NoCompleteProgramError", "SearchConfig",
-    "SegmentAssignment", "ShardingRatios", "SynthesisResult", "Theory",
+    "ShardingRatios", "SynthesisResult", "Theory",
     "alternate", "build_shard_table", "build_theory", "check_equivalence",
     "iteration_time", "optimize_ratios", "parse_graph", "synthesize",
 ]

@@ -11,9 +11,9 @@ canonicalized to 12 significant digits and the embedded cost estimate is
 recomputed from the canonicalized ratios, so a written plan is exactly
 self-consistent.  A plan holds the answer and no search telemetry: `verify`
 checks every field but `loop.optimal`, which `enumerate --ratios PLAN`
-checks.  `enumerate` prices every program at one ratio row, uniform or
-proportional to device speed, or at a plan's rows and segments.  `plan`
-writes one row; only the library's `alternate(segments=N)` writes several.
+checks.  `enumerate` prices every program at one ratio row: uniform,
+proportional to device speed, or a plan's.  A plan holds one ratio row, and
+its `segments` and `segment_of` fields put every tensor in segment 1.
 """
 from __future__ import annotations
 
@@ -25,15 +25,13 @@ import time
 from typing import NamedTuple
 
 from .cost_model import (ClusterFormatError, ClusterSpec, ShardingRatios,
-                         build_shard_table, check_byte_counts, iteration_time,
-                         single_segment)
-from .graph_ir import (Graph, GraphFormatError, GraphTooLargeError, SegmentAssignment,
-                       _is_finite_number, _is_int, invalid_json, parse_graph,
-                       serialize_graph)
+                         build_shard_table, check_byte_counts, iteration_time)
+from .graph_ir import (Graph, GraphFormatError, GraphTooLargeError, _is_finite_number,
+                       _is_int, invalid_json, parse_graph, serialize_graph)
 from .optimizer_loop import BudgetExhaustedError, LoopConfig, alternate
 from .synthesizer import (DistributedProgram, NoCompleteProgramError,
                           enumerate_programs)
-from .theory import ALL_GATHER, build_theory, derive_theory, form_of_dist_id
+from .theory import ALL_GATHER, Theory, build_theory, derive_theory, form_of_dist_id
 
 SCHEMA_VERSION = 2
 # The fields of a plan document, in the order `plan_document` writes them.
@@ -46,7 +44,7 @@ def _canon(x: float) -> float:
 
 
 def _canon_rows(B: ShardingRatios) -> ShardingRatios:
-    return ShardingRatios(rows=tuple(tuple(_canon(v) for v in row) for row in B.rows))
+    return ShardingRatios(rows=(tuple(_canon(v) for v in B.row),))
 
 
 def _graph_digest(g: Graph) -> str:
@@ -108,16 +106,15 @@ def _plan_shard_table(table: dict, program) -> dict[str, list[int]]:
 def plan_document(g: Graph, spec: ClusterSpec, result) -> dict:
     """Serializable plan with canonical floats and a recomputed estimate."""
     ratios = _canon_rows(result.ratios)
-    breakdown = iteration_time(result.program.instrs, ratios, spec, result.assignment)
+    breakdown = iteration_time(result.program.instrs, ratios, spec)
     return {
         "schema_version": SCHEMA_VERSION,
         "graph_sha256": _graph_digest(g),
         "devices": spec.m,
-        "segments": result.assignment.count,
-        "segment_of": {t: result.assignment.segment_of[t] for t in g.tensor_ids},
-        "ratios": [[v for v in row] for row in ratios.rows],
-        "shard_table": _plan_shard_table(build_shard_table(g, ratios, result.assignment),
-                                         result.program),
+        "segments": 1,
+        "segment_of": {t: 1 for t in g.tensor_ids},
+        "ratios": [list(ratios.row)],
+        "shard_table": _plan_shard_table(build_shard_table(g, ratios), result.program),
         "program": result.program.to_json(),
         "estimate": {"total_s": _canon(breakdown.total_s)},
         "loop": {"optimal": result.optimal},
@@ -158,7 +155,6 @@ class PlanFormatError(ValueError):
 
 
 class Plan(NamedTuple):
-    assignment: SegmentAssignment
     ratios: ShardingRatios
     program: DistributedProgram
     shard_table: dict
@@ -188,12 +184,13 @@ def _plan_doc(path: str):
         raise PlanFormatError(invalid_json(e, path)) from None
 
 
-def load_plan(doc, g: Graph, m: int) -> Plan:
+def load_plan(doc, g: Graph, m: int, theory: Theory | None = None) -> Plan:
     """Check a plan document against the graph it claims and a cluster of m
     devices, field by field, and load it.  Raises PlanFormatError naming the
     first bad field.  The schema is closed: every object holds exactly its
     fields.  An instruction is valid only if it is, field for field and type
-    for type, an instruction of the graph's derived theory."""
+    for type, an instruction of the graph's derived theory, `theory` if the
+    caller has derived it."""
     _need(isinstance(doc, dict), "(document)", "expected a JSON object")
     _need(doc.get("schema_version") == SCHEMA_VERSION, "schema_version",
           f"unsupported version {doc.get('schema_version')!r}")
@@ -202,27 +199,20 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
           "plan was produced for a different graph")
     _need(doc["devices"] == m and _is_int(doc["devices"]), "devices",
           f"plan is for {doc['devices']!r} devices, cluster has {m}")
-    count = doc["segments"]
-    _need(_is_int(count) and count >= 1, "segments",
-          f"expected a positive integer, got {count!r}")
+    _need(doc["segments"] == 1 and _is_int(doc["segments"]), "segments",
+          f"expected 1, got {doc['segments']!r}")
     segment_of = doc["segment_of"]
-    _need(isinstance(segment_of, dict), "segment_of", "expected an object")
-    for t in g.tensor_ids:
-        _need(t in segment_of, "segment_of", f"no segment for tensor {t!r}")
-        _need(_is_int(segment_of[t]) and 1 <= segment_of[t] <= count, f"segment_of.{t}",
-              f"expected a segment in 1..{count}, got {segment_of[t]!r}")
-    for t in segment_of:
-        _need(t in g.tensors, "segment_of", f"unknown tensor {t!r}")
+    _need(isinstance(segment_of, dict) and segment_of.keys() == g.tensors.keys()
+          and all(v == 1 and _is_int(v) for v in segment_of.values()), "segment_of",
+          "expected segment 1 for every tensor of the graph and no other")
 
     rows = doc["ratios"]
-    _need(isinstance(rows, list) and len(rows) == count, "ratios",
-          f"expected {count} rows, one per segment")
-    for k, row in enumerate(rows):
-        _need(isinstance(row, list) and len(row) == m
-              and all(_is_finite_number(v) for v in row),
-              f"ratios[{k}]", f"expected {m} finite numbers")
+    _need(isinstance(rows, list) and len(rows) == 1, "ratios", "expected one row")
+    row = rows[0]
+    _need(isinstance(row, list) and len(row) == m and all(_is_finite_number(v) for v in row),
+          "ratios[0]", f"expected {m} finite numbers")
     try:
-        ratios = ShardingRatios(rows=tuple(tuple(float(v) for v in row) for row in rows))
+        ratios = ShardingRatios(rows=(tuple(float(v) for v in row),))
     except ValueError as e:
         raise PlanFormatError(f"plan field ratios: {e}") from None
 
@@ -232,11 +222,18 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
           f"expected the graph's loss {g.loss!r}, got {program['loss']!r}")
     instrs = program["instrs"]
     _need(isinstance(instrs, list), "program.instrs", "expected a list")
-    derived = {json.dumps(instr.to_json(), sort_keys=True): instr
-               for tr in derive_theory(g, m).triples for instr in tr.instrs}
+    # The theory's instructions by output; a plan's instruction is compared
+    # as sorted JSON text, type for type, with those writing its output.
+    by_output: dict[str, list] = {}
+    for tr in (theory or derive_theory(g, m)).triples:
+        for instr in tr.instrs:
+            by_output.setdefault(instr.output, []).append(instr)
     loaded = []
     for i, d in enumerate(instrs):
-        instr = derived.get(json.dumps(d, sort_keys=True))
+        out = d.get("output") if isinstance(d, dict) else None
+        text = json.dumps(d, sort_keys=True)
+        instr = next((c for c in (by_output.get(out, ()) if isinstance(out, str) else ())
+                      if json.dumps(c.to_json(), sort_keys=True) == text), None)
         _need(instr is not None, f"program.instrs[{i}]",
               "not an instruction this graph's rules derive")
         loaded.append(instr)
@@ -249,8 +246,7 @@ def load_plan(doc, g: Graph, m: int) -> Plan:
     loop = doc["loop"]
     _fields(loop, "loop", ("optimal",))
     _need(isinstance(loop["optimal"], bool), "loop.optimal", "expected true or false")
-    return Plan(assignment=SegmentAssignment(segment_of=dict(segment_of), count=count),
-                ratios=ratios, program=DistributedProgram(instrs=tuple(loaded), loss=g.loss),
+    return Plan(ratios=ratios, program=DistributedProgram(instrs=tuple(loaded), loss=g.loss),
                 shard_table=doc["shard_table"], estimate_s=estimate["total_s"])
 
 
@@ -265,14 +261,14 @@ def cmd_verify(args) -> int:
     g, spec = _graph_and_cluster(args)
     plan = load_plan(doc, g, spec.m)
 
-    breakdown = iteration_time(plan.program.instrs, plan.ratios, spec, plan.assignment)
+    breakdown = iteration_time(plan.program.instrs, plan.ratios, spec)
     if _canon(breakdown.total_s) != plan.estimate_s:
         print(f"estimate: MISMATCH (recomputed {_canon(breakdown.total_s)!r}, "
               f"plan says {plan.estimate_s!r})", file=sys.stderr)
         return 1
     print("estimate: ok")
 
-    table = build_shard_table(g, plan.ratios, plan.assignment)
+    table = build_shard_table(g, plan.ratios)
     if plan.shard_table != _plan_shard_table(table, plan.program):
         print("shard_table: MISMATCH (does not match ratios)", file=sys.stderr)
         return 1
@@ -297,18 +293,16 @@ def cmd_enumerate(args) -> int:
         print(f"error: {len(g.nodes)} nodes is large for exhaustive enumeration; "
               "pass --force to proceed", file=sys.stderr)
         return 2
-    if args.ratios not in ("uniform", "flops"):
-        # Anything else names a plan file whose ratios and segmentation we
-        # reuse, so enumeration prices candidates under the plan's own B.
-        plan = load_plan(_plan_doc(args.ratios), g, spec.m)
-        assignment, B = plan.assignment, plan.ratios
-    else:
-        assignment = single_segment(g)
-        B = (ShardingRatios.proportional_to_flops(spec) if args.ratios == "flops"
-             else ShardingRatios.uniform(spec.m))
     theory = build_theory(g, spec.m, guards=False, fuse=False)
-    res = enumerate_programs(g, theory, spec, B, assignment=assignment,
-                             max_len=args.max_len)
+    if args.ratios == "flops":
+        B = ShardingRatios.proportional_to_flops(spec)
+    elif args.ratios == "uniform":
+        B = ShardingRatios.uniform(spec.m)
+    else:
+        # Anything else names a plan file, so enumeration prices candidates
+        # under the plan's own B.
+        B = load_plan(_plan_doc(args.ratios), g, spec.m, theory).ratios
+    res = enumerate_programs(g, theory, spec, B, max_len=args.max_len)
     print(f"explored {res.explored} states, {res.complete_states} complete")
     print(f"minimum cost: {res.cost_s:.12g} s")
     for instr in res.program.instrs:

@@ -14,21 +14,21 @@ padded to it; GroupedBroadcast is m back-to-back broadcasts of the actual
 shards, the whole tensor at any ratios, so it pays m latencies and no
 padding; AllReduce always moves the full tensor.
 
+Every program is priced at one ratio row B, the same for every tensor.
 `StagePricer.advance` is the one implementation of this model: it walks a
-program instruction by instruction, closing a stage at each collective and
-naming the ratio row each stage is priced at.  The search's incremental
-bookkeeping, the exhaustive enumeration and `iteration_time` all price
-through it, and every one of them totals a program the same way
-(closed stages + (comm_s + max(comp_s)), one stage at a time), so their
-prices agree bit for bit.  The ratio LP, which chooses B, walks a program
+program instruction by instruction, closing a stage at each collective.
+The search's incremental bookkeeping, the exhaustive enumeration and
+`iteration_time` all price through it, and every one of them totals a
+program the same way (closed stages + (comm_s + max(comp_s)), one stage at
+a time), so their prices agree bit for bit.  The ratio LP, which chooses B, walks a program
 with `advance` too, through a subclass in `load_balancer` that sums each
 stage's coefficients in place of its price, and takes each collective's
 slope from `comm_terms`, the constant and slope that `comm_time` evaluates.
 
 A program runs on integer shards, not on fractional ratios: `round_shards`
-splits one axis's extent by a ratio row, and `build_shard_table` does so for
-every tensor axis at its segment's row.  Plan files and the interpreter both
-take their shard sizes from it.
+splits one axis's extent by the ratio row, and `build_shard_table` does so
+for every tensor axis.  Plan files and the interpreter both take their
+shard sizes from it.
 """
 from __future__ import annotations
 
@@ -118,7 +118,8 @@ class ClusterSpec(NamedTuple):
 
 
 class ShardingRatios:
-    """g x m row-stochastic matrix; row k shards segment k+1 across devices.
+    """One stochastic row of m ratios, held as a 1 x m matrix `rows`:
+    device j holds a B[j] share of every sharded axis.
 
     A class with one slot, not a named tuple: a named tuple's `_make` and
     `_replace` skip `__new__`, and with it the row checks.  It equals only
@@ -127,18 +128,15 @@ class ShardingRatios:
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[float, ...], ...]):
-        if not rows:
-            raise ValueError("ratios need at least one row")
-        width = len(rows[0])
-        for k, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError("ragged ratio matrix")
-            if not all(math.isfinite(x) for x in row):
-                raise ValueError(f"ratio in row {k} is not finite: {row}")
-            if any(x < 0.0 for x in row):
-                raise ValueError(f"negative ratio in row {k}: {row}")
-            if abs(sum(row) - 1.0) > 1e-9:
-                raise ValueError(f"row {k} sums to {sum(row)!r}, not 1")
+        if len(rows) != 1:
+            raise ValueError(f"ratios need exactly one row, got {len(rows)}")
+        (row,) = rows
+        if not all(math.isfinite(x) for x in row):
+            raise ValueError(f"ratio in row 0 is not finite: {row}")
+        if any(x < 0.0 for x in row):
+            raise ValueError(f"negative ratio in row 0: {row}")
+        if abs(sum(row) - 1.0) > 1e-9:
+            raise ValueError(f"row 0 sums to {sum(row)!r}, not 1")
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
@@ -163,25 +161,22 @@ class ShardingRatios:
         return ShardingRatios, (self.rows,)
 
     @property
-    def g(self) -> int:
-        return len(self.rows)
+    def row(self) -> tuple[float, ...]:
+        return self.rows[0]
 
     @property
     def m(self) -> int:
         return len(self.rows[0])
 
-    def row(self, k: int) -> tuple[float, ...]:
-        return self.rows[k]
+    @classmethod
+    def uniform(cls, m: int, g: int = 1  # unread; kept while perfbench/ops.py passes it
+                ) -> "ShardingRatios":
+        return cls((tuple(1.0 / m for _ in range(m)),))
 
     @classmethod
-    def uniform(cls, m: int, g: int = 1) -> "ShardingRatios":
-        return cls(tuple(tuple(1.0 / m for _ in range(m)) for _ in range(g)))
-
-    @classmethod
-    def proportional_to_flops(cls, spec: ClusterSpec, g: int = 1) -> "ShardingRatios":
+    def proportional_to_flops(cls, spec: ClusterSpec) -> "ShardingRatios":
         total = spec.total_rate
-        row = tuple(d.flops_per_second / total for d in spec.devices)
-        return cls(tuple(row for _ in range(g)))
+        return cls((tuple(d.flops_per_second / total for d in spec.devices),))
 
 
 def check_byte_counts(g: Graph, spec: ClusterSpec) -> None:
@@ -194,6 +189,7 @@ def check_byte_counts(g: Graph, spec: ClusterSpec) -> None:
                                      "'bytes_per_element' exceeds float range")
 
 
+# unread; kept while perfbench/ops.py passes it
 def single_segment(g: Graph) -> SegmentAssignment:
     return SegmentAssignment(segment_of={t: 1 for t in g.tensor_ids}, count=1)
 
@@ -219,20 +215,17 @@ def replicated_seconds(instr: Instruction, rates) -> tuple[float, ...]:
     return tuple(instr.flops / rate for rate in rates)
 
 
-def comm_time(instr: Instruction, row: tuple[float, ...], spec: ClusterSpec,
-              max_ratio: float | None = None) -> float:
-    """Seconds for one collective on a tensor sharded by `row`; `max_ratio`
-    overrides the largest shard a padded collective moves."""
+def comm_time(instr: Instruction, row: tuple[float, ...], spec: ClusterSpec) -> float:
+    """Seconds for one collective on a tensor sharded by `row`."""
     const_s, per_max_s = comm_terms(instr, spec)
-    return const_s + per_max_s * (max(row) if max_ratio is None else max_ratio)
+    return const_s + per_max_s * max(row)
 
 
 class StageCost(NamedTuple):
     """One stage of a program at fixed ratios: its collective's price,
-    per-device compute seconds, the ratio row it is priced at (None while no
-    computation names it yet; a stage that only communicates is priced at
-    its collective's own row) and the collective that opened it (None for a
-    first stage without one)."""
+    per-device compute seconds, its ratio row (0, or None while the stage
+    holds nothing, and in the LP's walk while it only communicates) and the
+    collective that opened it (None for a first stage without one)."""
     comm_s: float
     comp_s: tuple[float, ...]
     row: int | None
@@ -250,52 +243,45 @@ _stage_cost = tuple.__new__
 
 
 class StagePricer:
-    """The stage model at fixed ratios B: what each instruction costs at a
-    ratio row, and `advance`, the walk that splits a program into priced
-    stages."""
+    """The stage model at fixed ratios B: what each instruction costs, and
+    `advance`, the walk that splits a program into priced stages."""
 
-    def __init__(self, spec: ClusterSpec, B: ShardingRatios, assignment: SegmentAssignment):
+    # The row a collective names for the stage it opens; the LP's walk
+    # leaves it to the stage's first computation.
+    comm_row: int | None = 0
+
+    def __init__(self, spec: ClusterSpec, B: ShardingRatios):
         self.spec = spec
         self.B = B
         self.rates = [d.flops_per_second for d in spec.devices]
-        self.row_of = assignment.row_index      # a tensor's ratio row
-        self.one_row = assignment.count == 1
         self.empty = StageCost(0.0, (0.0,) * spec.m, None, None)
-        # Per-row price caches keyed by instruction identity: the search asks
-        # about the same theory instructions over and over, and hashing an
+        # Price caches keyed by instruction identity: the search asks about
+        # the same theory instructions over and over, and hashing an
         # Instruction field by field would dominate each lookup.  `_held`
         # keeps every cached instruction alive, so no id is reused.
-        self._comp: list[dict] = [{} for _ in range(assignment.count)]
-        self._comm: list[dict] = [{} for _ in range(assignment.count)]
+        self._comp: dict = {}
+        self._comm: dict = {}
         self._held: list[Instruction] = []
 
-    def comp(self, instr: Instruction, row: int) -> tuple[float, ...]:
-        """Per-device seconds of a computation at ratio row `row`.  Sharded
-        work scales with each device's ratio; replicated work runs in full
-        on every device."""
-        cached = self._comp[row].get(id(instr))
+    def comp(self, instr: Instruction) -> tuple[float, ...]:
+        """Per-device seconds of a computation.  Sharded work scales with
+        each device's ratio; replicated work runs in full on every device."""
+        cached = self._comp.get(id(instr))
         if cached is None:
             flops = instr.flops
             if instr.sharded:
-                cached = tuple(flops * b / rate for b, rate in zip(self.B.row(row), self.rates))
+                cached = tuple(flops * b / rate for b, rate in zip(self.B.row, self.rates))
             else:
                 cached = replicated_seconds(instr, self.rates)
-            self._comp[row][id(instr)] = cached
+            self._comp[id(instr)] = cached
             self._held.append(instr)
         return cached
 
-    def comm(self, instr: Instruction, row: int) -> float:
-        """Seconds of the collective opening a stage priced at ratio row
-        `row`.  A segment-boundary reshard pads to the larger of its own
-        row's and the stage row's largest shard."""
-        cached = self._comm[row].get(id(instr))
+    def comm(self, instr: Instruction) -> float:
+        """Seconds of the collective opening a stage."""
+        cached = self._comm.get(id(instr))
         if cached is None:
-            ratios = self.B.row(row)
-            own = self.row_of(instr.ref)
-            pad = None
-            if instr.kind == "all_to_all" and own != row:
-                pad = max(max(ratios), max(self.B.row(own)))
-            cached = self._comm[row][id(instr)] = comm_time(instr, ratios, self.spec, pad)
+            cached = self._comm[id(instr)] = comm_time(instr, self.B.row, self.spec)
             self._held.append(instr)
         return cached
 
@@ -305,10 +291,7 @@ class StagePricer:
 
         From an open stage, returns the stages the instructions close, in
         order, and the open stage after them.  A collective closes the open
-        stage unless that stage holds nothing yet, and is priced at its own
-        row until the stage's first computation names the stage row (at
-        once when there is a single row); the collective is then re-priced
-        there."""
+        stage unless that stage holds nothing yet."""
         comm_s, comp, row, comm = stage
         closed: tuple[StageCost, ...] = ()
         comp = list(comp)
@@ -318,16 +301,11 @@ class StagePricer:
                     closed += (_stage_cost(StageCost, (comm_s, tuple(comp), row, comm)),)
                 comp = [0.0] * len(comp)
                 comm = instr
-                row = self.row_of(instr.ref)
-                comm_s = self.comm(instr, row)
-                if not self.one_row:
-                    row = None
+                comm_s = self.comm(instr)
+                row = self.comm_row
                 continue
-            if row is None:
-                row = self.row_of(instr.ref)
-                if comm is not None:
-                    comm_s = self.comm(comm, row)
-            for j, sec in enumerate(self.comp(instr, row)):
+            row = 0
+            for j, sec in enumerate(self.comp(instr)):
                 comp[j] += sec
         return closed, _stage_cost(StageCost, (comm_s, tuple(comp), row, comm))
 
@@ -338,9 +316,10 @@ class CostBreakdown(NamedTuple):
 
 
 def iteration_time(instrs: tuple[Instruction, ...], B: ShardingRatios, spec: ClusterSpec,
-                   assignment: SegmentAssignment) -> CostBreakdown:
+                   assignment=None  # unread; kept while perfbench/ops.py passes it
+                   ) -> CostBreakdown:
     """Exact model time for one iteration of the program."""
-    pricer = StagePricer(spec, B, assignment)
+    pricer = StagePricer(spec, B)
     closed, last = pricer.advance(pricer.empty, instrs)
     if last.row is not None or last.comm is not None:
         closed += (last,)
@@ -389,16 +368,16 @@ def round_shards(extent: int, ratios) -> list[int]:
 
 
 def build_shard_table(g: Graph, B: ShardingRatios,
-                      assignment: SegmentAssignment) -> dict[tuple[str, int], list[int]]:
+                      assignment=None  # unread; kept while perfbench/ops.py passes it
+                      ) -> dict[tuple[str, int], list[int]]:
     """Integer shard sizes for every (tensor, axis) pair, rounded from the
-    tensor's segment's ratio row; each distinct (extent, row) is rounded
-    once, and every axis gets its own copy."""
+    ratio row; each distinct extent is rounded once, and every axis gets its
+    own copy."""
     table: dict[tuple[str, int], list[int]] = {}
-    rounded: dict[tuple[int, int], list[int]] = {}
+    rounded: dict[int, list[int]] = {}
     for t in g.tensors.values():
-        r = assignment.row_index(t.id)
         for axis, extent in enumerate(t.shape):
-            if (sizes := rounded.get((extent, r))) is None:
-                sizes = rounded[(extent, r)] = round_shards(extent, B.row(r))
+            if (sizes := rounded.get(extent)) is None:
+                sizes = rounded[extent] = round_shards(extent, B.row)
             table[(t.id, axis)] = sizes.copy()
     return table

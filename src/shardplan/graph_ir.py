@@ -1,4 +1,4 @@
-"""Single-device computation graph: parsing, shape inference, flop counts, segments.
+"""Single-device computation graph: parsing, shape inference and flop counts.
 
 A graph is a topologically ordered list of nodes, each producing exactly one
 tensor named by the node id.  The graph designates one scalar tensor as the
@@ -283,53 +283,7 @@ def serialize_graph(g: Graph) -> str:
 
 
 class SegmentAssignment(NamedTuple):
-    """Maps every tensor id to a segment index in [1..count]; contiguous in
-    topological order.  The field `count` shadows `tuple.count`, which the
-    package never calls."""
-    segment_of: dict[str, int]
-    count: int
-
-    def row_index(self, ref: str) -> int:
-        return self.segment_of[ref] - 1
-
-
-def assign_segments(g: Graph, count: int) -> SegmentAssignment:
-    """Contiguous topological partition of the node list into `count` segments
-    minimizing the maximum per-segment flop total (exact DP; earliest cuts on
-    ties, so the result is deterministic)."""
-    n = len(g.nodes)
-    if count <= 0:
-        raise ValueError(f"segment count must be positive, got {count}")
-    if count > n:
-        raise ValueError(f"segment count {count} exceeds tensor count {n}")
-    weights = [node.flops for node in g.nodes]
-    prefix = [0] * (n + 1)
-    for i, w in enumerate(weights):
-        prefix[i + 1] = prefix[i] + w
-
-    INF = float("inf")
-    # best[k][i]: minimal max-segment weight partitioning the first i nodes into k parts.
-    best = [[INF] * (n + 1) for _ in range(count + 1)]
-    best[0][0] = 0.0
-    for k in range(1, count + 1):
-        for i in range(k, n + 1):
-            for j in range(k - 1, i):
-                cand = max(best[k - 1][j], prefix[i] - prefix[j])
-                if cand < best[k][i]:
-                    best[k][i] = cand
-
-    cuts = [n]
-    i = n
-    for k in range(count, 0, -1):
-        for j in range(k - 1, i):
-            if max(best[k - 1][j], prefix[i] - prefix[j]) == best[k][i]:
-                cuts.append(j)
-                i = j
-                break
-    cuts.reverse()  # [0, c1, ..., n]
-
-    segment_of = {}
-    for k in range(count):
-        for idx in range(cuts[k], cuts[k + 1]):
-            segment_of[g.nodes[idx].id] = k + 1
-    return SegmentAssignment(segment_of=segment_of, count=count)
+    """Maps every tensor id to a segment; the package plans one ratio row
+    and reads neither field.  The field `count` shadows `tuple.count`."""
+    segment_of: dict[str, int]  # unread; kept while perfbench/ops.py passes it
+    count: int                  # unread; kept while perfbench/ops.py passes it

@@ -9,7 +9,7 @@ executes instructions in lock step.  Sharding always takes contiguous
 slices: device j owns the slice from sum(sizes[:j]) to sum(sizes[:j+1])
 along the shard axis, where the sizes come from the plan's shard table:
 `cost_model.build_shard_table` (re-exported here) rounds each tensor axis
-by its segment's ratio row.  Zero-size shards are legal.  All arithmetic
+by the plan's ratio row.  Zero-size shards are legal.  All arithmetic
 is float64.  The equivalence check draws its inputs uniformly from
 [-1, 1), trial after trial, from one generator seeded once per check; it
 runs its trials in chunks of at most `CHUNK_ELEMENTS` graph elements and

@@ -1,28 +1,26 @@
 """Sharding-ratio optimization for a fixed program.
 
-The stages, and the ratio row each is charged to, come from
-`cost_model.StagePricer.advance`, the walk that prices programs.  For each
-segment the iteration time restricted to that segment's ratio row is a small
-linear program: ratio variables B_j (nonnegative, summing to one), one
+The stages come from `cost_model.StagePricer.advance`, the walk that
+prices programs.  The iteration time as a function of the ratio row is a
+small linear program: ratio variables B_j (nonnegative, summing to one), one
 variable M bounding every B_j (gather-style collectives move the largest
 shard), and one variable T_i per compute stage bounding each device's affine
 compute time.  Each collective enters through `cost_model.comm_terms` as a
 constant, which no ratio row changes and the LP leaves out, plus a slope in
-M, zero for AllReduce and grouped broadcast.  Rows never interact except
-through segment-boundary reshards, which are charged here against the
-segment's own M (the exact evaluator uses the max over both rows, so the
-loop re-checks candidates against the true model before accepting them).
+M, zero for AllReduce and grouped broadcast.  The LP's objective plus those
+constants is the model's price, so its optimum is the best row for the
+program.
 
-A segment with no replicated work and no slope needs no LP.  Its stage s
+A program with no replicated work and no slope needs no LP.  Its stage s
 then takes F_s*B_j/r_j seconds on device j (F_s the stage's flops, r_j the
 device's rate), so its objective is sum_s max_j F_s*B_j/r_j =
 (sum_s F_s) * max_j B_j/r_j.  The B_j sum to one, so max_j B_j/r_j is at
 least 1/sum(r), with equality only at B_j = r_j/sum(r): the row
 `ShardingRatios.proportional_to_flops` builds is an exact optimum, and the
 only one when some stage has flops (the simplex finds it only to within
-rounding).  A segment with no stage and no slope meets the condition
-vacuously.  Replicated work or any slope (a gather-style collective, a
-boundary reshard) sends the segment to the simplex.
+rounding).  A program with no stage and no slope meets the condition
+vacuously.  Replicated work or any slope (a gather-style collective) sends
+the program to the simplex.
 
 The solver is a two-phase simplex with Bland's rule, run on Python lists of
 floats so that planning needs only the standard library: the tableaux have
@@ -44,8 +42,8 @@ import math
 from typing import NamedTuple
 
 from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer, comm_terms,
-                         replicated_seconds, single_segment)
-from .graph_ir import Graph, SegmentAssignment
+                         replicated_seconds)
+from .graph_ir import Graph
 
 _TOL = 1e-9
 
@@ -156,13 +154,12 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LpSolution:
 
 
 class SegmentProblem:
-    """LP coefficients for one segment's ratio row, filled in place by
-    `segment_problems`."""
-    __slots__ = ("row_index", "m", "comp_a", "comp_c", "slope_M")
+    """LP coefficients for the program's ratio row, filled in place by
+    `segment_problem`."""
+    __slots__ = ("m", "comp_a", "comp_c", "slope_M")
 
-    def __init__(self, row_index: int, m: int, comp_a: list[list[float]] | None = None,
+    def __init__(self, m: int, comp_a: list[list[float]] | None = None,
                  comp_c: list[list[float]] | None = None, slope_M: float = 0.0):
-        self.row_index = row_index
         self.m = m
         self.comp_a = [] if comp_a is None else comp_a      # sharded s/B_j
         self.comp_c = [] if comp_c is None else comp_c      # replicated s
@@ -173,48 +170,43 @@ class _CoefficientWalk(StagePricer):
     """`StagePricer.advance` with LP coefficients in place of prices.  A
     stage's `comp_s` holds 2m sums: the per-device seconds of its sharded
     work at a ratio of 1, then those of its replicated work.  Collectives
-    cost nothing here; `segment_problems` takes their slopes from
+    cost nothing here; `segment_problem` takes their slopes from
     `comm_terms`.  The stage row stays open until a computation names it,
-    even with one ratio row, so a stage whose `row` is None only
-    communicates.  It sets only what `advance` reads: no ratios, no price
+    so a stage whose `row` is None only communicates, and adds no T
+    variable.  It sets only what `advance` reads: no ratios, no price
     caches."""
+    comm_row = None
 
-    def __init__(self, spec: ClusterSpec, assignment: SegmentAssignment):
+    def __init__(self, spec: ClusterSpec):
         self.rates = [d.flops_per_second for d in spec.devices]
-        self.row_of = assignment.row_index
-        self.one_row = False
         self.zeros = (0.0,) * spec.m
         self.empty = StageCost(0.0, self.zeros * 2, None, None)
 
-    def comp(self, instr, row: int) -> tuple[float, ...]:
+    def comp(self, instr) -> tuple[float, ...]:
         seconds = replicated_seconds(instr, self.rates)
         return seconds + self.zeros if instr.sharded else self.zeros + seconds
 
-    def comm(self, instr, row: int) -> float:
+    def comm(self, instr) -> float:
         return 0.0
 
 
-def segment_problems(instrs, spec: ClusterSpec,
-                     assignment: SegmentAssignment) -> list[SegmentProblem]:
-    """Split the program's stages into per-segment LP coefficient sets.  A
-    stage charges its first computation's row, or its collective's row if
-    it only communicates."""
+def segment_problem(instrs, spec: ClusterSpec) -> SegmentProblem:
+    """The LP coefficients of the program's stages."""
     m = spec.m
-    probs = [SegmentProblem(row_index=r, m=m) for r in range(assignment.count)]
-    walk = _CoefficientWalk(spec, assignment)
+    prob = SegmentProblem(m=m)
+    walk = _CoefficientWalk(spec)
     closed, last = walk.advance(walk.empty, instrs)
     for _, comp, row, comm in closed + (last,):
         if comm is not None:
-            prob = probs[assignment.row_index(comm.ref) if row is None else row]
             prob.slope_M += comm_terms(comm, spec)[1]
         if row is not None:
-            probs[row].comp_a.append(list(comp[:m]))
-            probs[row].comp_c.append(list(comp[m:]))
-    return probs
+            prob.comp_a.append(list(comp[:m]))
+            prob.comp_c.append(list(comp[m:]))
+    return prob
 
 
 def build_lp(prob: SegmentProblem) -> tuple[list, ...]:
-    """Assemble the ratio LP for one segment as `solve_lp`'s arguments
+    """Assemble the ratio LP as `solve_lp`'s arguments
     (c, A_ub, b_ub, A_eq, b_eq).
 
     Variables are [B_1..B_m, M, T_1..T_k]: M >= B_j models gather-style
@@ -263,30 +255,23 @@ def build_lp(prob: SegmentProblem) -> tuple[list, ...]:
 
 
 def optimize_ratios(program, g: Graph, spec: ClusterSpec,
-                    assignment: SegmentAssignment | None = None) -> ShardingRatios:
-    """Best ratio rows for a fixed program, one independent problem per
-    segment.
+                    assignment=None  # unread; kept while perfbench/ops.py passes it
+                    ) -> ShardingRatios:
+    """Best ratio row for a fixed program.
 
-    A segment whose stages do only sharded work and whose collectives cost
+    A program whose stages do only sharded work and whose collectives cost
     nothing that depends on the ratios (`comp_c` all zero and `slope_M`
-    zero, as in a segment with no stage and no slope) gets the
+    zero, as in a program with no stage and no slope) gets the
     speed-proportional row, the exact optimum shown in the module
-    docstring.  Every other segment solves its LP.
+    docstring.  Every other program solves its LP.
     """
-    assignment = assignment or single_segment(g)
-    m = spec.m
-    proportional = ShardingRatios.proportional_to_flops(spec).rows[0]
-    out_rows: list[tuple[float, ...]] = []
-    for prob in segment_problems(program.instrs, spec, assignment):
-        if prob.slope_M == 0.0 and not any(map(any, prob.comp_c)):
-            out_rows.append(proportional)
-            continue
-        sol = solve_lp(*build_lp(prob))
-        if sol.status != "optimal":
-            raise RuntimeError(f"ratio LP unexpectedly {sol.status} "
-                               f"for segment {prob.row_index}")
-        # Negative and signed-zero solutions clip to 0.0.
-        row = [0.0 if v <= 0.0 else v for v in sol.x[:m]]
-        total = sum(row)
-        out_rows.append(tuple(v / total for v in row))
-    return ShardingRatios(rows=tuple(out_rows))
+    prob = segment_problem(program.instrs, spec)
+    if prob.slope_M == 0.0 and not any(map(any, prob.comp_c)):
+        return ShardingRatios.proportional_to_flops(spec)
+    sol = solve_lp(*build_lp(prob))
+    if sol.status != "optimal":
+        raise RuntimeError(f"ratio LP unexpectedly {sol.status}")
+    # Negative and signed-zero solutions clip to 0.0.
+    row = [0.0 if v <= 0.0 else v for v in sol.x[:spec.m]]
+    total = sum(row)
+    return ShardingRatios(rows=(tuple(v / total for v in row),))

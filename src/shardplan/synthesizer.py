@@ -36,9 +36,8 @@ from itertools import chain
 from operator import add, le
 from typing import NamedTuple
 
-from .cost_model import (ClusterSpec, ShardingRatios, StageCost, StagePricer,
-                         single_segment)
-from .graph_ir import Graph, SegmentAssignment
+from .cost_model import ClusterSpec, ShardingRatios, StageCost, StagePricer
+from .graph_ir import Graph
 from .theory import (COLLECTIVE_KINDS, GUARD_KINDS, Instruction, Theory, all_reduce, bits,
                      relevant)
 
@@ -113,14 +112,11 @@ class SearchContext:
     `StagePricer` prices every instruction.  `root` is the empty program."""
 
     def __init__(self, g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
-                 assignment: SegmentAssignment | None = None):
+                 assignment=None):  # unread; kept while perfbench/ops.py passes it
         if B.m != spec.m:
             raise ValueError(f"ratio width {B.m} != device count {spec.m}")
-        assignment = assignment or single_segment(g)
-        if B.g != assignment.count:
-            raise ValueError(f"ratio rows {B.g} != segment count {assignment.count}")
         self.theory, self.spec, self.B = theory, spec, B
-        self.pricer = StagePricer(spec, B, assignment)
+        self.pricer = StagePricer(spec, B)
 
         self.triples = triples = theory.triples
         props = theory.props
@@ -170,21 +166,20 @@ class SearchContext:
         pricer, triples, towes = self.pricer, self.triples, self.towes
         work, opened = self.work, self.opened
         advance, comp_s, empty, new = pricer.advance, pricer.comp, pricer.empty, tuple.__new__
-        # Least seconds a remaining flop puts on each device: a B[r][j] share
+        # Least seconds a remaining flop puts on each device: a B[j] share
         # of it if it runs sharded, all of it if replicated.
-        floor_s = tuple(min(row[j] for row in self.B.rows) / rate
-                        for j, rate in enumerate(pricer.rates))
+        floor_s = tuple(b / rate for b, rate in zip(self.B.row, pricer.rates))
 
         def score(closed_s, stage, remaining):
             """Lower bound on every completion, closed + ecost: each later
             stage takes at least its slowest device, so all at least any one."""
-            comm_s, comp, row, _ = stage
+            comm_s, comp, _, _ = stage
             worst = 0.0         # a loop: max() over a generator takes twice as long
             for c, f in zip(comp, floor_s):
                 c += remaining * f
                 if c > worst:
                     worst = c
-            return closed_s + COMPLETION_SCALE * ((0.0 if row is None else comm_s) + worst)
+            return closed_s + COMPLETION_SCALE * (comm_s + worst)
 
         def opened_stage(ti):
             """The stage triple ti leaves open from any open stage, if it
@@ -218,7 +213,7 @@ class SearchContext:
                     closed += done.time_s
             elif how is not None:       # a source adds 0.0 s, which moves no sum
                 comm_s, comp, row, comm = stage
-                stage = new(StageCost, (comm_s, tuple(map(add, comp, comp_s(how, row))), row, comm))
+                stage = new(StageCost, (comm_s, tuple(map(add, comp, comp_s(how))), row, comm))
             props = (props | post) & ~kill
             for b, flops in towes[ti]:
                 if not computed & b:
@@ -243,10 +238,11 @@ class SynthesisResult(NamedTuple):
 
 def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                cfg: SearchConfig | None = None,
-               assignment: SegmentAssignment | None = None) -> SynthesisResult:
+               assignment=None  # unread; kept while perfbench/ops.py passes it
+               ) -> SynthesisResult:
     """Minimum-cost complete program for the graph under fixed ratios B."""
     cfg = cfg or SearchConfig()
-    ctx = SearchContext(g, theory, spec, B, assignment)
+    ctx = SearchContext(g, theory, spec, B)
     step, applicable, loss, root = ctx.step, ctx.applicable, ctx.loss_bit, ctx.root
 
     # Equal scores are common (fully sharded instructions leave the score
@@ -257,7 +253,7 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
     # One bucket per exact property set holds every node pushed with it; a
     # successor is dropped (`purged`) when a node in its bucket costs no more
     # in any component (closed stages, the open stage's collective, each
-    # device's compute) and waits for a row on the same collective, or none.
+    # device's compute).
     buckets: dict[int, list[PartialProgram]] = {root.props: [root]}
     best: PartialProgram | None = None
     best_s = bound = math.inf       # best complete cost; scores it cuts off
@@ -292,12 +288,10 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                 continue
 
             bucket = buckets.setdefault(props, [])
-            comm_s, comp, row, comm = stage
-            waits = comm if row is None else None
+            comm_s, comp, _, _ = stage
             for other in bucket:
-                o_comm_s, o_comp, o_row, o_comm = other[3]
-                if (other[2] <= closed and o_comm_s <= comm_s and all(map(le, o_comp, comp))
-                        and (o_comm if o_row is None else None) == waits):
+                o_comm_s, o_comp, _, _ = other[3]
+                if other[2] <= closed and o_comm_s <= comm_s and all(map(le, o_comp, comp)):
                     purged += 1
                     break
             else:
@@ -338,17 +332,14 @@ class _Interner(dict):
 
 
 def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
-                       assignment: SegmentAssignment | None = None,
+                       assignment=None,  # unread; kept while perfbench/ops.py passes it
                        max_len: int | None = None) -> EnumerationResult:
     """Exhaustive enumeration of every program of at most max_len
     instructions; returns the cheapest complete one.
 
-    Under one ratio row only the triples that can reach the loss are
-    walked (`theory.relevant`): a cheapest program fires no other, so the
-    minimum is the full theory's, and `explored` counts the states of that
-    walk.  Under several rows the full theory is walked, because a dead
-    zero-flop source or an unread collective can set the row at which a
-    waiting stage is priced.
+    Only the triples that can reach the loss are walked
+    (`theory.relevant`): a cheapest program fires no other, so the minimum
+    is the full theory's, and `explored` counts the states of that walk.
 
     A state is an interned property set, an interned open stage (a
     `StageCost`: collective price, per-device accrued compute, ratio row,
@@ -371,10 +362,8 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     steps each state's open stage, memoized per stage and triple."""
     if max_len is None:
         max_len = 2 * len(g.nodes) + 4
-    # Delete this test with segments, and prune on every call.
-    if assignment is None or assignment.count == 1:
-        theory = relevant(theory)
-    ctx = SearchContext(g, theory, spec, B, assignment)
+    theory = relevant(theory)
+    ctx = SearchContext(g, theory, spec, B)
     root = ctx.root
     tlen = [len(tr.instrs) for tr in ctx.triples]
     max_step = max(tlen, default=1)

@@ -10,7 +10,7 @@ triple's delete list by its definition over the post, the communication
 guards by rewriting the raw theory, triple fusion by a scan over every
 triple, the triples relevant to the loss by a worklist over properties,
 applicable triples by a near-set over sets of properties, the simplex with
-dense pivots, the closed-form ratio row by the segment's LP, the graph
+dense pivots, the closed-form ratio row by the program's LP, the graph
 document by the json encoder, and each node's flop count by recounting it.
 The walks step with `SearchContext.step`, the one step function the search
 itself takes, to list programs; the enumeration's state graph also takes
@@ -32,7 +32,7 @@ from unittest import mock
 import numpy as np
 
 from shardplan import load_balancer
-from shardplan.cost_model import comm_time, single_segment
+from shardplan.cost_model import comm_time
 from shardplan.graph_ir import SOURCE_OPS, Graph, Node, flops_of
 from shardplan.interpreter import (EquivalenceReport, ExecutionError,
                                    coll_all_reduce, eval_reference,
@@ -48,7 +48,7 @@ from shardplan.theory import (ALL_GATHER, ALL_REDUCE, COMMUNICATED, GUARD_KINDS,
 
 
 # ---------------------------------------------------------------------------
-# ratio-row grids and the segment objective
+# ratio-row grids and the LP objective
 
 
 def grid_rows(m: int, step: float = 1e-2):
@@ -65,7 +65,7 @@ def grid_rows(m: int, step: float = 1e-2):
 
 
 def segment_objective(prob: SegmentProblem, row) -> float:
-    """Evaluate one segment's time at a fixed ratio row (same algebra as the
+    """Evaluate the LP's objective at a fixed ratio row (same algebra as the
     LP, computed directly)."""
     row = np.asarray(row, dtype=float)
     total = prob.slope_M * float(row.max())
@@ -79,7 +79,7 @@ def grid_min_objective(prob: SegmentProblem, step: float = 1e-2) -> float:
 
 
 def lp_row(prob: SegmentProblem) -> tuple[float, ...]:
-    """The segment's LP optimum, clipped and normalized as `optimize_ratios`
+    """The LP optimum, clipped and normalized as `optimize_ratios`
     treats the rows it takes from the simplex."""
     sol = load_balancer.solve_lp(*load_balancer.build_lp(prob))
     assert sol.status == "optimal", sol.status
@@ -87,21 +87,19 @@ def lp_row(prob: SegmentProblem) -> tuple[float, ...]:
     return tuple(v / sum(row) for v in row)
 
 
-def rows_off_the_lp(program, g: Graph, spec, assignment) -> list[tuple]:
-    """The segments at which `optimize_ratios` misses its LP: (segment, row,
-    LP row) where the row prices above the LP row by more than a relative
-    1e-12, or, on a segment with replicated work or a slope, differs from
-    it in any bit.  Empty when every row is the LP's optimum."""
-    rows = load_balancer.optimize_ratios(program, g, spec, assignment).rows
-    off = []
-    for prob, row in zip(load_balancer.segment_problems(program.instrs, spec, assignment),
-                         rows):
-        ref = lp_row(prob)
-        sensitive = prob.slope_M > 0.0 or any(v != 0.0 for c in prob.comp_c for v in c)
-        if (segment_objective(prob, row) > segment_objective(prob, ref) * (1 + 1e-12)
-                or (sensitive and row != ref)):
-            off.append((prob.row_index, row, ref))
-    return off
+def row_off_the_lp(program, g: Graph, spec) -> tuple | None:
+    """(row, LP row) if `optimize_ratios` misses its LP: if its row prices
+    above the LP row by more than a relative 1e-12, or, with replicated
+    work or a slope, differs from it in any bit.  None when the row is the
+    LP's optimum."""
+    row = load_balancer.optimize_ratios(program, g, spec).row
+    prob = load_balancer.segment_problem(program.instrs, spec)
+    ref = lp_row(prob)
+    sensitive = prob.slope_M > 0.0 or any(v != 0.0 for c in prob.comp_c for v in c)
+    if (segment_objective(prob, row) > segment_objective(prob, ref) * (1 + 1e-12)
+            or (sensitive and row != ref)):
+        return row, ref
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +199,6 @@ def min_l1_rounding(extent: int, row) -> float:
                    for s in range(left + 1))
 
     return rec(0, extent)
-
-
-def min_max_contiguous(weights, count: int) -> float:
-    """Minimal possible maximum block weight over contiguous partitions of
-    `weights` into `count` blocks."""
-    n = len(weights)
-    best = math.inf
-    for cuts in itertools.combinations(range(1, n), count - 1):
-        bounds = [0, *cuts, n]
-        worst = max(sum(weights[a:b]) for a, b in zip(bounds, bounds[1:]))
-        best = min(best, worst)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -760,20 +746,17 @@ def dominates(a, b) -> bool:
     """The search's pruning rule, for nodes of one property set: a renders b
     redundant when it is at most as expensive in every cost component
     (closed stages, the open stage's collective, per-device accrued
-    compute), and both open stages wait for a row on the same collective,
-    or neither does."""
+    compute)."""
     s, t = a.stage, b.stage
     if a.closed_s > b.closed_s or s.comm_s > t.comm_s:
         return False
-    if any(x > y for x, y in zip(s.comp_s, t.comp_s)):
-        return False
-    return (s.comm if s.row is None else None) == (t.comm if t.row is None else None)
+    return not any(x > y for x, y in zip(s.comp_s, t.comp_s))
 
 
-def enumerate_all_complete(g, theory, spec, B, max_len: int, assignment=None) -> set:
+def enumerate_all_complete(g, theory, spec, B, max_len: int) -> set:
     """Every complete instruction sequence of at most max_len instructions
     (no merging; exponential, so only for tiny graphs)."""
-    ctx = SearchContext(g, theory, spec, B, assignment)
+    ctx = SearchContext(g, theory, spec, B)
     out = set()
     stack = [ctx.root]
     while stack:
@@ -825,7 +808,7 @@ class StateGraph(NamedTuple):
         return self.ctx.instructions(q.path)
 
 
-def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
+def state_graph(g, theory, spec, B) -> StateGraph:
     """The states and transitions that `enumerate_programs` walks at its
     default length bound, built without it, for an unfused and unguarded
     theory.
@@ -840,7 +823,7 @@ def state_graph(g, theory, spec, B, assignment=None) -> StateGraph:
     is expanded, its node is rebuilt by `ctx.step` from its cheapest parent's
     node, and must agree with the state and its closed cost."""
     max_len = 2 * len(g.nodes) + 4
-    ctx = SearchContext(g, theory, spec, B, assignment)
+    ctx = SearchContext(g, theory, spec, B)
     root = ctx.root
     triples = ctx.triples
 
@@ -952,20 +935,9 @@ def _completion_key(instrs) -> tuple:
     return frozenset(instr.ref for instr in instrs), instrs[k - 1] if k else None, instrs[k:]
 
 
-def _completion_bound(computed, comm, trailing, g, spec, B, assignment) -> float:
-    row = None
-    if trailing:
-        row = assignment.row_index(trailing[0].ref)
-    elif comm is not None and assignment.count == 1:
-        row = 0
+def _completion_bound(computed, comm, trailing, g, spec, B) -> float:
     rates = [d.flops_per_second for d in spec.devices]
-    comm_s = 0.0
-    if comm is not None and row is not None:
-        own = assignment.row_index(comm.ref)
-        pad = None
-        if comm.kind == "all_to_all" and own != row:
-            pad = max(max(B.row(row)), max(B.row(own)))
-        comm_s = comm_time(comm, B.row(row), spec, pad)
+    comm_s = 0.0 if comm is None else comm_time(comm, B.row, spec)
     remaining = 0.0
     for node in g.nodes:
         if node.id in g.loss_ancestors and node.id not in computed:
@@ -974,30 +946,27 @@ def _completion_bound(computed, comm, trailing, g, spec, B, assignment) -> float
     for j, rate in enumerate(rates):
         device_s = 0.0
         for instr in trailing:
-            share = B.row(row)[j] if instr.sharded else 1.0
+            share = B.row[j] if instr.sharded else 1.0
             device_s += instr.flops * share / rate
-        device_s += remaining * min(r[j] for r in B.rows) / rate
+        device_s += remaining * B.row[j] / rate
         worst = max(worst, device_s)
     return COMPLETION_SCALE * (comm_s + worst)
 
 
-def ecost(partial, g, spec, B, assignment=None) -> float:
+def ecost(partial, g, spec, B) -> float:
     """Reference completion estimate, recomputed from the program alone.
 
-    The open trailing stage's collective (once a computation, or a single
-    ratio row, fixes the row it is priced at; a reshard across a segment
-    boundary pads to the larger of the two rows' largest shards), plus the
-    slowest device's total of (a) compute already accrued in that stage and
-    (b) every loss ancestor that no instruction has realized a property of,
-    at the least share of its flops any ratio row gives that device.
+    The open trailing stage's collective, plus the slowest device's total
+    of (a) compute already accrued in that stage and (b) every loss
+    ancestor that no instruction has realized a property of, at the share
+    of its flops the ratio row gives that device.
     Complete programs cost nothing more.  The search keeps the same quantity
     incrementally, as a node's score less its closed cost.  `partial` is a
     `Program`; `program` gives a search node's.
     """
     if partial.complete:
         return 0.0
-    return _completion_bound(*_completion_key(partial.instrs), g, spec, B,
-                             assignment or single_segment(g))
+    return _completion_bound(*_completion_key(partial.instrs), g, spec, B)
 
 
 def future_costs(graph: StateGraph) -> list[float]:
@@ -1014,14 +983,13 @@ def future_costs(graph: StateGraph) -> list[float]:
     return future
 
 
-def admissibility_violations(g, spec, B, graph: StateGraph, assignment=None,
+def admissibility_violations(g, spec, B, graph: StateGraph,
                              slack: float = 0.0) -> list[str]:
     """The search's completion estimate (a node's score less its closed cost)
     must agree with the reference `ecost` and never exceed the true cheapest
     completion (cost(Q_c) - cost(Q) minimized over enumerated completions Q_c).
     Programs that end in the same open stage over the same realized tensors
     share one `ecost`, computed once."""
-    assignment = assignment or single_segment(g)
     bounds: dict = {}
     bad: list[str] = []
     for q, best in zip(graph.nodes, future_costs(graph)):
@@ -1032,7 +1000,7 @@ def admissibility_violations(g, spec, B, graph: StateGraph, assignment=None,
             key = _completion_key(graph.instrs(q))
             ref = bounds.get(key)
             if ref is None:
-                ref = bounds[key] = _completion_bound(*key, g, spec, B, assignment)
+                ref = bounds[key] = _completion_bound(*key, g, spec, B)
         if abs(h - ref) > 1e-12 * q.score_s:
             bad.append(f"state len={q.depth} estimate={h!r} != reference ecost {ref!r}")
         if best != math.inf and h > best + slack:

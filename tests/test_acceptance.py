@@ -25,8 +25,7 @@ import oracles
 from shardplan import (ClusterSpec, Instruction, ShardingRatios, alternate,
                        build_theory, synthesize)
 from shardplan.cli import main
-from shardplan.cost_model import (COLLECTIVE_KINDS, build_shard_table, comm_time,
-                                  round_shards, single_segment)
+from shardplan.cost_model import COLLECTIVE_KINDS, build_shard_table, comm_time, round_shards
 from shardplan.graph_ir import graph_from_dict
 from shardplan.load_balancer import SegmentProblem, build_lp, solve_lp
 from shardplan.synthesizer import enumerate_programs
@@ -106,9 +105,8 @@ def test_criterion_03_every_derived_triple_is_sound():
     setups = [(corpus.homog2(), ShardingRatios.uniform(2)),
               (corpus.hetero2(), ShardingRatios(rows=((0.7, 0.3),)))]
     for name, g in corpus.corpus_graphs():
-        assignment = single_segment(g)
         for spec, B in setups:
-            table = build_shard_table(g, B, assignment)
+            table = build_shard_table(g, B)
             for guards, fuse in ((False, False), (True, True)):
                 th = build_theory(g, spec.m, guards=guards, fuse=fuse)
                 bad = oracles.triple_violations(g, th, spec, table)
@@ -140,9 +138,9 @@ def test_criterion_04_completion_heuristic_is_admissible():
 
 def test_criterion_05_ratio_lp_matches_grid_and_analytic_minima():
     # the three worked examples from build_lp's docstring
-    slopes = SegmentProblem(row_index=0, m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]])
-    comm = SegmentProblem(row_index=0, m=2, slope_M=1e6)
-    both = SegmentProblem(row_index=0, m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]],
+    slopes = SegmentProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]])
+    comm = SegmentProblem(m=2, slope_M=1e6)
+    both = SegmentProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]],
                           slope_M=3.0)
     for prob, want_B, want_obj in ((slopes, [2 / 3, 1 / 3], 2 / 3),
                                    (comm, [0.5, 0.5], 5e5),
@@ -157,7 +155,7 @@ def test_criterion_05_ratio_lp_matches_grid_and_analytic_minima():
         m = 2 if i < 10 else 3
         stages = int(rng.integers(1, 4))
         prob = SegmentProblem(
-            row_index=0, m=m,
+            m=m,
             comp_a=[rng.uniform(0.0, 4.0, m).tolist() for _ in range(stages)],
             comp_c=[rng.uniform(0.0, 1.0, m).tolist() for _ in range(stages)],
             slope_M=float(rng.uniform(0.0, 3.0)) if i % 3 else 0.0)
@@ -226,8 +224,7 @@ def test_criterion_08_alternating_loop_descends_and_terminates():
                     assert all(abs(v - 1.0 / spec.m) <= 1e-9 for v in row), \
                         f"{name}: ratios {row} not uniform"
             # the returned program is optimal for the returned ratios
-            again = synthesize(g, build_theory(g, spec.m), spec, res.ratios,
-                               assignment=res.assignment)
+            again = synthesize(g, build_theory(g, spec.m), spec, res.ratios)
             assert again.cost_s == res.cost_s, \
                 f"{name}: synthesis under the returned ratios costs {again.cost_s!r}"
 

@@ -10,10 +10,8 @@ import pytest
 
 import corpus
 import shardplan
-from shardplan import (DistributedProgram, SegmentAssignment, ShardingRatios,
-                       alternate, build_shard_table, iteration_time)
-from shardplan.cli import main, plan_document
-from shardplan.cost_model import single_segment
+from shardplan import DistributedProgram, ShardingRatios, build_shard_table, iteration_time
+from shardplan.cli import main
 from shardplan.graph_ir import graph_from_dict
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -336,13 +334,21 @@ def test_enumerate_confirms_plan_cost(files, capsys):
 
 
 def test_enumerate_confirms_multi_segment_plan_cost(files, capsys):
-    # `plan` writes one row; a multi-row plan comes from the library alone.
-    g = graph_from_dict(corpus.matmul_reduce())
-    doc = plan_document(g, corpus.hetero2(), alternate(g, corpus.hetero2(), segments=2))
-    out = _write(files["tmp"], "plan2.json", json.dumps(doc, indent=2) + "\n")
-    assert main(["verify", out, files["graph"], files["hetero2"]]) == 0
-    assert doc["segments"] == 2 and len(doc["ratios"]) == 2
-    assert _enumerated_minimum(files, capsys, out) == doc["estimate"]["total_s"]
+    # A plan holds one ratio row: a plan file with two segments, as plans
+    # with several rows were written, or with two rows, is refused.
+    doc = json.loads(open(_plan(files)).read())
+    two_segments = dict(doc, segments=2, ratios=doc["ratios"] * 2,
+                        segment_of={t: 1 + (k >= 2) for k, t in enumerate(doc["segment_of"])})
+    two_rows = dict(doc, ratios=doc["ratios"] * 2)
+    for bad, field in ((two_segments, "segments"), (two_rows, "ratios")):
+        plan = _write(files["tmp"], "old.json", json.dumps(bad, indent=2) + "\n")
+        for argv in (["verify", plan, files["graph"], files["hetero2"]],
+                     ["enumerate", files["graph"], files["hetero2"], "--ratios", plan]):
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert err.startswith(f"error: plan field {field}: ") and err.count("\n") == 1, err
+            assert not out, out
 
 
 def test_enumerate_flops_ratios(files, capsys):
@@ -415,8 +421,7 @@ def _reseal(doc):
     plan` would have written it, so that only the instructions are wrong."""
     program = DistributedProgram.from_json(doc["program"])
     ratios = ShardingRatios(rows=tuple(map(tuple, doc["ratios"])))
-    assignment = SegmentAssignment(segment_of=doc["segment_of"], count=doc["segments"])
-    total = iteration_time(program.instrs, ratios, corpus.hetero2(), assignment).total_s
+    total = iteration_time(program.instrs, ratios, corpus.hetero2()).total_s
     doc["estimate"]["total_s"] = float(f"{total:.12g}")
 
 
@@ -430,7 +435,7 @@ def _gather_w(doc):
     the guarded planner never writes (it does not communicate sources)."""
     g = graph_from_dict(corpus.matmul_reduce())
     ratios = ShardingRatios(rows=tuple(map(tuple, doc["ratios"])))
-    doc["shard_table"]["w:0"] = build_shard_table(g, ratios, single_segment(g))[("w", 0)]
+    doc["shard_table"]["w:0"] = build_shard_table(g, ratios)[("w", 0)]
     doc["program"]["instrs"][0:1] = [
         {"kind": "parameter_shard", "ref": "w", "operands": [], "output": "w@shard0",
          "axis": 0, "sharded": True, "flops": 0, "elements": 0},

@@ -11,9 +11,8 @@ from shardplan import (ClusterFormatError, ClusterSpec, Instruction,
                        ShardingRatios, build_shard_table, build_theory, iteration_time,
                        synthesize)
 from shardplan.cli import _canon_rows
-from shardplan.cost_model import (StageCost, StagePricer, comm_terms, comm_time,
-                                  round_shards, single_segment)
-from shardplan.graph_ir import SegmentAssignment, assign_segments, graph_from_dict
+from shardplan.cost_model import StageCost, StagePricer, comm_terms, comm_time, round_shards
+from shardplan.graph_ir import graph_from_dict
 from shardplan.synthesizer import SearchContext
 
 
@@ -88,13 +87,15 @@ def test_cluster_rejects_booleans_as_numbers(edit):
 
 def test_ratios_validation():
     u = ShardingRatios.uniform(2)
-    assert u.rows == ((0.5, 0.5),)
-    assert (u.g, u.m) == (1, 2)
-    assert ShardingRatios.uniform(4, g=3).rows[2] == (0.25,) * 4
+    assert u.rows == ((0.5, 0.5),) and u.row == (0.5, 0.5)
+    assert u.m == 2
+    # one row whatever the unread row count
+    assert ShardingRatios.uniform(4, g=3).rows == ((0.25,) * 4,)
     assert ShardingRatios.proportional_to_flops(corpus.hetero2()).rows == ((0.7, 0.3),)
     bad = [
         (),
-        ((0.5, 0.5), (1.0,)),           # ragged
+        ((0.5, 0.5), (0.5, 0.5)),       # one row only
+        ((0.5, 0.5), (1.0,)),
         ((1.2, -0.2),),                 # negative entry
         ((0.5, 0.6),),                  # does not sum to one
         ((math.nan, 1.0),),             # every comparison with NaN is False
@@ -132,23 +133,21 @@ def test_stage_decomposition():
     ag = _comm("all_gather", "a", 32)
     spec = corpus.homog2()
     B = ShardingRatios.uniform(2)
-    assignment = SegmentAssignment(segment_of={"a": 1}, count=1)
     a = _comp("a", flops=64, sharded=True)
-    bd = iteration_time((ag, a), B, spec, assignment)
+    bd = iteration_time((ag, a), B, spec)
     assert bd.stages == (StageCost(comm_time(ag, (0.5, 0.5), spec),
                                    (2.0 ** -25, 2.0 ** -25), 0, ag),)
     assert bd.total_s == bd.stages[0].comm_s + 2.0 ** -25
-    assert iteration_time((), B, spec, assignment).stages == ()
+    assert iteration_time((), B, spec).stages == ()
 
 
 def test_comp_seconds_scales_only_sharded_work():
     spec = corpus.homog2()          # 2^30 flops/s per device
-    pricer = StagePricer(spec, ShardingRatios(((0.25, 0.75),)),
-                         SegmentAssignment(segment_of={"a": 1}, count=1))
+    pricer = StagePricer(spec, ShardingRatios(((0.25, 0.75),)))
     sharded = _comp("a", flops=128, sharded=True)
     replicated = _comp("a", flops=128, sharded=False)
-    assert pricer.comp(sharded, 0) == (32 / 2.0 ** 30, 96 / 2.0 ** 30)
-    assert pricer.comp(replicated, 0) == (128 / 2.0 ** 30,) * 2
+    assert pricer.comp(sharded) == (32 / 2.0 ** 30, 96 / 2.0 ** 30)
+    assert pricer.comp(replicated) == (128 / 2.0 ** 30,) * 2
 
 
 def test_collective_prices():
@@ -192,36 +191,9 @@ def test_grouped_broadcast_prices_a_plan_files_rows_as_the_loops():
     gb = _comm("grouped_broadcast", "x", 32)
     B = ShardingRatios.uniform(3)
     canon = _canon_rows(B)
-    assert sum(canon.row(0)) != sum(B.row(0))
+    assert sum(canon.row) != sum(B.row)
     program = (gb, _comp("x", flops=64))
-    one = SegmentAssignment(segment_of={"x": 1}, count=1)
-    assert iteration_time(program, canon, spec, one) == iteration_time(program, B, spec, one)
-
-
-def test_boundary_reshard_pads_to_wider_row():
-    spec = corpus.homog2()
-    B = ShardingRatios(((0.75, 0.25), (0.5, 0.5)))
-    assignment = SegmentAssignment(segment_of={"a": 1, "b": 2}, count=2)
-    a2a = Instruction("all_to_all", "a", operands=("a@shard0",), output="a@shard1",
-                      axis=0, axis2=1, elements=32)
-    b = _comp("b", flops=8, sharded=True)
-    pricer = StagePricer(spec, B, assignment)
-    # the stage's row is unknown until a computation names it: until then
-    # the collective is priced at its own segment's row
-    closed, stage = pricer.advance(pricer.empty, (a2a,))
-    assert closed == ()
-    assert stage == StageCost(comm_time(a2a, (0.75, 0.25), spec), (0.0, 0.0), None, a2a)
-    closed, stage = pricer.advance(stage, (b,))
-    assert closed == () and stage.row == 1
-    # resharding across the segment boundary pays for the larger shard of
-    # either row: max(0.75, 0.5) instead of this stage's own 0.5
-    assert stage.comm_s == 2.0 ** -16 + 3 * 2.0 ** -28
-    assert stage.comm_s > comm_time(a2a, (0.5, 0.5), spec)
-    # a communication-only stage closes at the collective's own row
-    closed, _ = pricer.advance(pricer.empty, (a2a, a2a))
-    assert closed == (StageCost(comm_time(a2a, (0.75, 0.25), spec), (0.0, 0.0), None, a2a),)
-    total = iteration_time((a2a, b), B, spec, assignment)
-    assert total.stages == (stage,)
+    assert iteration_time(program, canon, spec) == iteration_time(program, B, spec)
 
 
 def test_iteration_time_matches_search_cost():
@@ -232,7 +204,7 @@ def test_iteration_time_matches_search_cost():
     # perfect row sharding: 144 flops spread over 2^31 flops/s, no collectives
     assert res.cost_s == 144 / 2.0 ** 31
     assert not any(i.is_comm for i in res.program.instrs)
-    bd = iteration_time(res.program.instrs, B, spec, single_segment(g))
+    bd = iteration_time(res.program.instrs, B, spec)
     assert bd.total_s == res.cost_s
     assert bd.total_s == sum(s.comm_s + max(s.comp_s) for s in bd.stages)
     assert all(len(s.comp_s) == 2 for s in bd.stages)
@@ -281,18 +253,15 @@ def test_ecost_ignores_dead_branches():
 
 
 def test_shard_table_rounds_every_axis_as_round_shards_does():
-    # The table rounds each distinct (extent, row) once and copies it; every
-    # entry must be what rounding that axis on its own gives, in a list of
-    # its own.  The rows round unevenly, and the two-segment cases take
-    # each tensor's sizes from its own segment's row.
+    # The table rounds each distinct extent once and copies it; every entry
+    # must be what rounding that axis on its own gives, in a list of its
+    # own.  The rows round unevenly.
     graphs = corpus.corpus_graphs() + [
         (f"mix{blocks}", graph_from_dict(corpus.mix_graph(blocks, 12, 20))) for blocks in (1, 3)]
     for name, g in graphs:
-        for B in (ShardingRatios(((0.7, 0.3),)), ShardingRatios(((0.62, 0.38), (0.13, 0.87))),
-                  ShardingRatios(((0.5, 0.3, 0.2), (0.1, 0.45, 0.45)))):
-            assignment = assign_segments(g, B.g)
-            assert assignment.count == 2 or B.g == 1, name
-            table = build_shard_table(g, B, assignment)
-            assert table == {(t.id, axis): round_shards(extent, B.row(assignment.row_index(t.id)))
+        for row in ((0.7, 0.3), (0.62, 0.38), (0.5, 0.3, 0.2), (0.1, 0.45, 0.45)):
+            B = ShardingRatios((row,))
+            table = build_shard_table(g, B)
+            assert table == {(t.id, axis): round_shards(extent, row)
                              for t in g.tensors.values() for axis, extent in enumerate(t.shape)}
             assert len(set(map(id, table.values()))) == len(table), name

@@ -5,7 +5,7 @@ extents 1 to 4), whose nodes may branch off the loss path, and clusters
 of 2 or 3 devices with their own rate per device and latency and bandwidth
 per collective.  Each plan must cost the enumerated minimum at its own
 ratios, compute the loss on random inputs, and load back to its program,
-and its ratio rows must be the optimum of each segment's LP.
+and its ratio row must be the optimum of its LP.
 A second strategy draws a batch contraction on slow clusters, so that some
 plans hold a collective.  The examples are derandomized, so every run
 checks the same graphs.
@@ -141,12 +141,12 @@ def _plan_is_optimal_sound_and_loads_back(graph_doc, cluster_doc) -> Distributed
     assert plan.program == result.program
 
     enum = enumerate_programs(g, build_theory(g, spec.m, guards=False, fuse=False),
-                              spec, plan.ratios, assignment=plan.assignment)
+                              spec, plan.ratios)
     assert doc["estimate"]["total_s"] == _canon(enum.cost_s)
 
-    table = build_shard_table(g, plan.ratios, plan.assignment)
+    table = build_shard_table(g, plan.ratios)
     assert check_equivalence(g, plan.program, spec.m, table, trials=5).passed
-    assert not oracles.rows_off_the_lp(plan.program, g, spec, plan.assignment)
+    assert oracles.row_off_the_lp(plan.program, g, spec) is None
     return plan.program
 
 

@@ -6,8 +6,7 @@ import corpus
 import oracles
 from shardplan import GraphFormatError, parse_graph
 from shardplan.cost_model import single_segment
-from shardplan.graph_ir import (assign_segments, flops_of, graph_from_dict,
-                                infer_shape, serialize_graph)
+from shardplan.graph_ir import flops_of, graph_from_dict, infer_shape, serialize_graph
 
 
 def test_parse_round_trip_whole_corpus():
@@ -154,32 +153,3 @@ def test_single_segment_covers_everything():
     assert a.count == 1
     assert set(a.segment_of) == set(g.tensor_ids)
     assert set(a.segment_of.values()) == {1}
-
-
-def test_assign_segments_is_contiguous_and_total():
-    g = graph_from_dict(corpus.chain_graph(4))
-    for count in (1, 2, 3, 4):
-        a = assign_segments(g, count)
-        assert a.count == count
-        seq = [a.segment_of[n.id] for n in g.nodes]
-        assert seq == sorted(seq)                      # contiguous in topo order
-        assert set(seq) == set(range(1, count + 1))    # no empty segment
-
-
-def test_assign_segments_minimizes_max_flops():
-    g = graph_from_dict(corpus.chain_graph(3))
-    weights = [oracles.node_flops(g, n) for n in g.nodes]
-    for count in (2, 3, 4):
-        a = assign_segments(g, count)
-        per_seg = [0.0] * count
-        for n, w in zip(g.nodes, weights):
-            per_seg[a.segment_of[n.id] - 1] += w
-        assert max(per_seg) == oracles.min_max_contiguous(weights, count)
-
-
-def test_assign_segments_bad_count():
-    g = graph_from_dict(corpus.param_only())
-    with pytest.raises(ValueError):
-        assign_segments(g, 0)
-    with pytest.raises(ValueError):
-        assign_segments(g, len(g.nodes) + 1)

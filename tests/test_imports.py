@@ -13,7 +13,6 @@ import pytest
 import corpus
 import shardplan
 from shardplan import DistributedProgram, build_shard_table, interpreter
-from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
 
 _CLI_RUN = """\
@@ -61,7 +60,7 @@ def test_star_import_binds_every_public_name():
 def test_package_errors_are_the_ones_the_interpreter_raises():
     g = graph_from_dict(corpus.matmul_reduce())
     program = DistributedProgram(instrs=(), loss=g.loss)
-    table = build_shard_table(g, shardplan.ShardingRatios.uniform(2), single_segment(g))
+    table = build_shard_table(g, shardplan.ShardingRatios.uniform(2))
     with pytest.raises(shardplan.ExecutionError):
         interpreter.check_equivalence(g, program, 2, table, trials=1)
 

@@ -8,7 +8,6 @@ import shardplan.interpreter as interp
 from oracles import check_form, equivalence_per_trial, run_checked
 from shardplan import (ShardingRatios, alternate, build_shard_table, build_theory,
                        check_equivalence, synthesize)
-from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
 from shardplan.interpreter import (CHUNK_ELEMENTS, ExecutionError, coll_all_gather,
                                    coll_all_reduce, coll_all_to_all,
@@ -150,14 +149,14 @@ def test_materialize_loss():
 def test_shard_table_rounds_each_axis():
     g = graph_from_dict(corpus.matmul_reduce())
     B = ShardingRatios.proportional_to_flops(corpus.hetero2())
-    table = build_shard_table(g, B, single_segment(g))
+    table = build_shard_table(g, B)
     assert table == {
         ("x", 0): [6, 2], ("x", 1): [3, 1],
         ("w", 0): [3, 1], ("w", 1): [1, 1],
         ("h", 0): [6, 2], ("h", 1): [1, 1],
     }
     skew = ShardingRatios.proportional_to_flops(corpus.skew2())
-    lopsided = build_shard_table(g, skew, single_segment(g))
+    lopsided = build_shard_table(g, skew)
     assert lopsided[("w", 1)] == [2, 0]          # the slow device gets nothing
 
 
@@ -165,7 +164,7 @@ def test_distributed_matches_reference():
     g = graph_from_dict(corpus.matmul_reduce())
     B = ShardingRatios.uniform(2)
     res = synthesize(g, build_theory(g, 2), corpus.homog2(), B)
-    table = build_shard_table(g, B, single_segment(g))
+    table = build_shard_table(g, B)
     inputs = {"x": np.ones((1, 8, 4)), "w": np.ones((1, 4, 2))}
     losses = run_distributed(res.program, 2, inputs, table)
     assert [v.tolist() for v in losses] == [[64.0], [64.0]]
@@ -188,7 +187,7 @@ def test_equivalence_flags_wrong_results():
     instrs = list(res.program.instrs)
     i = next(i for i, instr in enumerate(instrs) if instr.tag == "tanh")
     instrs[i] = instrs[i]._replace(tag="exp")     # same shapes and flops, other values
-    table = build_shard_table(g, res.ratios, res.assignment)
+    table = build_shard_table(g, res.ratios)
     assert check_equivalence(g, res.program, spec.m, table).passed
     swapped = res.program._replace(instrs=tuple(instrs))
     assert check_equivalence(g, swapped, spec.m, table).passed is False
@@ -212,16 +211,15 @@ def test_random_inputs_cover_sources_only():
 
 def _plans():
     """(graph, program, m, shard table) for every corpus graph on homog2,
-    hetero2 and skew2 with 1 and 2 segments, and for two batch-contracting
-    graphs on slowhet2 whose chunks hold fewer trials than a check runs."""
-    cases = [(g, spec, segments) for _, g in corpus.corpus_graphs()
-             for spec in (corpus.homog2(), corpus.hetero2(), corpus.skew2())
-             for segments in (1, 2)]
-    cases += [(graph_from_dict(corpus.mix_graph(2, batch, width)), corpus.slowhet2(), 1)
+    hetero2 and skew2, and for two batch-contracting graphs on slowhet2
+    whose chunks hold fewer trials than a check runs."""
+    cases = [(g, spec) for _, g in corpus.corpus_graphs()
+             for spec in (corpus.homog2(), corpus.hetero2(), corpus.skew2())]
+    cases += [(graph_from_dict(corpus.mix_graph(2, batch, width)), corpus.slowhet2())
               for batch, width in ((64, 64), (24, 32))]
-    for g, spec, segments in cases:
-        res = alternate(g, spec, segments=segments)
-        yield g, res.program, spec.m, build_shard_table(g, res.ratios, res.assignment)
+    for g, spec in cases:
+        res = alternate(g, spec)
+        yield g, res.program, spec.m, build_shard_table(g, res.ratios)
 
 
 def _elements(g):
@@ -264,7 +262,7 @@ def test_check_runs_one_interpreter_pass_per_chunk(monkeypatch):
                       ("mix24x32", corpus.mix_graph(2, 24, 32))):
         g = graph_from_dict(doc)
         res = alternate(g, spec)
-        table = build_shard_table(g, res.ratios, res.assignment)
+        table = build_shard_table(g, res.ratios)
         for trials in (0, 1, 20, 23):
             calls.clear()
             assert check_equivalence(g, res.program, spec.m, table, trials=trials).passed
@@ -278,7 +276,7 @@ def test_nan_or_infinite_losses_fail_the_check(monkeypatch, bad_trials, bad):
     g = graph_from_dict(corpus.matmul_reduce())
     B = ShardingRatios.uniform(2)
     res = synthesize(g, build_theory(g, 2), corpus.homog2(), B)
-    table = build_shard_table(g, B, single_segment(g))
+    table = build_shard_table(g, B)
 
     def corrupted(program, m, inputs, shard_table):
         losses = [v.copy() for v in run_distributed(program, m, inputs, shard_table)]

@@ -11,8 +11,8 @@ import oracles
 from shardplan import (ClusterSpec, DistributedProgram, Instruction, ShardingRatios,
                        alternate, build_theory, load_balancer, optimize_ratios, synthesize)
 from shardplan.cost_model import comm_terms, iteration_time, round_shards
-from shardplan.graph_ir import SegmentAssignment, graph_from_dict
-from shardplan.load_balancer import SegmentProblem, build_lp, segment_problems, solve_lp
+from shardplan.graph_ir import graph_from_dict
+from shardplan.load_balancer import SegmentProblem, build_lp, segment_problem, solve_lp
 
 
 def test_simplex_basics():
@@ -81,22 +81,20 @@ def test_ratio_rows_equal_dense_pivots_bit_for_bit(m):
     spec = _graded(m)
     for name, g in corpus.corpus_graphs():
         res = alternate(g, spec)
-        probs = segment_problems(res.program.instrs, spec, res.assignment)
-        rows = [solve_lp(*build_lp(prob)).x[:m] for prob in probs]
+        prob = segment_problem(res.program.instrs, spec)
+        row = solve_lp(*build_lp(prob)).x[:m]
         with oracles.dense_pivots():
-            ref = [solve_lp(*build_lp(prob)).x[:m] for prob in probs]
-        assert [[v.hex() for v in row] for row in rows] == \
-            [[v.hex() for v in row] for row in ref], name
+            ref = solve_lp(*build_lp(prob)).x[:m]
+        assert [v.hex() for v in row] == [v.hex() for v in ref], name
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 8])
 def test_ratio_rows_are_the_lp_optimum(m):
     spec = _graded(m)
     for name, g in corpus.corpus_graphs():
-        for segments in (1, 2):
-            res = alternate(g, spec, segments=segments)
-            off = oracles.rows_off_the_lp(res.program, g, spec, res.assignment)
-            assert not off, (name, segments, off)
+        res = alternate(g, spec)
+        off = oracles.row_off_the_lp(res.program, g, spec)
+        assert off is None, (name, off)
 
 
 def test_sharded_plans_take_the_closed_form_and_mix_takes_the_lp():
@@ -107,41 +105,39 @@ def test_sharded_plans_take_the_closed_form_and_mix_takes_the_lp():
         for cname in ("hetero2", "hetero4", "hetero8"):
             spec = getattr(corpus, cname)()
             for name, g in corpus.corpus_graphs():
-                for segments in (1, 2):
-                    assert alternate(g, spec, segments=segments).program, (cname, name)
+                assert alternate(g, spec).program, (cname, name)
     # a slope (the plan's reduce_scatter) and replicated work each take the LP
     g = graph_from_dict(corpus.mix_graph(2, 32, 32))
     with mock.patch.object(load_balancer, "solve_lp", wraps=solve_lp) as lp:
         res = alternate(g, corpus.slowhet2())
     assert lp.called
-    assert not oracles.rows_off_the_lp(res.program, g, corpus.slowhet2(), res.assignment)
+    assert oracles.row_off_the_lp(res.program, g, corpus.slowhet2()) is None
     spec = corpus.hetero2()
     mm = Instruction("matmul", "h", operands=("a", "b"), output="h@z", sharded=True,
                      flops=128)
     rep = Instruction("reduce", "h", operands=("h@z",), output="h@w", dims=(0,), flops=10)
     program = DistributedProgram(instrs=(mm, rep), loss="h")
-    one = SegmentAssignment(segment_of={"h": 1}, count=1)
     with mock.patch.object(load_balancer, "solve_lp", wraps=solve_lp) as lp:
-        B = optimize_ratios(program, None, spec, one)
-    assert lp.called and B.rows[0][0] > 0.7
-    assert not oracles.rows_off_the_lp(program, None, spec, one)
+        B = optimize_ratios(program, None, spec)
+    assert lp.called and B.row[0] > 0.7
+    assert oracles.row_off_the_lp(program, None, spec) is None
 
 
 def test_ratio_lp_analytic_cases():
     # slopes (1, 2), no communication: equalize 1*B1 = 2*B2
-    prob = SegmentProblem(row_index=0, m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]])
+    prob = SegmentProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]])
     sol = solve_lp(*build_lp(prob))
     assert sol.x[:2] == pytest.approx([2 / 3, 1 / 3])
     assert oracles.segment_objective(prob, sol.x[:2]) == pytest.approx(2 / 3)
 
     # communication-dominated: only the largest shard matters
-    prob = SegmentProblem(row_index=0, m=2, slope_M=1e6)
+    prob = SegmentProblem(m=2, slope_M=1e6)
     sol = solve_lp(*build_lp(prob))
     assert sol.x[:2] == pytest.approx([0.5, 0.5])
     assert oracles.segment_objective(prob, sol.x[:2]) == pytest.approx(5e5)
 
     # compute pulls toward (2/3, 1/3), the collective pulls back to even
-    prob = SegmentProblem(row_index=0, m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]],
+    prob = SegmentProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]],
                           slope_M=3.0)
     sol = solve_lp(*build_lp(prob))
     assert sol.x[:2] == pytest.approx([0.5, 0.5])
@@ -152,7 +148,7 @@ def test_ratio_lp_matches_grid_oracle():
     rng = np.random.default_rng(1)
     for _ in range(10):
         prob = SegmentProblem(
-            row_index=0, m=2,
+            m=2,
             comp_a=[rng.uniform(0.0, 2.0, size=2).tolist()
                     for _ in range(int(rng.integers(1, 3)))],
             comp_c=[rng.uniform(0.0, 0.5, size=2).tolist() for _ in range(2)][:1],
@@ -179,15 +175,12 @@ def test_segment_problem_coefficients():
                       dims=(0,), flops=10)
     instrs = [mm, mk("all_reduce", 32), mk("grouped_broadcast", 16),
               mk("all_gather", 8), rep]
-    assignment = SegmentAssignment(segment_of={"h": 1}, count=1)
-    probs = segment_problems(instrs, spec, assignment)
-    assert len(probs) == 1
-    p = probs[0]
+    p = segment_problem(instrs, spec)
     # all_reduce and grouped_broadcast cost constants, which the LP leaves out
     assert p.slope_M == 32 / bw
     assert p.comp_a == [[128 / rate] * 2, [0.0, 0.0]]
     assert p.comp_c == [[0.0, 0.0], [10 / rate] * 2]
-    empty = SegmentProblem(row_index=0, m=2)
+    empty = SegmentProblem(m=2)
     assert (empty.comp_a, empty.comp_c, empty.slope_M) == ([], [], 0.0)
 
 
@@ -201,40 +194,32 @@ def test_segment_problems_charge_each_stage_to_its_row():
                      axis=0, elements=32)
     rs = Instruction("reduce_scatter", "b", operands=("b@partial",), output="b@shard0",
                      axis=0, elements=8)
-    a_s, b_s = [2.0 ** -24] * 2, [2.0 ** -25] * 2
-    two = SegmentAssignment(segment_of={"a": 1, "b": 2}, count=2)
+    a_s, b_s, idle_s = [2.0 ** -24] * 2, [2.0 ** -25] * 2, [0.0, 0.0]
 
-    def coefficients(instrs, assignment=two):
-        return [(p.comp_a, p.comp_c, p.slope_M)
-                for p in segment_problems(instrs, spec, assignment)]
+    def coefficients(instrs):
+        p = segment_problem(instrs, spec)
+        return p.comp_a, p.comp_c, p.slope_M
 
-    nothing = ([], [], 0.0)
-    assert coefficients(()) == [nothing, nothing]
-    assert coefficients((a, b)) == [([a_s], [b_s], 0.0), nothing]
-    # a stage takes its first computation's row, and so does its collective
-    assert coefficients((a, ag, b)) == [([a_s], [[0.0, 0.0]], 0.0),
-                                        ([[0.0, 0.0]], [b_s], 2.0 ** -26)]
+    assert coefficients(()) == ([], [], 0.0)
+    assert coefficients((a, b)) == ([a_s], [b_s], 0.0)
+    assert coefficients((a, ag, b)) == ([a_s, idle_s], [idle_s, b_s], 2.0 ** -26)
     # a leading collective opens the first stage instead of closing one
-    assert coefficients((ag, b)) == [nothing, ([[0.0, 0.0]], [b_s], 2.0 ** -26)]
-    # a stage that only communicates takes its collective's row
-    assert coefficients((ag, rs)) == [([], [], 2.0 ** -26), ([], [], 2.0 ** -28)]
-    # with one row too, a computation without flops still gets its stage
-    # variable, and a stage that only communicates gets none
-    one = SegmentAssignment(segment_of={"a": 1, "b": 1}, count=1)
+    assert coefficients((ag, b)) == ([idle_s], [b_s], 2.0 ** -26)
+    # a computation without flops still gets its stage variable, and a
+    # stage that only communicates gets none
     idle = b._replace(flops=0)
-    assert coefficients((ag, idle), one) == [([[0.0, 0.0]], [[0.0, 0.0]], 2.0 ** -26)]
-    assert coefficients((ag,), one) == [([], [], 2.0 ** -26)]
+    assert coefficients((ag, idle)) == ([idle_s], [idle_s], 2.0 ** -26)
+    assert coefficients((ag,)) == ([], [], 2.0 ** -26)
+    assert coefficients((ag, rs)) == ([], [], 2.0 ** -26 + 2.0 ** -28)
     ar = ag._replace(kind="all_reduce")
-    assert coefficients((ar, idle), one) == [([[0.0, 0.0]], [[0.0, 0.0]], 0.0)]
-    assert coefficients((ar,), one) == [nothing]
+    assert coefficients((ar, idle)) == ([idle_s], [idle_s], 0.0)
+    assert coefficients((ar,)) == ([], [], 0.0)
 
 
 def test_ratio_lp_prices_what_the_model_prices():
-    """At the planned ratios, the collectives' constant terms plus every
-    segment's LP objective equal `iteration_time` with one segment, and
-    exceed it by no more than rounding with more: the model pads a boundary reshard to the
-    larger of two rows, where the LP charges the stage row alone.  The
-    hetero2 `mix` plans hold no collective and take seconds each, so the
+    """At the planned ratios, the collectives' constant terms plus the LP's
+    objective equal `iteration_time` to within rounding.  The hetero2 `mix`
+    plans hold no collective and take seconds each, so the
     `mix` graphs run on the other clusters."""
     graphs = [g for _, g in corpus.corpus_graphs()]
     graphs += [graph_from_dict(corpus.chain_graph(blocks)) for blocks in (1, 2, 3)]
@@ -246,19 +231,14 @@ def test_ratio_lp_prices_what_the_model_prices():
     collectives = 0
     for g, cname in cases:
         spec = getattr(corpus, cname)()
-        for segments in (1, 2):
-            res = alternate(g, spec, segments=segments)
-            instrs = res.program.instrs
-            model = iteration_time(instrs, res.ratios, spec, res.assignment).total_s
-            lp = sum(comm_terms(i, spec)[0] for i in instrs if i.is_comm)
-            for k, prob in enumerate(segment_problems(instrs, spec, res.assignment)):
-                lp += oracles.segment_objective(prob, res.ratios.row(k))
-            if res.assignment.count == 1:
-                assert abs(lp - model) <= 1e-12 * model, (cname, segments)
-            else:
-                assert lp <= model * (1 + 1e-12), (cname, segments)
-            collectives += any(i.is_comm for i in instrs)
-    assert collectives == 32
+        res = alternate(g, spec)
+        instrs = res.program.instrs
+        model = iteration_time(instrs, res.ratios, spec).total_s
+        lp = sum(comm_terms(i, spec)[0] for i in instrs if i.is_comm)
+        lp += oracles.segment_objective(segment_problem(instrs, spec), res.ratios.row)
+        assert abs(lp - model) <= 1e-12 * model, cname
+        collectives += any(i.is_comm for i in instrs)
+    assert collectives == 16
 
 
 def test_optimize_ratios_balances_heterogeneous_devices():
@@ -281,7 +261,7 @@ def test_optimize_ratios_balances_heterogeneous_devices():
 
 
 def test_optimize_ratios_uniform_fallback_for_trivial_segments():
-    # a segment with no stage and no slope meets the closed form's condition
+    # a program with no stage and no slope meets the closed form's condition
     g = graph_from_dict(corpus.matmul_reduce())
     ar_only = DistributedProgram(instrs=(Instruction("all_reduce", "h", operands=("h@partial",),
                                                      output="h@full", elements=16),),

@@ -1,9 +1,10 @@
 """Byte-identical plans: the sha256 of every plan file the corpus produces.
 
 `tests/data/plan_digests.json` pins the bytes `shardplan plan` writes for each
-corpus graph on the homog2, hetero2, skew2, hetero4 and hetero8 clusters
-with 1 and 2 segments, for the residual chains of 1 to 3 blocks on the three
-2-device clusters, and for five one-segment `mix_graph` plans (`MIX_PINS`).
+corpus graph on the homog2, hetero2, skew2, hetero4 and hetero8 clusters,
+for the residual chains of 1 to 3 blocks on the three
+2-device clusters, and for five `mix_graph` plans (`MIX_PINS`).  Every key
+ends in `.s1`, the one segment of every plan.
 A plan file holds the answer and not the search effort spent finding it, so
 a change that is meant to leave answers alone must leave every digest alone.
 
@@ -40,7 +41,7 @@ import pytest
 import corpus
 from shardplan import ShardingRatios, alternate, build_theory, optimize_ratios
 from shardplan.cli import load_plan, plan_document
-from shardplan.graph_ir import assign_segments, graph_from_dict
+from shardplan.graph_ir import graph_from_dict
 from shardplan.synthesizer import SearchConfig, enumerate_programs, synthesize
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "plan_digests.json"
@@ -65,13 +66,13 @@ MIX_PINS = {
 
 
 def _graphs():
-    """(key prefix, graph document, cluster names, segment counts)."""
+    """(key prefix, graph document, cluster names)."""
     for name, doc in corpus.CORPUS.items():
-        yield name, doc, CLUSTERS + WIDE_CLUSTERS, (1, 2)
+        yield name, doc, CLUSTERS + WIDE_CLUSTERS
     for blocks in (1, 2, 3):
-        yield f"chain{blocks}", corpus.chain_graph(blocks), CLUSTERS, (1, 2)
+        yield f"chain{blocks}", corpus.chain_graph(blocks), CLUSTERS
     for (batch, width, cname) in MIX_PINS:
-        yield f"mix{batch}x{width}", corpus.mix_graph(2, batch, width), (cname,), (1,)
+        yield f"mix{batch}x{width}", corpus.mix_graph(2, batch, width), (cname,)
 
 
 def pinned_plans():
@@ -79,61 +80,55 @@ def pinned_plans():
     counts) of every pinned plan; the rows are those of each
     `optimize_ratios` call, in `float.hex`, one line per row, and the counts
     are the first synthesis's [expansions, generated, purged]."""
-    for name, doc, cnames, segment_counts in _graphs():
+    for name, doc, cnames in _graphs():
         g = graph_from_dict(doc)
         for cname in cnames:
             spec = getattr(corpus, cname)()
-            for segments in segment_counts:
-                rows, counts = [], []
+            rows, counts = [], []
 
-                def synth(g, theory, spec, B, assignment, cfg):
-                    res = synthesize(g, theory, spec, B, assignment=assignment,
-                                     cfg=SearchConfig(max_expansions=cfg.max_expansions))
-                    counts.append([res.expansions, res.generated, res.purged])
-                    return res
+            def synth(g, theory, spec, B, assignment, cfg):
+                res = synthesize(g, theory, spec, B,
+                                 cfg=SearchConfig(max_expansions=cfg.max_expansions))
+                counts.append([res.expansions, res.generated, res.purged])
+                return res
 
-                def balance(program, g, spec, assignment):
-                    B = optimize_ratios(program, g, spec, assignment)
-                    rows.extend(" ".join(v.hex() for v in row) for row in B.rows)
-                    return B
+            def balance(program, g, spec, assignment):
+                B = optimize_ratios(program, g, spec)
+                rows.append(" ".join(v.hex() for v in B.row))
+                return B
 
-                result = alternate(g, spec, segments=segments, synth_fn=synth,
-                                   balance_fn=balance)
-                text = json.dumps(plan_document(g, spec, result), indent=2) + "\n"
-                yield (f"{name}.{cname}.s{segments}", g, spec, result.program, text,
-                       "\n".join(rows), counts[0])
+            result = alternate(g, spec, synth_fn=synth, balance_fn=balance)
+            text = json.dumps(plan_document(g, spec, result), indent=2) + "\n"
+            yield (f"{name}.{cname}.s1", g, spec, result.program, text, "\n".join(rows),
+                   counts[0])
 
 
 # The audited graphs but binary_mul_unary, whose enumerations on hetero2
 # take the longest.
 SMALL_AUDITED = corpus.AUDITED[:-1]
 
-# (key prefix, cluster, ratio rows, graphs, theory options, max_len) of the
+# (key prefix, cluster, ratio row, graphs, theory options, max_len) of the
 # pinned enumerations: what `shardplan enumerate GRAPH homog2` computes for
-# each audited graph; hetero2 at (0.7, 0.3), and with a second segment at
-# (0.4, 0.6), so that collectives wait for their stage's row; the guarded,
-# fused theory the planner searches; and a length bound that cuts programs.
+# each audited graph; hetero2 at (0.7, 0.3); the guarded, fused theory the
+# planner searches; and a length bound that cuts programs.
 RAW = {"guards": False, "fuse": False}
 ENUMERATION_CASES = (
-    ("raw.homog2.s1", "homog2", ((0.5, 0.5),), corpus.AUDITED, RAW, None),
-    ("raw.hetero2.s1", "hetero2", ((0.7, 0.3),), SMALL_AUDITED, RAW, None),
-    ("raw.hetero2.s2", "hetero2", ((0.7, 0.3), (0.4, 0.6)), SMALL_AUDITED, RAW, None),
-    ("fused.homog2.s1", "homog2", ((0.5, 0.5),), corpus.AUDITED, {}, None),
-    ("fused.hetero2.s2", "hetero2", ((0.7, 0.3), (0.4, 0.6)), corpus.AUDITED, {}, None),
-    ("raw.homog2.s1.len5", "homog2", ((0.5, 0.5),), corpus.AUDITED, RAW, 5),
-    ("raw.hetero2.s2.len5", "hetero2", ((0.7, 0.3), (0.4, 0.6)), corpus.AUDITED, RAW, 5),
+    ("raw.homog2.s1", "homog2", (0.5, 0.5), corpus.AUDITED, RAW, None),
+    ("raw.hetero2.s1", "hetero2", (0.7, 0.3), SMALL_AUDITED, RAW, None),
+    ("fused.homog2.s1", "homog2", (0.5, 0.5), corpus.AUDITED, {}, None),
+    ("raw.homog2.s1.len5", "homog2", (0.5, 0.5), corpus.AUDITED, RAW, 5),
 )
 
 
 def enumeration_digests() -> dict[str, str]:
     out = {}
-    for prefix, cname, rows, names, options, max_len in ENUMERATION_CASES:
+    for prefix, cname, row, names, options, max_len in ENUMERATION_CASES:
         spec = getattr(corpus, cname)()
-        B = ShardingRatios(rows)
+        B = ShardingRatios((row,))
         for name in names:
             g = graph_from_dict(corpus.CORPUS[name])
             res = enumerate_programs(g, build_theory(g, spec.m, **options), spec, B,
-                                     assignment=assign_segments(g, B.g), max_len=max_len)
+                                     max_len=max_len)
             text = "\n".join((res.cost_s.hex(), str(res.explored), str(res.complete_states),
                               json.dumps(res.program.to_json(), sort_keys=True)))
             out[f"{name}.{prefix}"] = hashlib.sha256(text.encode()).hexdigest()

@@ -1,5 +1,5 @@
 """The package's record types hold results and settings that nothing may
-change once built; only `SegmentProblem`, which `segment_problems` fills in
+change once built; only `SegmentProblem`, which `segment_problem` fills in
 place, is mutable."""
 import pytest
 
@@ -7,6 +7,7 @@ import corpus
 from shardplan import (LoopConfig, LoopResult, SearchConfig, ShardingRatios, alternate,
                        build_theory, iteration_time, synthesize)
 from shardplan.cli import load_plan, plan_document
+from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
 from shardplan.interpreter import EquivalenceReport
 from shardplan.load_balancer import solve_lp
@@ -32,10 +33,10 @@ def records() -> dict:
     values = [
         load_plan(plan_document(g, spec, res), g, spec.m), spec.devices[0],
         spec.collectives["all_reduce"], spec, res.ratios,
-        iteration_time(res.program.instrs, res.ratios, spec, res.assignment), g.nodes[0],
-        g, res.assignment, EquivalenceReport(trials=1, max_rel_err=0.0, passed=True),
+        iteration_time(res.program.instrs, res.ratios, spec), g.nodes[0],
+        g, single_segment(g), EquivalenceReport(trials=1, max_rel_err=0.0, passed=True),
         solve_lp([1.0], A_eq=[[1.0]], b_eq=[1.0]), LoopConfig(), res.rounds[0],
-        LoopResult(res.program, res.ratios, res.assignment, res.cost_s), res.program,
+        LoopResult(res.program, res.ratios, res.cost_s), res.program,
         SearchConfig(), SearchContext(g, theory, spec, B).root,
         synthesize(g, theory, spec, B),
         enumerate_programs(g, build_theory(g, spec.m, guards=False, fuse=False), spec, B),

@@ -11,8 +11,8 @@ import corpus
 import oracles
 from shardplan import (Instruction, NoCompleteProgramError, SearchConfig,
                        ShardingRatios, build_theory, iteration_time, synthesize)
-from shardplan.cost_model import StageCost, StagePricer, single_segment
-from shardplan.graph_ir import assign_segments, graph_from_dict
+from shardplan.cost_model import StageCost, StagePricer
+from shardplan.graph_ir import graph_from_dict
 from shardplan.synthesizer import (OPTIMALITY_MARGIN, PartialProgram, SearchContext,
                                    _priority, enumerate_programs)
 from shardplan.theory import Property, all_gather, all_reduce, derive_theory, relevant
@@ -42,21 +42,20 @@ def test_applicable_refuses_vacuous_triples():
     assert ti not in ctx.applicable(succ.props)        # its post is realized
 
 
-def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0), pending=None):
-    # a collective waits for its stage's row while no computation names it
-    stage = StageCost(comm, acc, None if pending else 0, pending)
+def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0)):
+    stage = StageCost(comm, acc, 0, None)
     return PartialProgram(props=sum(1 << p for p in props), computed=0, closed_s=closed,
                           stage=stage, remaining=0.0, score_s=0.0, path=(), depth=0)
 
 
-def _search_pushes(g, th, spec, B, assignment=None):
+def _search_pushes(g, th, spec, B):
     """The result of one search, every successor its step built, in order,
     every node it pushed, its root and its context's loss property bit."""
     built, seen = [], {}
     closures = SearchContext._closures
 
-    def recording(ctx, g):
-        root, opened_stage, step = closures(ctx, g)
+    def recording(ctx, *args):
+        root, opened_stage, step = closures(ctx, *args)
         seen["root"], seen["loss"] = root, ctx.loss_bit
 
         def record(q, ti):
@@ -66,7 +65,7 @@ def _search_pushes(g, th, spec, B, assignment=None):
 
     with mock.patch.object(SearchContext, "_closures", recording), \
             mock.patch("heapq.heappush", wraps=heapq.heappush) as push:
-        res = synthesize(g, th, spec, B, assignment=assignment)
+        res = synthesize(g, th, spec, B)
     return res, built, [c.args[1][3] for c in push.call_args_list], seen["root"], seen["loss"]
 
 
@@ -80,18 +79,15 @@ def test_dominance_is_componentwise():
     assert not dominates(_partial({1, 2}, closed=1.5), b)          # dearer stages
     assert not dominates(_partial({1, 2}, acc=(0.3, 0.0)), b)      # one device behind
     assert not dominates(_partial({1, 2}, comm=0.5), b)            # pending comm
-    assert not dominates(_partial({1, 2}, pending="k"), b)         # different stage row
     # The search's own comparison keeps and drops what this rule does: replay
     # its successors through the rule, with its bound, and push the same
-    # nodes.  The two-segment case holds stages that wait for their row.
+    # nodes.
     mix = graph_from_dict(corpus.mix_graph(2, 32, 32))
     gram = graph_from_dict(corpus.gram())
-    for g, spec, B, segments in (
-            (mix, corpus.hetero2(), ShardingRatios.proportional_to_flops(corpus.hetero2()), 1),
-            (gram, corpus.slow2(), ShardingRatios(((0.5, 0.5), (0.25, 0.75))), 2)):
-        assignment = assign_segments(g, segments)
-        res, built, pushed, root, loss = _search_pushes(g, build_theory(g, 2), spec, B,
-                                                        assignment)
+    for g, spec, B in (
+            (mix, corpus.hetero2(), ShardingRatios.proportional_to_flops(corpus.hetero2())),
+            (gram, corpus.slow2(), ShardingRatios(((0.25, 0.75),)))):
+        res, built, pushed, root, loss = _search_pushes(g, build_theory(g, 2), spec, B)
         best_s = bound = math.inf
         buckets, kept, purged = {root.props: [root]}, [], 0
         for succ in built:
@@ -147,27 +143,24 @@ def test_three_device_search_matches_enumeration():
 
 
 def test_enumeration_agrees_with_unmerged_walk():
-    # max_len=4 binds (the unlimited enumeration explores more states), and
-    # the unequal rows make the two-segment case re-price collectives; the
-    # unmerged walk covers the full theory, the one-segment enumeration the
-    # triples that can reach the loss.  (No bound binds on rank1_mul's: each
-    # of their complete programs has 4 instructions.)
+    # max_len=4 binds (the unlimited enumeration explores more states); the
+    # unmerged walk covers the full theory, the enumeration the triples that
+    # can reach the loss.  (No bound binds on rank1_mul's: each of their
+    # complete programs has 4 instructions.)
     spec = corpus.homog2()
     for name in ("binary_add", "param_only", "identity_after_reduce", "matmul_reduce"):
         g = graph_from_dict(corpus.CORPUS[name])
         for th in (build_theory(g, 2), build_theory(g, 2, guards=False, fuse=False)):
-            for B, assignment in ((ShardingRatios(((0.75, 0.25),)), single_segment(g)),
-                                  (ShardingRatios(((0.75, 0.25), (0.375, 0.625))),
-                                   assign_segments(g, 2))):
-                every = oracles.enumerate_all_complete(g, th, spec, B, max_len=4,
-                                                       assignment=assignment)
+            for row in ((0.75, 0.25), (0.375, 0.625)):
+                B = ShardingRatios((row,))
+                every = oracles.enumerate_all_complete(g, th, spec, B, max_len=4)
                 assert every, name
-                costs = [iteration_time(seq, B, spec, assignment).total_s for seq in every]
-                enum = enumerate_programs(g, th, spec, B, assignment=assignment, max_len=4)
+                costs = [iteration_time(seq, B, spec).total_s for seq in every]
+                enum = enumerate_programs(g, th, spec, B, max_len=4)
                 assert enum.cost_s == min(costs), name
                 assert enum.program.instrs in every, name
                 assert enum.complete_states <= len(every), name
-                unlimited = enumerate_programs(g, th, spec, B, assignment=assignment)
+                unlimited = enumerate_programs(g, th, spec, B)
                 assert enum.explored < unlimited.explored, name
 
 
@@ -180,10 +173,10 @@ def test_enumeration_state_counts_are_pinned():
         assert (res.explored, res.complete_states) == corpus.ENUMERATION_COUNTS[name], name
 
 
-def state_graph_minimum(g, th, spec, B, assignment=None) -> float:
+def state_graph_minimum(g, th, spec, B) -> float:
     """The cheapest complete state of the state graph of the theory `th`."""
     with oracles.collector_paused():
-        graph = oracles.state_graph(g, th, spec, B, assignment)
+        graph = oracles.state_graph(g, th, spec, B)
         return min(oracles.total_s(q) for q in graph.nodes if graph.complete(q))
 
 
@@ -199,24 +192,6 @@ def test_enumeration_of_what_reaches_the_loss_keeps_the_full_minimum(name):
             B = ShardingRatios(rows)
             full = state_graph_minimum(g, th, spec, B)
             assert enumerate_programs(g, th, spec, B).cost_s.hex() == full.hex(), (name, cname)
-
-
-def test_two_segment_enumeration_walks_the_full_theory():
-    # with two segments an unread all_gather can close a stage so that the
-    # loss's reduce is priced at its own segment's row, not at the row of
-    # the stage's first computation: on rank1_mul that beats every program
-    # of the triples that can reach the loss
-    spec = corpus.slow2()
-    for doc, rows, pruning_moves_it in ((corpus.gram(), ((0.25, 0.75), (0.5, 0.5)), False),
-                                        (corpus.rank1_mul(), ((0.7, 0.3), (0.4, 0.6)), True)):
-        g = graph_from_dict(doc)
-        th = build_theory(g, 2, guards=False, fuse=False)
-        B, assignment = ShardingRatios(rows), assign_segments(g, 2)
-        full = state_graph_minimum(g, th, spec, B, assignment)
-        enum = enumerate_programs(g, th, spec, B, assignment=assignment)
-        assert enum.cost_s.hex() == full.hex(), g.loss
-        pruned = state_graph_minimum(g, relevant(th), spec, B, assignment)
-        assert (pruned > full) == pruning_moves_it, (pruned, full)
 
 
 def test_state_graph_oracle_follows_the_enumeration():
@@ -245,14 +220,13 @@ def test_state_graph_oracle_follows_the_enumeration():
         assert nodes[t].closed_s <= (nodes[s].closed_s + d) * (1 + 1e-12)
 
 
-def _matches_state_graph(g, th, spec, B, assignment=None):
+def _matches_state_graph(g, th, spec, B):
     """The oracle's state graph of what the enumeration walks, the triples
-    that can reach the loss if there is one segment, once the enumeration's
-    counts and cost bits are checked against it."""
-    if assignment is None or assignment.count == 1:
-        th = relevant(th)
-    graph = oracles.state_graph(g, th, spec, B, assignment=assignment)
-    enum = enumerate_programs(g, th, spec, B, assignment=assignment)
+    that can reach the loss, once the enumeration's counts and cost bits
+    are checked against it."""
+    th = relevant(th)
+    graph = oracles.state_graph(g, th, spec, B)
+    enum = enumerate_programs(g, th, spec, B)
     assert (graph.explored, graph.complete_states) == (enum.explored, enum.complete_states)
     best = min(oracles.total_s(q) for q in graph.nodes if graph.complete(q))
     assert best.hex() == enum.cost_s.hex()
@@ -278,24 +252,6 @@ def test_collective_fired_from_the_empty_root_stage_closes_it_free():
     assert all(q.closed_s == 0.0 for q in first)
     best = min((q for q in graph.nodes if graph.complete(q)), key=oracles.total_s)
     assert graph.instrs(best)[0].kind == "all_gather"
-
-
-def test_collective_stage_waiting_for_its_row_matches_the_state_graph():
-    # with two segments a collective's stage is priced at its own row until
-    # a computation names the stage's row: the cheapest program gathers h
-    # at h's row, then its matmul prices the stage at z's
-    g = graph_from_dict(corpus.gram())
-    assignment = assign_segments(g, 2)
-    with oracles.collector_paused():
-        graph = _matches_state_graph(g, derive_theory(g, 2), corpus.slow2(),
-                                     ShardingRatios(((0.5, 0.5), (0.25, 0.75))), assignment)
-        waiting = [q for q in graph.nodes if q.stage.comm is not None and q.stage.row is None]
-        repriced = [q for q in graph.nodes if q.stage.comm is not None
-                    and q.stage.row not in (None, assignment.row_index(q.stage.comm.ref))]
-        assert waiting and repriced
-        best = min((q for q in graph.nodes if graph.complete(q)), key=oracles.total_s)
-        assert best.stage.comm.kind == "all_gather"
-        assert best.stage.row == assignment.row_index("z") != assignment.row_index("h")
 
 
 def test_collective_fires_from_the_state_that_closes_its_stage_cheapest():
@@ -335,8 +291,8 @@ def _chain(*triples: oracles.SetTriple) -> oracles.SetTriple:
     return oracles.SetTriple(pre, tuple(i for tr in triples for i in tr.instrs), post)
 
 
-@pytest.mark.parametrize("segments", [1, 2])
-def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
+@pytest.mark.parametrize("row", [1, 2])
+def test_triples_that_open_with_a_collective_match_the_state_graph(row):
     # [all_gather x; matmul] closes only the open stage; [all_to_all x;
     # matmul; reduce_scatter h; reduce] closes its all_to_all's stage too,
     # and both can reach the loss,
@@ -368,15 +324,17 @@ def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
         tr._replace(post=tr.post | {Property(tr.instrs[-1].ref, f"fired{i}")})
         for i, tr in enumerate(triples + list(chains)))))
     spec = corpus.slow2()
-    B = ShardingRatios(((0.7, 0.3), (0.4, 0.6))[:segments])
-    assignment = assign_segments(g, segments)
-    pricer = StagePricer(spec, B, assignment)
+    B = ShardingRatios((ROWS[row - 1],))
+    pricer = StagePricer(spec, B)
     assert [len(pricer.advance(pricer.empty, tr.instrs)[0]) for tr in chains] == [0, 1]
     with oracles.collector_paused():
-        graph = _matches_state_graph(g, th, spec, B, assignment)
+        graph = _matches_state_graph(g, th, spec, B)
         for tr in chains:
             assert any(graph.instrs(q)[-len(tr.instrs):] == tr.instrs for q in graph.nodes)
 
+
+# Ratio rows the tests below price at: the first or the second.
+ROWS = ((0.7, 0.3), (0.4, 0.6))
 
 # Corpus graphs whose state graphs stay small on every cluster below (on
 # slowhet2 they reach 54 to 558 distinct open stages); their reduce leaves
@@ -384,24 +342,23 @@ def test_triples_that_open_with_a_collective_match_the_state_graph(segments):
 STEP_GRAPHS = ("rank1_mul", "param_only", "identity_after_reduce")
 
 
-@pytest.mark.parametrize("segments", [1, 2])
+@pytest.mark.parametrize("row", [1, 2])
 @pytest.mark.parametrize("cluster", ["homog2", "hetero2", "slowhet2"])
-def test_step_prices_every_triple_as_advance_does(cluster, segments):
+def test_step_prices_every_triple_as_advance_does(cluster, row):
     # From every open stage the state graph reaches, every triple of the raw
     # theory and the fused ones of the planner's theory, plus chains that
     # take the general path (two computations with flops, a collective after
     # a computation, two collectives), must leave the stage and closed cost
     # `advance` gives, bit for bit.  A triple that only computes takes one
     # add when the stage has a row, a collective-first triple its memoized
-    # stage; everything else, and every stage still waiting for its row,
-    # must walk `advance`.
+    # stage; everything else, and every triple from the empty root stage,
+    # which has no row yet, must walk `advance`.
     spec = getattr(corpus, cluster)()
-    B = ShardingRatios(((0.7, 0.3), (0.4, 0.6))[:segments])
+    B = ShardingRatios((ROWS[row - 1],))
     real = StagePricer.advance
-    paths = {"advance": 0, "one add": 0, "opened": 0, "waiting": 0}
+    paths = {"advance": 0, "one add": 0, "opened": 0}
     for name in STEP_GRAPHS:
         g = graph_from_dict(corpus.CORPUS[name])
-        assignment = assign_segments(g, segments)
         raw = oracles.reference_theory(g, 2)
         busy = [tr for tr in raw.triples if tr.instrs[0].flops]
         comm = [tr for tr in raw.triples if tr.instrs[0].is_comm]
@@ -415,14 +372,14 @@ def test_step_prices_every_triple_as_advance_does(cluster, segments):
             calls.append(stage)
             return real(pricer, stage, instrs)
         with mock.patch.object(StagePricer, "advance", counting):
-            ctx = SearchContext(g, th, spec, B, assignment)
+            ctx = SearchContext(g, th, spec, B)
         pricer = ctx.pricer
         # per triple: whether it walks `advance` from a stage with a row
         walks = [bool(real(pricer, pricer.empty, tr.instrs)[0]) if tr.instrs[0].is_comm
                  else sum(bool(i.flops) for i in tr.instrs) > 1
                  or any(i.is_comm for i in tr.instrs) for tr in th.triples]
         with oracles.collector_paused():
-            graph = oracles.state_graph(g, derive_theory(g, 2), spec, B, assignment)
+            graph = oracles.state_graph(g, derive_theory(g, 2), spec, B)
         for q in {q.stage: q for q in reversed(graph.nodes)}.values():
             waiting = q.stage.row is None
             for ti, tr in enumerate(th.triples):
@@ -442,47 +399,7 @@ def test_step_prices_every_triple_as_advance_does(cluster, segments):
                 paths["advance"] += general
                 paths["opened"] += not general and tr.instrs[0].is_comm
                 paths["one add"] += not general and any(i.flops for i in tr.instrs)
-                paths["waiting"] += general and q.stage.comm is not None and waiting
     assert paths["advance"] and paths["one add"] and paths["opened"], paths
-    assert bool(paths["waiting"]) == (segments == 2), paths
-
-
-def test_search_bookkeeping_matches_evaluator_across_segments():
-    # a collective re-prices once its stage's first computation names a row;
-    # every state's search price is what iteration_time says, bit for bit
-    configs = [
-        # dyadic rows: a boundary all_to_all pads to 0.75 instead of 0.625
-        (corpus.homog2(), ShardingRatios(((0.75, 0.25), (0.375, 0.625)))),
-        # non-dyadic rates and rows: the order in which a program's stage
-        # times are added up shows in the last bits
-        (corpus.hetero2(), ShardingRatios(((0.7, 0.3), (0.4, 0.6)))),
-    ]
-    # every state's node stays alive until its checks end
-    with oracles.collector_paused():
-        for spec, B in configs:
-            repriced = padded = 0
-            for name in ("matmul_reduce", "identity_after_reduce", "param_only",
-                         "skip_connection"):
-                g = graph_from_dict(corpus.CORPUS[name])
-                assignment = assign_segments(g, 2)
-                th = build_theory(g, 2, guards=False, fuse=False)
-                graph = oracles.state_graph(g, th, spec, B, assignment=assignment)
-                enum = enumerate_programs(g, th, spec, B, assignment=assignment)
-                assert (graph.explored, graph.complete_states) == \
-                    (enum.explored, enum.complete_states), name
-                for q in graph.nodes:
-                    instrs = graph.instrs(q)
-                    assert oracles.total_s(q) == \
-                        iteration_time(instrs, B, spec, assignment).total_s, \
-                        (name, B.rows, instrs)
-                    comm = q.stage.comm
-                    if (comm is not None and q.stage.row is not None
-                            and assignment.row_index(comm.ref) != q.stage.row):
-                        repriced += 1
-                        padded += comm.kind == "all_to_all"
-                assert not oracles.admissibility_violations(g, spec, B, graph, assignment), \
-                    name
-            assert repriced > padded > 0, B.rows
 
 
 def test_batch_contracting_mix_finishes_within_budget_on_hetero2():
@@ -532,8 +449,6 @@ def test_context_rejects_mismatched_shapes():
     th = build_theory(g, 2)
     with pytest.raises(ValueError, match="device count"):
         SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(3))
-    with pytest.raises(ValueError, match="segment count"):
-        SearchContext(g, th, corpus.homog2(), ShardingRatios.uniform(2, g=2))
 
 
 # ---------------------------------------------------------------------------

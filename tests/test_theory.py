@@ -7,7 +7,6 @@ import corpus
 import oracles
 from shardplan import (ShardingRatios, build_shard_table, build_theory,
                        iteration_time)
-from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
 from shardplan.synthesizer import SearchContext
 from shardplan.theory import (GUARD_KINDS, Instruction, all_gather, all_reduce,
@@ -372,7 +371,7 @@ def test_guards_and_fusion_preserve_reachable_optimum():
     progs_raw = oracles.enumerate_all_complete(g, raw, spec, B, max_len=5)
     progs_g = oracles.enumerate_all_complete(g, guarded, spec, B, max_len=5)
     assert progs_g <= progs_raw        # guards only remove orderings
-    best = lambda progs: min(iteration_time(p, B, spec, single_segment(g)).total_s
+    best = lambda progs: min(iteration_time(p, B, spec).total_s
                              for p in progs)
     assert best(progs_g) == best(progs_raw)
 
@@ -380,6 +379,6 @@ def test_guards_and_fusion_preserve_reachable_optimum():
 def test_every_triple_is_sound_on_one_graph():
     g = graph_from_dict(corpus.matmul_unary())
     spec = corpus.homog2()
-    table = build_shard_table(g, ShardingRatios.uniform(2), single_segment(g))
+    table = build_shard_table(g, ShardingRatios.uniform(2))
     assert oracles.triple_violations(g, build_theory(g, 2), spec, table) == []
 
