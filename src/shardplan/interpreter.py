@@ -10,22 +10,28 @@ slices: device j owns the slice from sum(sizes[:j]) to sum(sizes[:j+1])
 along the shard axis, where the sizes come from the plan's shard table:
 `cost_model.build_shard_table` (re-exported here) rounds each tensor axis
 by the plan's ratio row.  Zero-size shards are legal.  All arithmetic
-is float64.  The equivalence check draws its inputs uniformly from
-[-1, 1), trial after trial, from one generator seeded once per check; it
-runs its trials in chunks of at most `CHUNK_ELEMENTS` graph elements and
-passes at 1e-9 relative error.  This is the package's only module that
-imports numpy, and only `verify` loads it.
+is float64.  `run_single` and `run_distributed` drop each tensor after its
+last read, but the sources and the loss; `eval_reference` keeps every
+tensor.  The equivalence check draws its inputs uniformly from [-1, 1),
+trial after trial, from one generator seeded once per check, and passes
+at 1e-9 relative error.  When every tensor of every trial fits in
+`CHUNK_ELEMENTS` float64 elements it runs one pass that drops nothing;
+otherwise each pass runs as many trials as fit in that many live elements
+at the trial's peak (`liveness`), drawn into one reused block.  This is
+the package's only module that imports numpy, and only `verify` loads it.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .cost_model import build_shard_table  # noqa: F401  (re-exported)
 from .graph_ir import SOURCE_OPS, Graph, GraphTooLargeError
-from .theory import Instruction, all_reduce, dist_id, identity
+from .theory import COLLECTIVE_KINDS, Instruction, all_reduce, dist_id, identity
 
 UNARY_FNS = {
     "exp": np.exp,
@@ -34,6 +40,10 @@ UNARY_FNS = {
     "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
     "tanh": np.tanh,
 }
+
+
+# Instructions whose outputs are slices or aliases of the inputs.
+SOURCE_KINDS = ("placeholder", "parameter", "placeholder_shard", "parameter_shard")
 
 
 class ExecutionError(RuntimeError):
@@ -45,12 +55,35 @@ def _past_trials(axes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a + 1 for a in axes)
 
 
-def eval_reference(g: Graph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Evaluate every tensor of the graph on a single device, for every trial
-    of the batch the sources hold."""
+def _drops(steps, keep) -> list[tuple[str, ...]]:
+    """A walk's drop schedule.  For each step, given as (output, reads), the
+    tensors it touches last, which the walk drops once the step has run.
+    Tensors in `keep` are never dropped."""
+    last = {}
+    for i, (output, reads) in enumerate(steps):
+        for t in reads:
+            last[t] = i
+        last[output] = i
+    out = [()] * len(steps)
+    for t, i in last.items():
+        if t not in keep:
+            out[i] += (t,)
+    return out
+
+
+def _single_steps(g: Graph) -> tuple[list, set[str]]:
+    """The reference walk's steps, and what it keeps: the sources, which are
+    views of the drawn block, and the loss."""
+    keep = {node.id for node in g.nodes if node.op in SOURCE_OPS}
+    keep.add(g.loss)
+    return [(node.id, node.inputs) for node in g.nodes], keep
+
+
+def _reference(g: Graph, inputs: dict[str, np.ndarray], drops) -> dict[str, np.ndarray]:
+    """The reference walk, dropping tensors by the schedule `drops`."""
     env: dict[str, np.ndarray] = {}
     trials = None           # the first source's batch size; the others must match
-    for node in g.nodes:
+    for node, dead in zip(g.nodes, drops):
         if node.op in SOURCE_OPS:
             try:
                 value = np.asarray(inputs[node.id], dtype=np.float64)
@@ -75,11 +108,24 @@ def eval_reference(g: Graph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndar
             env[node.id] = env[node.inputs[0]]
         else:  # pragma: no cover
             raise ExecutionError(f"unsupported op {node.op}")
+        for t in dead:
+            del env[t]
     return env
 
 
-def run_single(g: Graph, inputs: dict[str, np.ndarray]) -> np.ndarray:
-    return eval_reference(g, inputs)[g.loss]
+def eval_reference(g: Graph, inputs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Evaluate every tensor of the graph on a single device, for every trial
+    of the batch the sources hold."""
+    return _reference(g, inputs, itertools.repeat(()))
+
+
+def run_single(g: Graph, inputs: dict[str, np.ndarray], drops=None) -> np.ndarray:
+    """The loss of `eval_reference`.  The walk drops each tensor but the
+    sources and the loss after its last read, or by the schedule `drops`
+    when one is given (`liveness` makes it once for many runs)."""
+    if drops is None:
+        drops = _drops(*_single_steps(g))
+    return _reference(g, inputs, drops)[g.loss]
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +248,27 @@ def materialize_loss(env: dict[str, list[np.ndarray]], loss_ref: str, m: int) ->
     raise ExecutionError(f"program realizes no property of the loss tensor {loss_ref!r}")
 
 
-def run_distributed(program, m: int, inputs: dict[str, np.ndarray], shard_table: dict
-                    ) -> list[np.ndarray]:
+def _distributed_steps(program) -> tuple[list, set[str]]:
+    """The distributed walk's steps, and what it keeps: the sources' slices
+    and aliases, and the two tensors `materialize_loss` reads."""
+    keep = {instr.output for instr in program.instrs if instr.kind in SOURCE_KINDS}
+    keep.update((dist_id(identity(program.loss)), dist_id(all_reduce(program.loss))))
+    return [(instr.output, instr.operands) for instr in program.instrs], keep
+
+
+def run_distributed(program, m: int, inputs: dict[str, np.ndarray], shard_table: dict,
+                    drops=None) -> list[np.ndarray]:
     """Execute a distributed program; returns the per-device loss values, one
-    per trial of the batch the inputs hold."""
+    per trial of the batch the inputs hold.  The walk drops each tensor but
+    the sources and the loss after its last read, or by the schedule `drops`
+    when one is given (`liveness` makes it once for many runs)."""
+    if drops is None:
+        drops = _drops(*_distributed_steps(program))
     env: dict[str, list[np.ndarray]] = {}
-    for instr in program.instrs:
+    for instr, dead in zip(program.instrs, drops):
         execute_instruction(instr, env, m, inputs, shard_table)
+        for t in dead:
+            del env[t]
     return materialize_loss(env, program.loss, m)
 
 
@@ -218,27 +278,83 @@ class EquivalenceReport(NamedTuple):
     passed: bool
 
 
+def _sources(g: Graph) -> list[tuple[str, tuple[int, ...], int]]:
+    return [(node.id, node.shape, math.prod(node.shape))
+            for node in g.nodes if node.op in SOURCE_OPS]
+
+
+def _draw(sources, rng: np.random.Generator, block: np.ndarray) -> dict[str, np.ndarray]:
+    """Fill `block`, one row a trial, and view it as the sources' values."""
+    rng.random(out=block)
+    block *= 2.0
+    block -= 1.0
+    out, offset = {}, 0
+    for ref, shape, size in sources:
+        out[ref] = block[:, offset:offset + size].reshape(len(block), *shape)
+        offset += size
+    return out
+
+
 def random_inputs(g: Graph, rng: np.random.Generator, trials: int) -> dict[str, np.ndarray]:
     """Uniform values in [-1, 1) for every source tensor, trial axis first.
     The values are drawn trial by trial and, within a trial, source by
     source in graph order, so consecutive calls on one generator continue
     one stream: trial t of a check is block t of it, whatever the chunks."""
-    sources = [node for node in g.nodes if node.op in SOURCE_OPS]
-    sizes = [math.prod(node.shape) for node in sources]
-    block = rng.random((trials, sum(sizes)))
-    block *= 2.0
-    block -= 1.0
-    out, offset = {}, 0
-    for node, size in zip(sources, sizes):
-        out[node.id] = block[:, offset:offset + size].reshape(trials, *node.shape)
-        offset += size
-    return out
+    sources = _sources(g)
+    return _draw(sources, rng, np.empty((trials, sum(size for *_, size in sources))))
 
 
-# One pass runs as many trials as fit in this many float64 elements of graph
-# tensors (512 KiB).  Whole-check batches were slower on the larger `mix`
-# graphs: their temporaries grew past glibc's 128 KiB mmap threshold, so
-# each new temporary paid fresh page faults.
+def _peak(steps, drops, size: dict[str, int]) -> int:
+    """The most elements a walk holds at once, each output counted
+    `size[output]`: before a step's dead tensors go, its output is made."""
+    live = peak = 0
+    for (output, _), dead in zip(steps, drops):
+        live += size[output]
+        if live > peak:
+            peak = live
+        for t in dead:
+            live -= size.get(t, 0)      # an unrealized read fails in the walk
+    return peak
+
+
+class Liveness(NamedTuple):
+    """The two walks' drop schedules, and the float64 elements one trial of
+    `check_equivalence` holds at its peak: the sources' draw block and the
+    larger of the two walks' live peaks.  Sources, and their slices and
+    aliases, cost nothing beyond the block.  A computed full or partial
+    distributed tensor counts m copies; a sharded one, and a collective's
+    one shared result, count one."""
+    single: list[tuple[str, ...]]
+    distributed: list[tuple[str, ...]]
+    peak: int
+
+
+def liveness(g: Graph, program, m: int) -> Liveness:
+    """What checking `program` on m devices against `g` holds, walk by walk."""
+    elements = {node.id: math.prod(node.shape) for node in g.nodes}
+    single_steps, keep = _single_steps(g)
+    single = _drops(single_steps, keep)
+    size = {node.id: 0 if node.op in SOURCE_OPS else elements[node.id] for node in g.nodes}
+    single_peak = _peak(single_steps, single, size)
+    dist_steps, keep = _distributed_steps(program)
+    distributed = _drops(dist_steps, keep)
+    size = {}
+    for instr in program.instrs:
+        sharded = instr.output.rpartition("@")[2].startswith("shard")
+        copies = 0 if instr.kind in SOURCE_KINDS else (
+            1 if sharded or instr.kind in COLLECTIVE_KINDS else m)
+        size[instr.output] = copies * elements.get(instr.ref, 0)
+    block = sum(elements[node.id] for node in g.nodes if node.op in SOURCE_OPS)
+    return Liveness(single, distributed,
+                    block + max(single_peak, _peak(dist_steps, distributed, size)))
+
+
+_INTP_MAX = np.iinfo(np.intp).max
+
+# One pass runs as many trials as fit in this many float64 elements (512 KiB)
+# of live tensors, by `liveness`.  Whole-check batches were slower on the
+# larger `mix` graphs: their temporaries grew past glibc's 128 KiB mmap
+# threshold, so each new temporary paid fresh page faults.
 CHUNK_ELEMENTS = 65536
 
 
@@ -252,20 +368,34 @@ def check_equivalence(g: Graph, program, m: int, shard_table: dict, trials: int 
     per_trial = sum(math.prod(node.shape) for node in g.nodes)
     # numpy refuses an array past its index range (ValueError) or past the
     # address space (MemoryError) before allocating it.
-    if per_trial * 8 > np.iinfo(np.intp).max:
+    if per_trial * 8 > _INTP_MAX:
         raise GraphTooLargeError(f"one trial of the graph's tensors is {per_trial} "
                                  "float64 elements, more than numpy can index")
-    chunk = max(1, CHUNK_ELEMENTS // per_trial)
+    if trials * per_trial <= CHUNK_ELEMENTS:
+        # every tensor of every trial fits the budget: one pass that drops nothing
+        chunk = max(1, trials)
+        single = distributed = itertools.repeat(())
+    else:
+        single, distributed, peak = liveness(g, program, m)
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if peak * 8 > memory:
+            raise GraphTooLargeError(f"the graph's tensors do not fit in memory: one trial "
+                                     f"holds {peak * 8} bytes at its peak, the machine "
+                                     f"has {memory}")
+        chunk = max(1, CHUNK_ELEMENTS // peak)
+    sources = _sources(g)
     rng = np.random.default_rng(seed)
-    worst = [0.0]
-    for start in range(0, trials, chunk):
-        try:
-            inputs = random_inputs(g, rng, min(chunk, trials - start))
-            expected = run_single(g, inputs)
-            losses = run_distributed(program, m, inputs, shard_table)
-        except MemoryError as e:
-            raise GraphTooLargeError(f"the graph's tensors do not fit in memory: {e}") from None
-        scale = np.maximum(np.abs(expected), 1.0)
-        worst.append(np.max(np.abs(np.stack(losses) - expected) / scale))
-    max_err = float(np.max(worst))      # np.max, unlike max(), keeps a NaN
+    worst = 0.0
+    try:
+        block = np.empty((min(chunk, trials), sum(size for *_, size in sources)))
+        for start in range(0, trials, chunk):
+            inputs = _draw(sources, rng, block[:trials - start])
+            expected = run_single(g, inputs, single)
+            losses = run_distributed(program, m, inputs, shard_table, distributed)
+            scale = np.maximum(np.abs(expected), 1.0)
+            # np.maximum, unlike max(), keeps a NaN
+            worst = np.maximum(worst, np.max(np.abs(np.stack(losses) - expected) / scale))
+    except MemoryError as e:
+        raise GraphTooLargeError(f"the graph's tensors do not fit in memory: {e}") from None
+    max_err = float(worst)
     return EquivalenceReport(trials=trials, max_rel_err=max_err, passed=max_err <= rtol)

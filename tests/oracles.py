@@ -3,15 +3,16 @@
 Everything here is deliberately brute-force: grids, vertex enumeration,
 exhaustive integer compositions and unmerged program walks.  None of it
 shares code with the package beyond calling into public evaluation entry
-points, except the search-space walks and the reference forms of ten of
-the package's shortcuts: the theory derived and fused over sets of
+points, except the search-space walks and the reference forms of eleven
+of the package's shortcuts: the theory derived and fused over sets of
 properties (the package holds each property set as an int mask), each
 triple's delete list by its definition over the post, the communication
 guards by rewriting the raw theory, triple fusion by a scan over every
 triple, the triples relevant to the loss by a worklist over properties,
 applicable triples by a near-set over sets of properties, the simplex with
 dense pivots, the closed-form ratio row by the program's LP, the graph
-document by the json encoder, and each node's flop count by recounting it.
+document by the json encoder, each node's flop count by recounting it, and
+the equivalence check's live peak by simulating its walks.
 The walks step with `SearchContext.step`, the one step function the search
 itself takes, to list programs; the enumeration's state graph also takes
 the applicable triples from `SearchContext`, their property changes from
@@ -41,10 +42,10 @@ from shardplan.interpreter import (EquivalenceReport, ExecutionError,
                                    table_sizes)
 from shardplan.load_balancer import SegmentProblem
 from shardplan.synthesizer import SearchContext
-from shardplan.theory import (ALL_GATHER, ALL_REDUCE, COMMUNICATED, GUARD_KINDS, IDENTITY,
-                              HoareTriple, Instruction, Property, Theory, all_gather,
-                              all_reduce, communicated, dist_id, form_of_dist_id, identity,
-                              not_communicated)
+from shardplan.theory import (ALL_GATHER, ALL_REDUCE, COLLECTIVE_KINDS, COMMUNICATED,
+                              GUARD_KINDS, IDENTITY, HoareTriple, Instruction, Property,
+                              Theory, all_gather, all_reduce, communicated, dist_id,
+                              form_of_dist_id, identity, not_communicated)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +224,47 @@ def equivalence_per_trial(g, program, m: int, shard_table: dict, trials: int = 5
             errs.append(abs(float(value[0]) - expected) / scale)
     max_err = float(np.max(errs))
     return EquivalenceReport(trials=trials, max_rel_err=max_err, passed=max_err <= rtol)
+
+
+def _walk_peak(steps, keep) -> int:
+    """The most elements a walk of (output, reads, elements) steps holds at
+    once, when after each step it lets go of every tensor that `keep` does
+    not hold and no later step reads.  A step's output is held before the
+    step's dead tensors go."""
+    held: dict[str, int] = {}
+    peak = 0
+    for i, (output, _, elements) in enumerate(steps):
+        held[output] = elements
+        peak = max(peak, sum(held.values()))
+        later = {t for _, reads, _ in steps[i + 1:] for t in reads}
+        held = {t: e for t, e in held.items() if t in keep or t in later}
+    return peak
+
+
+def trial_peak(g, program, m: int) -> int:
+    """`interpreter.liveness(g, program, m).peak` by simulating both walks:
+    the sources' draw block plus the larger walk peak.  Sources and the
+    instructions that slice or alias them hold nothing beyond the block, and
+    both walks keep them and the loss.  Every other graph tensor holds its
+    elements.  A distributed tensor holds what its per-device arrays add up
+    to, one set of shards or m full copies, but a collective hands every
+    device one shared array."""
+    elements = {node.id: math.prod(node.shape) for node in g.nodes}
+    sources = {node.id for node in g.nodes if node.op in SOURCE_OPS}
+    single = [(node.id, node.inputs, 0 if node.id in sources else elements[node.id])
+              for node in g.nodes]
+    dist, kept = [], {dist_id(identity(g.loss)), dist_id(all_reduce(g.loss))}
+    for instr in program.instrs:
+        if instr.kind in ("placeholder", "parameter", "placeholder_shard", "parameter_shard"):
+            kept.add(instr.output)
+            held = 0
+        elif instr.kind in COLLECTIVE_KINDS or form_of_dist_id(instr.output).kind == ALL_GATHER:
+            held = elements[instr.ref]
+        else:
+            held = m * elements[instr.ref]
+        dist.append((instr.output, instr.operands, held))
+    return (sum(elements[ref] for ref in sources)
+            + max(_walk_peak(single, sources | {g.loss}), _walk_peak(dist, kept)))
 
 
 def check_form(prop, instances: list[np.ndarray], reference: np.ndarray,

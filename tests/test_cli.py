@@ -197,8 +197,9 @@ def _rows(n):
     return doc
 
 
-# Both sizes exceed the address space, so numpy refuses the arrays before
-# allocating anything: 2**50 rows with a MemoryError, 2**62 with a ValueError.
+# Both sizes exceed the address space, and the check refuses them before
+# allocating anything: 2**50 rows by the machine's memory, 2**62 by numpy's
+# index range.
 @pytest.mark.parametrize("rows", [2**50, 2**62])
 def test_verify_refuses_graph_too_large_to_execute(files, capsys, rows):
     graph = _write(files["tmp"], "big.json", _rows(rows))
@@ -223,6 +224,22 @@ def test_huge_extent_plans_and_verify_refuses_it(files, capsys):
     assert main(["verify", out, graph, files["hetero2"]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "the graph's tensors" in err, err
+    assert "Traceback" not in err
+
+
+def test_verify_refuses_graph_past_physical_memory(files, capsys, monkeypatch):
+    # An ordinary graph whose check needs several passes, on a machine that
+    # reports one page of memory.
+    graph = _write(files["tmp"], "rows.json", _rows(2**12))
+    out = str(files["tmp"] / "rows.plan.json")
+    assert main(["plan", graph, files["hetero2"], "-o", out]) == 0
+    capsys.readouterr()
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: 1 if name == "SC_PHYS_PAGES" else sysconf(name))
+    assert main(["verify", out, graph, files["hetero2"], "--trials", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "do not fit in memory" in err, err
     assert "Traceback" not in err
 
 

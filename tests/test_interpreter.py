@@ -1,14 +1,17 @@
+import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import corpus
 import shardplan.interpreter as interp
-from oracles import check_form, equivalence_per_trial, run_checked
+from oracles import check_form, equivalence_per_trial, run_checked, trial_peak
 from shardplan import (ShardingRatios, alternate, build_shard_table, build_theory,
                        check_equivalence, synthesize)
-from shardplan.graph_ir import graph_from_dict
+from shardplan.graph_ir import GraphTooLargeError, graph_from_dict
 from shardplan.interpreter import (CHUNK_ELEMENTS, ExecutionError, coll_all_gather,
                                    coll_all_reduce, coll_all_to_all,
                                    coll_reduce_scatter, eval_reference,
@@ -209,25 +212,37 @@ def test_random_inputs_cover_sources_only():
         assert np.array_equal(value, np.concatenate([first[source], rest[source]]))
 
 
-def _plans():
-    """(graph, program, m, shard table) for every corpus graph on homog2,
-    hetero2 and skew2, and for two batch-contracting graphs on slowhet2
-    whose chunks hold fewer trials than a check runs."""
-    cases = [(g, spec) for _, g in corpus.corpus_graphs()
-             for spec in (corpus.homog2(), corpus.hetero2(), corpus.skew2())]
-    cases += [(graph_from_dict(corpus.mix_graph(2, batch, width)), corpus.slowhet2())
-              for batch, width in ((64, 64), (24, 32))]
+def _planned(cases):
     for g, spec in cases:
         res = alternate(g, spec)
         yield g, res.program, spec.m, build_shard_table(g, res.ratios)
+
+
+def _mix_cases():
+    """Two batch-contracting graphs on slowhet2 whose chunks hold fewer
+    trials than a check runs."""
+    return [(graph_from_dict(corpus.mix_graph(2, batch, width)), corpus.slowhet2())
+            for batch, width in ((64, 64), (24, 32))]
+
+
+def _plans():
+    """(graph, program, m, shard table) for every corpus graph on homog2,
+    hetero2 and skew2, and for the two `_mix_cases`."""
+    cases = [(g, spec) for _, g in corpus.corpus_graphs()
+             for spec in (corpus.homog2(), corpus.hetero2(), corpus.skew2())]
+    return _planned(cases + _mix_cases())
 
 
 def _elements(g):
     return sum(math.prod(n.shape) for n in g.nodes)
 
 
-def _chunk(g):
-    return max(1, interp.CHUNK_ELEMENTS // _elements(g))
+def _chunk(g, program, m, trials):
+    """Trials a pass of the check runs: all of them when every tensor of
+    every trial fits the budget, else as many as the live peak lets fit."""
+    if trials * _elements(g) <= interp.CHUNK_ELEMENTS:
+        return max(1, trials)
+    return max(1, interp.CHUNK_ELEMENTS // trial_peak(g, program, m))
 
 
 def test_batched_check_matches_per_trial_oracle(monkeypatch):
@@ -235,18 +250,19 @@ def test_batched_check_matches_per_trial_oracle(monkeypatch):
     for g, program, m, table in _plans():
         for trials in (1, 5, 20, 23):
             want = equivalence_per_trial(g, program, m, table, trials=trials, seed=3)
-            # the default budget, then one of three trials a pass, so every
-            # graph's checks of 5 or more trials cross chunk boundaries
-            for budget in (CHUNK_ELEMENTS, 3 * _elements(g)):
+            # the default budget, then three live peaks, so every graph's
+            # checks of 5 or more trials run three trials a pass and cross
+            # chunk boundaries
+            for budget in (CHUNK_ELEMENTS, 3 * trial_peak(g, program, m)):
                 monkeypatch.setattr(interp, "CHUNK_ELEMENTS", budget)
-                chunks.add(_chunk(g))
+                chunks.add(_chunk(g, program, m, trials))
                 got = check_equivalence(g, program, m, table, trials=trials, seed=3)
                 assert got.max_rel_err == want.max_rel_err, (g.loss, trials, budget)
                 assert got.passed == want.passed
                 assert got.trials == trials
                 assert got.passed
-    # 64x64 runs one trial per pass, 24x32 six, so 23 trials end on a short chunk
-    assert {1, 3, 6} <= chunks
+    # 64x64 runs one trial per pass, 24x32 nine, so 23 trials end on a short chunk
+    assert {1, 3, 9} <= chunks
 
 
 def test_check_runs_one_interpreter_pass_per_chunk(monkeypatch):
@@ -266,8 +282,62 @@ def test_check_runs_one_interpreter_pass_per_chunk(monkeypatch):
         for trials in (0, 1, 20, 23):
             calls.clear()
             assert check_equivalence(g, res.program, spec.m, table, trials=trials).passed
-            assert len(calls) == math.ceil(trials / _chunk(g)), (name, trials)
-            assert sum(calls) == trials
+            chunk = _chunk(g, res.program, spec.m, trials)
+            full, short = divmod(trials, chunk)
+            assert calls == [chunk] * full + [short] * (short > 0), (name, trials)
+
+
+def _memory_cases():
+    """The `_mix_cases`, and an eight-device chain whose full tensors count
+    eight copies."""
+    return _planned(_mix_cases() + [(graph_from_dict(corpus.chain_graph(3)),
+                                     corpus.hetero8())])
+
+
+def test_live_peak_matches_the_simulated_walks():
+    # gram's plan on slow2 all-gathers: one shared result, not m copies
+    gathered = _planned([(graph_from_dict(corpus.gram()), corpus.slow2())])
+    for g, program, m, _ in itertools.chain(_plans(), _memory_cases(), gathered):
+        assert interp.liveness(g, program, m).peak == trial_peak(g, program, m), (g.loss, m)
+
+
+def test_warm_check_stays_within_its_chunk_budget():
+    # A pass holds at most CHUNK_ELEMENTS live float64 elements by the
+    # count; allow a quarter more for numpy's temporaries and the check's
+    # own scratch arrays.
+    for g, program, m, table in _memory_cases():
+        check_equivalence(g, program, m, table, trials=20)
+        tracemalloc.start()
+        try:
+            check_equivalence(g, program, m, table, trials=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * CHUNK_ELEMENTS * 5 // 4, (len(g.nodes), m, peak)
+
+
+def test_check_refuses_a_trial_past_physical_memory(monkeypatch):
+    g, program, m, table = next(_planned(_mix_cases()[1:]))
+    peak = trial_peak(g, program, m)
+    sysconf = os.sysconf
+
+    def machine(pages):
+        sizes = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": pages}
+        monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or sysconf(name))
+
+    machine(peak)                       # exactly one trial's peak fits
+    assert check_equivalence(g, program, m, table, trials=20).passed
+    machine(peak - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphTooLargeError, match="do not fit in memory"):
+            check_equivalence(g, program, m, table, trials=20)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 8 * peak           # refused before drawing a trial
+    # a check that fits the budget in one pass never asks
+    assert check_equivalence(g, program, m, table, trials=1).passed
 
 
 @pytest.mark.parametrize("bad_trials", [[2], [0, 1, 2, 3, 4]])
@@ -278,8 +348,8 @@ def test_nan_or_infinite_losses_fail_the_check(monkeypatch, bad_trials, bad):
     res = synthesize(g, build_theory(g, 2), corpus.homog2(), B)
     table = build_shard_table(g, B)
 
-    def corrupted(program, m, inputs, shard_table):
-        losses = [v.copy() for v in run_distributed(program, m, inputs, shard_table)]
+    def corrupted(*args):
+        losses = [v.copy() for v in run_distributed(*args)]
         losses[1][bad_trials] = bad
         return losses
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -296,6 +296,7 @@ def test_round_shards_is_l1_optimal():
             assert err == pytest.approx(oracles.min_l1_rounding(extent, row)), (extent, row)
 
 
+@settings(derandomize=True, database=None, max_examples=100)
 @given(st.integers(min_value=0, max_value=50),
        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4))
 def test_round_shards_always_partitions(extent, weights):
