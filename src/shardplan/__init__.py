@@ -14,7 +14,7 @@ importing the package for planning needs only the standard library.
 
 Every record type is a `typing.NamedTuple`, or a small class with
 `__slots__` where it checks its fields on every construction
-(`ShardingRatios`) or is filled in place (`load_balancer.SegmentProblem`).
+(`ShardingRatios`).
 Defining a named tuple at import costs a fraction of what a dataclass
 costs, and every plan builds, hashes and compares thousands of `theory`'s
 rule types, which a tuple does in C.  A named tuple hashes as the tuple of

@@ -223,12 +223,11 @@ def comm_time(instr: Instruction, row: tuple[float, ...], spec: ClusterSpec) -> 
 
 class StageCost(NamedTuple):
     """One stage of a program at fixed ratios: its collective's price,
-    per-device compute seconds, its ratio row (0, or None while the stage
-    holds nothing, and in the LP's walk while it only communicates) and the
-    collective that opened it (None for a first stage without one)."""
+    per-device compute seconds and the collective that opened it (None for
+    a first stage without one).  A stage holds something once it has a
+    collective or any nonzero seconds: one of zero-flop work alone is empty."""
     comm_s: float
     comp_s: tuple[float, ...]
-    row: int | None
     comm: Instruction | None
 
     @property
@@ -237,7 +236,7 @@ class StageCost(NamedTuple):
         return self.comm_s + max(self.comp_s)
 
 
-# Builds a StageCost from a 4-tuple.  NamedTuple's own __new__ is a Python
+# Builds a StageCost from a 3-tuple.  NamedTuple's own __new__ is a Python
 # function and costs about twice as much; every search step builds one.
 _stage_cost = tuple.__new__
 
@@ -246,15 +245,11 @@ class StagePricer:
     """The stage model at fixed ratios B: what each instruction costs, and
     `advance`, the walk that splits a program into priced stages."""
 
-    # The row a collective names for the stage it opens; the LP's walk
-    # leaves it to the stage's first computation.
-    comm_row: int | None = 0
-
     def __init__(self, spec: ClusterSpec, B: ShardingRatios):
         self.spec = spec
         self.B = B
         self.rates = [d.flops_per_second for d in spec.devices]
-        self.empty = StageCost(0.0, (0.0,) * spec.m, None, None)
+        self.empty = StageCost(0.0, (0.0,) * spec.m, None)
         # Price caches keyed by instruction identity: the search asks about
         # the same theory instructions over and over, and hashing an
         # Instruction field by field would dominate each lookup.  `_held`
@@ -291,23 +286,21 @@ class StagePricer:
 
         From an open stage, returns the stages the instructions close, in
         order, and the open stage after them.  A collective closes the open
-        stage unless that stage holds nothing yet."""
-        comm_s, comp, row, comm = stage
+        stage unless that stage holds nothing."""
+        comm_s, comp, comm = stage
         closed: tuple[StageCost, ...] = ()
         comp = list(comp)
         for instr in instrs:
             if instr.is_comm:
-                if row is not None or comm is not None:
-                    closed += (_stage_cost(StageCost, (comm_s, tuple(comp), row, comm)),)
+                if comm is not None or any(comp):
+                    closed += (_stage_cost(StageCost, (comm_s, tuple(comp), comm)),)
                 comp = [0.0] * len(comp)
                 comm = instr
                 comm_s = self.comm(instr)
-                row = self.comm_row
                 continue
-            row = 0
             for j, sec in enumerate(self.comp(instr)):
                 comp[j] += sec
-        return closed, _stage_cost(StageCost, (comm_s, tuple(comp), row, comm))
+        return closed, _stage_cost(StageCost, (comm_s, tuple(comp), comm))
 
 
 class CostBreakdown(NamedTuple):
@@ -321,7 +314,7 @@ def iteration_time(instrs: tuple[Instruction, ...], B: ShardingRatios, spec: Clu
     """Exact model time for one iteration of the program."""
     pricer = StagePricer(spec, B)
     closed, last = pricer.advance(pricer.empty, instrs)
-    if last.row is not None or last.comm is not None:
+    if last.comm is not None or any(last.comp_s):
         closed += (last,)
     total = 0.0
     for stage in closed:

@@ -31,7 +31,8 @@ import numpy as np
 
 from .cost_model import build_shard_table  # noqa: F401  (re-exported)
 from .graph_ir import SOURCE_OPS, Graph, GraphTooLargeError
-from .theory import COLLECTIVE_KINDS, Instruction, all_reduce, dist_id, identity
+from .theory import (ALL_GATHER, COLLECTIVE_KINDS, Instruction, all_reduce, dist_id,
+                     form_of_dist_id, identity)
 
 UNARY_FNS = {
     "exp": np.exp,
@@ -340,9 +341,9 @@ def liveness(g: Graph, program, m: int) -> Liveness:
     distributed = _drops(dist_steps, keep)
     size = {}
     for instr in program.instrs:
-        sharded = instr.output.rpartition("@")[2].startswith("shard")
         copies = 0 if instr.kind in SOURCE_KINDS else (
-            1 if sharded or instr.kind in COLLECTIVE_KINDS else m)
+            1 if instr.kind in COLLECTIVE_KINDS
+            or form_of_dist_id(instr.output).kind == ALL_GATHER else m)
         size[instr.output] = copies * elements.get(instr.ref, 0)
     block = sum(elements[node.id] for node in g.nodes if node.op in SOURCE_OPS)
     return Liveness(single, distributed,

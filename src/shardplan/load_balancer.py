@@ -4,7 +4,7 @@ The stages come from `cost_model.StagePricer.advance`, the walk that
 prices programs.  The iteration time as a function of the ratio row is a
 small linear program: ratio variables B_j (nonnegative, summing to one), one
 variable M bounding every B_j (gather-style collectives move the largest
-shard), and one variable T_i per compute stage bounding each device's affine
+shard), and one variable T_i per stage with work bounding each device's affine
 compute time.  Each collective enters through `cost_model.comm_terms` as a
 constant, which no ratio row changes and the LP leaves out, plus a slope in
 M, zero for AllReduce and grouped broadcast.  The LP's objective plus those
@@ -153,34 +153,29 @@ def solve_lp(c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> LpSolution:
     return LpSolution(status="optimal", x=x[:nv])
 
 
-class SegmentProblem:
-    """LP coefficients for the program's ratio row, filled in place by
-    `segment_problem`."""
-    __slots__ = ("m", "comp_a", "comp_c", "slope_M")
-
-    def __init__(self, m: int, comp_a: list[list[float]] | None = None,
-                 comp_c: list[list[float]] | None = None, slope_M: float = 0.0):
-        self.m = m
-        self.comp_a = [] if comp_a is None else comp_a      # sharded s/B_j
-        self.comp_c = [] if comp_c is None else comp_c      # replicated s
-        self.slope_M = slope_M
+class RatioProblem(NamedTuple):
+    """LP coefficients for the program's ratio row: per stage with work,
+    the seconds of its sharded work at a ratio of 1 and of its replicated
+    work, and the collectives' total slope in M."""
+    m: int
+    comp_a: tuple[tuple[float, ...], ...] = ()      # sharded s/B_j
+    comp_c: tuple[tuple[float, ...], ...] = ()      # replicated s
+    slope_M: float = 0.0
 
 
 class _CoefficientWalk(StagePricer):
     """`StagePricer.advance` with LP coefficients in place of prices.  A
     stage's `comp_s` holds 2m sums: the per-device seconds of its sharded
     work at a ratio of 1, then those of its replicated work.  Collectives
-    cost nothing here; `segment_problem` takes their slopes from
-    `comm_terms`.  The stage row stays open until a computation names it,
-    so a stage whose `row` is None only communicates, and adds no T
-    variable.  It sets only what `advance` reads: no ratios, no price
-    caches."""
-    comm_row = None
+    cost nothing here; `ratio_problem` takes their slopes from
+    `comm_terms`.  A stage whose sums are all zero adds only T_s >= 0,
+    which changes no optimum, so it gets no T variable.  It sets only what
+    `advance` reads: no ratios, no price caches."""
 
     def __init__(self, spec: ClusterSpec):
         self.rates = [d.flops_per_second for d in spec.devices]
         self.zeros = (0.0,) * spec.m
-        self.empty = StageCost(0.0, self.zeros * 2, None, None)
+        self.empty = StageCost(0.0, self.zeros * 2, None)
 
     def comp(self, instr) -> tuple[float, ...]:
         seconds = replicated_seconds(instr, self.rates)
@@ -190,22 +185,21 @@ class _CoefficientWalk(StagePricer):
         return 0.0
 
 
-def segment_problem(instrs, spec: ClusterSpec) -> SegmentProblem:
+def ratio_problem(instrs, spec: ClusterSpec) -> RatioProblem:
     """The LP coefficients of the program's stages."""
     m = spec.m
-    prob = SegmentProblem(m=m)
     walk = _CoefficientWalk(spec)
     closed, last = walk.advance(walk.empty, instrs)
-    for _, comp, row, comm in closed + (last,):
+    stages = closed + (last,)
+    slope_M = 0.0
+    for _, _, comm in stages:
         if comm is not None:
-            prob.slope_M += comm_terms(comm, spec)[1]
-        if row is not None:
-            prob.comp_a.append(list(comp[:m]))
-            prob.comp_c.append(list(comp[m:]))
-    return prob
+            slope_M += comm_terms(comm, spec)[1]
+    work = [comp for _, comp, _ in stages if any(comp)]
+    return RatioProblem(m, tuple(c[:m] for c in work), tuple(c[m:] for c in work), slope_M)
 
 
-def build_lp(prob: SegmentProblem) -> tuple[list, ...]:
+def build_lp(prob: RatioProblem) -> tuple[list, ...]:
     """Assemble the ratio LP as `solve_lp`'s arguments
     (c, A_ub, b_ub, A_eq, b_eq).
 
@@ -265,7 +259,7 @@ def optimize_ratios(program, g: Graph, spec: ClusterSpec,
     speed-proportional row, the exact optimum shown in the module
     docstring.  Every other program solves its LP.
     """
-    prob = segment_problem(program.instrs, spec)
+    prob = ratio_problem(program.instrs, spec)
     if prob.slope_M == 0.0 and not any(map(any, prob.comp_c)):
         return ShardingRatios.proportional_to_flops(spec)
     sol = solve_lp(*build_lp(prob))

@@ -24,8 +24,8 @@ alike, priced bit for bit as `StagePricer.advance` prices it, with two
 shortcuts.  A triple that opens with a collective closes the open stage as
 it is and opens the stage it opens from any stage (`opened_stage`, memoized
 per triple and shared with the enumeration).  One that only computes, with
-one instruction with flops or none, adds its per-device seconds to a stage
-with a row (a source adds 0.0, which changes no sum).
+one instruction with flops or none, adds that instruction's per-device
+seconds to the open stage (a source adds 0.0, which changes no sum).
 """
 from __future__ import annotations
 
@@ -173,7 +173,7 @@ class SearchContext:
         def score(closed_s, stage, remaining):
             """Lower bound on every completion, closed + ecost: each later
             stage takes at least its slowest device, so all at least any one."""
-            comm_s, comp, _, _ = stage
+            comm_s, comp, _ = stage
             worst = 0.0         # a loop: max() over a generator takes twice as long
             for c, f in zip(comp, floor_s):
                 c += remaining * f
@@ -205,15 +205,15 @@ class SearchContext:
             if after:
                 if q is not last:
                     last, tail = q, stage.time_s
-                closed += tail          # 0.0 s for the empty root stage
+                closed += tail          # 0.0 s for an empty stage
                 stage = after
-            elif how is False or stage.row is None:
+            elif how is False:
                 closes, stage = advance(stage, seq)
                 for done in closes:
                     closed += done.time_s
             elif how is not None:       # a source adds 0.0 s, which moves no sum
-                comm_s, comp, row, comm = stage
-                stage = new(StageCost, (comm_s, tuple(map(add, comp, comp_s(how))), row, comm))
+                comm_s, comp, comm = stage
+                stage = new(StageCost, (comm_s, tuple(map(add, comp, comp_s(how))), comm))
             props = (props | post) & ~kill
             for b, flops in towes[ti]:
                 if not computed & b:
@@ -288,9 +288,9 @@ def synthesize(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingRatios,
                 continue
 
             bucket = buckets.setdefault(props, [])
-            comm_s, comp, _, _ = stage
+            comm_s, comp, _ = stage
             for other in bucket:
-                o_comm_s, o_comp, _, _ = other[3]
+                o_comm_s, o_comp, _ = other[3]
                 if other[2] <= closed and o_comm_s <= comm_s and all(map(le, o_comp, comp)):
                     purged += 1
                     break
@@ -342,8 +342,8 @@ def enumerate_programs(g: Graph, theory: Theory, spec: ClusterSpec, B: ShardingR
     is the full theory's, and `explored` counts the states of that walk.
 
     A state is an interned property set, an interned open stage (a
-    `StageCost`: collective price, per-device accrued compute, ratio row,
-    collective) and the instruction count.  Programs reaching the same state
+    `StageCost`: collective price, per-device accrued compute, collective)
+    and the instruction count.  Programs reaching the same state
     are merged, keeping the one with the cheapest closed stages (exact, not
     heuristic: what a state can still become and cost depends on nothing
     else).  Each state keeps its closed cost and a pointer to its best

@@ -40,7 +40,7 @@ from shardplan.interpreter import (EquivalenceReport, ExecutionError,
                                    execute_instruction, materialize_loss,
                                    random_inputs, run_distributed, run_single,
                                    table_sizes)
-from shardplan.load_balancer import SegmentProblem
+from shardplan.load_balancer import RatioProblem
 from shardplan.synthesizer import SearchContext
 from shardplan.theory import (ALL_GATHER, ALL_REDUCE, COLLECTIVE_KINDS, COMMUNICATED,
                               GUARD_KINDS, IDENTITY, HoareTriple, Instruction, Property,
@@ -65,7 +65,7 @@ def grid_rows(m: int, step: float = 1e-2):
             yield tuple(row)
 
 
-def segment_objective(prob: SegmentProblem, row) -> float:
+def ratio_objective(prob: RatioProblem, row) -> float:
     """Evaluate the LP's objective at a fixed ratio row (same algebra as the
     LP, computed directly)."""
     row = np.asarray(row, dtype=float)
@@ -75,11 +75,11 @@ def segment_objective(prob: SegmentProblem, row) -> float:
     return total
 
 
-def grid_min_objective(prob: SegmentProblem, step: float = 1e-2) -> float:
-    return min(segment_objective(prob, row) for row in grid_rows(prob.m, step))
+def grid_min_objective(prob: RatioProblem, step: float = 1e-2) -> float:
+    return min(ratio_objective(prob, row) for row in grid_rows(prob.m, step))
 
 
-def lp_row(prob: SegmentProblem) -> tuple[float, ...]:
+def lp_row(prob: RatioProblem) -> tuple[float, ...]:
     """The LP optimum, clipped and normalized as `optimize_ratios`
     treats the rows it takes from the simplex."""
     sol = load_balancer.solve_lp(*load_balancer.build_lp(prob))
@@ -94,10 +94,10 @@ def row_off_the_lp(program, g: Graph, spec) -> tuple | None:
     work or a slope, differs from it in any bit.  None when the row is the
     LP's optimum."""
     row = load_balancer.optimize_ratios(program, g, spec).row
-    prob = load_balancer.segment_problem(program.instrs, spec)
+    prob = load_balancer.ratio_problem(program.instrs, spec)
     ref = lp_row(prob)
     sensitive = prob.slope_M > 0.0 or any(v != 0.0 for c in prob.comp_c for v in c)
-    if (segment_objective(prob, row) > segment_objective(prob, ref) * (1 + 1e-12)
+    if (ratio_objective(prob, row) > ratio_objective(prob, ref) * (1 + 1e-12)
             or (sensitive and row != ref)):
         return row, ref
     return None
@@ -213,14 +213,16 @@ def equivalence_per_trial(g, program, m: int, shard_table: dict, trials: int = 5
                           seed: int = 0, rtol: float = 1e-9) -> EquivalenceReport:
     """`check_equivalence` one trial per interpreter pass, compared in Python
     floats; the reference for its chunked batches.  Each trial draws the
-    next block of the one default_rng(seed) stream."""
+    next block of the one default_rng(seed) stream, and both walks keep
+    every tensor, where the batched check drops the dead ones."""
     rng = np.random.default_rng(seed)
     errs = [0.0]
+    keep = itertools.repeat(())
     for _ in range(trials):
         inputs = random_inputs(g, rng, 1)
-        expected = float(run_single(g, inputs)[0])
+        expected = float(run_single(g, inputs, keep)[0])
         scale = max(abs(expected), 1.0)
-        for value in run_distributed(program, m, inputs, shard_table):
+        for value in run_distributed(program, m, inputs, shard_table, keep):
             errs.append(abs(float(value[0]) - expected) / scale)
     max_err = float(np.max(errs))
     return EquivalenceReport(trials=trials, max_rel_err=max_err, passed=max_err <= rtol)

@@ -27,7 +27,7 @@ from shardplan import (ClusterSpec, Instruction, ShardingRatios, alternate,
 from shardplan.cli import main
 from shardplan.cost_model import COLLECTIVE_KINDS, build_shard_table, comm_time, round_shards
 from shardplan.graph_ir import graph_from_dict
-from shardplan.load_balancer import SegmentProblem, build_lp, solve_lp
+from shardplan.load_balancer import RatioProblem, build_lp, solve_lp
 from shardplan.synthesizer import enumerate_programs
 
 
@@ -138,30 +138,30 @@ def test_criterion_04_completion_heuristic_is_admissible():
 
 def test_criterion_05_ratio_lp_matches_grid_and_analytic_minima():
     # the three worked examples from build_lp's docstring
-    slopes = SegmentProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]])
-    comm = SegmentProblem(m=2, slope_M=1e6)
-    both = SegmentProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]],
-                          slope_M=3.0)
+    slopes = RatioProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]])
+    comm = RatioProblem(m=2, slope_M=1e6)
+    both = RatioProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]],
+                        slope_M=3.0)
     for prob, want_B, want_obj in ((slopes, [2 / 3, 1 / 3], 2 / 3),
                                    (comm, [0.5, 0.5], 5e5),
                                    (both, [0.5, 0.5], 2.5)):
         sol = solve_lp(*build_lp(prob))
         assert sol.status == "optimal"
         assert np.allclose(sol.x[:2], want_B, atol=1e-6)
-        assert abs(oracles.segment_objective(prob, sol.x[:2]) - want_obj) <= 1e-6
+        assert abs(oracles.ratio_objective(prob, sol.x[:2]) - want_obj) <= 1e-6
 
     rng = np.random.default_rng(5)
     for i in range(20):
         m = 2 if i < 10 else 3
         stages = int(rng.integers(1, 4))
-        prob = SegmentProblem(
+        prob = RatioProblem(
             m=m,
             comp_a=[rng.uniform(0.0, 4.0, m).tolist() for _ in range(stages)],
             comp_c=[rng.uniform(0.0, 1.0, m).tolist() for _ in range(stages)],
             slope_M=float(rng.uniform(0.0, 3.0)) if i % 3 else 0.0)
         sol = solve_lp(*build_lp(prob))
         assert sol.status == "optimal"
-        objective = oracles.segment_objective(prob, sol.x[:m])
+        objective = oracles.ratio_objective(prob, sol.x[:m])
         grid = oracles.grid_min_objective(prob, step=1e-2)
         assert objective <= grid + 1e-6, \
             f"instance {i}: LP {objective} above grid minimum {grid}"

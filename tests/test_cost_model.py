@@ -136,9 +136,19 @@ def test_stage_decomposition():
     a = _comp("a", flops=64, sharded=True)
     bd = iteration_time((ag, a), B, spec)
     assert bd.stages == (StageCost(comm_time(ag, (0.5, 0.5), spec),
-                                   (2.0 ** -25, 2.0 ** -25), 0, ag),)
+                                   (2.0 ** -25, 2.0 ** -25), ag),)
     assert bd.total_s == bd.stages[0].comm_s + 2.0 ** -25
     assert iteration_time((), B, spec).stages == ()
+    # sources and a computation without flops hold nothing, so the
+    # collective after them opens the first stage and closes none
+    sources = (Instruction("parameter", "a", output="a@full"),
+               Instruction("placeholder_shard", "b", output="b@shard0", axis=0))
+    idle = Instruction("identity", "a", operands=("a@full",), output="a@full")
+    for head in (sources, (idle,), sources + (idle,)):
+        lead = iteration_time(head + (ag, a), B, spec)
+        assert lead.stages == bd.stages
+        assert lead.total_s.hex() == bd.total_s.hex()
+        assert iteration_time(head, B, spec).stages == ()
 
 
 def test_comp_seconds_scales_only_sharded_work():

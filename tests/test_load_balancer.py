@@ -12,7 +12,7 @@ from shardplan import (ClusterSpec, DistributedProgram, Instruction, ShardingRat
                        alternate, build_theory, load_balancer, optimize_ratios, synthesize)
 from shardplan.cost_model import comm_terms, iteration_time, round_shards
 from shardplan.graph_ir import graph_from_dict
-from shardplan.load_balancer import SegmentProblem, build_lp, segment_problem, solve_lp
+from shardplan.load_balancer import RatioProblem, build_lp, ratio_problem, solve_lp
 
 
 def test_simplex_basics():
@@ -81,7 +81,7 @@ def test_ratio_rows_equal_dense_pivots_bit_for_bit(m):
     spec = _graded(m)
     for name, g in corpus.corpus_graphs():
         res = alternate(g, spec)
-        prob = segment_problem(res.program.instrs, spec)
+        prob = ratio_problem(res.program.instrs, spec)
         row = solve_lp(*build_lp(prob)).x[:m]
         with oracles.dense_pivots():
             ref = solve_lp(*build_lp(prob)).x[:m]
@@ -125,44 +125,42 @@ def test_sharded_plans_take_the_closed_form_and_mix_takes_the_lp():
 
 def test_ratio_lp_analytic_cases():
     # slopes (1, 2), no communication: equalize 1*B1 = 2*B2
-    prob = SegmentProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]])
+    prob = RatioProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]])
     sol = solve_lp(*build_lp(prob))
     assert sol.x[:2] == pytest.approx([2 / 3, 1 / 3])
-    assert oracles.segment_objective(prob, sol.x[:2]) == pytest.approx(2 / 3)
+    assert oracles.ratio_objective(prob, sol.x[:2]) == pytest.approx(2 / 3)
 
     # communication-dominated: only the largest shard matters
-    prob = SegmentProblem(m=2, slope_M=1e6)
+    prob = RatioProblem(m=2, slope_M=1e6)
     sol = solve_lp(*build_lp(prob))
     assert sol.x[:2] == pytest.approx([0.5, 0.5])
-    assert oracles.segment_objective(prob, sol.x[:2]) == pytest.approx(5e5)
+    assert oracles.ratio_objective(prob, sol.x[:2]) == pytest.approx(5e5)
 
     # compute pulls toward (2/3, 1/3), the collective pulls back to even
-    prob = SegmentProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]],
-                          slope_M=3.0)
+    prob = RatioProblem(m=2, comp_a=[[1.0, 2.0]], comp_c=[[0.0, 0.0]],
+                        slope_M=3.0)
     sol = solve_lp(*build_lp(prob))
     assert sol.x[:2] == pytest.approx([0.5, 0.5])
-    assert oracles.segment_objective(prob, sol.x[:2]) == pytest.approx(2.5)
+    assert oracles.ratio_objective(prob, sol.x[:2]) == pytest.approx(2.5)
 
 
 def test_ratio_lp_matches_grid_oracle():
     rng = np.random.default_rng(1)
     for _ in range(10):
-        prob = SegmentProblem(
-            m=2,
-            comp_a=[rng.uniform(0.0, 2.0, size=2).tolist()
-                    for _ in range(int(rng.integers(1, 3)))],
-            comp_c=[rng.uniform(0.0, 0.5, size=2).tolist() for _ in range(2)][:1],
-            slope_M=float(rng.uniform(0.0, 2.0)))
-        prob.comp_c = prob.comp_c * len(prob.comp_a)
+        comp_a = [rng.uniform(0.0, 2.0, size=2).tolist()
+                  for _ in range(int(rng.integers(1, 3)))]
+        comp_c = [rng.uniform(0.0, 0.5, size=2).tolist() for _ in range(2)][:1]
+        prob = RatioProblem(m=2, comp_a=comp_a, comp_c=comp_c * len(comp_a),
+                            slope_M=float(rng.uniform(0.0, 2.0)))
         sol = solve_lp(*build_lp(prob))
         assert sol.status == "optimal"
-        objective = oracles.segment_objective(prob, sol.x[:2])
+        objective = oracles.ratio_objective(prob, sol.x[:2])
         grid = oracles.grid_min_objective(prob, step=1e-2)
         assert objective <= grid + 1e-9
         assert objective >= grid - 0.05        # grid is only 1e-2 fine
 
 
-def test_segment_problem_coefficients():
+def test_ratio_problem_coefficients():
     spec = corpus.homog2()
     rate = 2.0 ** 30
     bw = 2.0 ** 33
@@ -175,16 +173,16 @@ def test_segment_problem_coefficients():
                       dims=(0,), flops=10)
     instrs = [mm, mk("all_reduce", 32), mk("grouped_broadcast", 16),
               mk("all_gather", 8), rep]
-    p = segment_problem(instrs, spec)
+    p = ratio_problem(instrs, spec)
     # all_reduce and grouped_broadcast cost constants, which the LP leaves out
     assert p.slope_M == 32 / bw
-    assert p.comp_a == [[128 / rate] * 2, [0.0, 0.0]]
-    assert p.comp_c == [[0.0, 0.0], [10 / rate] * 2]
-    empty = SegmentProblem(m=2)
-    assert (empty.comp_a, empty.comp_c, empty.slope_M) == ([], [], 0.0)
+    assert p.comp_a == ((128 / rate,) * 2, (0.0, 0.0))
+    assert p.comp_c == ((0.0, 0.0), (10 / rate,) * 2)
+    empty = RatioProblem(m=2)
+    assert (empty.comp_a, empty.comp_c, empty.slope_M) == ((), (), 0.0)
 
 
-def test_segment_problems_charge_each_stage_to_its_row():
+def test_ratio_problems_charge_each_stage_with_work():
     spec = corpus.homog2()          # 2^30 flops/s, 2^33 B/s, 4 B/elt
     a = Instruction("matmul", "a", operands=("a@x", "a@y"), output="a@z",
                     sharded=True, flops=64)
@@ -194,26 +192,41 @@ def test_segment_problems_charge_each_stage_to_its_row():
                      axis=0, elements=32)
     rs = Instruction("reduce_scatter", "b", operands=("b@partial",), output="b@shard0",
                      axis=0, elements=8)
-    a_s, b_s, idle_s = [2.0 ** -24] * 2, [2.0 ** -25] * 2, [0.0, 0.0]
+    a_s, b_s, idle_s = (2.0 ** -24,) * 2, (2.0 ** -25,) * 2, (0.0, 0.0)
 
-    def coefficients(instrs):
-        p = segment_problem(instrs, spec)
-        return p.comp_a, p.comp_c, p.slope_M
+    def coefficients(instrs, spec=spec):
+        p = ratio_problem(instrs, spec)
+        return list(p.comp_a), list(p.comp_c), p.slope_M
 
     assert coefficients(()) == ([], [], 0.0)
     assert coefficients((a, b)) == ([a_s], [b_s], 0.0)
     assert coefficients((a, ag, b)) == ([a_s, idle_s], [idle_s, b_s], 2.0 ** -26)
     # a leading collective opens the first stage instead of closing one
     assert coefficients((ag, b)) == ([idle_s], [b_s], 2.0 ** -26)
-    # a computation without flops still gets its stage variable, and a
-    # stage that only communicates gets none
+    # a computation without flops adds no stage variable, at the start, after
+    # a collective or beside work, and a stage that only communicates gets none
     idle = b._replace(flops=0)
-    assert coefficients((ag, idle)) == ([idle_s], [idle_s], 2.0 ** -26)
+    assert coefficients((ag, idle)) == ([], [], 2.0 ** -26)
+    assert coefficients((idle, ag, b)) == coefficients((ag, b))
+    assert coefficients((a, idle, ag, idle, b)) == coefficients((a, ag, b))
     assert coefficients((ag,)) == ([], [], 2.0 ** -26)
     assert coefficients((ag, rs)) == ([], [], 2.0 ** -26 + 2.0 ** -28)
     ar = ag._replace(kind="all_reduce")
-    assert coefficients((ar, idle)) == ([idle_s], [idle_s], 0.0)
+    assert coefficients((ar, idle)) == ([], [], 0.0)
     assert coefficients((ar,)) == ([], [], 0.0)
+    # so the simplex returns the same row, bit for bit, with a stage of
+    # zero-flop work as without it; enough sharded work keeps the row off
+    # the even one
+    spec = corpus.hetero2()
+    big = a._replace(flops=2 ** 20)
+    for busy, bare in [((idle, ag, big, b), (ag, big, b)),
+                       ((big, ag, idle, ar, b), (big, ag, ar, b))]:
+        assert coefficients(busy, spec) == coefficients(bare, spec)
+        with mock.patch.object(load_balancer, "solve_lp", wraps=solve_lp) as lp:
+            rows = [optimize_ratios(DistributedProgram(instrs=p, loss="b"), None, spec).row
+                    for p in (busy, bare)]
+        assert lp.call_count == 2
+        assert [v.hex() for v in rows[0]] == [v.hex() for v in rows[1]]
 
 
 def test_ratio_lp_prices_what_the_model_prices():
@@ -235,7 +248,7 @@ def test_ratio_lp_prices_what_the_model_prices():
         instrs = res.program.instrs
         model = iteration_time(instrs, res.ratios, spec).total_s
         lp = sum(comm_terms(i, spec)[0] for i in instrs if i.is_comm)
-        lp += oracles.segment_objective(segment_problem(instrs, spec), res.ratios.row)
+        lp += oracles.ratio_objective(ratio_problem(instrs, spec), res.ratios.row)
         assert abs(lp - model) <= 1e-12 * model, cname
         collectives += any(i.is_comm for i in instrs)
     assert collectives == 16

@@ -1,6 +1,5 @@
 """The package's record types hold results and settings that nothing may
-change once built; only `SegmentProblem`, which `segment_problem` fills in
-place, is mutable."""
+change once built."""
 import pytest
 
 import corpus
@@ -10,7 +9,7 @@ from shardplan.cli import load_plan, plan_document
 from shardplan.cost_model import single_segment
 from shardplan.graph_ir import graph_from_dict
 from shardplan.interpreter import EquivalenceReport
-from shardplan.load_balancer import solve_lp
+from shardplan.load_balancer import ratio_problem, solve_lp
 from shardplan.synthesizer import SearchContext, enumerate_programs
 
 IMMUTABLE = (
@@ -18,6 +17,7 @@ IMMUTABLE = (
     "CostBreakdown", "Node", "Graph", "SegmentAssignment", "EquivalenceReport",
     "LpSolution", "LoopConfig", "RoundTrace", "LoopResult", "DistributedProgram",
     "SearchConfig", "PartialProgram", "SynthesisResult", "EnumerationResult", "Theory",
+    "RatioProblem",
 )
 
 
@@ -40,7 +40,7 @@ def records() -> dict:
         SearchConfig(), SearchContext(g, theory, spec, B).root,
         synthesize(g, theory, spec, B),
         enumerate_programs(g, build_theory(g, spec.m, guards=False, fuse=False), spec, B),
-        theory,
+        theory, ratio_problem(res.program.instrs, spec),
     ]
     return {type(v).__name__: v for v in values}
 

@@ -43,7 +43,7 @@ def test_applicable_refuses_vacuous_triples():
 
 
 def _partial(props, closed=0.0, comm=0.0, acc=(0.0, 0.0)):
-    stage = StageCost(comm, acc, 0, None)
+    stage = StageCost(comm, acc, None)
     return PartialProgram(props=sum(1 << p for p in props), computed=0, closed_s=closed,
                           stage=stage, remaining=0.0, score_s=0.0, path=(), depth=0)
 
@@ -350,13 +350,13 @@ def test_step_prices_every_triple_as_advance_does(cluster, row):
     # take the general path (two computations with flops, a collective after
     # a computation, two collectives), must leave the stage and closed cost
     # `advance` gives, bit for bit.  A triple that only computes takes one
-    # add when the stage has a row, a collective-first triple its memoized
-    # stage; everything else, and every triple from the empty root stage,
-    # which has no row yet, must walk `advance`.
+    # add from any stage, the empty root stage too, and a collective-first
+    # triple its memoized stage; everything else must walk `advance`.
     spec = getattr(corpus, cluster)()
     B = ShardingRatios((ROWS[row - 1],))
     real = StagePricer.advance
     paths = {"advance": 0, "one add": 0, "opened": 0}
+    root_adds = 0
     for name in STEP_GRAPHS:
         g = graph_from_dict(corpus.CORPUS[name])
         raw = oracles.reference_theory(g, 2)
@@ -374,14 +374,13 @@ def test_step_prices_every_triple_as_advance_does(cluster, row):
         with mock.patch.object(StagePricer, "advance", counting):
             ctx = SearchContext(g, th, spec, B)
         pricer = ctx.pricer
-        # per triple: whether it walks `advance` from a stage with a row
+        # per triple: whether it walks `advance`
         walks = [bool(real(pricer, pricer.empty, tr.instrs)[0]) if tr.instrs[0].is_comm
                  else sum(bool(i.flops) for i in tr.instrs) > 1
                  or any(i.is_comm for i in tr.instrs) for tr in th.triples]
         with oracles.collector_paused():
             graph = oracles.state_graph(g, derive_theory(g, 2), spec, B)
         for q in {q.stage: q for q in reversed(graph.nodes)}.values():
-            waiting = q.stage.row is None
             for ti, tr in enumerate(th.triples):
                 closes, stage = real(pricer, q.stage, tr.instrs)
                 closed = q.closed_s
@@ -389,17 +388,21 @@ def test_step_prices_every_triple_as_advance_does(cluster, row):
                     closed += done.time_s
                 start = len(calls)
                 succ = ctx.step(q, ti)
-                general = walks[ti] or waiting and not tr.instrs[0].is_comm
+                general = walks[ti]
                 assert any(st is q.stage for st in calls[start:]) == general, \
                     (name, q.stage, tr.instrs)
                 assert succ.closed_s.hex() == closed.hex(), (name, q.stage, tr.instrs)
                 assert list(map(float.hex, (succ.stage.comm_s, *succ.stage.comp_s))) == \
                     list(map(float.hex, (stage.comm_s, *stage.comp_s)))
-                assert succ.stage[2:] == stage[2:], (name, q.stage, tr.instrs)
+                assert succ.stage.comm == stage.comm, (name, q.stage, tr.instrs)
+                opened = not general and tr.instrs[0].is_comm
+                adds = not general and not opened and any(i.flops for i in tr.instrs)
                 paths["advance"] += general
-                paths["opened"] += not general and tr.instrs[0].is_comm
-                paths["one add"] += not general and any(i.flops for i in tr.instrs)
+                paths["opened"] += opened
+                paths["one add"] += adds
+                root_adds += adds and q.stage == pricer.empty
     assert paths["advance"] and paths["one add"] and paths["opened"], paths
+    assert root_adds, paths
 
 
 def test_batch_contracting_mix_finishes_within_budget_on_hetero2():
